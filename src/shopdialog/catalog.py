@@ -16,12 +16,11 @@ references a prototype and inherits its attributes at load time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
-from .errors import MalformedFile, UnknownAttribute, UnknownRegion, ValidationError
+from .errors import UnknownAttribute, UnknownRegion, ValidationError
+from .jsonio import read_json
 
 Bbox = tuple[float, float, float, float]
 
@@ -78,16 +77,6 @@ def _parse_bbox(raw, where: str) -> Bbox:
     if w <= 0 or h <= 0:
         raise ValidationError(f"{where}: bbox must have positive width/height")
     return (x, y, w, h)
-
-
-def _read_json(path) -> object:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"cannot parse {path}: {exc}") from exc
 
 
 def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
@@ -160,8 +149,8 @@ def _validate_metadata(raw: object) -> Metadata:
 
 def load_catalog(scene_path, metadata_path) -> tuple[list[Scene], Metadata]:
     """Load and validate scenes plus the item-prototype metadata index."""
-    metadata = _validate_metadata(_read_json(metadata_path))
-    raw_scenes = _read_json(scene_path)
+    metadata = _validate_metadata(read_json(metadata_path))
+    raw_scenes = read_json(scene_path)
     if isinstance(raw_scenes, dict):
         raw_scenes = [raw_scenes]
     if not isinstance(raw_scenes, list):
@@ -189,12 +178,6 @@ def dump_scenes(scenes: list[Scene]) -> list[dict]:
         }
         for s in scenes
     ]
-
-
-def save_catalog(scenes: list[Scene], scene_path) -> None:
-    Path(scene_path).write_text(
-        json.dumps(dump_scenes(scenes), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
 
 
 def contains_center(bbox: Bbox, point: tuple[float, float]) -> bool:

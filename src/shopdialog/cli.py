@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import load_catalog
 from .engine import generate_corpus, load_policy, read_flows, write_flows
-from .errors import ShopDialogError, TaskMismatch, ValidationError
+from .errors import BadRatios, ShopDialogError, TaskMismatch, ValidationError
 from .evalhub import (
     SPLIT_NAMES,
     TASKS,
@@ -35,6 +35,7 @@ from .evalhub import (
     split_corpus,
     write_predictions,
 )
+from .jsonio import write_json
 from .ontology import load_ontology
 from .realizer import load_templates, realize_corpus
 
@@ -55,11 +56,7 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, argv: list[str], o
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tool_version": __version__,
     }
-    out_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(out_path, manifest, sort_keys=True)
 
 
 def cmd_validate(args, argv) -> int:
@@ -121,7 +118,10 @@ def cmd_gold(args, argv) -> int:
 
 def cmd_split(args, argv) -> int:
     flows = read_flows(args.flows)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        raise BadRatios(f"ratios must be comma-separated numbers, got {args.ratios!r}") from None
     parts = split_corpus(flows, ratios, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,7 +153,7 @@ def cmd_stats(args, argv) -> int:
                 for act, p in row.items():
                     writer.writerow(["act_distribution", rnd, act, p])
     else:
-        _write_json(out, report.to_dict())
+        write_json(out, report.to_dict())
     _write_manifest(Path(str(out) + ".manifest.json"), args, argv, [str(out)])
     print(f"stats for {report.n_dialogs} dialogs written to {out}")
     return 0
@@ -207,7 +207,7 @@ def cmd_eval(args, argv) -> int:
                 for key, value in sorted(_flatten(report).items()):
                     writer.writerow([key, value])
         else:
-            _write_json(out, report)
+            write_json(out, report)
         _write_manifest(Path(str(out) + ".manifest.json"), args, argv, [str(out)])
     else:
         print(json.dumps(report, indent=2, ensure_ascii=False))
@@ -223,6 +223,13 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
         else:
             flat[name] = value
     return flat
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate dialog flows by self-play")
     add_catalog_flags(p)
     p.add_argument("--policy", required=True, help="policy config JSON")
-    p.add_argument("--n", type=int, required=True, help="number of dialogs")
+    p.add_argument("--n", type=_count, required=True, help="number of dialogs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output JSONL path")
@@ -289,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="gold JSONL")
     p.add_argument("--out", help="report path (default: print to stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; scoring is one pass")
     p.set_defaults(func=cmd_eval)
 
     return parser

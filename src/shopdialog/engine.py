@@ -18,9 +18,7 @@ paired customer turn carries the state after the round's narrowing applied.
 
 from __future__ import annotations
 
-import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -33,7 +31,9 @@ from .errors import (
     NoTruthfulConcept,
     ValidationError,
 )
+from .jsonio import read_json, read_jsonl, write_jsonl
 from .ontology import Ontology, concepts_for_value
+from .parallel import parallel_map
 
 SALESPERSON_ACTS = (
     "ASK_PREFERENCE",
@@ -89,7 +89,6 @@ class PolicyConfig:
     recommend_max: int = 5
     refer_region_min_elicited: int = 1
     max_rounds: int = 30
-    rng_seed: int = 0
 
     def row_for_round(self, rnd: int) -> dict[str, float]:
         if rnd <= len(self.rounds):
@@ -110,7 +109,7 @@ def _validate_row(row: dict[str, float], where: str) -> dict[str, float]:
 def policy_from_dict(raw: dict) -> PolicyConfig:
     allowed = {
         "rounds", "stationary", "display_min", "display_max", "recommend_max",
-        "refer_region_min_elicited", "max_rounds", "rng_seed",
+        "refer_region_min_elicited", "max_rounds",
     }
     extra = set(raw) - allowed
     if extra:
@@ -127,7 +126,6 @@ def policy_from_dict(raw: dict) -> PolicyConfig:
         recommend_max=int(raw.get("recommend_max", 5)),
         refer_region_min_elicited=int(raw.get("refer_region_min_elicited", 1)),
         max_rounds=int(raw.get("max_rounds", 30)),
-        rng_seed=int(raw.get("rng_seed", 0)),
     )
     if cfg.display_min > cfg.display_max:
         raise ValidationError("policy: display_min must be <= display_max")
@@ -137,14 +135,7 @@ def policy_from_dict(raw: dict) -> PolicyConfig:
 
 
 def load_policy(path) -> PolicyConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"cannot parse {path}: {exc}") from exc
-    return policy_from_dict(raw)
+    return policy_from_dict(read_json(path))
 
 
 @dataclass
@@ -153,7 +144,6 @@ class SessionState:
     round: int
     candidate_values: dict[str, set[str]]
     candidate_items: set[int]
-    history: list[tuple[DialogAct, DialogAct]]
     elicited_attrs: set[str]
     last_guess: tuple[str, str] | None
     region_includes: list[str]
@@ -176,7 +166,6 @@ def new_session(scene: Scene) -> SessionState:
         round=1,
         candidate_values={a: set(scene_value_universe(scene, a)) for a in attrs},
         candidate_items={it.object_id for it in scene.items},
-        history=[],
         elicited_attrs=set(),
         last_guess=None,
         region_includes=[],
@@ -326,7 +315,6 @@ def customer_step(
     goal: GoalSpec,
     s_act: DialogAct,
     ont: Ontology,
-    scene: Scene,
     rng: random.Random,
 ) -> DialogAct:
     """Truthful response: never contradicts the hidden target's attributes."""
@@ -384,7 +372,7 @@ def customer_step(
 
 
 def apply_turn(
-    state: SessionState, s_act: DialogAct, c_act: DialogAct, ont: Ontology, scene: Scene
+    state: SessionState, s_act: DialogAct, c_act: DialogAct, ont: Ontology
 ) -> SessionState:
     """Narrow candidates per the act pair and advance one round."""
     if ACT_PAIRS.get(s_act.name) != c_act.name:
@@ -457,7 +445,6 @@ def apply_turn(
         round=state.round + 1,
         candidate_values=values,
         candidate_items=items,
-        history=state.history + [(s_act, c_act)],
         elicited_attrs=elicited,
         last_guess=last_guess,
         region_includes=includes,
@@ -511,7 +498,7 @@ def _run_with_rng(
         while True:
             s_act = salesperson_step(state, cfg, rng, ont, banned=banned)
             try:
-                c_act = customer_step(state, goal, s_act, ont, scene, rng)
+                c_act = customer_step(state, goal, s_act, ont, rng)
                 break
             except NoTruthfulConcept:
                 banned |= {s_act.name}
@@ -520,7 +507,7 @@ def _run_with_rng(
             Turn(rnd, "salesperson", s_act.name, s_act.slots,
                  sorted(state.candidate_items), _snapshot(state))
         )
-        state = apply_turn(state, s_act, c_act, ont, scene)
+        state = apply_turn(state, s_act, c_act, ont)
         turns.append(
             Turn(rnd, "customer", c_act.name, c_act.slots,
                  sorted(state.candidate_items), _snapshot(state))
@@ -529,15 +516,11 @@ def _run_with_rng(
     return DialogFlow(dialog_id, scene.scene_id, goal.target_object_id, outcome, turns)
 
 
-def _run_session(scenes: list[Scene], ont: Ontology, cfg: PolicyConfig, base_seed: int, index: int) -> DialogFlow:
+def _run_session(shared: tuple, index: int) -> DialogFlow:
+    scenes, ont, cfg, base_seed = shared
     rng = random.Random(base_seed ^ index)
     scene = scenes[rng.randrange(len(scenes))]
     return _run_with_rng(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
-
-
-def _corpus_chunk(args) -> list[DialogFlow]:
-    scenes, ont, cfg, base_seed, indices = args
-    return [_run_session(scenes, ont, cfg, base_seed, i) for i in indices]
 
 
 def generate_corpus(
@@ -553,15 +536,7 @@ def generate_corpus(
     Session i draws from its own RNG seeded with base_seed XOR i (scene pick
     first, then the dialog), so parallel chunking cannot change results.
     """
-    if jobs <= 1 or n <= 1:
-        for i in range(n):
-            yield _run_session(scenes, ont, cfg, base_seed, i)
-        return
-    step = (n + jobs - 1) // jobs
-    chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for flows in pool.map(_corpus_chunk, [(scenes, ont, cfg, base_seed, c) for c in chunks]):
-            yield from flows
+    yield from parallel_map(_run_session, (scenes, ont, cfg, base_seed), range(n), jobs)
 
 
 def turn_to_dict(turn: Turn) -> dict:
@@ -607,25 +582,14 @@ def flow_from_dict(raw: dict) -> DialogFlow:
 
 
 def write_flows(flows: Iterable[DialogFlow], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for flow in flows:
-            fh.write(json.dumps(flow_to_dict(flow), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, (flow_to_dict(flow) for flow in flows))
 
 
 def read_flows(path) -> list[DialogFlow]:
     flows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    flows.append(flow_from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise MalformedFile(f"{path}:{line_no}: bad dialog record ({exc})") from exc
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
+    for line_no, record in read_jsonl(path):
+        try:
+            flows.append(flow_from_dict(record))
+        except (KeyError, TypeError) as exc:
+            raise MalformedFile(f"{path}:{line_no}: bad dialog record ({exc})") from exc
     return flows

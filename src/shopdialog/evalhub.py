@@ -20,7 +20,7 @@ exp(1 - r/c) for c < r.  Tokenization is whitespace splitting.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import random
 import re
@@ -41,6 +41,7 @@ from .errors import (
     UnknownActName,
     ValidationError,
 )
+from .jsonio import read_jsonl, write_jsonl
 from .ontology import Ontology, spd_oracle
 
 TASKS = ("SPD", "RRU", "ACT", "RESPONSE", "RECOMMEND")
@@ -375,35 +376,26 @@ def elicit_rounds(flow: DialogFlow) -> list[int]:
 
 
 def write_predictions(path, header: dict, rows: dict[Key, object]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for (dialog_id, rnd), payload in sorted(rows.items()):
-            record = {"dialog_id": dialog_id, "round": rnd, "payload": payload}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({"dialog_id": d, "round": r, "payload": p} for (d, r), p in sorted(rows.items()))
+    write_jsonl(path, itertools.chain([header], records))
 
 
 def read_predictions(path) -> tuple[dict, dict[Key, object]]:
     """Parse a prediction/gold file; returns (header, rows). Header may be {}."""
     header: dict = {}
     rows: dict[Key, object] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
-                if "dialog_id" not in record:
-                    if line_no == 1:
-                        header = record
-                        continue
-                    raise MalformedFile(f"{path}:{line_no}: row without dialog_id")
-                key = (record["dialog_id"], int(record["round"]))
-                if key in rows:
-                    raise ValidationError(f"{path}:{line_no}: duplicate key {key}")
-                rows[key] = record["payload"]
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
+    for line_no, record in read_jsonl(path):
+        if "dialog_id" not in record:
+            if line_no == 1:
+                header = record
+                continue
+            raise MalformedFile(f"{path}:{line_no}: row without dialog_id")
+        dialog_id, rnd = record["dialog_id"], record.get("round")
+        if not isinstance(dialog_id, str) or type(rnd) is not int or "payload" not in record:
+            raise MalformedFile(
+                f"{path}:{line_no}: a row needs a string dialog_id, an integer round and a payload"
+            )
+        if (dialog_id, rnd) in rows:
+            raise ValidationError(f"{path}:{line_no}: duplicate key {(dialog_id, rnd)}")
+        rows[(dialog_id, rnd)] = record["payload"]
     return header, rows

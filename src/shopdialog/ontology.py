@@ -17,20 +17,18 @@ simulated customer could be left without a truthful answer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .attributes import get_attribute, numeric_payload
 from .catalog import Scene, scene_value_universe
 from .errors import (
-    MalformedFile,
     MixedAttributeTypes,
     UnknownConcept,
     UnknownSurfaceForm,
     UnknownValue,
     ValidationError,
 )
+from .jsonio import read_json
 
 Polarity = str  # "like" | "dislike"
 
@@ -76,9 +74,6 @@ class Ontology:
 
     def concepts_of(self, attr: str) -> tuple[Concept, ...]:
         return self._by_attr.get(attr, ())
-
-    def attributes(self) -> tuple[str, ...]:
-        return tuple(self.value_spaces)
 
 
 def _materialize_range(lo: float, hi: float, space: frozenset[str]) -> frozenset[str]:
@@ -170,14 +165,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
 
 
 def load_ontology(path) -> Ontology:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            blocks = json.load(fh)
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"cannot parse {path}: {exc}") from exc
-    return ontology_from_blocks(blocks)
+    return ontology_from_blocks(read_json(path))
 
 
 def ontology_to_blocks(ont: Ontology) -> list[dict]:
@@ -196,12 +184,6 @@ def ontology_to_blocks(ont: Ontology) -> list[dict]:
             entries.append(entry)
         blocks.append({"attribute": attr_name, "value_space": sorted(space), "concepts": entries})
     return blocks
-
-
-def save_ontology(ont: Ontology, path) -> None:
-    Path(path).write_text(
-        json.dumps(ontology_to_blocks(ont), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
 
 
 def concept_values(ont: Ontology, concept_id: str) -> set[str]:

@@ -15,16 +15,16 @@ RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
 
 from __future__ import annotations
 
-import json
 import random
 import string
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .catalog import Scene, contains_center
 from .engine import ACT_PAIRS, DialogFlow, SALESPERSON_ACTS, Turn
-from .errors import MalformedFile, MissingTemplate, ValidationError
+from .errors import MissingTemplate, ValidationError
+from .jsonio import read_json
 from .ontology import Ontology
+from .parallel import parallel_map
 
 _FLAGGED_ACTS = (
     "RESPOND_PROMPT",
@@ -98,14 +98,7 @@ def templates_from_dict(raw: dict) -> TemplateSet:
 
 
 def load_templates(path) -> TemplateSet:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"cannot parse {path}: {exc}") from exc
-    return templates_from_dict(raw)
+    return templates_from_dict(read_json(path))
 
 
 def _attr_display(attr: str) -> str:
@@ -171,12 +164,10 @@ def realize_dialog(
     return replace(flow, turns=turns)
 
 
-def _realize_chunk(args) -> list[DialogFlow]:
-    flows, templates, ont, scenes_by_id, base_seed, indices = args
-    return [
-        realize_dialog(flow, templates, ont, scenes_by_id[flow.scene_id], base_seed ^ i)
-        for i, flow in zip(indices, flows)
-    ]
+def _realize_one(shared: tuple, item: tuple[int, DialogFlow]) -> DialogFlow:
+    templates, ont, scenes_by_id, base_seed = shared
+    i, flow = item
+    return realize_dialog(flow, templates, ont, scenes_by_id[flow.scene_id], base_seed ^ i)
 
 
 def realize_corpus(
@@ -188,16 +179,5 @@ def realize_corpus(
     jobs: int = 1,
 ) -> list[DialogFlow]:
     """Realize a corpus; dialog i uses seed base_seed XOR i, so any jobs count agrees."""
-    scenes_by_id = {s.scene_id: s for s in scenes}
-    if jobs <= 1 or len(flows) <= 1:
-        return _realize_chunk((flows, templates, ont, scenes_by_id, base_seed, range(len(flows))))
-    step = (len(flows) + jobs - 1) // jobs
-    chunks = [
-        (flows[lo:lo + step], templates, ont, scenes_by_id, base_seed, range(lo, min(lo + step, len(flows))))
-        for lo in range(0, len(flows), step)
-    ]
-    out: list[DialogFlow] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_realize_chunk, chunks):
-            out.extend(part)
-    return out
+    shared = (templates, ont, {s.scene_id: s for s in scenes}, base_seed)
+    return list(parallel_map(_realize_one, shared, list(enumerate(flows)), jobs))

@@ -61,9 +61,11 @@ def test_simulate_is_reproducible(tmp_path):
 
 
 def test_simulate_jobs_do_not_change_output(tmp_path):
-    serial = simulate(tmp_path, "serial.jsonl", n=40, jobs=1)
-    parallel = simulate(tmp_path, "parallel.jsonl", n=40, jobs=4)
-    assert serial.read_bytes() == parallel.read_bytes()
+    # n=0 and n < jobs exercise the empty and the fewer-items-than-workers fan-out
+    for n, jobs in ((40, 4), (0, 4), (2, 4)):
+        serial = simulate(tmp_path, f"serial_{n}.jsonl", n=n, jobs=1)
+        parallel = simulate(tmp_path, f"parallel_{n}.jsonl", n=n, jobs=jobs)
+        assert serial.read_bytes() == parallel.read_bytes(), (n, jobs)
 
 
 def test_simulate_writes_manifest(tmp_path):
@@ -118,17 +120,18 @@ def test_eval_prints_report_without_out(tmp_path, capsys):
 
 
 def test_realize_deterministic_and_manifested(tmp_path):
-    flows = simulate(tmp_path, "flows.jsonl")
-    a = tmp_path / "realized_a.jsonl"
-    b = tmp_path / "realized_b.jsonl"
-    for out, jobs in ((a, 1), (b, 3)):
-        rc = main(["realize", *base_flags(),
-                   "--templates", str(DATA / "templates.json"),
-                   "--flows", str(flows), "--seed", "5", "--jobs", str(jobs),
-                   "--out", str(out)])
-        assert rc == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "realized_a.jsonl.manifest.json").exists()
+    for n, jobs in ((30, 3), (0, 4), (2, 4)):
+        flows = simulate(tmp_path, f"flows_{n}.jsonl", n=n)
+        a = tmp_path / f"realized_a_{n}.jsonl"
+        b = tmp_path / f"realized_b_{n}.jsonl"
+        for out, j in ((a, 1), (b, jobs)):
+            rc = main(["realize", *base_flags(),
+                       "--templates", str(DATA / "templates.json"),
+                       "--flows", str(flows), "--seed", "5", "--jobs", str(j),
+                       "--out", str(out)])
+            assert rc == 0
+        assert a.read_bytes() == b.read_bytes(), (n, jobs)
+        assert (tmp_path / f"realized_a_{n}.jsonl.manifest.json").exists()
 
 
 def test_split_sizes_and_determinism(tmp_path):
@@ -183,3 +186,45 @@ def test_inputs_never_mutated(tmp_path):
     simulate(tmp_path, "flows.jsonl")
     assert (DATA / "scenes.json").read_bytes() == scenes_bytes
     assert (DATA / "ontology.json").read_bytes() == ontology_bytes
+
+
+def test_negative_n_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        simulate(tmp_path, "flows.jsonl", n=-5)
+    assert exc.value.code == 2
+    assert not (tmp_path / "flows.jsonl").exists()
+
+
+def test_non_numeric_ratios_exit_one(tmp_path, capsys):
+    flows = simulate(tmp_path, "flows.jsonl", n=5)
+    capsys.readouterr()
+    rc = main(["split", "--flows", str(flows), "--ratios", "a,b,c,d",
+               "--out-dir", str(tmp_path / "splits")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+GOLD_ACT_ROW = '{"dialog_id": "d00000", "round": 1, "payload": "ASK_PREFERENCE"}'
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("eval", '{"task": "ACT"}\n{"dialog_id": "d00000", "payload": "ASK_PREFERENCE"}\n', 2),
+    ("eval", '{"dialog_id": "d00000", "round": "one", "payload": "ASK_PREFERENCE"}\n', 1),
+    ("eval", '{"dialog_id": "d00000", "round": 1}\n', 1),
+    ("eval", '[1, 2]\n' + GOLD_ACT_ROW + '\n', 1),
+    ("stats", '[1, 2]\n', 1),
+], ids=["row-without-round", "non-integer-round", "row-without-payload",
+        "array-header", "array-flow"])
+def test_malformed_jsonl_exits_one(tmp_path, capsys, command, text, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    if command == "eval":
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(GOLD_ACT_ROW + "\n")
+        argv = ["eval", "--task", "act", "--pred", str(bad), "--gold", str(gold)]
+    else:
+        argv = ["stats", "--flows", str(bad), "--out", str(tmp_path / "stats.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1

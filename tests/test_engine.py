@@ -147,7 +147,7 @@ def test_customer_answers_with_covering_concept(ontology, policy):
     ask = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
     seen = set()
     for i in range(200):
-        answer = customer_step(state, goal, ask, ontology, scene, random.Random(i))
+        answer = customer_step(state, goal, ask, ontology, random.Random(i))
         assert answer.name == "ANSWER_PREFERENCE"
         seen.add(answer.slots["concept_id"])
     assert seen == {"warm_color", "powerful_color"}
@@ -172,7 +172,7 @@ def test_exclude_with_no_truthful_concept(policy):
     goal = generate_goal(make_scene(["red"]), random.Random(0))
     exclude = DialogAct("EXCLUDE_PREFERENCE", {"attribute": "color"})
     with pytest.raises(NoTruthfulConcept):
-        customer_step(state, goal, exclude, ont, scene, random.Random(0))
+        customer_step(state, goal, exclude, ont, random.Random(0))
 
 
 def test_customer_never_negates_target(ontology, policy):
@@ -181,7 +181,7 @@ def test_customer_never_negates_target(ontology, policy):
     goal = generate_goal(make_scene(["red"]), random.Random(0))
     exclude = DialogAct("EXCLUDE_PREFERENCE", {"attribute": "color"})
     for i in range(1000):
-        answer = customer_step(state, goal, exclude, ontology, scene, random.Random(i))
+        answer = customer_step(state, goal, exclude, ontology, random.Random(i))
         assert answer.name == "NEGATE_PREFERENCE"
         concept = ontology.concept(answer.slots["concept_id"])
         assert goal.target_attributes[concept.attr] not in concept.values
@@ -192,7 +192,7 @@ def test_recommend_target_accepted(ontology):
     state = new_session(scene)
     goal = generate_goal(make_scene(["red"]), random.Random(0))
     act = DialogAct("RECOMMEND_ITEM", {"object_id": goal.target_object_id})
-    answer = customer_step(state, goal, act, ontology, scene, random.Random(0))
+    answer = customer_step(state, goal, act, ontology, random.Random(0))
     assert answer.slots["accept"] is True
 
 
@@ -201,7 +201,7 @@ def test_apply_answer_intersects(ontology):
     state = new_session(scene)
     s_act = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
     c_act = DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"})
-    nxt = apply_turn(state, s_act, c_act, ontology, scene)
+    nxt = apply_turn(state, s_act, c_act, ontology)
     assert nxt.candidate_values["color"] == {"red", "yellow"}
     assert nxt.round == 2
     assert nxt.elicited_attrs == {"color"}
@@ -213,7 +213,7 @@ def test_apply_universe_intersection_is_identity(ontology):
     state = new_session(scene)
     s_act = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
     c_act = DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"})
-    nxt = apply_turn(state, s_act, c_act, ontology, scene)
+    nxt = apply_turn(state, s_act, c_act, ontology)
     assert nxt.candidate_values["color"] == state.candidate_values["color"]
     assert nxt.candidate_items == state.candidate_items
 
@@ -226,7 +226,7 @@ def test_apply_region_no_subtracts(ontology):
     state = new_session(scene)
     s_act = DialogAct("REFER_REGION", {"region_label": "front rack"})
     c_act = DialogAct("JUDGE_REGION", {"region_label": "front rack", "accept": False})
-    nxt = apply_turn(state, s_act, c_act, ontology, scene)
+    nxt = apply_turn(state, s_act, c_act, ontology)
     assert nxt.candidate_items == {2}
 
 
@@ -239,7 +239,6 @@ def test_apply_rejects_bad_pair(ontology):
             DialogAct("ASK_PREFERENCE", {"attribute": "color"}),
             DialogAct("JUDGE_REGION", {"region_label": "x", "accept": True}),
             ontology,
-            scene,
         )
 
 
@@ -250,7 +249,7 @@ def test_apply_inconsistent_state_detected(ontology):
     # Untruthful answer: no scene color is mysterious, so candidates would empty.
     c_act = DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "mysterious_color"})
     with pytest.raises(InconsistentState):
-        apply_turn(state, s_act, c_act, ontology, scene)
+        apply_turn(state, s_act, c_act, ontology)
 
 
 def test_consistent_items_full_universe(scenes):
@@ -363,7 +362,7 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
         custs = [t for t in flow.turns if t.speaker == "customer"]
         for s, c in zip(sales, custs):
             state = apply_turn(
-                state, DialogAct(s.act, s.slots), DialogAct(c.act, c.slots), ontology, scene
+                state, DialogAct(s.act, s.slots), DialogAct(c.act, c.slots), ontology
             )
             expected = consistent_items(state.candidate_values, scene)
             for label in state.region_includes:
