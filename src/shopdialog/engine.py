@@ -33,7 +33,7 @@ from .errors import (
 )
 from .jsonio import read_json, read_jsonl, write_jsonl
 from .ontology import Ontology, concepts_for_value
-from .parallel import parallel_map
+from .parallel import parallel_map, session_seed
 
 SALESPERSON_ACTS = (
     "ASK_PREFERENCE",
@@ -518,7 +518,7 @@ def _run_with_rng(
 
 def _run_session(shared: tuple, index: int) -> DialogFlow:
     scenes, ont, cfg, base_seed = shared
-    rng = random.Random(base_seed ^ index)
+    rng = random.Random(session_seed(base_seed, "simulate", index))
     scene = scenes[rng.randrange(len(scenes))]
     return _run_with_rng(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
 
@@ -533,8 +533,9 @@ def generate_corpus(
 ) -> Iterator[DialogFlow]:
     """Yield n dialogs in index order; identical output for any jobs count.
 
-    Session i draws from its own RNG seeded with base_seed XOR i (scene pick
-    first, then the dialog), so parallel chunking cannot change results.
+    Session i draws from its own RNG, seeded with session_seed(base_seed,
+    "simulate", i) (scene pick first, then the dialog), so parallel chunking
+    cannot change results and distinct base seeds give independent corpora.
     """
     yield from parallel_map(_run_session, (scenes, ont, cfg, base_seed), range(n), jobs)
 

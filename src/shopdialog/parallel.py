@@ -1,9 +1,14 @@
-"""Ordered fan-out of independent work items over worker processes."""
+"""Ordered fan-out over worker processes, with per-item seeds that keep it jobs-invariant."""
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence
+
+
+def session_seed(base_seed: int, stream: str, index: int) -> str:
+    """Seed of item `index` in `stream`; random.Random hashes it with SHA-512."""
+    return f"{stream}:{base_seed}:{index}"
 
 
 def _map_chunk(args) -> list:
@@ -12,12 +17,8 @@ def _map_chunk(args) -> list:
 
 
 def parallel_map(fn: Callable, shared, items: Sequence, jobs: int = 1) -> Iterator:
-    """Yield fn(shared, item) for each item, in item order whatever jobs is.
-
-    At jobs <= 1 this runs lazily in this process.  Otherwise the items are
-    cut into one contiguous chunk per worker, each sent with a pickled copy
-    of `shared`; fn must be a module-level function.
-    """
+    """Yield fn(shared, item) per item in order: lazily in-process at jobs <= 1,
+    else one contiguous chunk per worker process (fn must be module-level)."""
     if jobs <= 1 or len(items) <= 1:
         for item in items:
             yield fn(shared, item)

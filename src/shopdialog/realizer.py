@@ -24,7 +24,7 @@ from .engine import ACT_PAIRS, DialogFlow, SALESPERSON_ACTS, Turn
 from .errors import MissingTemplate, ValidationError
 from .jsonio import read_json
 from .ontology import Ontology
-from .parallel import parallel_map
+from .parallel import parallel_map, session_seed
 
 _FLAGGED_ACTS = (
     "RESPOND_PROMPT",
@@ -154,7 +154,7 @@ def realize_turn(
 
 
 def realize_dialog(
-    flow: DialogFlow, templates: TemplateSet, ont: Ontology, scene: Scene, seed: int
+    flow: DialogFlow, templates: TemplateSet, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
     """Fill every turn's utterance; acts, slots and candidate annotations untouched."""
     rng = random.Random(seed)
@@ -167,7 +167,8 @@ def realize_dialog(
 def _realize_one(shared: tuple, item: tuple[int, DialogFlow]) -> DialogFlow:
     templates, ont, scenes_by_id, base_seed = shared
     i, flow = item
-    return realize_dialog(flow, templates, ont, scenes_by_id[flow.scene_id], base_seed ^ i)
+    seed = session_seed(base_seed, "realize", i)
+    return realize_dialog(flow, templates, ont, scenes_by_id[flow.scene_id], seed)
 
 
 def realize_corpus(
@@ -178,6 +179,6 @@ def realize_corpus(
     base_seed: int,
     jobs: int = 1,
 ) -> list[DialogFlow]:
-    """Realize a corpus; dialog i uses seed base_seed XOR i, so any jobs count agrees."""
+    """Realize a corpus; dialog i is seeded from (base_seed, i), so any jobs count agrees."""
     shared = (templates, ont, {s.scene_id: s for s in scenes}, base_seed)
     return list(parallel_map(_realize_one, shared, list(enumerate(flows)), jobs))

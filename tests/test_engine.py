@@ -393,3 +393,18 @@ def test_generate_corpus_parallel_equals_serial(scenes, ontology, policy):
 
 def test_elicit_acts_are_the_three_preference_acts():
     assert set(ELICIT_ACTS) == {"ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE"}
+
+
+def test_distinct_seeds_give_independent_corpora(scenes, ontology, policy):
+    # Dialog bodies (everything but dialog_id) shared between two corpora.
+    def bodies(seed):
+        out = set()
+        for f in generate_corpus(scenes, ontology, policy, 300, base_seed=seed):
+            record = flow_to_dict(f)
+            del record["dialog_id"]
+            out.add(json.dumps(record, sort_keys=True))
+        return out
+
+    base = bodies(0)
+    for other in (1, 300):
+        assert len(base & bodies(other)) <= 3, other  # at most 1% of n
