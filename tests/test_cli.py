@@ -32,10 +32,14 @@ def test_validate_bad_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--n", "5"])  # missing required flags
-    assert exc.value.code == 2
+def test_usage_error_exits_two(tmp_path):
+    negative_n = ["simulate", *base_flags(), "--policy", str(DATA / "policy.json"),
+                  "--n", "-5", "--out", str(tmp_path / "flows.jsonl")]
+    for argv in (["simulate", "--n", "5"], negative_n):  # missing required flags; --n < 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not (tmp_path / "flows.jsonl").exists()
 
 
 def test_unknown_subcommand_exits_two():
@@ -186,13 +190,6 @@ def test_inputs_never_mutated(tmp_path):
     simulate(tmp_path, "flows.jsonl")
     assert (DATA / "scenes.json").read_bytes() == scenes_bytes
     assert (DATA / "ontology.json").read_bytes() == ontology_bytes
-
-
-def test_negative_n_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        simulate(tmp_path, "flows.jsonl", n=-5)
-    assert exc.value.code == 2
-    assert not (tmp_path / "flows.jsonl").exists()
 
 
 def test_non_numeric_ratios_exit_one(tmp_path, capsys):
