@@ -17,6 +17,8 @@ references a prototype and inherits its attributes at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
 from .errors import UnknownAttribute, UnknownRegion, ValidationError
@@ -46,16 +48,46 @@ class BackgroundItem:
 
 @dataclass(frozen=True)
 class Scene:
+    """A scene; its index of derived facts is computed once, on first use."""
+
     scene_id: str
     domain: str
     items: tuple[Item, ...]
     regions: tuple[BackgroundItem, ...]
 
-    def item(self, object_id: int) -> Item:
-        for it in self.items:
-            if it.object_id == object_id:
-                return it
-        raise KeyError(object_id)
+    @cached_property
+    def items_by_id(self) -> dict[int, Item]:
+        return {it.object_id: it for it in self.items}
+
+    @cached_property
+    def region_items(self) -> dict[str, frozenset[int]]:
+        """Region label -> ids of the items whose center it contains, in scene order."""
+        return {
+            r.label: frozenset(i.object_id for i in self.items if contains_center(r.bbox, i.center))
+            for r in self.regions
+        }
+
+    @cached_property
+    def value_universe(self) -> dict[str, frozenset[str]]:
+        """Declared attribute -> its distinct values over the items, in registry order."""
+        return {
+            attr: frozenset(attribute_of(it, attr) for it in self.items)
+            for attr in attribute_names_for_domain(self.domain)
+        }
+
+
+class SceneIndex(dict):
+    """Scenes by scene_id: duplicate ids are rejected, and an unknown id raises ValidationError."""
+
+    def __init__(self, scenes: Iterable[Scene]):
+        super().__init__()
+        for scene in scenes:
+            if scene.scene_id in self:
+                raise ValidationError(f"duplicate scene_id {scene.scene_id!r}")
+            self[scene.scene_id] = scene
+
+    def __missing__(self, scene_id):
+        raise ValidationError(f"unknown scene_id {scene_id!r}: not in the scene file")
 
 
 Metadata = dict[str, dict[str, str]]
@@ -156,11 +188,7 @@ def load_catalog(scene_path, metadata_path) -> tuple[list[Scene], Metadata]:
     if not isinstance(raw_scenes, list):
         raise ValidationError("scene file must hold a scene object or a list of them")
     scenes = [_parse_scene(entry, metadata) for entry in raw_scenes]
-    seen = set()
-    for scene in scenes:
-        if scene.scene_id in seen:
-            raise ValidationError(f"duplicate scene_id {scene.scene_id!r}")
-        seen.add(scene.scene_id)
+    SceneIndex(scenes)  # rejects duplicate scene ids
     return scenes, metadata
 
 
@@ -189,10 +217,10 @@ def contains_center(bbox: Bbox, point: tuple[float, float]) -> bool:
 
 def items_in_region(scene: Scene, region_label: str) -> set[int]:
     """Object ids whose bbox center lies inside the labeled region's bbox."""
-    for region in scene.regions:
-        if region.label == region_label:
-            return {it.object_id for it in scene.items if contains_center(region.bbox, it.center)}
-    raise UnknownRegion(f"scene {scene.scene_id}: no region labeled {region_label!r}")
+    try:
+        return set(scene.region_items[region_label])
+    except KeyError:
+        raise UnknownRegion(f"scene {scene.scene_id}: no region labeled {region_label!r}") from None
 
 
 def attribute_of(item: Item, attr: str) -> str:
@@ -207,4 +235,7 @@ def attribute_of(item: Item, attr: str) -> str:
 
 def scene_value_universe(scene: Scene, attr: str) -> set[str]:
     """Distinct values of attr over the scene's items."""
-    return {attribute_of(it, attr) for it in scene.items}
+    try:
+        return set(scene.value_universe[attr])
+    except KeyError:
+        raise UnknownAttribute(f"scene {scene.scene_id}: no attribute {attr!r}") from None

@@ -15,6 +15,7 @@ import csv
 import datetime
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +32,7 @@ from .evalhub import (
     eval_response,
     eval_set_task,
     eval_set_task_macro,
+    extract_item_ids,
     read_predictions,
     split_corpus,
     write_predictions,
@@ -143,7 +145,7 @@ def cmd_stats(args, argv) -> int:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["section", "round", "act", "value"])
-            for field, value in report.to_dict().items():
+            for field, value in asdict(report).items():
                 if field in ("candidate_items_by_round", "act_distribution_by_round"):
                     continue
                 writer.writerow([field, "", "", value])
@@ -153,50 +155,34 @@ def cmd_stats(args, argv) -> int:
                 for act, p in row.items():
                     writer.writerow(["act_distribution", rnd, act, p])
     else:
-        write_json(out, report.to_dict())
+        write_json(out, asdict(report))
     _write_manifest(Path(str(out) + ".manifest.json"), args, argv, [str(out)])
     print(f"stats for {report.n_dialogs} dialogs written to {out}")
     return 0
-
-
-def _check_declared_task(header: dict, task: str, path) -> None:
-    declared = header.get("task")
-    if declared is not None and declared != task:
-        raise TaskMismatch(f"{path} declares task {declared!r}, expected {task!r}")
 
 
 def cmd_eval(args, argv) -> int:
     task = args.task.upper()
     if task not in TASKS:
         raise TaskMismatch(f"unknown task {args.task!r}")
-    pred_header, pred_rows = read_predictions(args.pred)
-    gold_header, gold_rows = read_predictions(args.gold)
-    _check_declared_task(pred_header, task, args.pred)
-    _check_declared_task(gold_header, task, args.gold)
+    _, pred_rows = read_predictions(args.pred, task)
+    gold_header, gold_rows = read_predictions(args.gold, task)
 
     report: dict = {"task": task, "n_rounds": len(gold_rows), "tool_version": __version__}
     if task in ("SPD", "RRU"):
-        cast = (lambda xs: set(map(str, xs))) if task == "SPD" else (lambda xs: set(map(int, xs)))
-        preds = {k: cast(v) for k, v in pred_rows.items()}
-        gold = {k: cast(v) for k, v in gold_rows.items()}
+        preds = {k: set(v) for k, v in pred_rows.items()}
+        gold = {k: set(v) for k, v in gold_rows.items()}
         if task == "SPD":
             report["spd_mode"] = gold_header.get("spd_mode", "cumulative")
-        report["micro"] = eval_set_task(preds, gold, task).to_dict()
-        report["macro"] = eval_set_task_macro(preds, gold).to_dict()
+        report["micro"] = asdict(eval_set_task(preds, gold, task))
+        report["macro"] = asdict(eval_set_task_macro(preds, gold))
     elif task == "ACT":
-        act_report = eval_act(
-            {k: str(v) for k, v in pred_rows.items()},
-            {k: str(v) for k, v in gold_rows.items()},
-        )
-        report.update(act_report.to_dict())
+        report.update(asdict(eval_act(pred_rows, gold_rows)))
     elif task == "RESPONSE":
-        report["bleu4"] = eval_response(
-            {k: str(v) for k, v in pred_rows.items()},
-            {k: str(v) for k, v in gold_rows.items()},
-        )
+        report["bleu4"] = eval_response(pred_rows, gold_rows)
     elif task == "RECOMMEND":
-        gold = {k: {int(i) for i in v} for k, v in gold_rows.items()}
-        report["micro"] = eval_recommend(pred_rows, gold).to_dict()
+        gold = {k: extract_item_ids(v) for k, v in gold_rows.items()}
+        report["micro"] = asdict(eval_recommend(pred_rows, gold))
 
     if args.out:
         out = Path(args.out)

@@ -19,11 +19,10 @@ paired customer turn carries the state after the round's narrowing applied.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .attributes import attribute_names_for_domain
-from .catalog import Scene, items_in_region, scene_value_universe
+from .catalog import Scene
 from .errors import (
     EmptyScene,
     InconsistentState,
@@ -44,15 +43,6 @@ SALESPERSON_ACTS = (
     "DISPLAY_CANDIDATE_VALUES",
     "REFER_REGION",
     "RECOMMEND_ITEM",
-)
-CUSTOMER_ACTS = (
-    "ANSWER_PREFERENCE",
-    "NEGATE_PREFERENCE",
-    "RESPOND_PROMPT",
-    "RESPOND_ATTRIBUTE_VALUE",
-    "CHOOSE_ATTRIBUTE_VALUE",
-    "JUDGE_REGION",
-    "RESPOND_RECOMMENDATION",
 )
 # Each salesperson act is answered by exactly one customer act.
 ACT_PAIRS = {
@@ -150,21 +140,13 @@ class SessionState:
     region_excludes: list[str]
     rejected_items: set[int]
     outcome: str | None
-    # per-session caches, shared across apply_turn copies
-    region_items: dict[str, frozenset[int]] = field(repr=False, default_factory=dict)
-    item_attrs: dict[int, dict[str, str]] = field(repr=False, default_factory=dict)
-
-    @property
-    def elicited_count(self) -> int:
-        return len(self.elicited_attrs)
 
 
 def new_session(scene: Scene) -> SessionState:
-    attrs = attribute_names_for_domain(scene.domain)
     return SessionState(
         scene=scene,
         round=1,
-        candidate_values={a: set(scene_value_universe(scene, a)) for a in attrs},
+        candidate_values={a: set(vs) for a, vs in scene.value_universe.items()},
         candidate_items={it.object_id for it in scene.items},
         elicited_attrs=set(),
         last_guess=None,
@@ -172,8 +154,6 @@ def new_session(scene: Scene) -> SessionState:
         region_excludes=[],
         rejected_items=set(),
         outcome=None,
-        region_items={r.label: frozenset(items_in_region(scene, r.label)) for r in scene.regions},
-        item_attrs={it.object_id: it.attributes for it in scene.items},
     )
 
 
@@ -198,10 +178,9 @@ def _informative_regions(state: SessionState) -> list[str]:
     """Regions that properly split the current candidate item set."""
     labels = []
     n = len(state.candidate_items)
-    for region in state.scene.regions:
-        overlap = len(state.candidate_items & state.region_items[region.label])
-        if 0 < overlap < n:
-            labels.append(region.label)
+    for label, ids in state.scene.region_items.items():
+        if 0 < len(state.candidate_items & ids) < n:
+            labels.append(label)
     return labels
 
 
@@ -212,12 +191,12 @@ def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
     elig: set[str] = set()
     if multi:
         elig |= {"ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE"}
-    if state.elicited_count >= 1:
+    if state.elicited_attrs:
         if multi:
             elig.add("GUESS_ATTRIBUTE_VALUE")
         if any(cfg.display_min <= counts[a] <= cfg.display_max for a in counts):
             elig.add("DISPLAY_CANDIDATE_VALUES")
-        if state.elicited_count >= cfg.refer_region_min_elicited and _informative_regions(state):
+        if len(state.elicited_attrs) >= cfg.refer_region_min_elicited and _informative_regions(state):
             elig.add("REFER_REGION")
     if state.last_guess is not None:
         elig.add("REVISE_ATTRIBUTE_VALUE")
@@ -362,7 +341,7 @@ def customer_step(
         )
     if name == "REFER_REGION":
         label = slots["region_label"]
-        accept = goal.target_object_id in state.region_items[label]
+        accept = goal.target_object_id in state.scene.region_items[label]
         return DialogAct("JUDGE_REGION", {"region_label": label, "accept": accept})
     if name == "RECOMMEND_ITEM":
         return DialogAct(
@@ -418,10 +397,10 @@ def apply_turn(
     elif name == "JUDGE_REGION":
         label = slots["region_label"]
         if slots["accept"]:
-            items &= state.region_items[label]
+            items &= state.scene.region_items[label]
             includes.append(label)
         else:
-            items -= state.region_items[label]
+            items -= state.scene.region_items[label]
             excludes.append(label)
     elif name == "RESPOND_RECOMMENDATION":
         if slots["accept"]:
@@ -436,7 +415,8 @@ def apply_turn(
     if touched_attr is not None:
         if not values[touched_attr]:
             raise InconsistentState(f"candidate values of {touched_attr} emptied")
-        items = {i for i in items if state.item_attrs[i][touched_attr] in values[touched_attr]}
+        by_id, kept = state.scene.items_by_id, values[touched_attr]
+        items = {i for i in items if by_id[i].attributes[touched_attr] in kept}
     if not items:
         raise InconsistentState("candidate item set emptied")
 
@@ -451,8 +431,6 @@ def apply_turn(
         region_excludes=excludes,
         rejected_items=rejected,
         outcome=outcome,
-        region_items=state.region_items,
-        item_attrs=state.item_attrs,
     )
 
 
@@ -590,7 +568,10 @@ def read_flows(path) -> list[DialogFlow]:
     flows = []
     for line_no, record in read_jsonl(path):
         try:
-            flows.append(flow_from_dict(record))
+            flow = flow_from_dict(record)
         except (KeyError, TypeError) as exc:
             raise MalformedFile(f"{path}:{line_no}: bad dialog record ({exc})") from exc
+        if not flow.turns:
+            raise MalformedFile(f"{path}:{line_no}: dialog {flow.dialog_id!r} has no turns")
+        flows.append(flow)
     return flows

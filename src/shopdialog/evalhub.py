@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .catalog import Scene, items_in_region
+from .catalog import Scene, SceneIndex, items_in_region
 from .engine import (
     DialogFlow,
     ELICIT_ACTS,
@@ -68,12 +68,6 @@ class PRF:
         f1 = 2 * p * r / (p + r) if p + r else 0.0
         return cls(p, r, f1, tp, fp, fn)
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-        }
-
 
 def eval_set_task(preds: dict[Key, set], gold: dict[Key, set], task: str) -> PRF:
     """Micro-averaged PRF over element-level matches pooled across rounds."""
@@ -110,13 +104,6 @@ class ActReport:
     micro: PRF
     macro: PRF
     per_class: dict[str, PRF]
-
-    def to_dict(self) -> dict:
-        return {
-            "micro": self.micro.to_dict(),
-            "macro": self.macro.to_dict(),
-            "per_class": {a: p.to_dict() for a, p in self.per_class.items()},
-        }
 
 
 def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
@@ -199,18 +186,6 @@ class StatsReport:
     avg_objects_per_scene: float
     candidate_items_by_round: list[float]
     act_distribution_by_round: list[dict[str, float]]  # rounds 1..8, rows sum to 1
-
-    def to_dict(self) -> dict:
-        return {
-            "n_dialogs": self.n_dialogs,
-            "n_utterances": self.n_utterances,
-            "avg_utterances_per_dialog": self.avg_utterances_per_dialog,
-            "avg_salesperson_acts_per_dialog": self.avg_salesperson_acts_per_dialog,
-            "avg_subjective_preferences_per_dialog": self.avg_subjective_preferences_per_dialog,
-            "avg_objects_per_scene": self.avg_objects_per_scene,
-            "candidate_items_by_round": self.candidate_items_by_round,
-            "act_distribution_by_round": self.act_distribution_by_round,
-        }
 
 
 # Turns realized with a preference surface form: these carry the concept slot.
@@ -329,7 +304,7 @@ def build_gold(
         raise TaskMismatch(f"unknown task {task!r}")
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
-    by_id = {s.scene_id: s for s in scenes}
+    by_id = SceneIndex(scenes)
     header: dict = {"task": task}
     if task == "SPD":
         header["spd_mode"] = spd_mode
@@ -380,14 +355,33 @@ def write_predictions(path, header: dict, rows: dict[Key, object]) -> None:
     write_jsonl(path, itertools.chain([header], records))
 
 
-def read_predictions(path) -> tuple[dict, dict[Key, object]]:
-    """Parse a prediction/gold file; returns (header, rows). Header may be {}."""
+def _is_list_of(payload, kind: type) -> bool:
+    return isinstance(payload, list) and all(type(v) is kind for v in payload)
+
+
+# Per task: the payload type check, and its name for error messages.
+_PAYLOAD_TYPES = {
+    "SPD": (lambda p: _is_list_of(p, str), "a list of value strings"),
+    "RRU": (lambda p: _is_list_of(p, int), "a list of integer object ids"),
+    "ACT": (lambda p: isinstance(p, str), "an act name"),
+    "RESPONSE": (lambda p: isinstance(p, str), "an utterance string"),
+    "RECOMMEND": (lambda p: isinstance(p, str) or _is_list_of(p, int), "a list of ids or an utterance"),
+}
+
+
+def read_predictions(path, task: str | None = None) -> tuple[dict, dict[Key, object]]:
+    """Parse a prediction/gold file; returns (header, rows). Header may be {}.
+
+    Given a task, a header declaring another task or a payload of the wrong type is an error.
+    """
     header: dict = {}
     rows: dict[Key, object] = {}
     for line_no, record in read_jsonl(path):
         if "dialog_id" not in record:
             if line_no == 1:
                 header = record
+                if task is not None and header.get("task", task) != task:
+                    raise TaskMismatch(f"{path} declares task {header['task']!r}, expected {task!r}")
                 continue
             raise MalformedFile(f"{path}:{line_no}: row without dialog_id")
         dialog_id, rnd = record["dialog_id"], record.get("round")
@@ -395,6 +389,10 @@ def read_predictions(path) -> tuple[dict, dict[Key, object]]:
             raise MalformedFile(
                 f"{path}:{line_no}: a row needs a string dialog_id, an integer round and a payload"
             )
+        if task is not None:
+            fits, expected = _PAYLOAD_TYPES[task]
+            if not fits(record["payload"]):
+                raise MalformedFile(f"{path}:{line_no}: a {task} payload must be {expected}")
         if (dialog_id, rnd) in rows:
             raise ValidationError(f"{path}:{line_no}: duplicate key {(dialog_id, rnd)}")
         rows[(dialog_id, rnd)] = record["payload"]

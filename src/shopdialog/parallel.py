@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 
@@ -23,6 +22,9 @@ def parallel_map(fn: Callable, shared, items: Sequence, jobs: int = 1) -> Iterat
         for item in items:
             yield fn(shared, item)
         return
+    # Imported here so that stages which never start a pool skip its import cost.
+    from concurrent.futures import ProcessPoolExecutor
+
     step = (len(items) + jobs - 1) // jobs
     chunks = [(fn, shared, items[lo:lo + step]) for lo in range(0, len(items), step)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

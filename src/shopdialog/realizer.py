@@ -19,7 +19,7 @@ import random
 import string
 from dataclasses import dataclass, replace
 
-from .catalog import Scene, contains_center
+from .catalog import Scene, SceneIndex
 from .engine import ACT_PAIRS, DialogFlow, SALESPERSON_ACTS, Turn
 from .errors import MissingTemplate, ValidationError
 from .jsonio import read_json
@@ -113,11 +113,11 @@ def _values_list(values: list[str]) -> str:
 
 def item_description(scene: Scene, object_id: int) -> str:
     """Color + type, anchored to the first region covering the item's center."""
-    item = scene.item(object_id)
-    base = f"{item.attributes['color']} {item.attributes['type']}"
-    for region in scene.regions:
-        if contains_center(region.bbox, item.center):
-            return f"{base} on the {region.label}"
+    attrs = scene.items_by_id[object_id].attributes
+    base = f"{attrs['color']} {attrs['type']}"
+    for label, ids in scene.region_items.items():
+        if object_id in ids:
+            return f"{base} on the {label}"
     return base
 
 
@@ -180,5 +180,5 @@ def realize_corpus(
     jobs: int = 1,
 ) -> list[DialogFlow]:
     """Realize a corpus; dialog i is seeded from (base_seed, i), so any jobs count agrees."""
-    shared = (templates, ont, {s.scene_id: s for s in scenes}, base_seed)
+    shared = (templates, ont, SceneIndex(scenes), base_seed)
     return list(parallel_map(_realize_one, shared, list(enumerate(flows)), jobs))

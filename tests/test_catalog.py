@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from shopdialog.catalog import (
     BackgroundItem,
     Item,
     Scene,
+    SceneIndex,
     attribute_of,
     dump_scenes,
     items_in_region,
@@ -66,6 +68,26 @@ def test_duplicate_object_id_rejected(tmp_path):
     paths = write_minimal(tmp_path, minimal_scene(items=items), {"p0": FASHION_ATTRS})
     with pytest.raises(ValidationError):
         load_catalog(*paths)
+
+
+def test_duplicate_scene_id_rejected(tmp_path):
+    paths = write_minimal(tmp_path, [minimal_scene(), minimal_scene()], {"p0": FASHION_ATTRS})
+    with pytest.raises(ValidationError, match="duplicate scene_id 's0'"):
+        load_catalog(*paths)
+
+
+def test_scene_index_survives_pickling(scenes):
+    # realize --jobs ships the index, and the scenes' cached facts, to workers.
+    index = SceneIndex(scenes)
+    f01 = index["f01"]
+    region = f01.regions[0].label
+    expected = items_in_region(f01, region)
+    copy = pickle.loads(pickle.dumps(index))
+    assert list(copy) == list(index)
+    assert items_in_region(copy["f01"], region) == expected
+    assert copy["f01"].value_universe == f01.value_universe
+    with pytest.raises(ValidationError, match="unknown scene_id 'nope'"):
+        copy["nope"]
 
 
 def test_nonpositive_bbox_rejected(tmp_path):

@@ -201,24 +201,56 @@ def test_non_numeric_ratios_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-GOLD_ACT_ROW = '{"dialog_id": "d00000", "round": 1, "payload": "ASK_PREFERENCE"}'
+@pytest.mark.parametrize("stage, jobs", [("gold", 1), ("realize", 1), ("realize", 2)])
+def test_unknown_scene_id_exits_one(tmp_path, capsys, stage, jobs):
+    flows = simulate(tmp_path, "flows.jsonl", n=2)
+    records = [json.loads(line) for line in flows.read_text().splitlines()]
+    records[1]["scene_id"] = "nope"
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    if stage == "gold":
+        extra = ["--task", "spd"]
+    else:
+        extra = ["--templates", str(DATA / "templates.json"), "--jobs", str(jobs)]
+    capsys.readouterr()
+    rc = main([stage, *base_flags(), *extra,
+               "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scene_id 'nope'")
+    assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, text, line", [
-    ("eval", '{"task": "ACT"}\n{"dialog_id": "d00000", "payload": "ASK_PREFERENCE"}\n', 2),
-    ("eval", '{"dialog_id": "d00000", "round": "one", "payload": "ASK_PREFERENCE"}\n', 1),
-    ("eval", '{"dialog_id": "d00000", "round": 1}\n', 1),
-    ("eval", '[1, 2]\n' + GOLD_ACT_ROW + '\n', 1),
-    ("stats", '[1, 2]\n', 1),
+def row(payload) -> str:
+    return json.dumps({"dialog_id": "d00000", "round": 1, "payload": payload})
+
+
+GOLD_ACT_ROW = row("ASK_PREFERENCE")
+EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
+                         "outcome": "success", "turns": []})
+
+
+@pytest.mark.parametrize("task, text, line", [
+    ("act", '{"task": "ACT"}\n{"dialog_id": "d00000", "payload": "ASK_PREFERENCE"}\n', 2),
+    ("act", '{"dialog_id": "d00000", "round": "one", "payload": "ASK_PREFERENCE"}\n', 1),
+    ("act", '{"dialog_id": "d00000", "round": 1}\n', 1),
+    ("act", '[1, 2]\n' + GOLD_ACT_ROW + '\n', 1),
+    (None, '[1, 2]\n', 1),
+    (None, EMPTY_FLOW + "\n", 1),
+    ("spd", row(5) + "\n", 1),
+    ("rru", '{"task": "RRU"}\n' + row([3, "a"]) + "\n", 2),
+    ("rru", row([3.5]) + "\n", 1),
+    ("recommend", row(5) + "\n", 1),
 ], ids=["row-without-round", "non-integer-round", "row-without-payload",
-        "array-header", "array-flow"])
-def test_malformed_jsonl_exits_one(tmp_path, capsys, command, text, line):
+        "array-header", "array-flow", "flow-without-turns", "spd-payload-not-a-list",
+        "rru-string-id", "rru-float-id", "recommend-payload-not-a-list"])
+def test_malformed_jsonl_exits_one(tmp_path, capsys, task, text, line):
+    """A malformed line, or a well-formed one with bad contents, exits 1 naming its line."""
     bad = tmp_path / "bad.jsonl"
     bad.write_text(text)
-    if command == "eval":
+    if task is not None:
         gold = tmp_path / "gold.jsonl"
-        gold.write_text(GOLD_ACT_ROW + "\n")
-        argv = ["eval", "--task", "act", "--pred", str(bad), "--gold", str(gold)]
+        gold.write_text((GOLD_ACT_ROW if task == "act" else row([])) + "\n")
+        argv = ["eval", "--task", task, "--pred", str(bad), "--gold", str(gold)]
     else:
         argv = ["stats", "--flows", str(bad), "--out", str(tmp_path / "stats.json")]
     assert main(argv) == 1

@@ -366,9 +366,9 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
             )
             expected = consistent_items(state.candidate_values, scene)
             for label in state.region_includes:
-                expected &= state.region_items[label]
+                expected &= scene.region_items[label]
             for label in state.region_excludes:
-                expected -= state.region_items[label]
+                expected -= scene.region_items[label]
             expected -= state.rejected_items
             assert state.candidate_items == expected
             assert set(c.candidate_items) == state.candidate_items
