@@ -192,22 +192,6 @@ def load_catalog(scene_path, metadata_path) -> tuple[list[Scene], Metadata]:
     return scenes, metadata
 
 
-def dump_scenes(scenes: list[Scene]) -> list[dict]:
-    """Serialize scenes back to the on-disk schema (attributes stay in metadata)."""
-    return [
-        {
-            "scene_id": s.scene_id,
-            "domain": s.domain,
-            "items": [
-                {"object_id": i.object_id, "prototype_id": i.prototype_id, "bbox": list(i.bbox)}
-                for i in s.items
-            ],
-            "regions": [{"label": r.label, "bbox": list(r.bbox)} for r in s.regions],
-        }
-        for s in scenes
-    ]
-
-
 def contains_center(bbox: Bbox, point: tuple[float, float]) -> bool:
     """Center-point containment, bounds inclusive."""
     x, y, w, h = bbox

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .catalog import Scene
+from .catalog import Item, Scene
 from .errors import (
     EmptyScene,
     InconsistentState,
@@ -30,7 +30,7 @@ from .errors import (
     NoTruthfulConcept,
     ValidationError,
 )
-from .jsonio import read_json, read_jsonl, write_jsonl
+from .jsonio import read_json_with, read_jsonl, write_jsonl
 from .ontology import Ontology, concepts_for_value
 from .parallel import parallel_map, session_seed
 
@@ -65,12 +65,6 @@ class DialogAct:
 
 
 @dataclass(frozen=True)
-class GoalSpec:
-    target_object_id: int
-    target_attributes: dict[str, str]
-
-
-@dataclass(frozen=True)
 class PolicyConfig:
     rounds: tuple[dict[str, float], ...]  # act-probability rows for rounds 1..8
     stationary: dict[str, float]          # row used beyond round 8
@@ -87,6 +81,8 @@ class PolicyConfig:
 
 
 def _validate_row(row: dict[str, float], where: str) -> dict[str, float]:
+    if not isinstance(row, dict):
+        raise ValidationError(f"{where}: row must be an object")
     if set(row) != set(SALESPERSON_ACTS):
         raise ValidationError(f"{where}: row must cover exactly the salesperson acts")
     if any(p < 0 for p in row.values()):
@@ -125,20 +121,24 @@ def policy_from_dict(raw: dict) -> PolicyConfig:
 
 
 def load_policy(path) -> PolicyConfig:
-    return policy_from_dict(read_json(path))
+    return read_json_with(path, policy_from_dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionState:
+    """One round's candidates; a round builds a new state and shares what it did not narrow.
+
+    `candidate_values` starts as the scene's own `value_universe` and is never
+    mutated: narrowing an attribute builds a new dict in the same (registry)
+    key order, which `_most_ambiguous_attr`'s tie-break needs.
+    """
+
     scene: Scene
     round: int
-    candidate_values: dict[str, set[str]]
-    candidate_items: set[int]
-    elicited_attrs: set[str]
+    candidate_values: dict[str, frozenset[str]]
+    candidate_items: frozenset[int]
+    elicited_attrs: frozenset[str]
     last_guess: tuple[str, str] | None
-    region_includes: list[str]
-    region_excludes: list[str]
-    rejected_items: set[int]
     outcome: str | None
 
 
@@ -146,13 +146,10 @@ def new_session(scene: Scene) -> SessionState:
     return SessionState(
         scene=scene,
         round=1,
-        candidate_values={a: set(vs) for a, vs in scene.value_universe.items()},
-        candidate_items={it.object_id for it in scene.items},
-        elicited_attrs=set(),
+        candidate_values=scene.value_universe,
+        candidate_items=frozenset(scene.items_by_id),
+        elicited_attrs=frozenset(),
         last_guess=None,
-        region_includes=[],
-        region_excludes=[],
-        rejected_items=set(),
         outcome=None,
     )
 
@@ -166,12 +163,11 @@ def consistent_items(candidate_values: dict[str, set[str]], scene: Scene) -> set
     }
 
 
-def generate_goal(scene: Scene, rng: random.Random) -> GoalSpec:
-    """Uniformly pick a hidden target item and copy its attribute map."""
+def generate_goal(scene: Scene, rng: random.Random) -> Item:
+    """Uniformly pick the hidden target item."""
     if not scene.items:
         raise EmptyScene(f"scene {scene.scene_id} has no items")
-    item = scene.items[rng.randrange(len(scene.items))]
-    return GoalSpec(item.object_id, dict(item.attributes))
+    return scene.items[rng.randrange(len(scene.items))]
 
 
 def _informative_regions(state: SessionState) -> list[str]:
@@ -190,7 +186,7 @@ def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
     multi = [a for a, c in counts.items() if c >= 2]
     elig: set[str] = set()
     if multi:
-        elig |= {"ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE"}
+        elig.update(ELICIT_ACTS)
     if state.elicited_attrs:
         if multi:
             elig.add("GUESS_ATTRIBUTE_VALUE")
@@ -235,13 +231,12 @@ def salesperson_step(
     state: SessionState,
     cfg: PolicyConfig,
     rng: random.Random,
-    ont: Ontology | None = None,
+    ont: Ontology,
     banned: frozenset[str] = frozenset(),
 ) -> DialogAct:
     """Sample an act from the round's row renormalized over eligible acts, fill slots.
 
-    `banned` removes acts the customer just declined to answer (see run_dialog);
-    the ontology is only needed to pick a concept slot for PROMPT_PREFERENCE.
+    `banned` removes acts the customer just declined to answer (see run_dialog).
     """
     elig = eligible_acts(state, cfg) - banned
     if not elig:
@@ -252,13 +247,12 @@ def salesperson_step(
 
 
 def _choose_slots(
-    name: str, state: SessionState, cfg: PolicyConfig, rng: random.Random, ont: Ontology | None
+    name: str, state: SessionState, cfg: PolicyConfig, rng: random.Random, ont: Ontology
 ) -> dict:
     if name in ("ASK_PREFERENCE", "EXCLUDE_PREFERENCE"):
         return {"attribute": _most_ambiguous_attr(state)}
     if name == "PROMPT_PREFERENCE":
         attr = _most_ambiguous_attr(state)
-        assert ont is not None, "PROMPT_PREFERENCE needs the ontology to pick a concept"
         cands = state.candidate_values[attr]
         concepts = sorted(ont.concepts_of(attr), key=lambda c: c.concept_id)
         informative = [c for c in concepts if 0 < len(c.values & cands) < len(cands)]
@@ -291,7 +285,7 @@ def _choose_slots(
 
 def customer_step(
     state: SessionState,
-    goal: GoalSpec,
+    goal: Item,
     s_act: DialogAct,
     ont: Ontology,
     rng: random.Random,
@@ -300,7 +294,7 @@ def customer_step(
     name, slots = s_act.name, s_act.slots
     if name == "ASK_PREFERENCE":
         attr = slots["attribute"]
-        options = sorted(concepts_for_value(ont, attr, goal.target_attributes[attr]))
+        options = sorted(concepts_for_value(ont, attr, goal.attributes[attr]))
         return DialogAct(
             "ANSWER_PREFERENCE",
             {"attribute": attr, "concept_id": options[rng.randrange(len(options))]},
@@ -311,7 +305,7 @@ def customer_step(
         asked = slots["attribute"]
         attrs = [asked] + [a for a in state.candidate_values if a != asked]
         for attr in attrs:
-            target_value = goal.target_attributes[attr]
+            target_value = goal.attributes[attr]
             honest = [
                 c for c in sorted(ont.concepts_of(attr), key=lambda c: c.concept_id)
                 if target_value not in c.values
@@ -326,26 +320,26 @@ def customer_step(
         raise NoTruthfulConcept("every concept of every attribute covers the target")
     if name == "PROMPT_PREFERENCE":
         attr, cid = slots["attribute"], slots["concept_id"]
-        accept = goal.target_attributes[attr] in ont.concept(cid).values
+        accept = goal.attributes[attr] in ont.concept(cid).values
         return DialogAct("RESPOND_PROMPT", {"attribute": attr, "concept_id": cid, "accept": accept})
     if name in ("GUESS_ATTRIBUTE_VALUE", "REVISE_ATTRIBUTE_VALUE"):
         attr, value = slots["attribute"], slots["value"]
-        accept = goal.target_attributes[attr] == value
+        accept = goal.attributes[attr] == value
         return DialogAct(
             "RESPOND_ATTRIBUTE_VALUE", {"attribute": attr, "value": value, "accept": accept}
         )
     if name == "DISPLAY_CANDIDATE_VALUES":
         attr = slots["attribute"]
         return DialogAct(
-            "CHOOSE_ATTRIBUTE_VALUE", {"attribute": attr, "value": goal.target_attributes[attr]}
+            "CHOOSE_ATTRIBUTE_VALUE", {"attribute": attr, "value": goal.attributes[attr]}
         )
     if name == "REFER_REGION":
         label = slots["region_label"]
-        accept = goal.target_object_id in state.scene.region_items[label]
+        accept = goal.object_id in state.scene.region_items[label]
         return DialogAct("JUDGE_REGION", {"region_label": label, "accept": accept})
     if name == "RECOMMEND_ITEM":
         return DialogAct(
-            "RESPOND_RECOMMENDATION", {"accept": slots["object_id"] == goal.target_object_id}
+            "RESPOND_RECOMMENDATION", {"accept": slots["object_id"] == goal.object_id}
         )
     raise ValueError(f"not a salesperson act: {name}")
 
@@ -353,84 +347,49 @@ def customer_step(
 def apply_turn(
     state: SessionState, s_act: DialogAct, c_act: DialogAct, ont: Ontology
 ) -> SessionState:
-    """Narrow candidates per the act pair and advance one round."""
+    """Narrow candidates per the act pair and advance one round.
+
+    Every answer keeps (accept) or drops (reject) one set: a concept's values
+    or the offered value of one attribute, else a region's items or the
+    rejected item.  An accepted recommendation narrows nothing and ends the
+    dialog.
+    """
     if ACT_PAIRS.get(s_act.name) != c_act.name:
         raise ValueError(f"invalid act pair {s_act.name} -> {c_act.name}")
-
-    values = {a: set(vs) for a, vs in state.candidate_values.items()}
-    items = set(state.candidate_items)
-    elicited = set(state.elicited_attrs)
-    includes = list(state.region_includes)
-    excludes = list(state.region_excludes)
-    rejected = set(state.rejected_items)
-    last_guess: tuple[str, str] | None = None
-    outcome = state.outcome
-    touched_attr: str | None = None
-
     name, slots = c_act.name, c_act.slots
-    if name == "ANSWER_PREFERENCE":
-        touched_attr = slots["attribute"]
-        values[touched_attr] &= ont.concept(slots["concept_id"]).values
-        elicited.add(touched_attr)
-    elif name == "NEGATE_PREFERENCE":
-        touched_attr = slots["attribute"]
-        values[touched_attr] -= ont.concept(slots["concept_id"]).values
-        elicited.add(touched_attr)
-    elif name == "RESPOND_PROMPT":
-        touched_attr = slots["attribute"]
-        concept = ont.concept(slots["concept_id"])
-        if slots["accept"]:
-            values[touched_attr] &= concept.values
+    accept = slots.get("accept", name != "NEGATE_PREFERENCE")
+    values, items = state.candidate_values, state.candidate_items
+    attr = slots.get("attribute")
+    if attr is not None:
+        if "concept_id" in slots:
+            offered = ont.concept(slots["concept_id"]).values
         else:
-            values[touched_attr] -= concept.values
-        elicited.add(touched_attr)
-    elif name == "RESPOND_ATTRIBUTE_VALUE":
-        touched_attr = slots["attribute"]
-        if slots["accept"]:
-            values[touched_attr] = {slots["value"]}
-        else:
-            values[touched_attr].discard(slots["value"])
-            last_guess = (touched_attr, slots["value"])
-    elif name == "CHOOSE_ATTRIBUTE_VALUE":
-        touched_attr = slots["attribute"]
-        values[touched_attr] = {slots["value"]}
-    elif name == "JUDGE_REGION":
-        label = slots["region_label"]
-        if slots["accept"]:
-            items &= state.scene.region_items[label]
-            includes.append(label)
-        else:
-            items -= state.scene.region_items[label]
-            excludes.append(label)
-    elif name == "RESPOND_RECOMMENDATION":
-        if slots["accept"]:
-            outcome = "success"
-        else:
-            oid = s_act.slots["object_id"]
-            rejected.add(oid)
-            items.discard(oid)
-    else:
-        raise ValueError(f"not a customer act: {name}")
-
-    if touched_attr is not None:
-        if not values[touched_attr]:
-            raise InconsistentState(f"candidate values of {touched_attr} emptied")
-        by_id, kept = state.scene.items_by_id, values[touched_attr]
-        items = {i for i in items if by_id[i].attributes[touched_attr] in kept}
+            offered = {slots["value"]}
+        kept = values[attr] & offered if accept else values[attr] - offered
+        if not kept:
+            raise InconsistentState(f"candidate values of {attr} emptied")
+        values = {**values, attr: kept}
+        by_id = state.scene.items_by_id
+        items = frozenset(i for i in items if by_id[i].attributes[attr] in kept)
+    elif "region_label" in slots:
+        region = state.scene.region_items[slots["region_label"]]
+        items = items & region if accept else items - region
+    elif not accept:
+        items = items - {s_act.slots["object_id"]}
     if not items:
         raise InconsistentState("candidate item set emptied")
-
+    elicited = state.elicited_attrs
+    if s_act.name in ELICIT_ACTS:
+        elicited = elicited | {attr}
+    rejected_guess = name == "RESPOND_ATTRIBUTE_VALUE" and not accept
     return SessionState(
         scene=state.scene,
         round=state.round + 1,
         candidate_values=values,
         candidate_items=items,
         elicited_attrs=elicited,
-        last_guess=last_guess,
-        region_includes=includes,
-        region_excludes=excludes,
-        rejected_items=rejected,
-        outcome=outcome,
+        last_guess=(attr, slots["value"]) if rejected_guess else None,
+        outcome="success" if name == "RESPOND_RECOMMENDATION" and accept else state.outcome,
     )
 
 
@@ -459,17 +418,13 @@ def _snapshot(state: SessionState) -> dict[str, list[str]]:
 
 
 def run_dialog(
-    scene: Scene, ont: Ontology, cfg: PolicyConfig, seed: int, dialog_id: str = "d00000"
+    scene: Scene, ont: Ontology, cfg: PolicyConfig, rng: random.Random, dialog_id: str = "d00000"
 ) -> DialogFlow:
-    """Simulate one dialog to acceptance or the round cap; seed-deterministic."""
-    return _run_with_rng(scene, ont, cfg, random.Random(seed), dialog_id)
-
-
-def _run_with_rng(
-    scene: Scene, ont: Ontology, cfg: PolicyConfig, rng: random.Random, dialog_id: str
-) -> DialogFlow:
+    """Simulate one dialog to acceptance or the round cap; deterministic given rng's state."""
     goal = generate_goal(scene, rng)
     state = new_session(scene)
+    # A state annotates the customer turn that produced it and the next salesperson turn.
+    items, values = sorted(state.candidate_items), _snapshot(state)
     turns: list[Turn] = []
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
@@ -481,24 +436,19 @@ def _run_with_rng(
             except NoTruthfulConcept:
                 banned |= {s_act.name}
         rnd = state.round
-        turns.append(
-            Turn(rnd, "salesperson", s_act.name, s_act.slots,
-                 sorted(state.candidate_items), _snapshot(state))
-        )
+        turns.append(Turn(rnd, "salesperson", s_act.name, s_act.slots, items, values))
         state = apply_turn(state, s_act, c_act, ont)
-        turns.append(
-            Turn(rnd, "customer", c_act.name, c_act.slots,
-                 sorted(state.candidate_items), _snapshot(state))
-        )
+        items, values = sorted(state.candidate_items), _snapshot(state)
+        turns.append(Turn(rnd, "customer", c_act.name, c_act.slots, items, values))
     outcome = state.outcome if state.outcome is not None else "max_rounds"
-    return DialogFlow(dialog_id, scene.scene_id, goal.target_object_id, outcome, turns)
+    return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
 
 
 def _run_session(shared: tuple, index: int) -> DialogFlow:
     scenes, ont, cfg, base_seed = shared
     rng = random.Random(session_seed(base_seed, "simulate", index))
     scene = scenes[rng.randrange(len(scenes))]
-    return _run_with_rng(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
+    return run_dialog(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
 
 
 def generate_corpus(

@@ -28,11 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .catalog import Scene, SceneIndex, items_in_region
-from .engine import (
-    DialogFlow,
-    ELICIT_ACTS,
-    SALESPERSON_ACTS,
-)
+from .engine import DialogFlow, SALESPERSON_ACTS
 from .errors import (
     BadRatios,
     EmptyCorpus,
@@ -208,7 +204,7 @@ def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
         n_acts += len(sales)
         n_prefs += sum(1 for t in flow.turns if t.act in _PREFERENCE_ACTS)
         n_objects += len(flow.turns[0].candidate_items)
-        max_round = max(max_round, sales[-1].round)
+        max_round = max(max_round, flow.turns[-1].round)
 
     per_round_sum = [0.0] * max_round
     for flow in flows:
@@ -341,13 +337,6 @@ def build_gold(
             last_round = flow.turns[-1].round
             rows[(flow.dialog_id, last_round)] = [flow.target_object_id]
     return header, rows
-
-
-def elicit_rounds(flow: DialogFlow) -> list[int]:
-    """Rounds whose salesperson act elicits a preference."""
-    return [
-        t.round for t in flow.turns if t.speaker == "salesperson" and t.act in ELICIT_ACTS
-    ]
 
 
 def write_predictions(path, header: dict, rows: dict[Key, object]) -> None:

@@ -2,14 +2,18 @@
 
 Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
+A config file whose contents do not fit its schema raises ValidationError
+naming the path.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import MalformedFile
+from .errors import MalformedFile, ValidationError
+
+T = TypeVar("T")
 
 
 def read_json(path) -> object:
@@ -20,6 +24,25 @@ def read_json(path) -> object:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise MalformedFile(f"cannot parse {path}: {exc}") from exc
+
+
+def read_json_with(path, build: Callable[[object], T]) -> T:
+    """Build a config from a JSON file; a field that is missing or of the wrong type
+    (KeyError, TypeError, ValueError) or a schema violation names the path."""
+    raw = read_json(path)
+    try:
+        return build(raw)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def string_list(value, where: str) -> list[str]:
+    """`value` if it is a list of strings; a bare string would iterate as characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{where} must be a list of strings")
+    return value
 
 
 def write_json(path, payload, sort_keys: bool = False) -> None:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownValue,
     ValidationError,
 )
-from .jsonio import read_json
+from .jsonio import read_json_with, string_list
 
 Polarity = str  # "like" | "dislike"
 
@@ -45,7 +45,6 @@ class Concept:
     values: frozenset[str]
     surface_forms: tuple[str, ...]
     provenance: str = "expert"
-    value_range: tuple[float, float] | None = None  # kept for round-tripping range concepts
 
 
 @dataclass
@@ -94,7 +93,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
         attr = get_attribute(attr_name)
         if attr_name in value_spaces:
             raise ValidationError(f"duplicate ontology block for attribute {attr_name!r}")
-        raw_space = block["value_space"]
+        raw_space = string_list(block["value_space"], f"{attr_name}: value_space")
         if len(set(raw_space)) != len(raw_space):
             raise ValidationError(f"{attr_name}: value_space has duplicates")
         space = frozenset(raw_space)
@@ -114,16 +113,14 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
             if extra:
                 raise ValidationError(f"{attr_name} concept: unknown fields {sorted(extra)}")
             cid = raw["concept_id"]
-            value_range = None
             if "values" in raw:
                 if "min" in raw or "max" in raw:
                     raise ValidationError(f"concept {cid!r}: give either values or min/max")
-                values = frozenset(raw["values"])
+                values = frozenset(string_list(raw["values"], f"concept {cid!r}: values"))
             else:
                 if attr.kind != "numeric":
                     raise ValidationError(f"concept {cid!r}: range bounds need a numeric attribute")
-                value_range = (float(raw["min"]), float(raw["max"]))
-                values = _materialize_range(*value_range, space)
+                values = _materialize_range(float(raw["min"]), float(raw["max"]), space)
             if not values:
                 raise ValidationError(f"concept {cid!r}: empty value set")
             if not values <= space:
@@ -131,12 +128,10 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
                     f"concept {cid!r}: values {sorted(values - space)} outside the "
                     f"{attr_name} value space"
                 )
-            forms = tuple(raw["surface_forms"])
+            forms = tuple(string_list(raw["surface_forms"], f"concept {cid!r}: surface_forms"))
             if not forms:
                 raise ValidationError(f"concept {cid!r}: needs at least one surface form")
-            concepts.append(
-                Concept(cid, attr_name, values, forms, raw.get("provenance", "expert"), value_range)
-            )
+            concepts.append(Concept(cid, attr_name, values, forms, raw.get("provenance", "expert")))
 
     ids = [c.concept_id for c in concepts]
     if len(set(ids)) != len(ids):
@@ -165,25 +160,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
 
 
 def load_ontology(path) -> Ontology:
-    return ontology_from_blocks(read_json(path))
-
-
-def ontology_to_blocks(ont: Ontology) -> list[dict]:
-    """Inverse of ontology_from_blocks (range concepts keep their bounds)."""
-    blocks = []
-    for attr_name, space in ont.value_spaces.items():
-        entries = []
-        for c in ont.concepts_of(attr_name):
-            entry: dict = {"concept_id": c.concept_id}
-            if c.value_range is not None:
-                entry["min"], entry["max"] = c.value_range
-            else:
-                entry["values"] = sorted(c.values)
-            entry["surface_forms"] = list(c.surface_forms)
-            entry["provenance"] = c.provenance
-            entries.append(entry)
-        blocks.append({"attribute": attr_name, "value_space": sorted(space), "concepts": entries})
-    return blocks
+    return read_json_with(path, ontology_from_blocks)
 
 
 def concept_values(ont: Ontology, concept_id: str) -> set[str]:

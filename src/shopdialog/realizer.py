@@ -8,8 +8,8 @@ are rendered verbatim.  Recommendation turns embed the item id as an
 "<@id>" token, which the recommendation metric extracts by regex.
 
 Template files are UTF-8 JSON mapping an act key to a list of template
-strings.  Acts whose customer response carries an accept flag use variant
-keys: "RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject", and likewise for
+strings.  Acts whose turn carries an accept slot use variant keys:
+"RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject", and likewise for
 RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
 """
 
@@ -20,26 +20,14 @@ import string
 from dataclasses import dataclass, replace
 
 from .catalog import Scene, SceneIndex
-from .engine import ACT_PAIRS, DialogFlow, SALESPERSON_ACTS, Turn
+from .engine import DialogFlow, Turn
 from .errors import MissingTemplate, ValidationError
-from .jsonio import read_json
+from .jsonio import read_json_with, string_list
 from .ontology import Ontology
 from .parallel import parallel_map, session_seed
 
-_FLAGGED_ACTS = (
-    "RESPOND_PROMPT",
-    "RESPOND_ATTRIBUTE_VALUE",
-    "JUDGE_REGION",
-    "RESPOND_RECOMMENDATION",
-)
-_PLAIN_ACTS = tuple(
-    a for a in SALESPERSON_ACTS + tuple(ACT_PAIRS.values()) if a not in _FLAGGED_ACTS
-)
-REQUIRED_KEYS = _PLAIN_ACTS + tuple(
-    f"{a}.{variant}" for a in _FLAGGED_ACTS for variant in ("accept", "reject")
-)
-
-# Placeholders each act key may use (all are filled from the turn's slots).
+# Every act key a template file must give, with the placeholders its templates
+# may use (all are filled from the turn's slots).
 _ALLOWED_PLACEHOLDERS = {
     "ASK_PREFERENCE": {"attr"},
     "EXCLUDE_PREFERENCE": {"attr"},
@@ -61,6 +49,7 @@ _ALLOWED_PLACEHOLDERS = {
     "RESPOND_RECOMMENDATION.accept": set(),
     "RESPOND_RECOMMENDATION.reject": set(),
 }
+REQUIRED_KEYS = tuple(_ALLOWED_PLACEHOLDERS)
 
 
 @dataclass(frozen=True)
@@ -79,6 +68,8 @@ def _placeholders(template: str) -> set[str]:
 
 
 def templates_from_dict(raw: dict) -> TemplateSet:
+    if not isinstance(raw, dict):
+        raise ValidationError("templates: must map act keys to lists of templates")
     extra = set(raw) - set(REQUIRED_KEYS)
     if extra:
         raise ValidationError(f"templates: unknown act keys {sorted(extra)}")
@@ -87,6 +78,7 @@ def templates_from_dict(raw: dict) -> TemplateSet:
         raise ValidationError(f"templates: missing act keys {sorted(missing)}")
     by_key: dict[str, tuple[str, ...]] = {}
     for key, templates in raw.items():
+        string_list(templates, f"templates: {key!r}")
         if not templates:
             raise ValidationError(f"templates: {key!r} needs at least one template")
         for tpl in templates:
@@ -98,7 +90,7 @@ def templates_from_dict(raw: dict) -> TemplateSet:
 
 
 def load_templates(path) -> TemplateSet:
-    return templates_from_dict(read_json(path))
+    return read_json_with(path, templates_from_dict)
 
 
 def _attr_display(attr: str) -> str:
@@ -113,7 +105,10 @@ def _values_list(values: list[str]) -> str:
 
 def item_description(scene: Scene, object_id: int) -> str:
     """Color + type, anchored to the first region covering the item's center."""
-    attrs = scene.items_by_id[object_id].attributes
+    item = scene.items_by_id.get(object_id)
+    if item is None:
+        raise ValidationError(f"unknown object_id {object_id!r}: not in scene {scene.scene_id!r}")
+    attrs = item.attributes
     base = f"{attrs['color']} {attrs['type']}"
     for label, ids in scene.region_items.items():
         if object_id in ids:
@@ -122,7 +117,7 @@ def item_description(scene: Scene, object_id: int) -> str:
 
 
 def _template_key(turn: Turn) -> str:
-    if turn.act in _FLAGGED_ACTS:
+    if "accept" in turn.slots:
         return f"{turn.act}.{'accept' if turn.slots['accept'] else 'reject'}"
     return turn.act
 
@@ -150,7 +145,7 @@ def realize_turn(
     if "object_id" in slots:
         fills["object_id"] = str(slots["object_id"])
         fills["item_description"] = item_description(scene, slots["object_id"])
-    return template.format(**{k: v for k, v in fills.items() if k in _placeholders(template)})
+    return template.format(**fills)
 
 
 def realize_dialog(

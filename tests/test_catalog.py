@@ -11,7 +11,6 @@ from shopdialog.catalog import (
     Scene,
     SceneIndex,
     attribute_of,
-    dump_scenes,
     items_in_region,
     load_catalog,
     scene_value_universe,
@@ -260,10 +259,3 @@ def test_malformed_scene_file(tmp_path):
         load_catalog(bad, meta)
     with pytest.raises(MalformedFile):
         load_catalog(bad, tmp_path / "missing.json")
-
-
-def test_round_trip_identity(tmp_path, scenes, data_dir):
-    path = tmp_path / "scenes.json"
-    path.write_text(json.dumps(dump_scenes(scenes)))
-    reloaded, _ = load_catalog(path, data_dir / "metadata.json")
-    assert reloaded == scenes

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from shopdialog.cli import main
+from shopdialog.engine import SALESPERSON_ACTS
 from tests.conftest import DATA
 
 
@@ -256,4 +257,76 @@ def test_malformed_jsonl_exits_one(tmp_path, capsys, task, text, line):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
+    flows = simulate(tmp_path, "flows.jsonl", n=2)
+    records = [json.loads(line) for line in flows.read_text().splitlines()]
+    recommend = next(t for t in records[1]["turns"] if t["act"] == "RECOMMEND_ITEM")
+    recommend["slots"]["object_id"] = 999
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    rc = main(["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+               "--jobs", str(jobs), "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown object_id 999")
+    assert err.count("\n") == 1
+
+
+def test_stats_without_salesperson_turn(tmp_path):
+    flows = tmp_path / "flows.jsonl"
+    turn = {"round": 2, "speaker": "customer", "act": "ANSWER_PREFERENCE",
+            "slots": {"attribute": "color", "concept_id": "warm_color"},
+            "candidate_items": [1, 2], "candidate_values": {"color": ["red"]}}
+    flows.write_text(json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
+                                 "outcome": "max_rounds", "turns": [turn]}) + "\n")
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--flows", str(flows), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["avg_salesperson_acts_per_dialog"] == 0
+    assert report["candidate_items_by_round"] == [2, 2]
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("config, keys, value", [
+    ("policy", ("rounds",), DROP),
+    ("policy", ("rounds", 0), list(SALESPERSON_ACTS)),
+    ("policy", ("rounds", 0, "ASK_PREFERENCE"), "high"),
+    ("policy", ("max_rounds",), "many"),
+    ("ontology", (0, "attribute"), DROP),
+    ("ontology", (0, "value_space"), DROP),
+    ("ontology", (0, "concepts"), DROP),
+    ("ontology", (0, "concepts", 0, "concept_id"), DROP),
+    ("ontology", (0, "concepts", 0, "surface_forms"), DROP),
+    ("ontology", (0, "concepts", 0, "values"), "dress"),
+    ("templates", ("ASK_PREFERENCE",), "great"),
+    ("templates", ("ASK_PREFERENCE", 0), "Which {attr do you like?"),
+], ids=["policy-without-rounds", "policy-row-not-an-object", "policy-non-numeric-probability",
+        "policy-non-numeric-field", "block-without-attribute", "block-without-value-space",
+        "block-without-concepts", "concept-without-id", "concept-without-surface-forms",
+        "concept-values-not-a-list", "template-bare-string", "template-stray-brace"])
+def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
+    """A config file whose contents do not fit its schema exits 1 with one line naming it."""
+    raw = json.loads((DATA / f"{config}.json").read_text())
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    bad = tmp_path / f"{config}.json"
+    bad.write_text(json.dumps(raw))
+    paths = {name: DATA / f"{name}.json" for name in ("ontology", "policy", "templates")}
+    paths[config] = bad
+    assert main(["validate", "--scenes", str(DATA / "scenes.json"),
+                 "--metadata", str(DATA / "metadata.json"),
+                 *(arg for name, path in paths.items() for arg in (f"--{name}", str(path)))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -41,15 +42,15 @@ def make_scene(colors, regions=()):
 def test_goal_forced_choice():
     scene = make_scene(["red"])
     goal = generate_goal(scene, random.Random(0))
-    assert goal.target_object_id == 0
-    assert goal.target_attributes == scene.items[0].attributes
+    assert goal.object_id == 0
+    assert goal.attributes == scene.items[0].attributes
 
 
 def test_goal_uniform_frequencies():
     scene = make_scene(["red", "blue", "yellow", "green", "white",
                         "black", "brown", "olive", "grey", "orange"])
     rng = random.Random(123)
-    counts = Counter(generate_goal(scene, rng).target_object_id for _ in range(10_000))
+    counts = Counter(generate_goal(scene, rng).object_id for _ in range(10_000))
     for oid in range(10):
         assert abs(counts[oid] / 10_000 - 0.1) <= 0.02
 
@@ -80,8 +81,8 @@ def test_single_candidate_allows_recommend(policy):
 
 
 def test_display_window(policy):
-    state = new_session(make_scene(["red", "blue", "white", "red"]))
-    state.elicited_attrs.add("material")
+    state = replace(new_session(make_scene(["red", "blue", "white", "red"])),
+                    elicited_attrs=frozenset({"material"}))
     # color candidates {red, blue, white}: 3 values, inside the 3..5 window
     assert len(state.candidate_values["color"]) == 3
     assert "DISPLAY_CANDIDATE_VALUES" in eligible_acts(state, policy)
@@ -117,9 +118,8 @@ def all_acts_eligible_state(ontology, policy):
 
     region = BackgroundItem("back left rack", (0.0, 0.0, 70.0, 50.0))  # covers items 0..2
     scene = Scene(scene.scene_id, scene.domain, scene.items, (region,))
-    state = new_session(scene)
-    state.elicited_attrs.add("color")
-    state.last_guess = ("color", "violet")
+    state = replace(new_session(scene), elicited_attrs=frozenset({"color"}),
+                    last_guess=("color", "violet"))
     assert eligible_acts(state, policy) == set(SALESPERSON_ACTS)
     return state
 
@@ -131,8 +131,6 @@ def test_sampling_matches_hand_set_row(ontology, policy):
         "GUESS_ATTRIBUTE_VALUE": 0.15, "REVISE_ATTRIBUTE_VALUE": 0.05,
         "DISPLAY_CANDIDATE_VALUES": 0.10, "REFER_REGION": 0.10, "RECOMMEND_ITEM": 0.20,
     }
-    from dataclasses import replace
-
     cfg = replace(policy, rounds=(row,), stationary=row)
     rng = random.Random(777)
     counts = Counter(salesperson_step(state, cfg, rng, ontology).name for _ in range(10_000))
@@ -184,14 +182,14 @@ def test_customer_never_negates_target(ontology, policy):
         answer = customer_step(state, goal, exclude, ontology, random.Random(i))
         assert answer.name == "NEGATE_PREFERENCE"
         concept = ontology.concept(answer.slots["concept_id"])
-        assert goal.target_attributes[concept.attr] not in concept.values
+        assert goal.attributes[concept.attr] not in concept.values
 
 
 def test_recommend_target_accepted(ontology):
     scene = make_scene(["red", "blue"])
     state = new_session(scene)
     goal = generate_goal(make_scene(["red"]), random.Random(0))
-    act = DialogAct("RECOMMEND_ITEM", {"object_id": goal.target_object_id})
+    act = DialogAct("RECOMMEND_ITEM", {"object_id": goal.object_id})
     answer = customer_step(state, goal, act, ontology, random.Random(0))
     assert answer.slots["accept"] is True
 
@@ -205,6 +203,67 @@ def test_apply_answer_intersects(ontology):
     assert nxt.candidate_values["color"] == {"red", "yellow"}
     assert nxt.round == 2
     assert nxt.elicited_attrs == {"color"}
+
+
+# Items 0..3 are red, blue, yellow, black; "front rack" covers items 0 and 1.
+# Each case: salesperson act, customer act, then the expected color candidates,
+# items, whether color joins elicited_attrs, last_guess and outcome.
+APPLY_CASES = {
+    "answer": ("ASK_PREFERENCE", "ANSWER_PREFERENCE", {"concept_id": "warm_color"},
+               {"red", "yellow"}, {0, 2}, True, None, None),
+    "negate": ("EXCLUDE_PREFERENCE", "NEGATE_PREFERENCE", {"concept_id": "cold_color"},
+               {"red", "yellow", "black"}, {0, 2, 3}, True, None, None),
+    "prompt-accept": ("PROMPT_PREFERENCE", "RESPOND_PROMPT",
+                      {"concept_id": "warm_color", "accept": True},
+                      {"red", "yellow"}, {0, 2}, True, None, None),
+    "prompt-reject": ("PROMPT_PREFERENCE", "RESPOND_PROMPT",
+                      {"concept_id": "warm_color", "accept": False},
+                      {"blue", "black"}, {1, 3}, True, None, None),
+    "guess-accept": ("GUESS_ATTRIBUTE_VALUE", "RESPOND_ATTRIBUTE_VALUE",
+                     {"value": "red", "accept": True}, {"red"}, {0}, False, None, None),
+    "revise-reject": ("REVISE_ATTRIBUTE_VALUE", "RESPOND_ATTRIBUTE_VALUE",
+                      {"value": "red", "accept": False},
+                      {"blue", "yellow", "black"}, {1, 2, 3}, False, ("color", "red"), None),
+    "choose": ("DISPLAY_CANDIDATE_VALUES", "CHOOSE_ATTRIBUTE_VALUE", {"value": "yellow"},
+               {"yellow"}, {2}, False, None, None),
+    "region-accept": ("REFER_REGION", "JUDGE_REGION", {"accept": True},
+                      None, {0, 1}, False, None, None),
+    "region-reject": ("REFER_REGION", "JUDGE_REGION", {"accept": False},
+                      None, {2, 3}, False, None, None),
+    "recommend-accept": ("RECOMMEND_ITEM", "RESPOND_RECOMMENDATION", {"accept": True},
+                         None, {0, 1, 2, 3}, False, None, "success"),
+    "recommend-reject": ("RECOMMEND_ITEM", "RESPOND_RECOMMENDATION", {"accept": False},
+                         None, {0, 1, 3}, False, None, None),
+}
+
+
+@pytest.mark.parametrize("case", APPLY_CASES.values(), ids=APPLY_CASES.keys())
+def test_apply_turn_narrows_per_act(ontology, case):
+    s_name, c_name, c_slots, colors, items, elicits, last_guess, outcome = case
+    from shopdialog.catalog import BackgroundItem
+
+    region = BackgroundItem("front rack", (0.0, 0.0, 40.0, 50.0))
+    scene = make_scene(["red", "blue", "yellow", "black"], regions=[region])
+    state = replace(new_session(scene), elicited_attrs=frozenset({"size"}),
+                    last_guess=("size", "M"))
+    if s_name == "REFER_REGION":
+        s_slots = c_slots = {"region_label": "front rack", **c_slots}
+    elif s_name == "RECOMMEND_ITEM":
+        s_slots = {"object_id": 2}
+    else:
+        s_slots = {"attribute": "color", **{k: v for k, v in c_slots.items() if k != "accept"}}
+        c_slots = {"attribute": "color", **c_slots}
+    nxt = apply_turn(state, DialogAct(s_name, s_slots), DialogAct(c_name, c_slots), ontology)
+    expected_values = {a: set(vs) for a, vs in state.candidate_values.items()}
+    if colors is not None:
+        expected_values["color"] = colors
+    assert list(nxt.candidate_values) == list(state.candidate_values)
+    assert {a: set(vs) for a, vs in nxt.candidate_values.items()} == expected_values
+    assert nxt.candidate_items == items
+    assert nxt.elicited_attrs == ({"size", "color"} if elicits else {"size"})
+    assert nxt.last_guess == last_guess
+    assert nxt.outcome == outcome
+    assert nxt.round == state.round + 1
 
 
 def test_apply_universe_intersection_is_identity(ontology):
@@ -245,11 +304,16 @@ def test_apply_rejects_bad_pair(ontology):
 def test_apply_inconsistent_state_detected(ontology):
     scene = make_scene(["red", "yellow"])
     state = new_session(scene)
-    s_act = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
-    # Untruthful answer: no scene color is mysterious, so candidates would empty.
-    c_act = DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "mysterious_color"})
-    with pytest.raises(InconsistentState):
-        apply_turn(state, s_act, c_act, ontology)
+    # Untruthful answers: no scene color is mysterious, and blue is no candidate,
+    # so the color candidates would empty.
+    for s_act, c_act in (
+        (DialogAct("ASK_PREFERENCE", {"attribute": "color"}),
+         DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "mysterious_color"})),
+        (DialogAct("DISPLAY_CANDIDATE_VALUES", {"attribute": "color", "values": ["red", "yellow"]}),
+         DialogAct("CHOOSE_ATTRIBUTE_VALUE", {"attribute": "color", "value": "blue"})),
+    ):
+        with pytest.raises(InconsistentState):
+            apply_turn(state, s_act, c_act, ontology)
 
 
 def test_consistent_items_full_universe(scenes):
@@ -270,15 +334,15 @@ def test_consistent_items_color_filter(scenes):
 
 
 def test_single_item_scene_succeeds_round_one(ontology, policy):
-    flow = run_dialog(make_scene(["red"]), ontology, policy, seed=5)
+    flow = run_dialog(make_scene(["red"]), ontology, policy, random.Random(5))
     assert flow.outcome == "success"
     assert flow.turns[-1].round == 1
     assert flow.turns[0].act == "RECOMMEND_ITEM"
 
 
 def test_run_dialog_deterministic(scenes, ontology, policy):
-    a = run_dialog(scenes[0], ontology, policy, seed=99)
-    b = run_dialog(scenes[0], ontology, policy, seed=99)
+    a = run_dialog(scenes[0], ontology, policy, random.Random(99))
+    b = run_dialog(scenes[0], ontology, policy, random.Random(99))
     assert json.dumps(flow_to_dict(a)) == json.dumps(flow_to_dict(b))
 
 
@@ -354,22 +418,25 @@ def test_corpus_termination(small_corpus):
 
 
 def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
-    # Replay each flow through apply_turn and check the candidate-item formula.
+    # Replay each flow through apply_turn and check the candidate-item formula:
+    # items consistent with the candidate values, inside every accepted region,
+    # outside every rejected region, minus every rejected recommendation.
     for flow in small_corpus[:50]:
         scene = flow_scene(scenes, flow)
         state = new_session(scene)
+        judged = {it.object_id for it in scene.items}
         sales = [t for t in flow.turns if t.speaker == "salesperson"]
         custs = [t for t in flow.turns if t.speaker == "customer"]
         for s, c in zip(sales, custs):
             state = apply_turn(
                 state, DialogAct(s.act, s.slots), DialogAct(c.act, c.slots), ontology
             )
-            expected = consistent_items(state.candidate_values, scene)
-            for label in state.region_includes:
-                expected &= scene.region_items[label]
-            for label in state.region_excludes:
-                expected -= scene.region_items[label]
-            expected -= state.rejected_items
+            if c.act == "JUDGE_REGION":
+                region = scene.region_items[c.slots["region_label"]]
+                judged = judged & region if c.slots["accept"] else judged - region
+            elif c.act == "RESPOND_RECOMMENDATION" and not c.slots["accept"]:
+                judged.discard(s.slots["object_id"])
+            expected = consistent_items(state.candidate_values, scene) & judged
             assert state.candidate_items == expected
             assert set(c.candidate_items) == state.candidate_items
 

@@ -16,7 +16,6 @@ from shopdialog.evalhub import (
     PRF,
     build_gold,
     corpus_stats,
-    elicit_rounds,
     eval_act,
     eval_recommend,
     eval_response,
@@ -301,11 +300,6 @@ def test_build_gold_recommend_is_target(ontology, scenes):
     flow = replace(flow, scene_id=scenes[0].scene_id, target_object_id=7)
     _, rows = build_gold([flow], ontology, scenes, "RECOMMEND")
     assert rows[("d0", 1)] == [7]
-
-
-def test_elicit_rounds_listing():
-    flow = two_turn_flow()
-    assert elicit_rounds(flow) == [1]
 
 
 def test_prediction_file_round_trip(tmp_path):

@@ -1,5 +1,4 @@
 import copy
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +15,7 @@ from shopdialog.errors import (
 from shopdialog.ontology import (
     concept_values,
     concepts_for_value,
-    load_ontology,
     ontology_from_blocks,
-    ontology_to_blocks,
     resolve_surface,
     spd_oracle,
 )
@@ -57,12 +54,6 @@ def test_empty_value_set_rejected():
 def test_table_concepts_load(ontology):
     assert {"red", "brown", "yellow", "light pink"} <= concept_values(ontology, "warm_color")
     assert {"green", "blue", "light purple", "olive"} <= concept_values(ontology, "cold_color")
-
-
-def test_round_trip_equality(tmp_path, ontology):
-    path = tmp_path / "ontology.json"
-    path.write_text(json.dumps(ontology_to_blocks(ontology)))
-    assert load_ontology(path) == ontology
 
 
 def test_concept_values_exact(ontology):

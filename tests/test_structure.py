@@ -1,11 +1,16 @@
-"""Structure guard: one module owns each concern, and importing the CLI loads no process pool."""
+"""Structure guard: one module owns each concern, importing the CLI loads no process pool,
+and every name the benchmark's tracer patches exists."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "shopdialog"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shopdialog"
 
 
 def _modules_containing(needle: str) -> set[str]:
@@ -31,3 +36,21 @@ def test_cli_import_skips_process_pool():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_traced_names_exist():
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    for module, names in targets.items():
+        mod = importlib.import_module(f"shopdialog.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
+    # The tracer reads these arguments by position.
+    from shopdialog.engine import generate_corpus
+    from shopdialog.evalhub import build_gold
+
+    assert list(inspect.signature(build_gold).parameters)[3] == "task"
+    assert list(inspect.signature(generate_corpus).parameters)[5] == "jobs"
