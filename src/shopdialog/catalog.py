@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
 from .errors import UnknownAttribute, UnknownRegion, ValidationError
-from .jsonio import read_json
+from .jsonio import read_json_with
 
 Bbox = tuple[float, float, float, float]
 
@@ -94,6 +94,8 @@ Metadata = dict[str, dict[str, str]]
 
 
 def _require_fields(obj: dict, fields: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
     extra = set(obj) - fields
     if extra:
         raise ValidationError(f"{where}: unknown fields {sorted(extra)}")
@@ -105,21 +107,25 @@ def _require_fields(obj: dict, fields: set[str], where: str) -> None:
 def _parse_bbox(raw, where: str) -> Bbox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValidationError(f"{where}: bbox must be [x, y, w, h]")
-    x, y, w, h = (float(v) for v in raw)
+    try:
+        x, y, w, h = (float(v) for v in raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: bbox values must be numbers") from None
     if w <= 0 or h <= 0:
         raise ValidationError(f"{where}: bbox must have positive width/height")
     return (x, y, w, h)
 
 
 def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
-    if not isinstance(raw, dict):
-        raise ValidationError("scene entry must be an object")
     _require_fields(raw, {"scene_id", "domain", "items", "regions"}, "scene")
     scene_id = raw["scene_id"]
     domain = raw["domain"]
     if domain not in ("fashion", "furniture"):
         raise ValidationError(f"scene {scene_id}: unknown domain {domain!r}")
     declared = attribute_names_for_domain(domain)
+    for key in ("items", "regions"):
+        if not isinstance(raw[key], list):
+            raise ValidationError(f"scene {scene_id}: {key} must be a list")
 
     if not raw["items"]:
         raise ValidationError(f"scene {scene_id}: needs at least one item")
@@ -166,7 +172,10 @@ def _validate_metadata(raw: object) -> Metadata:
         if not isinstance(attrs, dict):
             raise ValidationError(f"metadata {proto!r}: attribute map expected")
         for name, value in attrs.items():
-            attr = get_attribute(name)  # raises UnknownAttribute for stray names
+            try:
+                attr = get_attribute(name)
+            except UnknownAttribute as exc:
+                raise ValidationError(f"metadata {proto!r}: {exc}") from None
             if not isinstance(value, str):
                 raise ValidationError(f"metadata {proto!r}: value of {name!r} must be a string")
             if attr.kind == "numeric":
@@ -179,17 +188,20 @@ def _validate_metadata(raw: object) -> Metadata:
     return raw
 
 
+def _parse_scenes(raw: object, metadata: Metadata) -> list[Scene]:
+    if isinstance(raw, dict):
+        raw = [raw]
+    if not isinstance(raw, list):
+        raise ValidationError("scene file must hold a scene object or a list of them")
+    scenes = [_parse_scene(entry, metadata) for entry in raw]
+    SceneIndex(scenes)  # rejects duplicate scene ids
+    return scenes
+
+
 def load_catalog(scene_path, metadata_path) -> tuple[list[Scene], Metadata]:
     """Load and validate scenes plus the item-prototype metadata index."""
-    metadata = _validate_metadata(read_json(metadata_path))
-    raw_scenes = read_json(scene_path)
-    if isinstance(raw_scenes, dict):
-        raw_scenes = [raw_scenes]
-    if not isinstance(raw_scenes, list):
-        raise ValidationError("scene file must hold a scene object or a list of them")
-    scenes = [_parse_scene(entry, metadata) for entry in raw_scenes]
-    SceneIndex(scenes)  # rejects duplicate scene ids
-    return scenes, metadata
+    metadata = read_json_with(metadata_path, _validate_metadata)
+    return read_json_with(scene_path, lambda raw: _parse_scenes(raw, metadata)), metadata
 
 
 def contains_center(bbox: Bbox, point: tuple[float, float]) -> bool:

@@ -10,10 +10,12 @@ Flows are interchanged as JSON Lines, one dialog per line:
 
     {"dialog_id": ..., "scene_id": ..., "target_object_id": ..., "outcome":
      "success"|"max_rounds", "turns": [{"round", "speaker", "act", "slots",
-     "candidate_items", "candidate_values", ("utterance")}, ...]}
+     "candidate_items", ("utterance")}, ...]}
 
-A salesperson turn is annotated with the candidate state it acted on; the
-paired customer turn carries the state after the round's narrowing applied.
+A salesperson turn is annotated with the candidate items it acted on; the
+paired customer turn carries the items left after the round's narrowing.
+Candidate values are not stored: replaying the act pairs through
+`apply_turn` from `new_session(scene)` rebuilds them.
 """
 
 from __future__ import annotations
@@ -152,15 +154,6 @@ def new_session(scene: Scene) -> SessionState:
         last_guess=None,
         outcome=None,
     )
-
-
-def consistent_items(candidate_values: dict[str, set[str]], scene: Scene) -> set[int]:
-    """Items whose every attribute value lies in the corresponding candidate set."""
-    return {
-        it.object_id
-        for it in scene.items
-        if all(it.attributes[a] in vals for a, vals in candidate_values.items())
-    }
 
 
 def generate_goal(scene: Scene, rng: random.Random) -> Item:
@@ -400,7 +393,6 @@ class Turn:
     act: str
     slots: dict
     candidate_items: list[int]
-    candidate_values: dict[str, list[str]]
     utterance: str | None = None
 
 
@@ -413,10 +405,6 @@ class DialogFlow:
     turns: list[Turn]
 
 
-def _snapshot(state: SessionState) -> dict[str, list[str]]:
-    return {a: sorted(vs) for a, vs in state.candidate_values.items()}
-
-
 def run_dialog(
     scene: Scene, ont: Ontology, cfg: PolicyConfig, rng: random.Random, dialog_id: str = "d00000"
 ) -> DialogFlow:
@@ -424,7 +412,7 @@ def run_dialog(
     goal = generate_goal(scene, rng)
     state = new_session(scene)
     # A state annotates the customer turn that produced it and the next salesperson turn.
-    items, values = sorted(state.candidate_items), _snapshot(state)
+    items = sorted(state.candidate_items)
     turns: list[Turn] = []
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
@@ -436,10 +424,10 @@ def run_dialog(
             except NoTruthfulConcept:
                 banned |= {s_act.name}
         rnd = state.round
-        turns.append(Turn(rnd, "salesperson", s_act.name, s_act.slots, items, values))
+        turns.append(Turn(rnd, "salesperson", s_act.name, s_act.slots, items))
         state = apply_turn(state, s_act, c_act, ont)
-        items, values = sorted(state.candidate_items), _snapshot(state)
-        turns.append(Turn(rnd, "customer", c_act.name, c_act.slots, items, values))
+        items = sorted(state.candidate_items)
+        turns.append(Turn(rnd, "customer", c_act.name, c_act.slots, items))
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
 
@@ -475,7 +463,6 @@ def turn_to_dict(turn: Turn) -> dict:
         "act": turn.act,
         "slots": turn.slots,
         "candidate_items": turn.candidate_items,
-        "candidate_values": turn.candidate_values,
     }
     if turn.utterance is not None:
         out["utterance"] = turn.utterance
@@ -493,6 +480,7 @@ def flow_to_dict(flow: DialogFlow) -> dict:
 
 
 def flow_from_dict(raw: dict) -> DialogFlow:
+    """Other keys, such as the `candidate_values` of older files, are ignored."""
     turns = [
         Turn(
             round=t["round"],
@@ -500,7 +488,6 @@ def flow_from_dict(raw: dict) -> DialogFlow:
             act=t["act"],
             slots=t["slots"],
             candidate_items=t["candidate_items"],
-            candidate_values=t["candidate_values"],
             utterance=t.get("utterance"),
         )
         for t in raw["turns"]

@@ -151,7 +151,7 @@ def realize_turn(
 def realize_dialog(
     flow: DialogFlow, templates: TemplateSet, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
-    """Fill every turn's utterance; acts, slots and candidate annotations untouched."""
+    """Fill every turn's utterance; acts, slots and candidate items untouched."""
     rng = random.Random(seed)
     turns = [
         replace(t, utterance=realize_turn(t, templates, ont, scene, rng)) for t in flow.turns

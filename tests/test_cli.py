@@ -290,6 +290,35 @@ def test_stats_without_salesperson_turn(tmp_path):
     assert report["candidate_items_by_round"] == [2, 2]
 
 
+def test_v1_flows_with_candidate_values_still_read(tmp_path):
+    """Older flow files also carry a per-turn `candidate_values` object; readers ignore it."""
+    realize = ["realize", *base_flags(), "--templates", str(DATA / "templates.json")]
+    flows = tmp_path / "realized.jsonl"  # RESPONSE gold needs utterances
+    assert main([*realize, "--flows", str(simulate(tmp_path, "raw.jsonl")), "--out", str(flows)]) == 0
+    records = [json.loads(line) for line in flows.read_text().splitlines()]
+    for record in records:
+        for turn in record["turns"]:
+            turn["candidate_values"] = {"color": ["red", "yellow"], "size": ["M"]}
+    v1 = tmp_path / "flows_v1.jsonl"
+    v1.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def outputs(src, tag):
+        runs = [["gold", *base_flags(), "--task", task] for task in
+                ("spd", "rru", "act", "recommend", "response")]
+        runs += [["gold", *base_flags(), "--task", "spd", "--spd-mode", "scene_only"],
+                 ["stats"], ["stats", "--format", "csv"], realize]
+        written = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{tag}_{i}.out"
+            assert main([*argv, "--flows", str(src), "--out", str(out)]) == 0, argv
+            written.append(out.read_bytes())
+        return written
+
+    current, older = outputs(flows, "current"), outputs(v1, "v1")
+    assert current == older
+    assert b"candidate_values" not in older[-1]
+
+
 DROP = object()
 
 
@@ -306,10 +335,16 @@ DROP = object()
     ("ontology", (0, "concepts", 0, "values"), "dress"),
     ("templates", ("ASK_PREFERENCE",), "great"),
     ("templates", ("ASK_PREFERENCE", 0), "Which {attr do you like?"),
+    ("scenes", (0, "items", 0, "bbox", 0), "a"),
+    ("scenes", (0, "regions"), 5),
+    ("scenes", (0, "items", 0), 5),
+    ("metadata", ("p_fash_000", "flavor"), "sweet"),
 ], ids=["policy-without-rounds", "policy-row-not-an-object", "policy-non-numeric-probability",
         "policy-non-numeric-field", "block-without-attribute", "block-without-value-space",
         "block-without-concepts", "concept-without-id", "concept-without-surface-forms",
-        "concept-values-not-a-list", "template-bare-string", "template-stray-brace"])
+        "concept-values-not-a-list", "template-bare-string", "template-stray-brace",
+        "scene-non-numeric-bbox", "scene-regions-not-a-list", "scene-item-not-an-object",
+        "metadata-unknown-attribute"])
 def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     """A config file whose contents do not fit its schema exits 1 with one line naming it."""
     raw = json.loads((DATA / f"{config}.json").read_text())
@@ -322,10 +357,10 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
         parent[keys[-1]] = value
     bad = tmp_path / f"{config}.json"
     bad.write_text(json.dumps(raw))
-    paths = {name: DATA / f"{name}.json" for name in ("ontology", "policy", "templates")}
+    names = ("scenes", "metadata", "ontology", "policy", "templates")
+    paths = {name: DATA / f"{name}.json" for name in names}
     paths[config] = bad
-    assert main(["validate", "--scenes", str(DATA / "scenes.json"),
-                 "--metadata", str(DATA / "metadata.json"),
+    assert main(["validate",
                  *(arg for name, path in paths.items() for arg in (f"--{name}", str(path)))]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")

@@ -12,7 +12,6 @@ from shopdialog.engine import (
     ELICIT_ACTS,
     SALESPERSON_ACTS,
     apply_turn,
-    consistent_items,
     customer_step,
     eligible_acts,
     flow_to_dict,
@@ -316,23 +315,6 @@ def test_apply_inconsistent_state_detected(ontology):
             apply_turn(state, s_act, c_act, ontology)
 
 
-def test_consistent_items_full_universe(scenes):
-    scene = scenes[0]
-    universe = {a: set() for a in scene.items[0].attributes}
-    for item in scene.items:
-        for attr, value in item.attributes.items():
-            universe[attr].add(value)
-    assert consistent_items(universe, scene) == {it.object_id for it in scene.items}
-
-
-def test_consistent_items_color_filter(scenes):
-    scene = scenes[0]
-    universe = {a: {it.attributes[a] for it in scene.items} for a in scene.items[0].attributes}
-    universe["color"] = {"red"}
-    expected = {it.object_id for it in scene.items if it.attributes["color"] == "red"}
-    assert consistent_items(universe, scene) == expected
-
-
 def test_single_item_scene_succeeds_round_one(ontology, policy):
     flow = run_dialog(make_scene(["red"]), ontology, policy, random.Random(5))
     assert flow.outcome == "success"
@@ -417,12 +399,40 @@ def test_corpus_termination(small_corpus):
     assert all(f.outcome in ("success", "max_rounds") for f in small_corpus)
 
 
+def consistent_items(candidate_values: dict[str, set[str]], scene: Scene) -> set[int]:
+    """Items whose every attribute value lies in the corresponding candidate set."""
+    return {
+        it.object_id
+        for it in scene.items
+        if all(it.attributes[a] in vals for a, vals in candidate_values.items())
+    }
+
+
+def test_consistent_items_full_universe(scenes):
+    scene = scenes[0]
+    universe = {a: set() for a in scene.items[0].attributes}
+    for item in scene.items:
+        for attr, value in item.attributes.items():
+            universe[attr].add(value)
+    assert consistent_items(universe, scene) == {it.object_id for it in scene.items}
+
+
+def test_consistent_items_color_filter(scenes):
+    scene = scenes[0]
+    universe = {a: {it.attributes[a] for it in scene.items} for a in scene.items[0].attributes}
+    universe["color"] = {"red"}
+    expected = {it.object_id for it in scene.items if it.attributes["color"] == "red"}
+    assert consistent_items(universe, scene) == expected
+
+
 def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
     # Replay each flow through apply_turn and check the candidate-item formula:
     # items consistent with the candidate values, inside every accepted region,
     # outside every rejected region, minus every rejected recommendation.
+    # The replayed candidate values keep the target's value of every attribute.
     for flow in small_corpus[:50]:
         scene = flow_scene(scenes, flow)
+        target = scene.items_by_id[flow.target_object_id]
         state = new_session(scene)
         judged = {it.object_id for it in scene.items}
         sales = [t for t in flow.turns if t.speaker == "salesperson"]
@@ -436,6 +446,8 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
                 judged = judged & region if c.slots["accept"] else judged - region
             elif c.act == "RESPOND_RECOMMENDATION" and not c.slots["accept"]:
                 judged.discard(s.slots["object_id"])
+            for attr, value in target.attributes.items():
+                assert value in state.candidate_values[attr], (flow.dialog_id, state.round, attr)
             expected = consistent_items(state.candidate_values, scene) & judged
             assert state.candidate_items == expected
             assert set(c.candidate_items) == state.candidate_items

@@ -28,7 +28,7 @@ def concept_turn(concept_id="warm_color"):
     return Turn(
         round=1, speaker="customer", act="ANSWER_PREFERENCE",
         slots={"attribute": "color", "concept_id": concept_id},
-        candidate_items=[0], candidate_values={"color": ["red"]},
+        candidate_items=[0],
     )
 
 
@@ -44,7 +44,7 @@ def test_recommend_mentions_region_and_token(templates, ontology, scenes):
     turn = Turn(
         round=4, speaker="salesperson", act="RECOMMEND_ITEM",
         slots={"object_id": shelf_item},
-        candidate_items=[shelf_item], candidate_values={},
+        candidate_items=[shelf_item],
     )
     utterance = realize_turn(turn, templates, ontology, f01, random.Random(0))
     assert "far right shelf" in utterance

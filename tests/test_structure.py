@@ -1,10 +1,12 @@
 """Structure guard: one module owns each concern, importing the CLI loads no process pool,
-and every name the benchmark's tracer patches exists."""
+every name the benchmark's tracer patches exists, and the README lists the flow keys
+the engine writes."""
 
 import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,14 @@ def test_traced_names_exist():
 
     assert list(inspect.signature(build_gold).parameters)[3] == "task"
     assert list(inspect.signature(generate_corpus).parameters)[5] == "jobs"
+
+
+def test_flow_turn_keys_match_readme():
+    from shopdialog.engine import Turn, turn_to_dict
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("**Dialog flows**", 1)[1].split("\n\n", 1)[0]
+    sentence = paragraph.split("Each turn carries", 1)[1].split(".", 1)[0]
+    realized = Turn(round=1, speaker="customer", act="ANSWER_PREFERENCE", slots={},
+                    candidate_items=[0], utterance="I like warm colors.")
+    assert list(turn_to_dict(realized)) == re.findall(r"`([^`]+)`", sentence)
