@@ -119,6 +119,8 @@ def _parse_bbox(raw, where: str) -> Bbox:
 def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     _require_fields(raw, {"scene_id", "domain", "items", "regions"}, "scene")
     scene_id = raw["scene_id"]
+    if not isinstance(scene_id, str):
+        raise ValidationError(f"scene {scene_id!r}: scene_id must be a string")
     domain = raw["domain"]
     if domain not in ("fashion", "furniture"):
         raise ValidationError(f"scene {scene_id}: unknown domain {domain!r}")
@@ -140,6 +142,8 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
             raise ValidationError(f"scene {scene_id}: duplicate object_id {oid}")
         seen_ids.add(oid)
         proto = entry["prototype_id"]
+        if not isinstance(proto, str):
+            raise ValidationError(f"scene {scene_id} item {oid}: prototype_id must be a string")
         if proto not in metadata:
             raise ValidationError(f"scene {scene_id}: prototype {proto!r} not in metadata")
         attrs = metadata[proto]
@@ -156,6 +160,8 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     for entry in raw["regions"]:
         _require_fields(entry, {"label", "bbox"}, f"scene {scene_id} region")
         label = entry["label"]
+        if not isinstance(label, str):
+            raise ValidationError(f"scene {scene_id} region: label must be a string, got {label!r}")
         if label in seen_labels:
             raise ValidationError(f"scene {scene_id}: duplicate region label {label!r}")
         seen_labels.add(label)

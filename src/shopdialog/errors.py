@@ -29,10 +29,6 @@ class UnknownValue(ShopDialogError):
     """Value not in the attribute's global value space."""
 
 
-class UnknownSurfaceForm(ShopDialogError):
-    """Phrase is not a registered surface form of any concept."""
-
-
 class MixedAttributeTypes(ShopDialogError):
     """Preference clauses span more than one attribute type."""
 

@@ -103,20 +103,27 @@ class ActReport:
 
 
 def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
-    """Per-class PRF over the salesperson acts plus micro/macro averages."""
+    """Per-class PRF over the salesperson acts plus micro/macro averages.
+
+    Counts come from one tally of (gold, predicted) acts; a key one side lacks has None there.
+    """
     for key, act in preds.items():
         if act not in SALESPERSON_ACTS:
             raise UnknownActName(f"{key}: {act!r} is not a salesperson act")
-    tp = fp = fn = 0
-    per_class: dict[str, PRF] = {}
+    confusion = Counter((g, preds.get(key)) for key, g in gold.items())
+    confusion.update((None, p) for key, p in preds.items() if key not in gold)
     classes = sorted(set(gold.values()) | set(preds.values()))
-    for cls in classes:
-        ctp = sum(1 for k, g in gold.items() if g == cls and preds.get(k) == cls)
-        cfp = sum(1 for k, p in preds.items() if p == cls and gold.get(k) != cls)
-        cfn = sum(1 for k, g in gold.items() if g == cls and preds.get(k) != cls)
-        per_class[cls] = PRF.from_counts(ctp, cfp, cfn)
-        tp, fp, fn = tp + ctp, fp + cfp, fn + cfn
-    micro = PRF.from_counts(tp, fp, fn)
+    counts = {cls: [0, 0, 0] for cls in classes}  # tp, fp, fn
+    for (g, p), n in confusion.items():
+        if g == p:
+            counts[g][0] += n
+            continue
+        if p is not None:
+            counts[p][1] += n
+        if g is not None:
+            counts[g][2] += n
+    per_class = {cls: PRF.from_counts(*c) for cls, c in counts.items()}
+    micro = PRF.from_counts(*(sum(c[i] for c in counts.values()) for i in range(3)))
     n = len(classes)
     macro = PRF(
         sum(p.precision for p in per_class.values()) / n if n else 0.0,
@@ -127,26 +134,30 @@ def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
 
 
 def eval_response(preds: dict[Key, str], refs: dict[Key, str]) -> float:
-    """Corpus-level unsmoothed BLEU-4 over aligned hypothesis/reference pairs."""
+    """Corpus-level unsmoothed BLEU-4 over aligned hypothesis/reference pairs.
+
+    Each distinct pair is scored once, its integer counts weighted by how often it occurs.
+    """
     if not refs:
         raise EmptyCorpus("no reference utterances to score against")
+    pairs = Counter((preds.get(key, ""), ref) for key, ref in refs.items())
     clipped = [0] * 4
     totals = [0] * 4
     hyp_len = ref_len = 0
-    for key, ref in refs.items():
-        hyp_tokens = preds.get(key, "").split()
+    for (hyp, ref), count in pairs.items():
+        hyp_tokens = hyp.split()
         ref_tokens = ref.split()
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
+        hyp_len += count * len(hyp_tokens)
+        ref_len += count * len(ref_tokens)
         for n in range(1, 5):
-            hyp_grams = Counter(
-                tuple(hyp_tokens[i:i + n]) for i in range(len(hyp_tokens) - n + 1)
-            )
-            ref_grams = Counter(
-                tuple(ref_tokens[i:i + n]) for i in range(len(ref_tokens) - n + 1)
-            )
-            totals[n - 1] += sum(hyp_grams.values())
-            clipped[n - 1] += sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+            grams = count * max(len(hyp_tokens) - n + 1, 0)
+            totals[n - 1] += grams
+            if hyp == ref:  # every hypothesis n-gram is matched in full
+                clipped[n - 1] += grams
+                continue
+            hyp_grams = Counter(zip(*(hyp_tokens[i:] for i in range(n))))
+            ref_grams = Counter(zip(*(ref_tokens[i:] for i in range(n))))
+            clipped[n - 1] += count * (hyp_grams & ref_grams).total()
     if any(t == 0 for t in totals) or any(c == 0 for c in clipped):
         return 0.0
     log_precision = sum(0.25 * math.log(c / t) for c, t in zip(clipped, totals))

@@ -24,7 +24,6 @@ from .catalog import Scene, scene_value_universe
 from .errors import (
     MixedAttributeTypes,
     UnknownConcept,
-    UnknownSurfaceForm,
     UnknownValue,
     ValidationError,
 )
@@ -53,7 +52,6 @@ class Ontology:
     value_spaces: dict[str, frozenset[str]]
     _by_id: dict[str, Concept] = field(init=False, repr=False, compare=False)
     _by_attr: dict[str, tuple[Concept, ...]] = field(init=False, repr=False, compare=False)
-    _surface: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_id = {c.concept_id: c for c in self.concepts}
@@ -61,9 +59,6 @@ class Ontology:
         for c in self.concepts:
             by_attr.setdefault(c.attr, []).append(c)
         self._by_attr = {a: tuple(cs) for a, cs in by_attr.items()}
-        self._surface = {
-            normalize_phrase(s): c.concept_id for c in self.concepts for s in c.surface_forms
-        }
 
     def concept(self, concept_id: str) -> Concept:
         try:
@@ -163,24 +158,12 @@ def load_ontology(path) -> Ontology:
     return read_json_with(path, ontology_from_blocks)
 
 
-def concept_values(ont: Ontology, concept_id: str) -> set[str]:
-    return set(ont.concept(concept_id).values)
-
-
 def concepts_for_value(ont: Ontology, attr: str, value: str) -> set[str]:
     """All concepts of attr containing value; non-empty by totality."""
     space = ont.value_spaces.get(attr)
     if space is None or value not in space:
         raise UnknownValue(f"{value!r} is not in the {attr} value space")
     return {c.concept_id for c in ont.concepts_of(attr) if value in c.values}
-
-
-def resolve_surface(ont: Ontology, phrase: str) -> str:
-    """Owning concept of a registered surface form (exact after normalization)."""
-    try:
-        return ont._surface[normalize_phrase(phrase)]
-    except KeyError:
-        raise UnknownSurfaceForm(f"unregistered surface form {phrase!r}") from None
 
 
 def spd_oracle(

@@ -4,11 +4,24 @@ from pathlib import Path
 
 from shopdialog.catalog import load_catalog
 from shopdialog.engine import load_policy
-from shopdialog.ontology import load_ontology
+from shopdialog.ontology import load_ontology, normalize_phrase
 from shopdialog.realizer import load_templates
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
+
+
+class UnknownSurfaceForm(LookupError):
+    """Phrase is not a registered surface form of any concept."""
+
+
+def resolve_surface(ont, phrase: str) -> str:
+    """Owning concept of a registered surface form (exact after normalization)."""
+    key = normalize_phrase(phrase)
+    for concept in ont.concepts:
+        if any(normalize_phrase(form) == key for form in concept.surface_forms):
+            return concept.concept_id
+    raise UnknownSurfaceForm(f"unregistered surface form {phrase!r}")
 
 
 @pytest.fixture(scope="session")

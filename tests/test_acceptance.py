@@ -22,9 +22,9 @@ from shopdialog.evalhub import (
     eval_set_task,
     split_corpus,
 )
-from shopdialog.ontology import resolve_surface, spd_oracle
+from shopdialog.ontology import spd_oracle
 from shopdialog.realizer import realize_corpus
-from tests.conftest import DATA
+from tests.conftest import DATA, resolve_surface
 
 N_DIALOGS = 10_000
 KEEP = 1_000

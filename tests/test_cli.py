@@ -339,12 +339,16 @@ DROP = object()
     ("scenes", (0, "regions"), 5),
     ("scenes", (0, "items", 0), 5),
     ("metadata", ("p_fash_000", "flavor"), "sweet"),
+    ("scenes", (0, "scene_id"), ["f01"]),
+    ("scenes", (0, "items", 0, "prototype_id"), ["p_fash_020"]),
+    ("scenes", (0, "regions", 0, "label"), ["back left rack"]),
 ], ids=["policy-without-rounds", "policy-row-not-an-object", "policy-non-numeric-probability",
         "policy-non-numeric-field", "block-without-attribute", "block-without-value-space",
         "block-without-concepts", "concept-without-id", "concept-without-surface-forms",
         "concept-values-not-a-list", "template-bare-string", "template-stray-brace",
         "scene-non-numeric-bbox", "scene-regions-not-a-list", "scene-item-not-an-object",
-        "metadata-unknown-attribute"])
+        "metadata-unknown-attribute", "scene-list-valued-scene-id", "scene-list-valued-prototype-id",
+        "scene-list-valued-region-label"])
 def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     """A config file whose contents do not fit its schema exits 1 with one line naming it."""
     raw = json.loads((DATA / f"{config}.json").read_text())
@@ -365,3 +369,4 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
+    assert "unhashable" not in err

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shopdialog.engine import DialogFlow, Turn, generate_corpus
+from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, Turn, generate_corpus
 from shopdialog.errors import (
     BadRatios,
     EmptyCorpus,
@@ -14,6 +15,7 @@ from shopdialog.errors import (
 )
 from shopdialog.evalhub import (
     PRF,
+    ActReport,
     build_gold,
     corpus_stats,
     eval_act,
@@ -148,6 +150,87 @@ def test_bleu_hand_computed_pair():
 def test_bleu_empty_corpus():
     with pytest.raises(EmptyCorpus):
         eval_response({}, {})
+
+
+def reference_bleu(preds, refs):
+    """Pair-by-pair corpus BLEU-4: the loop `eval_response` must equal bit for bit."""
+    clipped = [0] * 4
+    totals = [0] * 4
+    hyp_len = ref_len = 0
+    for key, ref in refs.items():
+        hyp_tokens = preds.get(key, "").split()
+        ref_tokens = ref.split()
+        hyp_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
+        for n in range(1, 5):
+            hyp_grams = Counter(
+                tuple(hyp_tokens[i:i + n]) for i in range(len(hyp_tokens) - n + 1)
+            )
+            ref_grams = Counter(
+                tuple(ref_tokens[i:i + n]) for i in range(len(ref_tokens) - n + 1)
+            )
+            totals[n - 1] += sum(hyp_grams.values())
+            clipped[n - 1] += sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+    if any(t == 0 for t in totals) or any(c == 0 for c in clipped):
+        return 0.0
+    log_precision = sum(0.25 * math.log(c / t) for c, t in zip(clipped, totals))
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_precision)
+
+
+def reference_act(preds, gold):
+    """Three scans per class: the counts `eval_act` must equal exactly."""
+    tp = fp = fn = 0
+    per_class = {}
+    classes = sorted(set(gold.values()) | set(preds.values()))
+    for cls in classes:
+        ctp = sum(1 for k, g in gold.items() if g == cls and preds.get(k) == cls)
+        cfp = sum(1 for k, p in preds.items() if p == cls and gold.get(k) != cls)
+        cfn = sum(1 for k, g in gold.items() if g == cls and preds.get(k) != cls)
+        per_class[cls] = PRF.from_counts(ctp, cfp, cfn)
+        tp, fp, fn = tp + ctp, fp + cfp, fn + cfn
+    n = len(classes)
+    macro = PRF(
+        sum(p.precision for p in per_class.values()) / n if n else 0.0,
+        sum(p.recall for p in per_class.values()) / n if n else 0.0,
+        sum(p.f1 for p in per_class.values()) / n if n else 0.0,
+    )
+    return ActReport(PRF.from_counts(tp, fp, fn), macro, per_class)
+
+
+# Few short sentences over a tiny vocabulary, so pairs repeat, hypotheses are
+# often empty or under 4 tokens, and n-gram matches are common.
+SENTENCES = st.lists(st.sampled_from("abc"), max_size=6).map(" ".join)
+KEYS = st.tuples(st.sampled_from(["d0", "d1", "d2"]), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bleu_equals_pair_by_pair_reference(data):
+    pool = data.draw(st.lists(SENTENCES, min_size=1, max_size=4))
+    sentence = st.sampled_from(pool)
+    refs = data.draw(st.dictionaries(KEYS, sentence, min_size=1, max_size=30))
+    preds = data.draw(st.dictionaries(KEYS, sentence, max_size=30))  # misses and extras
+    assert eval_response(preds, refs) == reference_bleu(preds, refs)
+
+
+def test_bleu_repeated_pair_equals_single_pair():
+    hyp = "the quick brown fox jumps over the dog"
+    ref = "the quick brown fox jumps over the lazy dog"
+    keys = [(f"d{i:05d}", 1) for i in range(1000)]
+    single = eval_response({keys[0]: hyp}, {keys[0]: ref})
+    assert eval_response({k: hyp for k in keys}, {k: ref for k in keys}) == single
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_act_equals_three_pass_reference(data):
+    act = st.sampled_from(SALESPERSON_ACTS[:4])
+    gold = data.draw(st.dictionaries(KEYS, act, max_size=30))
+    preds = data.draw(st.dictionaries(KEYS, act, max_size=30))  # misses and extras
+    got, want = eval_act(preds, gold), reference_act(preds, gold)
+    assert got == want
+    assert list(got.per_class) == list(want.per_class)
 
 
 def test_recommend_extraction_cases():

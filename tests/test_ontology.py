@@ -8,17 +8,11 @@ from shopdialog.catalog import Item, Scene
 from shopdialog.errors import (
     MixedAttributeTypes,
     UnknownConcept,
-    UnknownSurfaceForm,
     UnknownValue,
     ValidationError,
 )
-from shopdialog.ontology import (
-    concept_values,
-    concepts_for_value,
-    ontology_from_blocks,
-    resolve_surface,
-    spd_oracle,
-)
+from shopdialog.ontology import concepts_for_value, ontology_from_blocks, spd_oracle
+from tests.conftest import UnknownSurfaceForm, resolve_surface
 
 COLOR_BLOCK = {
     "attribute": "color",
@@ -52,18 +46,18 @@ def test_empty_value_set_rejected():
 
 
 def test_table_concepts_load(ontology):
-    assert {"red", "brown", "yellow", "light pink"} <= concept_values(ontology, "warm_color")
-    assert {"green", "blue", "light purple", "olive"} <= concept_values(ontology, "cold_color")
+    assert {"red", "brown", "yellow", "light pink"} <= set(ontology.concept("warm_color").values)
+    assert {"green", "blue", "light purple", "olive"} <= set(ontology.concept("cold_color").values)
 
 
 def test_concept_values_exact(ontology):
-    assert concept_values(ontology, "powerful_color") == {"red", "orange", "light red"}
-    assert concept_values(ontology, "mysterious_color") == {"violet", "black", "dark blue"}
+    assert set(ontology.concept("powerful_color").values) == {"red", "orange", "light red"}
+    assert set(ontology.concept("mysterious_color").values) == {"violet", "black", "dark blue"}
 
 
 def test_unknown_concept(ontology):
     with pytest.raises(UnknownConcept):
-        concept_values(ontology, "nope_color")
+        ontology.concept("nope_color")
 
 
 def test_values_within_space(ontology):
@@ -84,7 +78,7 @@ def test_concepts_for_value_unknown(ontology):
 
 
 def test_inverse_consistency_exhaustive(ontology):
-    # c in concepts_for_value(a, v)  <=>  v in concept_values(c), over everything.
+    # c in concepts_for_value(a, v)  <=>  v in c.values, over everything.
     for attr, space in ontology.value_spaces.items():
         for value in space:
             owners = concepts_for_value(ontology, attr, value)
@@ -114,9 +108,9 @@ def test_every_surface_form_resolves_to_owner(ontology):
 
 
 def test_range_concepts_materialize(ontology):
-    affordable = concept_values(ontology, "affordable_price")
+    affordable = set(ontology.concept("affordable_price").values)
     assert affordable == {"$19", "$29", "$49", "$79", "$99"}
-    assert concept_values(ontology, "well_reviewed") == {"4.0", "4.2", "4.5", "4.8"}
+    assert set(ontology.concept("well_reviewed").values) == {"4.0", "4.2", "4.5", "4.8"}
 
 
 FASHION_ATTRS = {

@@ -11,7 +11,6 @@ from shopdialog.engine import (
     turn_to_dict,
 )
 from shopdialog.errors import MissingTemplate, ValidationError
-from shopdialog.ontology import resolve_surface
 from shopdialog.realizer import (
     item_description,
     realize_corpus,
@@ -19,6 +18,7 @@ from shopdialog.realizer import (
     realize_turn,
     templates_from_dict,
 )
+from tests.conftest import resolve_surface
 
 CONCEPT_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE",
                 "RESPOND_PROMPT")
