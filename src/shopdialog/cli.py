@@ -11,16 +11,12 @@ Exit codes: 0 success, 1 validation/input error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .catalog import load_catalog
-from .engine import generate_corpus, load_policy, read_flows, write_flows
 from .errors import BadRatios, ShopDialogError, TaskMismatch, ValidationError
 from .evalhub import (
     SPLIT_NAMES,
@@ -38,8 +34,11 @@ from .evalhub import (
     write_predictions,
 )
 from .jsonio import write_json
-from .ontology import load_ontology
-from .realizer import load_templates, realize_corpus
+
+# evalhub loads neither dataclasses nor the modules below; each subcommand
+# imports the engine, catalog, ontology and realizer when it runs, so `eval`
+# never loads them.  A function-level `from .engine import read_flows` reads
+# the module's attribute at call time.
 
 
 def _write_manifest(out_path: Path, args: argparse.Namespace, argv: list[str], outputs: list[str]) -> None:
@@ -62,6 +61,11 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, argv: list[str], o
 
 
 def cmd_validate(args, argv) -> int:
+    from .catalog import load_catalog
+    from .engine import load_policy
+    from .ontology import load_ontology
+    from .realizer import load_templates
+
     scenes, metadata = load_catalog(args.scenes, args.metadata)
     ont = load_ontology(args.ontology)
     # Cross-check: every metadata value must sit in the ontology value space,
@@ -84,6 +88,10 @@ def cmd_validate(args, argv) -> int:
 
 
 def cmd_simulate(args, argv) -> int:
+    from .catalog import load_catalog
+    from .engine import generate_corpus, load_policy, write_flows
+    from .ontology import load_ontology
+
     scenes, _ = load_catalog(args.scenes, args.metadata)
     ont = load_ontology(args.ontology)
     cfg = load_policy(args.policy)
@@ -95,6 +103,11 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_realize(args, argv) -> int:
+    from .catalog import load_catalog
+    from .engine import read_flows, write_flows
+    from .ontology import load_ontology
+    from .realizer import load_templates, realize_corpus
+
     scenes, _ = load_catalog(args.scenes, args.metadata)
     ont = load_ontology(args.ontology)
     templates = load_templates(args.templates)
@@ -107,6 +120,10 @@ def cmd_realize(args, argv) -> int:
 
 
 def cmd_gold(args, argv) -> int:
+    from .catalog import load_catalog
+    from .engine import read_flows
+    from .ontology import load_ontology
+
     scenes, _ = load_catalog(args.scenes, args.metadata)
     ont = load_ontology(args.ontology)
     flows = read_flows(args.flows)
@@ -119,6 +136,8 @@ def cmd_gold(args, argv) -> int:
 
 
 def cmd_split(args, argv) -> int:
+    from .engine import read_flows, write_flows
+
     flows = read_flows(args.flows)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
@@ -138,14 +157,18 @@ def cmd_split(args, argv) -> int:
 
 
 def cmd_stats(args, argv) -> int:
+    from .engine import read_flows
+
     flows = read_flows(args.flows)
     report = corpus_stats(flows)
     out = Path(args.out)
     if args.format == "csv":
+        import csv
+
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["section", "round", "act", "value"])
-            for field, value in asdict(report).items():
+            for field, value in report._asdict().items():
                 if field in ("candidate_items_by_round", "act_distribution_by_round"):
                     continue
                 writer.writerow([field, "", "", value])
@@ -155,7 +178,7 @@ def cmd_stats(args, argv) -> int:
                 for act, p in row.items():
                     writer.writerow(["act_distribution", rnd, act, p])
     else:
-        write_json(out, asdict(report))
+        write_json(out, _asdict(report))
     _write_manifest(Path(str(out) + ".manifest.json"), args, argv, [str(out)])
     print(f"stats for {report.n_dialogs} dialogs written to {out}")
     return 0
@@ -165,7 +188,7 @@ def cmd_eval(args, argv) -> int:
     task = args.task.upper()
     if task not in TASKS:
         raise TaskMismatch(f"unknown task {args.task!r}")
-    _, pred_rows = read_predictions(args.pred, task)
+    pred_header, pred_rows = read_predictions(args.pred, task)
     gold_header, gold_rows = read_predictions(args.gold, task)
 
     report: dict = {"task": task, "n_rounds": len(gold_rows), "tool_version": __version__}
@@ -174,19 +197,25 @@ def cmd_eval(args, argv) -> int:
         gold = {k: set(v) for k, v in gold_rows.items()}
         if task == "SPD":
             report["spd_mode"] = gold_header.get("spd_mode", "cumulative")
-        report["micro"] = asdict(eval_set_task(preds, gold, task))
-        report["macro"] = asdict(eval_set_task_macro(preds, gold))
+            pred_mode = pred_header.get("spd_mode", report["spd_mode"])
+            if pred_mode != report["spd_mode"]:
+                print(f"warning: {args.pred}: spd_mode {pred_mode!r} differs from gold "
+                      f"{report['spd_mode']!r}", file=sys.stderr)
+        report["micro"] = _asdict(eval_set_task(preds, gold, task))
+        report["macro"] = _asdict(eval_set_task_macro(preds, gold))
     elif task == "ACT":
-        report.update(asdict(eval_act(pred_rows, gold_rows)))
+        report.update(_asdict(eval_act(pred_rows, gold_rows)))
     elif task == "RESPONSE":
         report["bleu4"] = eval_response(pred_rows, gold_rows)
     elif task == "RECOMMEND":
         gold = {k: extract_item_ids(v) for k, v in gold_rows.items()}
-        report["micro"] = asdict(eval_recommend(pred_rows, gold))
+        report["micro"] = _asdict(eval_recommend(pred_rows, gold))
 
     if args.out:
         out = Path(args.out)
         if args.format == "csv":
+            import csv
+
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["metric", "value"])
@@ -198,6 +227,15 @@ def cmd_eval(args, argv) -> int:
     else:
         print(json.dumps(report, indent=2, ensure_ascii=False))
     return 0
+
+
+def _asdict(obj):
+    """A report's NamedTuples, and dicts of them, as dicts with the fields in order."""
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {key: _asdict(value) for key, value in obj.items()}
+    return obj
 
 
 def _flatten(obj: dict, prefix: str = "") -> dict:

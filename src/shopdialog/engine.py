@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS
 from .catalog import Item, Scene
 from .errors import (
     EmptyScene,
@@ -36,29 +37,6 @@ from .jsonio import read_json_with, read_jsonl, write_jsonl
 from .ontology import Ontology, concepts_for_value
 from .parallel import parallel_map, session_seed
 
-SALESPERSON_ACTS = (
-    "ASK_PREFERENCE",
-    "EXCLUDE_PREFERENCE",
-    "PROMPT_PREFERENCE",
-    "GUESS_ATTRIBUTE_VALUE",
-    "REVISE_ATTRIBUTE_VALUE",
-    "DISPLAY_CANDIDATE_VALUES",
-    "REFER_REGION",
-    "RECOMMEND_ITEM",
-)
-# Each salesperson act is answered by exactly one customer act.
-ACT_PAIRS = {
-    "ASK_PREFERENCE": "ANSWER_PREFERENCE",
-    "EXCLUDE_PREFERENCE": "NEGATE_PREFERENCE",
-    "PROMPT_PREFERENCE": "RESPOND_PROMPT",
-    "GUESS_ATTRIBUTE_VALUE": "RESPOND_ATTRIBUTE_VALUE",
-    "REVISE_ATTRIBUTE_VALUE": "RESPOND_ATTRIBUTE_VALUE",
-    "DISPLAY_CANDIDATE_VALUES": "CHOOSE_ATTRIBUTE_VALUE",
-    "REFER_REGION": "JUDGE_REGION",
-    "RECOMMEND_ITEM": "RESPOND_RECOMMENDATION",
-}
-ELICIT_ACTS = ("ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE")
-
 
 @dataclass(frozen=True)
 class DialogAct:
@@ -70,11 +48,11 @@ class DialogAct:
 class PolicyConfig:
     rounds: tuple[dict[str, float], ...]  # act-probability rows for rounds 1..8
     stationary: dict[str, float]          # row used beyond round 8
-    display_min: int = 3
-    display_max: int = 5
-    recommend_max: int = 5
-    refer_region_min_elicited: int = 1
-    max_rounds: int = 30
+    display_min: int
+    display_max: int
+    recommend_max: int
+    refer_region_min_elicited: int
+    max_rounds: int
 
     def row_for_round(self, rnd: int) -> dict[str, float]:
         if rnd <= len(self.rounds):
@@ -82,43 +60,51 @@ class PolicyConfig:
         return self.stationary
 
 
+# Each integer threshold of a policy file: its default and its least allowed value.
+_THRESHOLDS = {
+    "display_min": (3, 0),
+    "display_max": (5, 0),
+    "recommend_max": (5, 1),
+    "refer_region_min_elicited": (1, 0),
+    "max_rounds": (30, 1),
+}
+
+
 def _validate_row(row: dict[str, float], where: str) -> dict[str, float]:
     if not isinstance(row, dict):
         raise ValidationError(f"{where}: row must be an object")
     if set(row) != set(SALESPERSON_ACTS):
         raise ValidationError(f"{where}: row must cover exactly the salesperson acts")
-    if any(p < 0 for p in row.values()):
-        raise ValidationError(f"{where}: negative probability")
+    for act in SALESPERSON_ACTS:
+        p = row[act]
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValidationError(f"{where}: {act} must be a number")
+        if not 0 <= p <= 1:  # also rejects NaN
+            raise ValidationError(f"{where}: {act} must be a probability in [0, 1], got {p}")
     if abs(sum(row.values()) - 1.0) > 1e-9:
         raise ValidationError(f"{where}: row sums to {sum(row.values())}, not 1")
     return {a: float(row[a]) for a in SALESPERSON_ACTS}
 
 
+def _threshold(raw: dict, name: str) -> int:
+    default, least = _THRESHOLDS[name]
+    value = raw.get(name, default)
+    if type(value) is not int or value < least:  # a bool is no threshold
+        raise ValidationError(f"policy: {name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def policy_from_dict(raw: dict) -> PolicyConfig:
-    allowed = {
-        "rounds", "stationary", "display_min", "display_max", "recommend_max",
-        "refer_region_min_elicited", "max_rounds",
-    }
-    extra = set(raw) - allowed
+    extra = set(raw) - {"rounds", "stationary", *_THRESHOLDS}
     if extra:
         raise ValidationError(f"policy: unknown fields {sorted(extra)}")
     rows = tuple(_validate_row(r, f"policy round {i + 1}") for i, r in enumerate(raw["rounds"]))
     if not rows:
         raise ValidationError("policy: needs at least one round row")
     stationary = _validate_row(raw.get("stationary", raw["rounds"][-1]), "policy stationary")
-    cfg = PolicyConfig(
-        rounds=rows,
-        stationary=stationary,
-        display_min=int(raw.get("display_min", 3)),
-        display_max=int(raw.get("display_max", 5)),
-        recommend_max=int(raw.get("recommend_max", 5)),
-        refer_region_min_elicited=int(raw.get("refer_region_min_elicited", 1)),
-        max_rounds=int(raw.get("max_rounds", 30)),
-    )
+    cfg = PolicyConfig(rows, stationary, **{name: _threshold(raw, name) for name in _THRESHOLDS})
     if cfg.display_min > cfg.display_max:
         raise ValidationError("policy: display_min must be <= display_max")
-    if cfg.max_rounds < 1:
-        raise ValidationError("policy: max_rounds must be >= 1")
     return cfg
 
 

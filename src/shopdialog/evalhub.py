@@ -25,10 +25,9 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import Scene, SceneIndex, items_in_region
-from .engine import DialogFlow, SALESPERSON_ACTS
+from .acts import SALESPERSON_ACTS
 from .errors import (
     BadRatios,
     EmptyCorpus,
@@ -38,7 +37,11 @@ from .errors import (
     ValidationError,
 )
 from .jsonio import read_jsonl, write_jsonl
-from .ontology import Ontology, spd_oracle
+
+if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
+    from .catalog import Scene
+    from .engine import DialogFlow
+    from .ontology import Ontology
 
 TASKS = ("SPD", "RRU", "ACT", "RESPONSE", "RECOMMEND")
 SPD_MODES = ("cumulative", "scene_only")
@@ -48,8 +51,7 @@ Key = tuple[str, int]
 ID_TOKEN = re.compile(r"<@(\d+)>")
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -95,8 +97,7 @@ def eval_set_task_macro(preds: dict[Key, set], gold: dict[Key, set]) -> PRF:
     return PRF(sum(ps) / n, sum(rs) / n, sum(f1s) / n)
 
 
-@dataclass(frozen=True)
-class ActReport:
+class ActReport(NamedTuple):
     micro: PRF
     macro: PRF
     per_class: dict[str, PRF]
@@ -183,8 +184,7 @@ def eval_recommend(preds: dict[Key, object], gold_targets: dict[Key, set[int]]) 
     return PRF.from_counts(tp, fp, fn)
 
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     n_dialogs: int
     n_utterances: int
     avg_utterances_per_dialog: float
@@ -311,6 +311,9 @@ def build_gold(
         raise TaskMismatch(f"unknown task {task!r}")
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
+    from .catalog import SceneIndex, items_in_region
+    from .ontology import spd_oracle
+
     by_id = SceneIndex(scenes)
     header: dict = {"task": task}
     if task == "SPD":

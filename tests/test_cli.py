@@ -2,8 +2,8 @@ import json
 
 import pytest
 
+from shopdialog.acts import SALESPERSON_ACTS
 from shopdialog.cli import main
-from shopdialog.engine import SALESPERSON_ACTS
 from tests.conftest import DATA
 
 
@@ -156,20 +156,94 @@ def test_split_sizes_and_determinism(tmp_path):
         ).read_bytes()
 
 
+STATS_SCALARS = [
+    "n_dialogs", "n_utterances", "avg_utterances_per_dialog", "avg_salesperson_acts_per_dialog",
+    "avg_subjective_preferences_per_dialog", "avg_objects_per_scene",
+]
+
+
 def test_stats_json_and_csv(tmp_path):
     flows = simulate(tmp_path, "flows.jsonl")
     out_json = tmp_path / "stats.json"
     rc = main(["stats", "--flows", str(flows), "--out", str(out_json)])
     assert rc == 0
     report = json.loads(out_json.read_text())
+    assert list(report) == [*STATS_SCALARS, "candidate_items_by_round", "act_distribution_by_round"]
     assert report["n_dialogs"] == 30
     assert len(report["act_distribution_by_round"]) == 8
+    assert all(list(row) == list(SALESPERSON_ACTS) for row in report["act_distribution_by_round"])
     out_csv = tmp_path / "stats.csv"
     rc = main(["stats", "--flows", str(flows), "--out", str(out_csv), "--format", "csv"])
     assert rc == 0
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "section,round,act,value"
+    sections = [line.split(",")[0] for line in lines[1:]]
+    assert list(dict.fromkeys(sections)) == [*STATS_SCALARS, "candidate_items", "act_distribution"]
     assert any(line.startswith("act_distribution,1,ASK_PREFERENCE") for line in lines)
+
+
+# A small gold file per task, with a header, meant to be scored against itself.
+TINY_GOLD = {
+    "spd": ({"task": "SPD", "spd_mode": "cumulative"}, [["red"], ["blue", "red"]]),
+    "rru": ({"task": "RRU"}, [[1, 2], [3]]),
+    "act": ({"task": "ACT"}, ["ASK_PREFERENCE", "REFER_REGION"]),
+    "response": ({"task": "RESPONSE"}, ["which color do you like ?", "here is <@3> ."]),
+    "recommend": ({"task": "RECOMMEND"}, [[3], [7]]),
+}
+PRF_KEYS = ["precision", "recall", "f1", "tp", "fp", "fn"]
+REPORT_KEYS = {
+    "spd": ["task", "n_rounds", "tool_version", "spd_mode", "micro", "macro"],
+    "rru": ["task", "n_rounds", "tool_version", "micro", "macro"],
+    "act": ["task", "n_rounds", "tool_version", "micro", "macro", "per_class"],
+    "response": ["task", "n_rounds", "tool_version", "bleu4"],
+    "recommend": ["task", "n_rounds", "tool_version", "micro"],
+}
+
+
+def write_tiny_gold(path, task, header=None):
+    default_header, payloads = TINY_GOLD[task]
+    header = default_header if header is None else header
+    rows = [{"dialog_id": f"d{i:05d}", "round": 1, "payload": p} for i, p in enumerate(payloads)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *rows]))
+    return path
+
+
+@pytest.mark.parametrize("task", list(REPORT_KEYS))
+def test_eval_report_keys_in_order(tmp_path, task):
+    """The json report's keys, each PRF's fields and the csv metric column keep their order."""
+    gold = write_tiny_gold(tmp_path / "gold.jsonl", task)
+    reports = {}
+    for fmt in ("json", "csv"):
+        reports[fmt] = tmp_path / f"report.{fmt}"
+        assert main(["eval", "--task", task, "--pred", str(gold), "--gold", str(gold),
+                     "--out", str(reports[fmt]), "--format", fmt]) == 0
+    report = json.loads(reports["json"].read_text())
+    assert list(report) == REPORT_KEYS[task]
+    prfs = {k: report[k] for k in ("micro", "macro") if k in report}
+    if task == "act":
+        assert list(report["per_class"]) == ["ASK_PREFERENCE", "REFER_REGION"]
+        prfs.update((f"per_class.{act}", prf) for act, prf in report["per_class"].items())
+    for prf in prfs.values():
+        assert list(prf) == PRF_KEYS
+    scalars = [k for k in REPORT_KEYS[task] if k not in ("micro", "macro", "per_class")]
+    metrics = [line.split(",")[0] for line in reports["csv"].read_text().splitlines()]
+    assert metrics == ["metric", *sorted(scalars + [f"{k}.{f}" for k in prfs for f in PRF_KEYS])]
+
+
+@pytest.mark.parametrize("pred_mode", ["scene_only", "cumulative", None])
+def test_eval_warns_on_spd_mode_mismatch(tmp_path, capsys, pred_mode):
+    """A prediction header whose spd_mode differs from the gold's warns on stderr; the report is unchanged."""
+    gold = write_tiny_gold(tmp_path / "gold.jsonl", "spd")
+    header = {"task": "SPD"} if pred_mode is None else {"task": "SPD", "spd_mode": pred_mode}
+    pred = write_tiny_gold(tmp_path / "pred.jsonl", "spd", header)
+    reports = []
+    for name, pred_file in (("self", gold), ("pred", pred)):
+        reports.append(tmp_path / f"{name}.json")
+        assert main(["eval", "--task", "spd", "--pred", str(pred_file), "--gold", str(gold),
+                     "--out", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    warning = f"warning: {pred}: spd_mode 'scene_only' differs from gold 'cumulative'\n"
+    assert capsys.readouterr().err == (warning if pred_mode == "scene_only" else "")
 
 
 def test_eval_csv_report(tmp_path):
@@ -322,11 +396,32 @@ def test_v1_flows_with_candidate_values_still_read(tmp_path):
 DROP = object()
 
 
+def edited_config(tmp_path, config, keys, value):
+    """A copy of a fixture config file with the value at `keys` replaced (or dropped)."""
+    raw = json.loads((DATA / f"{config}.json").read_text())
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    bad = tmp_path / f"{config}.json"
+    bad.write_text(json.dumps(raw))
+    return bad
+
+
 @pytest.mark.parametrize("config, keys, value", [
     ("policy", ("rounds",), DROP),
     ("policy", ("rounds", 0), list(SALESPERSON_ACTS)),
     ("policy", ("rounds", 0, "ASK_PREFERENCE"), "high"),
     ("policy", ("max_rounds",), "many"),
+    ("policy", ("max_rounds",), 2.5),
+    ("policy", ("display_min",), True),
+    ("policy", ("recommend_max",), -3),
+    ("policy", ("recommend_max",), 0),
+    ("policy", ("rounds", 0, "ASK_PREFERENCE"), True),
+    ("policy", ("stationary", "REFER_REGION"), float("nan")),
     ("ontology", (0, "attribute"), DROP),
     ("ontology", (0, "value_space"), DROP),
     ("ontology", (0, "concepts"), DROP),
@@ -343,7 +438,9 @@ DROP = object()
     ("scenes", (0, "items", 0, "prototype_id"), ["p_fash_020"]),
     ("scenes", (0, "regions", 0, "label"), ["back left rack"]),
 ], ids=["policy-without-rounds", "policy-row-not-an-object", "policy-non-numeric-probability",
-        "policy-non-numeric-field", "block-without-attribute", "block-without-value-space",
+        "policy-non-numeric-field", "policy-fractional-max-rounds", "policy-bool-display-min",
+        "policy-negative-recommend-max", "policy-zero-recommend-max", "policy-bool-probability",
+        "policy-nan-probability", "block-without-attribute", "block-without-value-space",
         "block-without-concepts", "concept-without-id", "concept-without-surface-forms",
         "concept-values-not-a-list", "template-bare-string", "template-stray-brace",
         "scene-non-numeric-bbox", "scene-regions-not-a-list", "scene-item-not-an-object",
@@ -351,16 +448,7 @@ DROP = object()
         "scene-list-valued-region-label"])
 def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     """A config file whose contents do not fit its schema exits 1 with one line naming it."""
-    raw = json.loads((DATA / f"{config}.json").read_text())
-    parent = raw
-    for key in keys[:-1]:
-        parent = parent[key]
-    if value is DROP:
-        del parent[keys[-1]]
-    else:
-        parent[keys[-1]] = value
-    bad = tmp_path / f"{config}.json"
-    bad.write_text(json.dumps(raw))
+    bad = edited_config(tmp_path, config, keys, value)
     names = ("scenes", "metadata", "ontology", "policy", "templates")
     paths = {name: DATA / f"{name}.json" for name in names}
     paths[config] = bad
@@ -370,3 +458,19 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
     assert "unhashable" not in err
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("rounds", 0, "ASK_PREFERENCE"), "high", "policy round 1: ASK_PREFERENCE must be a number"),
+    (("rounds", 1, "REFER_REGION"), True, "policy round 2: REFER_REGION must be a number"),
+    (("stationary", "RECOMMEND_ITEM"), -0.5,
+     "policy stationary: RECOMMEND_ITEM must be a probability in [0, 1], got -0.5"),
+    (("max_rounds",), 2.5, "policy: max_rounds must be an integer >= 1, got 2.5"),
+    (("display_min",), True, "policy: display_min must be an integer >= 0, got True"),
+    (("recommend_max",), -3, "policy: recommend_max must be an integer >= 1, got -3"),
+], ids=["string-probability", "bool-probability", "negative-probability", "fractional-max-rounds",
+        "bool-display-min", "negative-recommend-max"])
+def test_policy_field_errors_name_the_field(tmp_path, capsys, keys, value, message):
+    bad = edited_config(tmp_path, "policy", keys, value)
+    assert main(["validate", *base_flags(), "--policy", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"

@@ -1,4 +1,4 @@
-"""Structure guard: one module owns each concern, importing the CLI loads no process pool,
+"""Structure guard: one module owns each concern, `eval` loads only the scoring modules,
 every name the benchmark's tracer patches exists, and the README lists the flow keys
 the engine writes."""
 
@@ -31,13 +31,27 @@ def test_region_containment_lives_in_catalog():
     assert _modules_containing("contains_center") == {"catalog.py"}
 
 
-def test_cli_import_skips_process_pool():
-    probe = "import sys, shopdialog.cli; print('concurrent.futures.process' in sys.modules)"
+def test_eval_imports_only_scoring_modules(tmp_path):
+    """`eval` on every task loads no simulation module, no dataclasses, csv or process pool."""
+    from tests.test_cli import TINY_GOLD, write_tiny_gold
+
+    argvs = []
+    for task in TINY_GOLD:
+        gold = str(write_tiny_gold(tmp_path / f"gold_{task}.jsonl", task))
+        argvs.append(["eval", "--task", task, "--pred", gold, "--gold", gold,
+                      "--out", str(tmp_path / f"report_{task}.json")])
+    unwanted = ["dataclasses", "csv", "shopdialog.engine", "shopdialog.catalog",
+                "shopdialog.ontology", "shopdialog.realizer", "concurrent.futures.process"]
+    probe = (
+        "import sys\nfrom shopdialog import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        f"print(codes, [m for m in {unwanted!r} if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == f"{[0] * len(argvs)} []"
 
 
 def test_traced_names_exist():
