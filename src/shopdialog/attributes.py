@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownAttribute
 
@@ -11,8 +11,7 @@ FURNITURE = "furniture"
 DOMAINS = (FASHION, FURNITURE)
 
 
-@dataclass(frozen=True)
-class AttributeType:
+class AttributeType(NamedTuple):
     name: str
     domain: str  # "fashion" | "furniture" | "both"
     kind: str    # "categorical" | "numeric"

@@ -16,9 +16,8 @@ references a prototype and inherits its attributes at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
 from .errors import UnknownAttribute, UnknownRegion, ValidationError
@@ -27,8 +26,7 @@ from .jsonio import read_json_with
 Bbox = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     object_id: int
     prototype_id: str
     bbox: Bbox
@@ -40,20 +38,20 @@ class Item:
         return (x + w / 2.0, y + h / 2.0)
 
 
-@dataclass(frozen=True)
-class BackgroundItem:
+class BackgroundItem(NamedTuple):
     label: str  # "absolute position + name", e.g. "back leftmost closet"
     bbox: Bbox
 
 
-@dataclass(frozen=True)
 class Scene:
     """A scene; its index of derived facts is computed once, on first use."""
 
-    scene_id: str
-    domain: str
-    items: tuple[Item, ...]
-    regions: tuple[BackgroundItem, ...]
+    def __init__(self, scene_id: str, domain: str, items: tuple[Item, ...],
+                 regions: tuple[BackgroundItem, ...]):
+        self.scene_id = scene_id
+        self.domain = domain
+        self.items = items
+        self.regions = regions
 
     @cached_property
     def items_by_id(self) -> dict[int, Item]:

@@ -17,28 +17,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .acts import SPLIT_NAMES, TASKS
 from .errors import BadRatios, ShopDialogError, TaskMismatch, ValidationError
-from .evalhub import (
-    SPLIT_NAMES,
-    TASKS,
-    build_gold,
-    corpus_stats,
-    eval_act,
-    eval_recommend,
-    eval_response,
-    eval_set_task,
-    eval_set_task_macro,
-    extract_item_ids,
-    read_predictions,
-    split_corpus,
-    write_predictions,
-)
 from .jsonio import write_json
 
-# evalhub loads neither dataclasses nor the modules below; each subcommand
-# imports the engine, catalog, ontology and realizer when it runs, so `eval`
-# never loads them.  A function-level `from .engine import read_flows` reads
-# the module's attribute at call time.
+# Each subcommand imports the modules it runs when it runs: `eval` loads only
+# evalhub, `split` and `stats` the engine's flow reader and evalhub, and
+# `validate`, `simulate` and `realize` no evalhub.  A function-level
+# `from .engine import read_flows` reads the module's attribute at call time.
 
 
 def _write_manifest(out_path: Path, args: argparse.Namespace, argv: list[str], outputs: list[str]) -> None:
@@ -122,6 +108,7 @@ def cmd_realize(args, argv) -> int:
 def cmd_gold(args, argv) -> int:
     from .catalog import load_catalog
     from .engine import read_flows
+    from .evalhub import build_gold, write_predictions
     from .ontology import load_ontology
 
     scenes, _ = load_catalog(args.scenes, args.metadata)
@@ -137,6 +124,7 @@ def cmd_gold(args, argv) -> int:
 
 def cmd_split(args, argv) -> int:
     from .engine import read_flows, write_flows
+    from .evalhub import split_corpus
 
     flows = read_flows(args.flows)
     try:
@@ -158,6 +146,7 @@ def cmd_split(args, argv) -> int:
 
 def cmd_stats(args, argv) -> int:
     from .engine import read_flows
+    from .evalhub import corpus_stats
 
     flows = read_flows(args.flows)
     report = corpus_stats(flows)
@@ -185,6 +174,9 @@ def cmd_stats(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
+    from .evalhub import (eval_act, eval_recommend, eval_response, eval_set_task,
+                          eval_set_task_macro, extract_item_ids, read_predictions)
+
     task = args.task.upper()
     if task not in TASKS:
         raise TaskMismatch(f"unknown task {args.task!r}")

@@ -21,11 +21,9 @@ Candidate values are not stored: replaying the act pairs through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS
-from .catalog import Item, Scene
 from .errors import (
     EmptyScene,
     InconsistentState,
@@ -34,18 +32,19 @@ from .errors import (
     ValidationError,
 )
 from .jsonio import read_json_with, read_jsonl, write_jsonl
-from .ontology import Ontology, concepts_for_value
 from .parallel import parallel_map, session_seed
 
+if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
+    from .catalog import Item, Scene
+    from .ontology import Ontology
 
-@dataclass(frozen=True)
-class DialogAct:
+
+class DialogAct(NamedTuple):
     name: str
     slots: dict
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(NamedTuple):
     rounds: tuple[dict[str, float], ...]  # act-probability rows for rounds 1..8
     stationary: dict[str, float]          # row used beyond round 8
     display_min: int
@@ -112,8 +111,7 @@ def load_policy(path) -> PolicyConfig:
     return read_json_with(path, policy_from_dict)
 
 
-@dataclass(frozen=True)
-class SessionState:
+class SessionState(NamedTuple):
     """One round's candidates; a round builds a new state and shares what it did not narrow.
 
     `candidate_values` starts as the scene's own `value_universe` and is never
@@ -272,6 +270,8 @@ def customer_step(
     """Truthful response: never contradicts the hidden target's attributes."""
     name, slots = s_act.name, s_act.slots
     if name == "ASK_PREFERENCE":
+        from .ontology import concepts_for_value
+
         attr = slots["attribute"]
         options = sorted(concepts_for_value(ont, attr, goal.attributes[attr]))
         return DialogAct(
@@ -372,8 +372,7 @@ def apply_turn(
     )
 
 
-@dataclass
-class Turn:
+class Turn(NamedTuple):
     round: int
     speaker: str  # "salesperson" | "customer"
     act: str
@@ -382,8 +381,7 @@ class Turn:
     utterance: str | None = None
 
 
-@dataclass
-class DialogFlow:
+class DialogFlow(NamedTuple):
     dialog_id: str
     scene_id: str
     target_object_id: int

@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .acts import SALESPERSON_ACTS
+from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
 from .errors import (
     BadRatios,
     EmptyCorpus,
@@ -43,9 +43,7 @@ if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
     from .engine import DialogFlow
     from .ontology import Ontology
 
-TASKS = ("SPD", "RRU", "ACT", "RESPONSE", "RECOMMEND")
 SPD_MODES = ("cumulative", "scene_only")
-SPLIT_NAMES = ("train", "dev", "dev_test", "test_std")
 
 Key = tuple[str, int]
 ID_TOKEN = re.compile(r"<@(\d+)>")

@@ -17,7 +17,7 @@ simulated customer could be left without a truthful answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .attributes import get_attribute, numeric_payload
 from .catalog import Scene, scene_value_universe
@@ -37,8 +37,7 @@ def normalize_phrase(phrase: str) -> str:
     return " ".join(phrase.casefold().split())
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     concept_id: str
     attr: str
     values: frozenset[str]
@@ -46,17 +45,13 @@ class Concept:
     provenance: str = "expert"
 
 
-@dataclass
 class Ontology:
-    concepts: tuple[Concept, ...]
-    value_spaces: dict[str, frozenset[str]]
-    _by_id: dict[str, Concept] = field(init=False, repr=False, compare=False)
-    _by_attr: dict[str, tuple[Concept, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._by_id = {c.concept_id: c for c in self.concepts}
+    def __init__(self, concepts: tuple[Concept, ...], value_spaces: dict[str, frozenset[str]]):
+        self.concepts = concepts
+        self.value_spaces = value_spaces
+        self._by_id = {c.concept_id: c for c in concepts}
         by_attr: dict[str, list[Concept]] = {}
-        for c in self.concepts:
+        for c in concepts:
             by_attr.setdefault(c.attr, []).append(c)
         self._by_attr = {a: tuple(cs) for a, cs in by_attr.items()}
 

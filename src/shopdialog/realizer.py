@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .catalog import Scene, SceneIndex
 from .engine import DialogFlow, Turn
@@ -52,8 +52,7 @@ _ALLOWED_PLACEHOLDERS = {
 REQUIRED_KEYS = tuple(_ALLOWED_PLACEHOLDERS)
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class TemplateSet(NamedTuple):
     by_key: dict[str, tuple[str, ...]]
 
     def templates(self, key: str) -> tuple[str, ...]:
@@ -154,9 +153,9 @@ def realize_dialog(
     """Fill every turn's utterance; acts, slots and candidate items untouched."""
     rng = random.Random(seed)
     turns = [
-        replace(t, utterance=realize_turn(t, templates, ont, scene, rng)) for t in flow.turns
+        t._replace(utterance=realize_turn(t, templates, ont, scene, rng)) for t in flow.turns
     ]
-    return replace(flow, turns=turns)
+    return flow._replace(turns=turns)
 
 
 def _realize_one(shared: tuple, item: tuple[int, DialogFlow]) -> DialogFlow:

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -80,8 +79,8 @@ def test_single_candidate_allows_recommend(policy):
 
 
 def test_display_window(policy):
-    state = replace(new_session(make_scene(["red", "blue", "white", "red"])),
-                    elicited_attrs=frozenset({"material"}))
+    state = new_session(make_scene(["red", "blue", "white", "red"]))._replace(
+        elicited_attrs=frozenset({"material"}))
     # color candidates {red, blue, white}: 3 values, inside the 3..5 window
     assert len(state.candidate_values["color"]) == 3
     assert "DISPLAY_CANDIDATE_VALUES" in eligible_acts(state, policy)
@@ -117,8 +116,8 @@ def all_acts_eligible_state(ontology, policy):
 
     region = BackgroundItem("back left rack", (0.0, 0.0, 70.0, 50.0))  # covers items 0..2
     scene = Scene(scene.scene_id, scene.domain, scene.items, (region,))
-    state = replace(new_session(scene), elicited_attrs=frozenset({"color"}),
-                    last_guess=("color", "violet"))
+    state = new_session(scene)._replace(elicited_attrs=frozenset({"color"}),
+                                        last_guess=("color", "violet"))
     assert eligible_acts(state, policy) == set(SALESPERSON_ACTS)
     return state
 
@@ -130,7 +129,7 @@ def test_sampling_matches_hand_set_row(ontology, policy):
         "GUESS_ATTRIBUTE_VALUE": 0.15, "REVISE_ATTRIBUTE_VALUE": 0.05,
         "DISPLAY_CANDIDATE_VALUES": 0.10, "REFER_REGION": 0.10, "RECOMMEND_ITEM": 0.20,
     }
-    cfg = replace(policy, rounds=(row,), stationary=row)
+    cfg = policy._replace(rounds=(row,), stationary=row)
     rng = random.Random(777)
     counts = Counter(salesperson_step(state, cfg, rng, ontology).name for _ in range(10_000))
     for act, p in row.items():
@@ -243,8 +242,8 @@ def test_apply_turn_narrows_per_act(ontology, case):
 
     region = BackgroundItem("front rack", (0.0, 0.0, 40.0, 50.0))
     scene = make_scene(["red", "blue", "yellow", "black"], regions=[region])
-    state = replace(new_session(scene), elicited_attrs=frozenset({"size"}),
-                    last_guess=("size", "M"))
+    state = new_session(scene)._replace(elicited_attrs=frozenset({"size"}),
+                                        last_guess=("size", "M"))
     if s_name == "REFER_REGION":
         s_slots = c_slots = {"region_label": "front rack", **c_slots}
     elif s_name == "RECOMMEND_ITEM":

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -380,7 +379,7 @@ def test_build_gold_rru_definitional(ontology, scenes):
 
 def test_build_gold_recommend_is_target(ontology, scenes):
     flow = two_turn_flow()
-    flow = replace(flow, scene_id=scenes[0].scene_id, target_object_id=7)
+    flow = flow._replace(scene_id=scenes[0].scene_id, target_object_id=7)
     _, rows = build_gold([flow], ontology, scenes, "RECOMMEND")
     assert rows[("d0", 1)] == [7]
 

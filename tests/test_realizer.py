@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -86,7 +85,7 @@ def templates_from_dict_ok():
     from tests.conftest import DATA
 
     ts = load_templates(DATA / "templates.json")
-    return replace(ts, by_key=dict(ts.by_key))
+    return ts._replace(by_key=dict(ts.by_key))
 
 
 def test_template_validation_rejects_unknown_placeholder():
