@@ -219,7 +219,7 @@ def items_in_region(scene: Scene, region_label: str) -> set[int]:
     """Object ids whose bbox center lies inside the labeled region's bbox."""
     try:
         return set(scene.region_items[region_label])
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label read from a flow
         raise UnknownRegion(f"scene {scene.scene_id}: no region labeled {region_label!r}") from None
 
 

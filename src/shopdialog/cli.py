@@ -241,11 +241,15 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 0) -> int:
     n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text}")
     return n
+
+
+def _jobs(text: str) -> int:
+    return _count(text, least=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="policy config JSON")
     p.add_argument("--n", type=_count, required=True, help="number of dialogs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_simulate)
 
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", required=True, help="template JSON file")
     p.add_argument("--flows", required=True, help="input flow JSONL")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_realize)
 

@@ -463,22 +463,47 @@ def flow_to_dict(flow: DialogFlow) -> dict:
     }
 
 
+# The JSON type of each flow and turn field; a bool is no integer, and `utterance` may be absent.
+_FIELD_TYPES = {
+    "dialog_id": (str, "a string"), "scene_id": (str, "a string"),
+    "target_object_id": (int, "an integer"), "outcome": (str, "a string"),
+    "round": (int, "an integer"), "speaker": (str, "a string"), "act": (str, "a string"),
+    "slots": (dict, "an object"), "candidate_items": (list, "a list"),
+    "utterance": (str, "a string"),
+}
+
+
+def _field_type_error(record: DialogFlow | Turn, where: str) -> TypeError:
+    """Name the first ill-typed field of a record that failed its type test.
+
+    A None utterance passes that test, and `utterance` comes last, so the first mismatch is
+    the bad field.
+    """
+    field = next(f for f in record._fields
+                 if f != "turns" and type(getattr(record, f)) is not _FIELD_TYPES[f][0])
+    kind = _FIELD_TYPES[field][1]
+    return TypeError(f"{where}{field} must be {kind}, got {getattr(record, field)!r}")
+
+
 def flow_from_dict(raw: dict) -> DialogFlow:
-    """Other keys, such as the `candidate_values` of older files, are ignored."""
-    turns = [
-        Turn(
-            round=t["round"],
-            speaker=t["speaker"],
-            act=t["act"],
-            slots=t["slots"],
-            candidate_items=t["candidate_items"],
-            utterance=t.get("utterance"),
-        )
-        for t in raw["turns"]
-    ]
-    return DialogFlow(
+    """Other keys, such as the `candidate_values` of older files, are ignored; a field of
+    the wrong type raises TypeError naming it."""
+    turns = []
+    for t in raw["turns"]:
+        turn = Turn(t["round"], t["speaker"], t["act"], t["slots"], t["candidate_items"],
+                    t.get("utterance"))
+        if not (type(turn.round) is int and type(turn.speaker) is str and type(turn.act) is str
+                and type(turn.slots) is dict and type(turn.candidate_items) is list
+                and (turn.utterance is None or type(turn.utterance) is str)):
+            raise _field_type_error(turn, f"turn {len(turns) + 1}: ")
+        turns.append(turn)
+    flow = DialogFlow(
         raw["dialog_id"], raw["scene_id"], raw["target_object_id"], raw["outcome"], turns
     )
+    if not (type(flow.dialog_id) is str and type(flow.scene_id) is str
+            and type(flow.target_object_id) is int and type(flow.outcome) is str):
+        raise _field_type_error(flow, "")
+    return flow
 
 
 def write_flows(flows: Iterable[DialogFlow], path) -> int:

@@ -258,8 +258,8 @@ def split_corpus(
     """
     if len(ratios) != len(SPLIT_NAMES):
         raise BadRatios(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios must be non-negative and sum to 1, got {ratios}")
+    if not all(0 <= r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:  # NaN fails 0 <= r
+        raise BadRatios(f"ratios must be finite, non-negative and sum to 1, got {ratios}")
     n = len(flows)
     sizes = [int(n * r) for r in ratios]
     # Largest fractional remainders absorb the rounding gap (< 4 dialogs).

@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from .errors import MalformedFile, ValidationError
 
 T = TypeVar("T")
+# One encoder for every JSON Lines record: json.dumps(..., ensure_ascii=False) builds one per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def read_json(path) -> object:
@@ -73,6 +75,6 @@ def write_jsonl(path, records: Iterable[dict]) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_encode_line(record) + "\n")
             count += 1
     return count

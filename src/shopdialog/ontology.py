@@ -58,7 +58,7 @@ class Ontology:
     def concept(self, concept_id: str) -> Concept:
         try:
             return self._by_id[concept_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id read from a flow
             raise UnknownConcept(f"unknown concept {concept_id!r}") from None
 
     def concepts_of(self, attr: str) -> tuple[Concept, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterator, Sequence
 
 
@@ -16,8 +17,9 @@ def _map_chunk(args) -> list:
 
 
 def parallel_map(fn: Callable, shared, items: Sequence, jobs: int = 1) -> Iterator:
-    """Yield fn(shared, item) per item in order: lazily in-process at jobs <= 1,
-    else one contiguous chunk per worker process (fn must be module-level)."""
+    """Yield fn(shared, item) per item in order: lazily in-process at jobs <= 1, else one
+    contiguous chunk per worker process, at most one worker per CPU (fn must be module-level)."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) <= 1:
         for item in items:
             yield fn(shared, item)

@@ -104,7 +104,7 @@ def _values_list(values: list[str]) -> str:
 
 def item_description(scene: Scene, object_id: int) -> str:
     """Color + type, anchored to the first region covering the item's center."""
-    item = scene.items_by_id.get(object_id)
+    item = scene.items_by_id.get(object_id) if type(object_id) is int else None
     if item is None:
         raise ValidationError(f"unknown object_id {object_id!r}: not in scene {scene.scene_id!r}")
     attrs = item.attributes
@@ -113,6 +113,16 @@ def item_description(scene: Scene, object_id: int) -> str:
         if object_id in ids:
             return f"{base} on the {label}"
     return base
+
+
+def _text(turn: Turn, key: str) -> str:
+    """A slot that is rendered as text, checked to be a string."""
+    value = turn.slots[key]
+    if type(value) is not str:
+        raise ValidationError(
+            f"round {turn.round} {turn.act}: slot {key!r} must be a string, got {value!r}"
+        )
+    return value
 
 
 def _template_key(turn: Turn) -> str:
@@ -131,16 +141,19 @@ def realize_turn(
     slots = turn.slots
     fills: dict[str, str] = {}
     if "attribute" in slots:
-        fills["attr"] = _attr_display(slots["attribute"])
+        fills["attr"] = _attr_display(_text(turn, "attribute"))
     if "concept_id" in slots:
-        forms = ont.concept(slots["concept_id"]).surface_forms
+        forms = ont.concept(_text(turn, "concept_id")).surface_forms
         fills["preference_phrase"] = forms[rng.randrange(len(forms))]
     if "value" in slots:
-        fills["value"] = slots["value"]
+        fills["value"] = _text(turn, "value")
     if "values" in slots:
+        where = f"round {turn.round} {turn.act}: slot 'values'"
+        if not string_list(slots["values"], where):
+            raise ValidationError(f"{where} must not be empty")
         fills["values_list"] = _values_list(slots["values"])
     if "region_label" in slots:
-        fills["region_label"] = slots["region_label"]
+        fills["region_label"] = _text(turn, "region_label")
     if "object_id" in slots:
         fills["object_id"] = str(slots["object_id"])
         fills["item_description"] = item_description(scene, slots["object_id"])

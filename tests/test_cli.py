@@ -43,6 +43,19 @@ def test_usage_error_exits_two(tmp_path):
     assert not (tmp_path / "flows.jsonl").exists()
 
 
+@pytest.mark.parametrize("stage", ["simulate", "realize"])
+@pytest.mark.parametrize("jobs", ["0", "-4", "1.5", "two"])
+def test_jobs_must_be_a_positive_integer(tmp_path, stage, jobs):
+    if stage == "simulate":
+        extra = ["--policy", str(DATA / "policy.json"), "--n", "5"]
+    else:
+        extra = ["--templates", str(DATA / "templates.json"), "--flows", str(tmp_path / "in.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main([stage, *base_flags(), *extra, "--jobs", jobs, "--out", str(tmp_path / "out.jsonl")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -276,6 +289,19 @@ def test_non_numeric_ratios_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("ratios", ["nan,0,0,1", "inf,0,0,1", "-inf,inf,0,1", "nan,nan,nan,nan"])
+def test_non_finite_ratios_exit_one(tmp_path, capsys, ratios):
+    flows = simulate(tmp_path, "flows.jsonl", n=5)
+    capsys.readouterr()
+    rc = main(["split", "--flows", str(flows), f"--ratios={ratios}",  # "=" keeps "-inf" a value
+               "--out-dir", str(tmp_path / "splits")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ratios must be finite, non-negative and sum to 1")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "splits").exists()
+
+
 @pytest.mark.parametrize("stage, jobs", [("gold", 1), ("realize", 1), ("realize", 2)])
 def test_unknown_scene_id_exits_one(tmp_path, capsys, stage, jobs):
     flows = simulate(tmp_path, "flows.jsonl", n=2)
@@ -304,6 +330,15 @@ EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_objec
                          "outcome": "success", "turns": []})
 
 
+def flow_line(flow_fields: dict | None = None, **turn_fields) -> str:
+    """A one-turn realized flow line, with the given flow and turn fields replaced."""
+    turn = {"round": 1, "speaker": "salesperson", "act": "ASK_PREFERENCE",
+            "slots": {"attribute": "color"}, "candidate_items": [1, 2],
+            "utterance": "Any color in mind?", **turn_fields}
+    return json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
+                       "outcome": "max_rounds", "turns": [turn], **(flow_fields or {})})
+
+
 @pytest.mark.parametrize("task, text, line", [
     ("act", '{"task": "ACT"}\n{"dialog_id": "d00000", "payload": "ASK_PREFERENCE"}\n', 2),
     ("act", '{"dialog_id": "d00000", "round": "one", "payload": "ASK_PREFERENCE"}\n', 1),
@@ -315,9 +350,24 @@ EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_objec
     ("rru", '{"task": "RRU"}\n' + row([3, "a"]) + "\n", 2),
     ("rru", row([3.5]) + "\n", 1),
     ("recommend", row(5) + "\n", 1),
+    (None, flow_line(candidate_items=5) + "\n", 1),
+    (None, flow_line() + "\n" + flow_line(round="1") + "\n", 2),
+    (None, flow_line(round=1.5) + "\n", 1),
+    (None, flow_line(round=True) + "\n", 1),
+    (None, flow_line(slots=5) + "\n", 1),
+    (None, flow_line(act=["x"]) + "\n", 1),
+    (None, flow_line(speaker=None) + "\n", 1),
+    (None, flow_line(utterance=5) + "\n", 1),
+    (None, flow_line({"scene_id": ["f01"]}) + "\n", 1),
+    (None, flow_line({"dialog_id": 0}) + "\n", 1),
+    (None, flow_line({"target_object_id": "1"}) + "\n", 1),
 ], ids=["row-without-round", "non-integer-round", "row-without-payload",
         "array-header", "array-flow", "flow-without-turns", "spd-payload-not-a-list",
-        "rru-string-id", "rru-float-id", "recommend-payload-not-a-list"])
+        "rru-string-id", "rru-float-id", "recommend-payload-not-a-list",
+        "turn-candidate-items-not-a-list", "turn-string-round", "turn-fractional-round",
+        "turn-bool-round", "turn-slots-not-an-object", "turn-list-act", "turn-null-speaker",
+        "turn-non-string-utterance", "list-scene-id", "integer-dialog-id",
+        "string-target-object-id"])
 def test_malformed_jsonl_exits_one(tmp_path, capsys, task, text, line):
     """A malformed line, or a well-formed one with bad contents, exits 1 naming its line."""
     bad = tmp_path / "bad.jsonl"
@@ -331,6 +381,58 @@ def test_malformed_jsonl_exits_one(tmp_path, capsys, task, text, line):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage", ["realize", "stats"])
+def test_wrong_typed_turn_field_is_named_in_every_reader(tmp_path, capsys, stage):
+    bad = tmp_path / "flows.jsonl"
+    bad.write_text(flow_line(act=["x"]) + "\n")
+    extra = [*base_flags(), "--templates", str(DATA / "templates.json")] if stage == "realize" else []
+    assert main([stage, *extra, "--flows", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: bad dialog record (turn 1: act must be a string, got ['x'])\n")
+
+
+def flows_with_bad_slot(tmp_path, slot, bad=None):
+    """A simulated flow file whose first turn with `slot` holds `bad` there instead,
+    or by default a list of the slot's own value."""
+    flows = simulate(tmp_path, "flows.jsonl", n=40)
+    records = [json.loads(line) for line in flows.read_text().splitlines()]
+    turn = next(t for r in records for t in r["turns"] if slot in t["slots"])
+    turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return flows
+
+
+@pytest.mark.parametrize("slot, bad", [
+    ("attribute", None), ("concept_id", None), ("value", None), ("region_label", None),
+    ("object_id", None), ("values", [1, 2, 3]), ("values", []),
+])
+def test_realize_rejects_wrong_typed_slot(tmp_path, capsys, slot, bad):
+    """A slot rendered as text must be a string, and `values` a non-empty list of them."""
+    flows = flows_with_bad_slot(tmp_path, slot, bad)
+    capsys.readouterr()
+    rc = main(["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+               "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and slot in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task, slot, message", [
+    ("spd", "concept_id", "error: unknown concept ['"),
+    ("rru", "region_label", "error: scene f0"),
+])
+def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
+    flows = flows_with_bad_slot(tmp_path, slot)
+    capsys.readouterr()
+    rc = main(["gold", *base_flags(), "--task", task, "--flows", str(flows),
+               "--out", str(tmp_path / "gold.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
     assert err.count("\n") == 1
 
 

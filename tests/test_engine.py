@@ -469,6 +469,41 @@ def test_generate_corpus_parallel_equals_serial(scenes, ontology, policy):
     assert serial == parallel
 
 
+def _offset(shared, item):
+    return shared + item
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (5000, 3, [3]), (2, 3, [2]), (5000, None, []), (4, 8, [4]), (1, 8, []),
+])
+def test_parallel_map_caps_workers_at_cpu_count(monkeypatch, jobs, cpus, workers):
+    """The pool never starts more workers than CPUs; a stand-in pool records the count."""
+    import concurrent.futures
+    import os
+
+    from shopdialog.parallel import parallel_map
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert list(parallel_map(_offset, 100, list(range(50)), jobs)) == list(range(100, 150))
+    assert started == workers
+
+
 def test_elicit_acts_are_the_three_preference_acts():
     assert set(ELICIT_ACTS) == {"ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE"}
 

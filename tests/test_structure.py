@@ -1,6 +1,6 @@
-"""Structure guard: one module owns each concern, `eval` loads only the scoring modules,
-every name the benchmark's tracer patches exists, and the README lists the flow keys
-the engine writes."""
+"""Structure guard: one module owns each concern, each subcommand loads only the modules it
+runs and none loads `dataclasses`, every name the benchmark's tracer patches exists, and the
+README lists the flow keys the engine writes."""
 
 import ast
 import importlib
@@ -52,6 +52,60 @@ def test_eval_imports_only_scoring_modules(tmp_path):
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == f"{[0] * len(argvs)} []"
+
+
+def test_no_module_uses_dataclasses():
+    """Records are NamedTuples or plain classes: importing `dataclasses` costs every process."""
+    assert _modules_containing("dataclass") == set()
+
+
+def _fresh_run(argv: list[str], watched: list[str]) -> str:
+    """`cli.main(argv)` in a new interpreter: its exit code and which watched modules it loaded."""
+    probe = (
+        "import sys\nfrom shopdialog import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        f"print(rc, [m for m in {watched!r} if m in sys.modules])"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout.strip().splitlines()[-1]
+
+
+def test_flow_stages_import_only_what_they_run(tmp_path):
+    """No stage loads dataclasses; split and stats load no catalog, ontology, attributes or
+    realizer; validate, simulate and realize load no evalhub."""
+    from shopdialog.acts import TASKS
+    from shopdialog.cli import main
+    from tests.conftest import DATA
+    from tests.test_cli import base_flags
+
+    flows, realized = tmp_path / "flows.jsonl", tmp_path / "realized.jsonl"
+    simulate = ["simulate", *base_flags(), "--policy", str(DATA / "policy.json"), "--n", "20",
+                "--seed", "3", "--out", str(flows)]
+    realize = ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+               "--flows", str(flows), "--out", str(realized)]
+    assert main(simulate) == 0 and main(realize) == 0
+    stages = {
+        "validate": ["validate", *base_flags(), "--policy", str(DATA / "policy.json"),
+                     "--templates", str(DATA / "templates.json")],
+        "simulate": simulate[:-1] + [str(tmp_path / "flows2.jsonl")],
+        "realize": realize[:-1] + [str(tmp_path / "realized2.jsonl")],
+        **{f"gold {task}": ["gold", *base_flags(), "--task", task, "--flows", str(realized),
+                            "--out", str(tmp_path / f"gold_{task}.jsonl")]
+           for task in (t.lower() for t in TASKS)},
+        "split": ["split", "--flows", str(realized), "--out-dir", str(tmp_path / "splits")],
+        "stats": ["stats", "--flows", str(realized), "--out", str(tmp_path / "stats.json")],
+    }
+    flow_only = ["shopdialog.catalog", "shopdialog.ontology", "shopdialog.attributes",
+                 "shopdialog.realizer"]
+    for name, argv in stages.items():
+        watched = ["dataclasses"]
+        if name in ("split", "stats"):
+            watched += flow_only
+        elif not name.startswith("gold"):
+            watched.append("shopdialog.evalhub")
+        assert _fresh_run(argv, watched) == "0 []", name
 
 
 def test_traced_names_exist():
