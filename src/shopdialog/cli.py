@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .acts import SPLIT_NAMES, TASKS
-from .errors import BadRatios, ShopDialogError, TaskMismatch, ValidationError
+from .errors import BadRatios, DialogError, ShopDialogError, TaskMismatch, ValidationError
 from .jsonio import write_json
 
 # Each subcommand imports the modules it runs when it runs: `eval` loads only
@@ -328,7 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args, argv)
     except ShopDialogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{args.flows}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

@@ -381,6 +381,14 @@ class Turn(NamedTuple):
     utterance: str | None = None
 
 
+def text_slot(turn: Turn, key: str) -> str:
+    """A slot that is read as text, checked to be a string (a missing slot is None)."""
+    value = turn.slots.get(key)
+    if type(value) is not str:
+        raise ValidationError(f"slot {key!r} must be a string, got {value!r}")
+    return value
+
+
 class DialogFlow(NamedTuple):
     dialog_id: str
     scene_id: str

@@ -13,6 +13,15 @@ class ValidationError(ShopDialogError):
     """Input parsed but violates a schema or model invariant."""
 
 
+class DialogError(ValidationError):
+    """A turn of a flow file breaks a rule; the message names the dialog, round and act,
+    and the CLI puts the flow file's path in front."""
+
+    @classmethod
+    def at(cls, flow, turn, problem) -> "DialogError":
+        return cls(f"dialog {flow.dialog_id} round {turn.round} {turn.act}: {problem}")
+
+
 class UnknownRegion(ShopDialogError):
     """Region label not present in the scene."""
 

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
 from .errors import (
     BadRatios,
+    DialogError,
     EmptyCorpus,
     MalformedFile,
     TaskMismatch,
@@ -132,6 +133,11 @@ def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
     return ActReport(micro, macro, per_class)
 
 
+def _ngrams(t: list[str]) -> Counter:
+    """All 1- to 4-grams of a sentence, counted at once; a gram's tuple length is its order."""
+    return Counter(itertools.chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:])))
+
+
 def eval_response(preds: dict[Key, str], refs: dict[Key, str]) -> float:
     """Corpus-level unsmoothed BLEU-4 over aligned hypothesis/reference pairs.
 
@@ -139,7 +145,7 @@ def eval_response(preds: dict[Key, str], refs: dict[Key, str]) -> float:
     """
     if not refs:
         raise EmptyCorpus("no reference utterances to score against")
-    pairs = Counter((preds.get(key, ""), ref) for key, ref in refs.items())
+    pairs = Counter(zip(map(preds.get, refs, itertools.repeat("")), refs.values()))
     clipped = [0] * 4
     totals = [0] * 4
     hyp_len = ref_len = 0
@@ -148,15 +154,17 @@ def eval_response(preds: dict[Key, str], refs: dict[Key, str]) -> float:
         ref_tokens = ref.split()
         hyp_len += count * len(hyp_tokens)
         ref_len += count * len(ref_tokens)
-        for n in range(1, 5):
-            grams = count * max(len(hyp_tokens) - n + 1, 0)
-            totals[n - 1] += grams
+        for n in range(4):
+            grams = count * max(len(hyp_tokens) - n, 0)
+            totals[n] += grams
             if hyp == ref:  # every hypothesis n-gram is matched in full
-                clipped[n - 1] += grams
-                continue
-            hyp_grams = Counter(zip(*(hyp_tokens[i:] for i in range(n))))
-            ref_grams = Counter(zip(*(ref_tokens[i:] for i in range(n))))
-            clipped[n - 1] += count * (hyp_grams & ref_grams).total()
+                clipped[n] += grams
+        if hyp != ref:
+            ref_grams = _ngrams(ref_tokens)
+            for gram, hyp_count in _ngrams(hyp_tokens).items():  # clipped by the reference's count
+                ref_count = ref_grams.get(gram)
+                if ref_count:
+                    clipped[len(gram) - 1] += count * min(hyp_count, ref_count)
     if any(t == 0 for t in totals) or any(c == 0 for c in clipped):
         return 0.0
     log_precision = sum(0.25 * math.log(c / t) for c, t in zip(clipped, totals))
@@ -276,19 +284,27 @@ def split_corpus(
     return out
 
 
+_CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
+
+
 def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
-    """(round, attribute, polarity, concept_id) from the customer's preference turns."""
+    """(round, attribute, polarity, concept_id) from the customer's preference turns;
+    an `attribute` or `concept_id` that is not a string raises DialogError."""
+    from .engine import text_slot
+
     clauses = []
     for turn in flow.turns:
-        if turn.speaker != "customer":
+        if turn.speaker != "customer" or turn.act not in _CLAUSE_ACTS:
             continue
-        if turn.act == "ANSWER_PREFERENCE":
-            clauses.append((turn.round, turn.slots["attribute"], "like", turn.slots["concept_id"]))
-        elif turn.act == "NEGATE_PREFERENCE":
-            clauses.append((turn.round, turn.slots["attribute"], "dislike", turn.slots["concept_id"]))
-        elif turn.act == "RESPOND_PROMPT":
+        try:
+            attr, concept_id = text_slot(turn, "attribute"), text_slot(turn, "concept_id")
+        except ValidationError as exc:
+            raise DialogError.at(flow, turn, exc) from None
+        if turn.act == "RESPOND_PROMPT":
             polarity = "like" if turn.slots["accept"] else "dislike"
-            clauses.append((turn.round, turn.slots["attribute"], polarity, turn.slots["concept_id"]))
+        else:
+            polarity = "like" if turn.act == "ANSWER_PREFERENCE" else "dislike"
+        clauses.append((turn.round, attr, polarity, concept_id))
     return clauses
 
 
@@ -357,7 +373,7 @@ def write_predictions(path, header: dict, rows: dict[Key, object]) -> None:
 
 
 def _is_list_of(payload, kind: type) -> bool:
-    return isinstance(payload, list) and all(type(v) is kind for v in payload)
+    return isinstance(payload, list) and {kind}.issuperset(map(type, payload))  # exact: no bool for int
 
 
 # Per task: the payload type check, and its name for error messages.

@@ -2,6 +2,7 @@
 
 Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
+Each JSON Lines line is decoded on its own, with JSON whitespace allowed around it.
 A config file whose contents do not fit its schema raises ValidationError
 naming the path.
 """
@@ -14,8 +15,10 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from .errors import MalformedFile, ValidationError
 
 T = TypeVar("T")
-# One encoder for every JSON Lines record: json.dumps(..., ensure_ascii=False) builds one per call.
+# One encoder and one decoder for every JSON Lines record: json.dumps(..., ensure_ascii=False)
+# builds an encoder per call, and json.loads adds a Python-level wrapper per call.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
+_decode_line = json.JSONDecoder().raw_decode
 
 
 def read_json(path) -> object:
@@ -57,12 +60,18 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
-                if not line.strip():
+                text = line.strip(" \t\n\r")  # the whitespace json.loads skips
+                if not text or text.isspace():  # blank by str.strip()'s wider rule
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
+                    record, end = _decode_line(text)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(text):
+                    try:  # fails as a whole-line parse does, with its exact message
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
                 if not isinstance(record, dict):
                     raise MalformedFile(f"{path}:{line_no}: not a JSON object")
                 yield line_no, record

@@ -20,8 +20,8 @@ import string
 from typing import NamedTuple
 
 from .catalog import Scene, SceneIndex
-from .engine import DialogFlow, Turn
-from .errors import MissingTemplate, ValidationError
+from .engine import DialogFlow, Turn, text_slot
+from .errors import DialogError, MissingTemplate, ShopDialogError, ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
 from .parallel import parallel_map, session_seed
@@ -115,16 +115,6 @@ def item_description(scene: Scene, object_id: int) -> str:
     return base
 
 
-def _text(turn: Turn, key: str) -> str:
-    """A slot that is rendered as text, checked to be a string."""
-    value = turn.slots[key]
-    if type(value) is not str:
-        raise ValidationError(
-            f"round {turn.round} {turn.act}: slot {key!r} must be a string, got {value!r}"
-        )
-    return value
-
-
 def _template_key(turn: Turn) -> str:
     if "accept" in turn.slots:
         return f"{turn.act}.{'accept' if turn.slots['accept'] else 'reject'}"
@@ -141,19 +131,18 @@ def realize_turn(
     slots = turn.slots
     fills: dict[str, str] = {}
     if "attribute" in slots:
-        fills["attr"] = _attr_display(_text(turn, "attribute"))
+        fills["attr"] = _attr_display(text_slot(turn, "attribute"))
     if "concept_id" in slots:
-        forms = ont.concept(_text(turn, "concept_id")).surface_forms
+        forms = ont.concept(text_slot(turn, "concept_id")).surface_forms
         fills["preference_phrase"] = forms[rng.randrange(len(forms))]
     if "value" in slots:
-        fills["value"] = _text(turn, "value")
+        fills["value"] = text_slot(turn, "value")
     if "values" in slots:
-        where = f"round {turn.round} {turn.act}: slot 'values'"
-        if not string_list(slots["values"], where):
-            raise ValidationError(f"{where} must not be empty")
+        if not string_list(slots["values"], "slot 'values'"):
+            raise ValidationError("slot 'values' must not be empty")
         fills["values_list"] = _values_list(slots["values"])
     if "region_label" in slots:
-        fills["region_label"] = _text(turn, "region_label")
+        fills["region_label"] = text_slot(turn, "region_label")
     if "object_id" in slots:
         fills["object_id"] = str(slots["object_id"])
         fills["item_description"] = item_description(scene, slots["object_id"])
@@ -163,11 +152,15 @@ def realize_turn(
 def realize_dialog(
     flow: DialogFlow, templates: TemplateSet, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
-    """Fill every turn's utterance; acts, slots and candidate items untouched."""
+    """Fill every turn's utterance; acts, slots and candidate items untouched.
+    A turn that cannot be rendered raises DialogError naming it."""
     rng = random.Random(seed)
-    turns = [
-        t._replace(utterance=realize_turn(t, templates, ont, scene, rng)) for t in flow.turns
-    ]
+    turns = []
+    for t in flow.turns:
+        try:
+            turns.append(t._replace(utterance=realize_turn(t, templates, ont, scene, rng)))
+        except ShopDialogError as exc:
+            raise DialogError.at(flow, t, exc) from None
     return flow._replace(turns=turns)
 
 

@@ -394,15 +394,17 @@ def test_wrong_typed_turn_field_is_named_in_every_reader(tmp_path, capsys, stage
         f"error: {bad}:1: bad dialog record (turn 1: act must be a string, got ['x'])\n")
 
 
-def flows_with_bad_slot(tmp_path, slot, bad=None):
-    """A simulated flow file whose first turn with `slot` holds `bad` there instead,
-    or by default a list of the slot's own value."""
+def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None):
+    """A simulated flow file whose first turn with `slot` (by `speaker`, if given) holds `bad`
+    there instead, or by default a list of the slot's own value; returns the file and
+    "dialog <id> round <r> <act>", the turn's place in error messages."""
     flows = simulate(tmp_path, "flows.jsonl", n=40)
     records = [json.loads(line) for line in flows.read_text().splitlines()]
-    turn = next(t for r in records for t in r["turns"] if slot in t["slots"])
+    record, turn = next((r, t) for r in records for t in r["turns"]
+                        if slot in t["slots"] and speaker in (None, t["speaker"]))
     turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    return flows
+    return flows, f"dialog {record['dialog_id']} round {turn['round']} {turn['act']}"
 
 
 @pytest.mark.parametrize("slot, bad", [
@@ -410,23 +412,42 @@ def flows_with_bad_slot(tmp_path, slot, bad=None):
     ("object_id", None), ("values", [1, 2, 3]), ("values", []),
 ])
 def test_realize_rejects_wrong_typed_slot(tmp_path, capsys, slot, bad):
-    """A slot rendered as text must be a string, and `values` a non-empty list of them."""
-    flows = flows_with_bad_slot(tmp_path, slot, bad)
+    """A slot rendered as text must be a string, and `values` a non-empty list of them;
+    the one error line names the flow file, dialog, round and act."""
+    flows, where = flows_with_bad_slot(tmp_path, slot, bad)
     capsys.readouterr()
     rc = main(["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
                "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and slot in err
+    assert err.startswith(f"error: {flows}: {where}: ") and slot in err
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_realize_slot_error_is_located_at_any_jobs(tmp_path, capsys, jobs):
+    flows, where = flows_with_bad_slot(tmp_path, "attribute")
+    capsys.readouterr()
+    rc = main(["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+               "--jobs", str(jobs), "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {flows}: {where}: slot 'attribute' must be a string, got ['")
+
+
 @pytest.mark.parametrize("task, slot, message", [
-    ("spd", "concept_id", "error: unknown concept ['"),
+    pytest.param("spd", "attribute", "{where}: slot 'attribute' must be a string, got ['",
+                 id="spd-attribute"),
+    pytest.param("spd", "concept_id", "{where}: slot 'concept_id' must be a string, got ['",
+                 id="spd-concept_id"),
     ("rru", "region_label", "error: scene f0"),
 ])
 def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
-    flows = flows_with_bad_slot(tmp_path, slot)
+    """A preference clause's `attribute` or `concept_id` must be a string; the error names
+    the flow file, dialog, round and act."""
+    flows, where = flows_with_bad_slot(tmp_path, slot, speaker="customer" if task == "spd" else None)
+    if "{where}" in message:
+        message = f"error: {flows}: " + message.format(where=where)
     capsys.readouterr()
     rc = main(["gold", *base_flags(), "--task", task, "--flows", str(flows),
                "--out", str(tmp_path / "gold.jsonl")])
@@ -434,6 +455,7 @@ def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert err.count("\n") == 1
+    assert not (tmp_path / "gold.jsonl").exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -448,7 +470,8 @@ def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
                "--jobs", str(jobs), "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown object_id 999")
+    assert err.startswith(f"error: {flows}: dialog {records[1]['dialog_id']} "
+                          f"round {recommend['round']} RECOMMEND_ITEM: unknown object_id 999")
     assert err.count("\n") == 1
 
 

@@ -9,6 +9,7 @@ from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, Turn, generate_corpu
 from shopdialog.errors import (
     BadRatios,
     EmptyCorpus,
+    MalformedFile,
     TaskMismatch,
     UnknownActName,
 )
@@ -391,3 +392,19 @@ def test_prediction_file_round_trip(tmp_path):
     header, loaded = read_predictions(path)
     assert header["task"] == "SPD"
     assert loaded == rows
+
+
+@pytest.mark.parametrize("task, payload, fits", [
+    ("RRU", [1, 2], True), ("RRU", [], True), ("RRU", [1, True], False), ("RRU", [1.0], False),
+    ("SPD", ["a", "b"], True), ("SPD", ["a", 1], False), ("SPD", "ab", False), ("SPD", [["a"]], False),
+    ("RECOMMEND", [3], True), ("RECOMMEND", "<@3>", True), ("RECOMMEND", [True], False),
+])
+def test_list_payload_types_are_exact(tmp_path, task, payload, fits):
+    """A list payload's elements must have exactly the task's type: `true` is not an id."""
+    path = tmp_path / "pred.jsonl"
+    write_predictions(path, {"task": task}, {("d0", 1): payload})
+    if fits:
+        assert read_predictions(path, task)[1] == {("d0", 1): payload}
+    else:
+        with pytest.raises(MalformedFile, match=f"pred.jsonl:2: a {task} payload must be"):
+            read_predictions(path, task)
