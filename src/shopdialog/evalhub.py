@@ -300,11 +300,8 @@ def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
             attr, concept_id = text_slot(turn, "attribute"), text_slot(turn, "concept_id")
         except ValidationError as exc:
             raise DialogError.at(flow, turn, exc) from None
-        if turn.act == "RESPOND_PROMPT":
-            polarity = "like" if turn.slots["accept"] else "dislike"
-        else:
-            polarity = "like" if turn.act == "ANSWER_PREFERENCE" else "dislike"
-        clauses.append((turn.round, attr, polarity, concept_id))
+        like = turn.slots["accept"] if turn.act == "RESPOND_PROMPT" else turn.act == "ANSWER_PREFERENCE"
+        clauses.append((turn.round, attr, "like" if like else "dislike", concept_id))
     return clauses
 
 
