@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -84,6 +85,21 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
         serial = simulate(tmp_path, f"serial_{n}.jsonl", n=n, jobs=1)
         parallel = simulate(tmp_path, f"parallel_{n}.jsonl", n=n, jobs=jobs)
         assert serial.read_bytes() == parallel.read_bytes(), (n, jobs)
+
+
+# sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
+# reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
+PINNED_FLOWS_SHA256 = {
+    3: "6f162221af64b960133c46f62a5bd8fdc3427ee0cafac05ae343ac32de6ba6cb",
+    11: "95c04507d52478ad487a8aaadad9e4850913aa7da5b6c75f3e4cda14d9ab7a44",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed", sorted(PINNED_FLOWS_SHA256))
+def test_simulate_bytes_are_pinned(tmp_path, seed, jobs):
+    out = simulate(tmp_path, "flows.jsonl", n=200, seed=seed, jobs=jobs)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FLOWS_SHA256[seed]
 
 
 def test_simulate_writes_manifest(tmp_path):
