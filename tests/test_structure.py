@@ -1,6 +1,6 @@
 """Structure guard: one module owns each concern, each subcommand loads only the modules it
-runs and none loads `dataclasses`, every name the benchmark's tracer patches exists, and the
-README lists the flow keys the engine writes."""
+runs and none loads `dataclasses`, every name the benchmark's tracer patches is a top-level
+function of its module, and the README lists the flow keys the engine writes."""
 
 import ast
 import importlib
@@ -108,13 +108,17 @@ def test_flow_stages_import_only_what_they_run(tmp_path):
         assert _fresh_run(argv, watched) == "0 []", name
 
 
-def test_traced_names_exist():
+def _traced_targets() -> dict[str, tuple[str, ...]]:
+    """`TARGETS` of perfbench/tracing.py, read from its source without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
-    targets = next(
+    return next(
         ast.literal_eval(node.value) for node in tree.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
     )
-    for module, names in targets.items():
+
+
+def test_traced_names_exist():
+    for module, names in _traced_targets().items():
         mod = importlib.import_module(f"shopdialog.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
@@ -124,6 +128,21 @@ def test_traced_names_exist():
 
     assert list(inspect.signature(build_gold).parameters)[3] == "task"
     assert list(inspect.signature(generate_corpus).parameters)[5] == "jobs"
+
+
+def test_traced_names_are_module_level_functions():
+    """The tracer wraps each name where its module defines it; a traced function that is
+    inlined, nested or rebound to another object would escape `--trace 1`."""
+    for module, names in _traced_targets().items():
+        path = SRC / f"{module}.py"
+        defined = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.FunctionDef)}
+        mod = importlib.import_module(f"shopdialog.{module}")
+        for name in names:
+            fn = getattr(mod, name, None)
+            assert name in defined, f"{module}.{name} is not a top-level def"
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"
+            assert fn.__qualname__ == name, f"{module}.{name} is {fn.__qualname__}"
 
 
 def test_flow_turn_keys_match_readme():
