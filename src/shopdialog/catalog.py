@@ -66,12 +66,20 @@ class Scene:
         }
 
     @cached_property
+    def value_items(self) -> dict[str, dict[str, frozenset[int]]]:
+        """Declared attribute -> value -> ids of the items holding it, in registry order."""
+        table = {}
+        for attr in attribute_names_for_domain(self.domain):
+            by_value: dict[str, set[int]] = {}
+            for it in self.items:
+                by_value.setdefault(attribute_of(it, attr), set()).add(it.object_id)
+            table[attr] = {v: frozenset(ids) for v, ids in by_value.items()}
+        return table
+
+    @cached_property
     def value_universe(self) -> dict[str, frozenset[str]]:
         """Declared attribute -> its distinct values over the items, in registry order."""
-        return {
-            attr: frozenset(attribute_of(it, attr) for it in self.items)
-            for attr in attribute_names_for_domain(self.domain)
-        }
+        return {attr: frozenset(by_value) for attr, by_value in self.value_items.items()}
 
 
 class SceneIndex(dict):

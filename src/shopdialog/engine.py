@@ -21,6 +21,7 @@ Candidate values are not stored: replaying the act pairs through
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS
@@ -116,7 +117,9 @@ class SessionState(NamedTuple):
 
     `candidate_values` starts as the scene's own `value_universe` and is never
     mutated: narrowing an attribute builds a new dict in the same (registry)
-    key order, which `_most_ambiguous_attr`'s tie-break needs.
+    key order, which `_most_ambiguous_attr`'s tie-break needs.  Every candidate
+    item holds a candidate value of every attribute, so `apply_turn` drops the
+    items holding a rejected value and keeps the others.
     """
 
     scene: Scene
@@ -129,15 +132,8 @@ class SessionState(NamedTuple):
 
 
 def new_session(scene: Scene) -> SessionState:
-    return SessionState(
-        scene=scene,
-        round=1,
-        candidate_values=scene.value_universe,
-        candidate_items=frozenset(scene.items_by_id),
-        elicited_attrs=frozenset(),
-        last_guess=None,
-        outcome=None,
-    )
+    return SessionState(scene, 1, scene.value_universe, frozenset(scene.items_by_id), frozenset(),
+                        None, None)
 
 
 def generate_goal(scene: Scene, rng: random.Random) -> Item:
@@ -149,25 +145,20 @@ def generate_goal(scene: Scene, rng: random.Random) -> Item:
 
 def _informative_regions(state: SessionState) -> list[str]:
     """Regions that properly split the current candidate item set."""
-    labels = []
-    n = len(state.candidate_items)
-    for label, ids in state.scene.region_items.items():
-        if 0 < len(state.candidate_items & ids) < n:
-            labels.append(label)
-    return labels
+    items = state.candidate_items
+    return [label for label, ids in state.scene.region_items.items()
+            if not (items.isdisjoint(ids) or items <= ids)]
 
 
 def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
     """Guard-based act availability; never empty (RECOMMEND_ITEM is forced last)."""
-    counts = {a: len(vs) for a, vs in state.candidate_values.items()}
-    multi = [a for a, c in counts.items() if c >= 2]
-    elig: set[str] = set()
-    if multi:
-        elig.update(ELICIT_ACTS)
+    counts = set(map(len, state.candidate_values.values()))
+    multi = max(counts) >= 2
+    elig = set(ELICIT_ACTS) if multi else set()
     if state.elicited_attrs:
         if multi:
             elig.add("GUESS_ATTRIBUTE_VALUE")
-        if any(cfg.display_min <= counts[a] <= cfg.display_max for a in counts):
+        if not counts.isdisjoint(range(cfg.display_min, cfg.display_max + 1)):
             elig.add("DISPLAY_CANDIDATE_VALUES")
         if len(state.elicited_attrs) >= cfg.refer_region_min_elicited and _informative_regions(state):
             elig.add("REFER_REGION")
@@ -175,33 +166,15 @@ def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
         elig.add("REVISE_ATTRIBUTE_VALUE")
     if len(state.candidate_items) <= cfg.recommend_max:
         elig.add("RECOMMEND_ITEM")
-    if not elig:
-        elig = {"RECOMMEND_ITEM"}
-    return elig
+    return elig or {"RECOMMEND_ITEM"}
 
 
 def _most_ambiguous_attr(state: SessionState) -> str:
     """Attribute with the largest candidate-value count; registry order breaks ties."""
-    best, best_count = None, 1
-    for attr, vals in state.candidate_values.items():
-        if len(vals) > best_count:
-            best, best_count = attr, len(vals)
-    assert best is not None, "no ambiguous attribute left"
-    return best
-
-
-def _weighted_choice(rng: random.Random, options: list[str], row: dict[str, float]) -> str:
-    weights = [row.get(o, 0.0) for o in options]
-    total = sum(weights)
-    if total <= 0:
-        return options[rng.randrange(len(options))]
-    target = rng.random() * total
-    acc = 0.0
-    for option, weight in zip(options, weights):
-        acc += weight
-        if target < acc:
-            return option
-    return options[-1]
+    counts = list(map(len, state.candidate_values.values()))
+    best = max(counts)
+    assert best > 1, "no ambiguous attribute left"
+    return list(state.candidate_values)[counts.index(best)]
 
 
 def salesperson_step(
@@ -215,11 +188,20 @@ def salesperson_step(
 
     `banned` removes acts the customer just declined to answer (see run_dialog).
     """
-    elig = eligible_acts(state, cfg) - banned
+    elig = eligible_acts(state, cfg)
+    elig -= banned
     if not elig:
         elig = {"RECOMMEND_ITEM"}
-    order = [a for a in SALESPERSON_ACTS if a in elig]
-    name = _weighted_choice(rng, order, cfg.row_for_round(state.round))
+    order = list(filter(elig.__contains__, SALESPERSON_ACTS))
+    weights = list(map(cfg.row_for_round(state.round).__getitem__, order))  # rows cover every act
+    total = sum(weights)
+    if total <= 0:
+        name = order[rng.randrange(len(order))]
+    else:  # the first act whose running weight passes the draw, else the last
+        draw = rng.random() * total
+        for name, running in zip(order, accumulate(weights)):
+            if draw < running:
+                break
     return DialogAct(name, _choose_slots(name, state, cfg, rng, ont))
 
 
@@ -231,7 +213,7 @@ def _choose_slots(
     if name == "PROMPT_PREFERENCE":
         attr = _most_ambiguous_attr(state)
         cands = state.candidate_values[attr]
-        concepts = sorted(ont.concepts_of(attr), key=lambda c: c.concept_id)
+        concepts = ont.concepts_of(attr)
         informative = [c for c in concepts if 0 < len(c.values & cands) < len(cands)]
         pool = informative or [c for c in concepts if c.values & cands] or concepts
         return {"attribute": attr, "concept_id": pool[rng.randrange(len(pool))].concept_id}
@@ -285,10 +267,7 @@ def customer_step(
         attrs = [asked] + [a for a in state.candidate_values if a != asked]
         for attr in attrs:
             target_value = goal.attributes[attr]
-            honest = [
-                c for c in sorted(ont.concepts_of(attr), key=lambda c: c.concept_id)
-                if target_value not in c.values
-            ]
+            honest = [c for c in ont.concepts_of(attr) if target_value not in c.values]
             informative = [c for c in honest if c.values & state.candidate_values[attr]]
             pool = informative or honest
             if pool:
@@ -344,12 +323,13 @@ def apply_turn(
             offered = ont.concept(slots["concept_id"]).values
         else:
             offered = {slots["value"]}
-        kept = values[attr] & offered if accept else values[attr] - offered
+        named = values[attr] & offered
+        kept = named if accept else values[attr] - named
         if not kept:
             raise InconsistentState(f"candidate values of {attr} emptied")
         values = {**values, attr: kept}
-        by_id = state.scene.items_by_id
-        items = frozenset(i for i in items if by_id[i].attributes[attr] in kept)
+        holders = frozenset().union(*map(state.scene.value_items[attr].__getitem__, named))
+        items = items & holders if accept else items - holders
     elif "region_label" in slots:
         region = state.scene.region_items[slots["region_label"]]
         items = items & region if accept else items - region
@@ -362,13 +342,9 @@ def apply_turn(
         elicited = elicited | {attr}
     rejected_guess = name == "RESPOND_ATTRIBUTE_VALUE" and not accept
     return SessionState(
-        scene=state.scene,
-        round=state.round + 1,
-        candidate_values=values,
-        candidate_items=items,
-        elicited_attrs=elicited,
-        last_guess=(attr, slots["value"]) if rejected_guess else None,
-        outcome="success" if name == "RESPOND_RECOMMENDATION" and accept else state.outcome,
+        state.scene, state.round + 1, values, items, elicited,
+        (attr, slots["value"]) if rejected_guess else None,
+        "success" if name == "RESPOND_RECOMMENDATION" and accept else state.outcome,
     )
 
 
@@ -409,7 +385,7 @@ def run_dialog(
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
         while True:
-            s_act = salesperson_step(state, cfg, rng, ont, banned=banned)
+            s_act = salesperson_step(state, cfg, rng, ont, banned)
             try:
                 c_act = customer_step(state, goal, s_act, ont, rng)
                 break
@@ -418,7 +394,8 @@ def run_dialog(
         rnd = state.round
         turns.append(Turn(rnd, "salesperson", s_act.name, s_act.slots, items))
         state = apply_turn(state, s_act, c_act, ont)
-        items = sorted(state.candidate_items)
+        if len(state.candidate_items) < len(items):  # a round only narrows the items
+            items = sorted(state.candidate_items)
         turns.append(Turn(rnd, "customer", c_act.name, c_act.slots, items))
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)

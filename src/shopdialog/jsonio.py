@@ -16,8 +16,9 @@ from .errors import MalformedFile, ValidationError
 
 T = TypeVar("T")
 # One encoder and one decoder for every JSON Lines record: json.dumps(..., ensure_ascii=False)
-# builds an encoder per call, and json.loads adds a Python-level wrapper per call.
-_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+# builds an encoder per call, and json.loads adds a Python-level wrapper per call.  A record
+# is a tree, so the encoder skips the reference-cycle check.
+_encode_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 _decode_line = json.JSONDecoder().raw_decode
 
 

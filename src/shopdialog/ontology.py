@@ -51,9 +51,12 @@ class Ontology:
         self.value_spaces = value_spaces
         self._by_id = {c.concept_id: c for c in concepts}
         by_attr: dict[str, list[Concept]] = {}
-        for c in concepts:
+        for c in sorted(concepts, key=lambda c: c.concept_id):
             by_attr.setdefault(c.attr, []).append(c)
         self._by_attr = {a: tuple(cs) for a, cs in by_attr.items()}
+        # (attr, value) -> ids of the concepts holding the value, for each value of a value space
+        self._owners = {(a, v): frozenset(c.concept_id for c in by_attr.get(a, ()) if v in c.values)
+                        for a, space in value_spaces.items() for v in space}
 
     def concept(self, concept_id: str) -> Concept:
         try:
@@ -62,6 +65,7 @@ class Ontology:
             raise UnknownConcept(f"unknown concept {concept_id!r}") from None
 
     def concepts_of(self, attr: str) -> tuple[Concept, ...]:
+        """The attribute's concepts, sorted by concept_id."""
         return self._by_attr.get(attr, ())
 
 
@@ -155,10 +159,10 @@ def load_ontology(path) -> Ontology:
 
 def concepts_for_value(ont: Ontology, attr: str, value: str) -> set[str]:
     """All concepts of attr containing value; non-empty by totality."""
-    space = ont.value_spaces.get(attr)
-    if space is None or value not in space:
-        raise UnknownValue(f"{value!r} is not in the {attr} value space")
-    return {c.concept_id for c in ont.concepts_of(attr) if value in c.values}
+    try:
+        return set(ont._owners[attr, value])
+    except KeyError:
+        raise UnknownValue(f"{value!r} is not in the {attr} value space") from None
 
 
 def spd_oracle(
