@@ -357,9 +357,17 @@ class Turn(NamedTuple):
     utterance: str | None = None
 
 
+def slot(turn: Turn, key: str):
+    """A slot the turn's act carries; a missing one raises ValidationError."""
+    try:
+        return turn.slots[key]
+    except KeyError:
+        raise ValidationError(f"missing slot {key!r}") from None
+
+
 def text_slot(turn: Turn, key: str) -> str:
-    """A slot that is read as text, checked to be a string (a missing slot is None)."""
-    value = turn.slots.get(key)
+    """A slot that is read as text, checked to be a string."""
+    value = slot(turn, key)
     if type(value) is not str:
         raise ValidationError(f"slot {key!r} must be a string, got {value!r}")
     return value

@@ -33,6 +33,7 @@ from .errors import (
     DialogError,
     EmptyCorpus,
     MalformedFile,
+    ShopDialogError,
     TaskMismatch,
     UnknownActName,
     ValidationError,
@@ -41,7 +42,7 @@ from .jsonio import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
     from .catalog import Scene
-    from .engine import DialogFlow
+    from .engine import DialogFlow, Turn
     from .ontology import Ontology
 
 SPD_MODES = ("cumulative", "scene_only")
@@ -287,10 +288,10 @@ def split_corpus(
 _CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
 
 
-def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
-    """(round, attribute, polarity, concept_id) from the customer's preference turns;
-    an `attribute` or `concept_id` that is not a string raises DialogError."""
-    from .engine import text_slot
+def _preference_clauses(flow: DialogFlow) -> list[tuple[Turn, str, str, str]]:
+    """(turn, attribute, polarity, concept_id) from the customer's preference turns; a
+    missing slot, or an `attribute` or `concept_id` that is not a string, raises DialogError."""
+    from .engine import slot, text_slot
 
     clauses = []
     for turn in flow.turns:
@@ -298,10 +299,11 @@ def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
             continue
         try:
             attr, concept_id = text_slot(turn, "attribute"), text_slot(turn, "concept_id")
+            like = (slot(turn, "accept") if turn.act == "RESPOND_PROMPT"
+                    else turn.act == "ANSWER_PREFERENCE")
         except ValidationError as exc:
             raise DialogError.at(flow, turn, exc) from None
-        like = turn.slots["accept"] if turn.act == "RESPOND_PROMPT" else turn.act == "ANSWER_PREFERENCE"
-        clauses.append((turn.round, attr, "like" if like else "dislike", concept_id))
+        clauses.append((turn, attr, "like" if like else "dislike", concept_id))
     return clauses
 
 
@@ -323,6 +325,7 @@ def build_gold(
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
     from .catalog import SceneIndex, items_in_region
+    from .engine import slot
     from .ontology import spd_oracle
 
     by_id = SceneIndex(scenes)
@@ -334,17 +337,24 @@ def build_gold(
         if task == "SPD":
             scene = by_id[flow.scene_id]
             clauses = _preference_clauses(flow)
-            for rnd, attr, _, _ in clauses:
+            for turn, attr, _, _ in clauses:
+                rnd = turn.round
                 keep = [
-                    (pol, cid) for r, a, pol, cid in clauses
-                    if a == attr and (r == rnd if spd_mode == "scene_only" else r <= rnd)
+                    (pol, cid) for t, a, pol, cid in clauses
+                    if a == attr and (t.round == rnd or spd_mode == "cumulative" and t.round < rnd)
                 ]
-                rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
+                try:  # a bad clause first fails in its own round, in either mode
+                    rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
+                except ShopDialogError as exc:
+                    raise DialogError.at(flow, turn, exc) from None
         elif task == "RRU":
             scene = by_id[flow.scene_id]
             for turn in flow.turns:
                 if turn.speaker == "salesperson" and turn.act == "REFER_REGION":
-                    ids = items_in_region(scene, turn.slots["region_label"])
+                    try:
+                        ids = items_in_region(scene, slot(turn, "region_label"))
+                    except ShopDialogError as exc:
+                        raise DialogError.at(flow, turn, exc) from None
                     rows[(flow.dialog_id, turn.round)] = sorted(ids)
         elif task == "ACT":
             for turn in flow.turns:

@@ -50,6 +50,10 @@ _ALLOWED_PLACEHOLDERS = {
     "RESPOND_RECOMMENDATION.reject": set(),
 }
 REQUIRED_KEYS = tuple(_ALLOWED_PLACEHOLDERS)
+# The slot each placeholder is filled from.
+_SLOT_OF = {"attr": "attribute", "preference_phrase": "concept_id", "value": "value",
+            "values_list": "values", "region_label": "region_label", "object_id": "object_id",
+            "item_description": "object_id"}
 
 
 class TemplateSet(NamedTuple):
@@ -146,7 +150,10 @@ def realize_turn(
     if "object_id" in slots:
         fills["object_id"] = str(slots["object_id"])
         fills["item_description"] = item_description(scene, slots["object_id"])
-    return template.format(**fills)
+    try:
+        return template.format(**fills)
+    except KeyError as exc:  # the template needs a slot the turn lacks
+        raise ValidationError(f"missing slot {_SLOT_OF[exc.args[0]]!r}") from None
 
 
 def realize_dialog(

@@ -410,15 +410,23 @@ def test_wrong_typed_turn_field_is_named_in_every_reader(tmp_path, capsys, stage
         f"error: {bad}:1: bad dialog record (turn 1: act must be a string, got ['x'])\n")
 
 
-def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None):
-    """A simulated flow file whose first turn with `slot` (by `speaker`, if given) holds `bad`
-    there instead, or by default a list of the slot's own value; returns the file and
-    "dialog <id> round <r> <act>", the turn's place in error messages."""
+MISSING = object()
+
+
+def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
+    """A simulated flow file whose first turn with `slot` (by `speaker` and of `act`, if given)
+    holds `bad` there instead, or by default a list of the slot's own value, or lacks the slot
+    if `bad` is MISSING; returns the file and "dialog <id> round <r> <act>", the turn's place
+    in error messages."""
     flows = simulate(tmp_path, "flows.jsonl", n=40)
     records = [json.loads(line) for line in flows.read_text().splitlines()]
     record, turn = next((r, t) for r in records for t in r["turns"]
-                        if slot in t["slots"] and speaker in (None, t["speaker"]))
-    turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
+                        if slot in t["slots"] and speaker in (None, t["speaker"])
+                        and act in (None, t["act"]))
+    if bad is MISSING:
+        del turn["slots"][slot]
+    else:
+        turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
     return flows, f"dialog {record['dialog_id']} round {turn['round']} {turn['act']}"
 
@@ -456,14 +464,13 @@ def test_realize_slot_error_is_located_at_any_jobs(tmp_path, capsys, jobs):
                  id="spd-attribute"),
     pytest.param("spd", "concept_id", "{where}: slot 'concept_id' must be a string, got ['",
                  id="spd-concept_id"),
-    ("rru", "region_label", "error: scene f0"),
+    pytest.param("rru", "region_label", "{where}: scene f0", id="rru-region_label"),
 ])
 def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
-    """A preference clause's `attribute` or `concept_id` must be a string; the error names
-    the flow file, dialog, round and act."""
+    """A preference clause's `attribute` or `concept_id` must be a string, and a region label
+    one of the scene's; the error names the flow file, dialog, round and act."""
     flows, where = flows_with_bad_slot(tmp_path, slot, speaker="customer" if task == "spd" else None)
-    if "{where}" in message:
-        message = f"error: {flows}: " + message.format(where=where)
+    message = f"error: {flows}: " + message.format(where=where)
     capsys.readouterr()
     rc = main(["gold", *base_flags(), "--task", task, "--flows", str(flows),
                "--out", str(tmp_path / "gold.jsonl")])
@@ -472,6 +479,45 @@ def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
     assert err.startswith(message)
     assert err.count("\n") == 1
     assert not (tmp_path / "gold.jsonl").exists()
+
+
+def stage_argv(stage, flows, out):
+    """`realize`, or `gold --task <task>` for a stage named "gold <task>", on a flow file."""
+    if stage == "realize":
+        return ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+                "--flows", str(flows), "--out", str(out)]
+    return ["gold", *base_flags(), "--task", stage.split()[1], "--flows", str(flows),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("stage, act, slot", [
+    pytest.param("gold spd", "RESPOND_PROMPT", "accept", id="spd-accept"),
+    pytest.param("gold rru", "REFER_REGION", "region_label", id="rru-region_label"),
+    pytest.param("realize", "ASK_PREFERENCE", "attribute", id="realize-attribute"),
+])
+def test_missing_slot_exits_one(tmp_path, capsys, stage, act, slot):
+    """A turn that lacks a slot its act needs ends in one located error line, no traceback."""
+    flows, where = flows_with_bad_slot(tmp_path, slot, MISSING, act=act)
+    capsys.readouterr()
+    assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 1
+    assert capsys.readouterr().err == f"error: {flows}: {where}: missing slot '{slot}'\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("task, act, slot, problem", [
+    pytest.param("spd", "ANSWER_PREFERENCE", "concept_id", "unknown concept 'nope'",
+                 id="spd-concept_id"),
+    pytest.param("rru", "REFER_REGION", "region_label", "no region labeled 'nope'",
+                 id="rru-region_label"),
+])
+def test_gold_unknown_name_is_located(tmp_path, capsys, task, act, slot, problem):
+    """An unknown concept or region label names the flow file, dialog, round and act."""
+    flows, where = flows_with_bad_slot(tmp_path, slot, "nope", act=act)
+    capsys.readouterr()
+    assert main(stage_argv(f"gold {task}", flows, tmp_path / "gold.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flows}: {where}: ") and err.endswith(f"{problem}\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
