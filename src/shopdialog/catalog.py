@@ -70,9 +70,9 @@ class Scene:
         """Declared attribute -> value -> ids of the items holding it, in registry order."""
         table = {}
         for attr in attribute_names_for_domain(self.domain):
-            by_value: dict[str, set[int]] = {}
+            by_value: dict[str, list[int]] = {}
             for it in self.items:
-                by_value.setdefault(attribute_of(it, attr), set()).add(it.object_id)
+                by_value.setdefault(attribute_of(it, attr), []).append(it.object_id)
             table[attr] = {v: frozenset(ids) for v, ids in by_value.items()}
         return table
 
