@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -661,3 +662,50 @@ def test_policy_field_errors_name_the_field(tmp_path, capsys, keys, value, messa
     bad = edited_config(tmp_path, "policy", keys, value)
     assert main(["validate", *base_flags(), "--policy", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+# argv -> exit code, stdout and stderr of every help, version and usage-error run, as
+# written by the parser that built every subparser in full; argparse wraps at $COLUMNS.
+USAGE_PINS = json.loads((Path(__file__).with_name("cli_usage.json")).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", USAGE_PINS, ids=lambda pin: " ".join(pin["argv"]) or "no-arguments")
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pin):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exc:
+        main(pin["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+TURN_KEYS = ["round", "speaker", "act", "slots", "candidate_items"]
+
+
+def scrambled(src: Path, dst: Path) -> Path:
+    """A copy of a flow file with each turn's keys reversed and an unknown key added."""
+    records = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record["turns"] = [{"note": "extra", **dict(reversed(t.items()))} for t in record["turns"]]
+    dst.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return dst
+
+
+def test_writers_put_turn_keys_in_canonical_order(tmp_path):
+    """Turn keys in another order, or an unknown one, come out of realize and split in the
+    wire order, with the unknown key dropped."""
+    flows = simulate(tmp_path, "flows.jsonl", n=20)
+    realize = ["realize", *base_flags(), "--templates", str(DATA / "templates.json")]
+    written = {}
+    for tag, edit in (("plain", lambda src, dst: src), ("scrambled", scrambled)):
+        raw = edit(flows, tmp_path / f"{tag}_raw.jsonl")
+        realized = tmp_path / f"{tag}_realized.jsonl"
+        assert main([*realize, "--flows", str(raw), "--out", str(realized)]) == 0
+        for name, src in (("raw", raw), ("realized", edit(realized, tmp_path / f"{tag}_r.jsonl"))):
+            assert main(["split", "--flows", str(src), "--out-dir", str(tmp_path / tag / name)]) == 0
+        written[tag] = {"realized.jsonl": realized.read_bytes(), **{
+            f"{p.parent.name}/{p.name}": p.read_bytes() for p in (tmp_path / tag).glob("*/*.jsonl")}}
+    assert written["plain"] == written["scrambled"]
+    for name, blob in written["plain"].items():
+        keys = TURN_KEYS + (["utterance"] if name.startswith("realized") else [])
+        for line in blob.decode().splitlines():
+            assert all(list(t) == keys for t in json.loads(line)["turns"]), name
