@@ -20,6 +20,7 @@ Candidate values are not stored: replaying the act pairs through
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -40,9 +41,13 @@ if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
     from .ontology import Ontology
 
 
-class DialogAct(NamedTuple):
-    name: str
-    slots: dict
+@functools.cache
+def _ontology():
+    """The ontology module, imported on first use; calls through it reach whatever
+    `concepts_for_value` the module holds at call time."""
+    from . import ontology
+
+    return ontology
 
 
 class PolicyConfig(NamedTuple):
@@ -143,11 +148,11 @@ def generate_goal(scene: Scene, rng: random.Random) -> Item:
     return scene.items[rng.randrange(len(scene.items))]
 
 
-def _informative_regions(state: SessionState) -> list[str]:
+def _informative_regions(state: SessionState) -> Iterator[str]:
     """Regions that properly split the current candidate item set."""
     items = state.candidate_items
-    return [label for label, ids in state.scene.region_items.items()
-            if not (items.isdisjoint(ids) or items <= ids)]
+    return (label for label, ids in state.scene.region_items.items()
+            if not (items.isdisjoint(ids) or items <= ids))
 
 
 def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
@@ -160,7 +165,8 @@ def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
             elig.add("GUESS_ATTRIBUTE_VALUE")
         if not counts.isdisjoint(range(cfg.display_min, cfg.display_max + 1)):
             elig.add("DISPLAY_CANDIDATE_VALUES")
-        if len(state.elicited_attrs) >= cfg.refer_region_min_elicited and _informative_regions(state):
+        if (len(state.elicited_attrs) >= cfg.refer_region_min_elicited
+                and next(_informative_regions(state), None) is not None):
             elig.add("REFER_REGION")
     if state.last_guess is not None:
         elig.add("REVISE_ATTRIBUTE_VALUE")
@@ -183,7 +189,7 @@ def salesperson_step(
     rng: random.Random,
     ont: Ontology,
     banned: frozenset[str] = frozenset(),
-) -> DialogAct:
+) -> tuple[str, dict]:
     """Sample an act from the round's row renormalized over eligible acts, fill slots.
 
     `banned` removes acts the customer just declined to answer (see run_dialog).
@@ -202,7 +208,7 @@ def salesperson_step(
         for name, running in zip(order, accumulate(weights)):
             if draw < running:
                 break
-    return DialogAct(name, _choose_slots(name, state, cfg, rng, ont))
+    return name, _choose_slots(name, state, cfg, rng, ont)
 
 
 def _choose_slots(
@@ -234,7 +240,7 @@ def _choose_slots(
         attr = windowed[rng.randrange(len(windowed))]
         return {"attribute": attr, "values": sorted(state.candidate_values[attr])}
     if name == "REFER_REGION":
-        labels = _informative_regions(state)
+        labels = list(_informative_regions(state))
         return {"region_label": labels[rng.randrange(len(labels))]}
     if name == "RECOMMEND_ITEM":
         items = sorted(state.candidate_items)
@@ -245,21 +251,17 @@ def _choose_slots(
 def customer_step(
     state: SessionState,
     goal: Item,
-    s_act: DialogAct,
+    s_act: tuple[str, dict],
     ont: Ontology,
     rng: random.Random,
-) -> DialogAct:
+) -> tuple[str, dict]:
     """Truthful response: never contradicts the hidden target's attributes."""
-    name, slots = s_act.name, s_act.slots
+    name, slots = s_act
     if name == "ASK_PREFERENCE":
-        from .ontology import concepts_for_value
-
         attr = slots["attribute"]
-        options = sorted(concepts_for_value(ont, attr, goal.attributes[attr]))
-        return DialogAct(
-            "ANSWER_PREFERENCE",
-            {"attribute": attr, "concept_id": options[rng.randrange(len(options))]},
-        )
+        options = sorted(_ontology().concepts_for_value(ont, attr, goal.attributes[attr]))
+        return "ANSWER_PREFERENCE", {"attribute": attr,
+                                     "concept_id": options[rng.randrange(len(options))]}
     if name == "EXCLUDE_PREFERENCE":
         # Answer about the asked attribute if a truthful dislike exists there,
         # otherwise fall back to any other attribute of the domain.
@@ -271,39 +273,31 @@ def customer_step(
             informative = [c for c in honest if c.values & state.candidate_values[attr]]
             pool = informative or honest
             if pool:
-                return DialogAct(
-                    "NEGATE_PREFERENCE",
-                    {"attribute": attr, "concept_id": pool[rng.randrange(len(pool))].concept_id},
-                )
+                return "NEGATE_PREFERENCE", {
+                    "attribute": attr, "concept_id": pool[rng.randrange(len(pool))].concept_id}
         raise NoTruthfulConcept("every concept of every attribute covers the target")
     if name == "PROMPT_PREFERENCE":
         attr, cid = slots["attribute"], slots["concept_id"]
         accept = goal.attributes[attr] in ont.concept(cid).values
-        return DialogAct("RESPOND_PROMPT", {"attribute": attr, "concept_id": cid, "accept": accept})
+        return "RESPOND_PROMPT", {"attribute": attr, "concept_id": cid, "accept": accept}
     if name in ("GUESS_ATTRIBUTE_VALUE", "REVISE_ATTRIBUTE_VALUE"):
         attr, value = slots["attribute"], slots["value"]
         accept = goal.attributes[attr] == value
-        return DialogAct(
-            "RESPOND_ATTRIBUTE_VALUE", {"attribute": attr, "value": value, "accept": accept}
-        )
+        return "RESPOND_ATTRIBUTE_VALUE", {"attribute": attr, "value": value, "accept": accept}
     if name == "DISPLAY_CANDIDATE_VALUES":
         attr = slots["attribute"]
-        return DialogAct(
-            "CHOOSE_ATTRIBUTE_VALUE", {"attribute": attr, "value": goal.attributes[attr]}
-        )
+        return "CHOOSE_ATTRIBUTE_VALUE", {"attribute": attr, "value": goal.attributes[attr]}
     if name == "REFER_REGION":
         label = slots["region_label"]
         accept = goal.object_id in state.scene.region_items[label]
-        return DialogAct("JUDGE_REGION", {"region_label": label, "accept": accept})
+        return "JUDGE_REGION", {"region_label": label, "accept": accept}
     if name == "RECOMMEND_ITEM":
-        return DialogAct(
-            "RESPOND_RECOMMENDATION", {"accept": slots["object_id"] == goal.object_id}
-        )
+        return "RESPOND_RECOMMENDATION", {"accept": slots["object_id"] == goal.object_id}
     raise ValueError(f"not a salesperson act: {name}")
 
 
 def apply_turn(
-    state: SessionState, s_act: DialogAct, c_act: DialogAct, ont: Ontology
+    state: SessionState, s_act: tuple[str, dict], c_act: tuple[str, dict], ont: Ontology
 ) -> SessionState:
     """Narrow candidates per the act pair and advance one round.
 
@@ -312,9 +306,9 @@ def apply_turn(
     rejected item.  An accepted recommendation narrows nothing and ends the
     dialog.
     """
-    if ACT_PAIRS.get(s_act.name) != c_act.name:
-        raise ValueError(f"invalid act pair {s_act.name} -> {c_act.name}")
-    name, slots = c_act.name, c_act.slots
+    (s_name, s_slots), (name, slots) = s_act, c_act
+    if ACT_PAIRS.get(s_name) != name:
+        raise ValueError(f"invalid act pair {s_name} -> {name}")
     accept = slots.get("accept", name != "NEGATE_PREFERENCE")
     values, items = state.candidate_values, state.candidate_items
     attr = slots.get("attribute")
@@ -334,11 +328,11 @@ def apply_turn(
         region = state.scene.region_items[slots["region_label"]]
         items = items & region if accept else items - region
     elif not accept:
-        items = items - {s_act.slots["object_id"]}
+        items = items - {s_slots["object_id"]}
     if not items:
         raise InconsistentState("candidate item set emptied")
     elicited = state.elicited_attrs
-    if s_act.name in ELICIT_ACTS:
+    if s_name in ELICIT_ACTS:
         elicited = elicited | {attr}
     rejected_guess = name == "RESPOND_ATTRIBUTE_VALUE" and not accept
     return SessionState(
@@ -348,24 +342,15 @@ def apply_turn(
     )
 
 
-class Turn(NamedTuple):
-    round: int
-    speaker: str  # "salesperson" | "customer"
-    act: str
-    slots: dict
-    candidate_items: list[int]
-    utterance: str | None = None
-
-
-def slot(turn: Turn, key: str):
+def slot(turn: dict, key: str):
     """A slot the turn's act carries; a missing one raises ValidationError."""
     try:
-        return turn.slots[key]
+        return turn["slots"][key]
     except KeyError:
         raise ValidationError(f"missing slot {key!r}") from None
 
 
-def text_slot(turn: Turn, key: str) -> str:
+def text_slot(turn: dict, key: str) -> str:
     """A slot that is read as text, checked to be a string."""
     value = slot(turn, key)
     if type(value) is not str:
@@ -378,7 +363,7 @@ class DialogFlow(NamedTuple):
     scene_id: str
     target_object_id: int
     outcome: str  # "success" | "max_rounds"
-    turns: list[Turn]
+    turns: list[dict]  # wire form: round, speaker, act, slots, candidate_items[, utterance]
 
 
 def run_dialog(
@@ -389,7 +374,7 @@ def run_dialog(
     state = new_session(scene)
     # A state annotates the customer turn that produced it and the next salesperson turn.
     items = sorted(state.candidate_items)
-    turns: list[Turn] = []
+    turns: list[dict] = []
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
         while True:
@@ -398,13 +383,15 @@ def run_dialog(
                 c_act = customer_step(state, goal, s_act, ont, rng)
                 break
             except NoTruthfulConcept:
-                banned |= {s_act.name}
+                banned |= {s_act[0]}
         rnd = state.round
-        turns.append(Turn(rnd, "salesperson", s_act.name, s_act.slots, items))
+        turns.append({"round": rnd, "speaker": "salesperson", "act": s_act[0], "slots": s_act[1],
+                      "candidate_items": items})
         state = apply_turn(state, s_act, c_act, ont)
         if len(state.candidate_items) < len(items):  # a round only narrows the items
             items = sorted(state.candidate_items)
-        turns.append(Turn(rnd, "customer", c_act.name, c_act.slots, items))
+        turns.append({"round": rnd, "speaker": "customer", "act": c_act[0], "slots": c_act[1],
+                      "candidate_items": items})
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
 
@@ -433,26 +420,13 @@ def generate_corpus(
     yield from parallel_map(_run_session, (scenes, ont, cfg, base_seed), range(n), jobs)
 
 
-def turn_to_dict(turn: Turn) -> dict:
-    out = {
-        "round": turn.round,
-        "speaker": turn.speaker,
-        "act": turn.act,
-        "slots": turn.slots,
-        "candidate_items": turn.candidate_items,
-    }
-    if turn.utterance is not None:
-        out["utterance"] = turn.utterance
-    return out
-
-
 def flow_to_dict(flow: DialogFlow) -> dict:
     return {
         "dialog_id": flow.dialog_id,
         "scene_id": flow.scene_id,
         "target_object_id": flow.target_object_id,
         "outcome": flow.outcome,
-        "turns": [turn_to_dict(t) for t in flow.turns],
+        "turns": flow.turns,
     }
 
 
@@ -466,28 +440,28 @@ _FIELD_TYPES = {
 }
 
 
-def _field_type_error(record: DialogFlow | Turn, where: str) -> TypeError:
-    """Name the first ill-typed field of a record that failed its type test.
-
-    A None utterance passes that test, and `utterance` comes last, so the first mismatch is
-    the bad field.
-    """
-    field = next(f for f in record._fields
-                 if f != "turns" and type(getattr(record, f)) is not _FIELD_TYPES[f][0])
-    kind = _FIELD_TYPES[field][1]
-    return TypeError(f"{where}{field} must be {kind}, got {getattr(record, field)!r}")
+def _field_type_error(fields: dict, where: str) -> TypeError:
+    """Name the first ill-typed field of a record that failed its type test."""
+    field, value = next((f, v) for f, v in fields.items()
+                        if f != "turns" and type(v) is not _FIELD_TYPES[f][0])
+    return TypeError(f"{where}{field} must be {_FIELD_TYPES[field][1]}, got {value!r}")
 
 
 def flow_from_dict(raw: dict) -> DialogFlow:
-    """Other keys, such as the `candidate_values` of older files, are ignored; a field of
-    the wrong type raises TypeError naming it."""
+    """Each turn is rebuilt in wire key order; other keys, such as the `candidate_values` of
+    older files, are dropped, and so is a null `utterance`. A field of the wrong type raises
+    TypeError naming it."""
     turns = []
     for t in raw["turns"]:
-        turn = Turn(t["round"], t["speaker"], t["act"], t["slots"], t["candidate_items"],
-                    t.get("utterance"))
-        if not (type(turn.round) is int and type(turn.speaker) is str and type(turn.act) is str
-                and type(turn.slots) is dict and type(turn.candidate_items) is list
-                and (turn.utterance is None or type(turn.utterance) is str)):
+        turn = {"round": t["round"], "speaker": t["speaker"], "act": t["act"], "slots": t["slots"],
+                "candidate_items": t["candidate_items"]}
+        utterance = t.get("utterance")
+        if utterance is not None:
+            turn["utterance"] = utterance
+        if not (type(turn["round"]) is int and type(turn["speaker"]) is str
+                and type(turn["act"]) is str and type(turn["slots"]) is dict
+                and type(turn["candidate_items"]) is list
+                and (utterance is None or type(utterance) is str)):
             raise _field_type_error(turn, f"turn {len(turns) + 1}: ")
         turns.append(turn)
     flow = DialogFlow(
@@ -495,7 +469,7 @@ def flow_from_dict(raw: dict) -> DialogFlow:
     )
     if not (type(flow.dialog_id) is str and type(flow.scene_id) is str
             and type(flow.target_object_id) is int and type(flow.outcome) is str):
-        raise _field_type_error(flow, "")
+        raise _field_type_error(flow._asdict(), "")
     return flow
 
 

@@ -19,7 +19,7 @@ class DialogError(ValidationError):
 
     @classmethod
     def at(cls, flow, turn, problem) -> "DialogError":
-        return cls(f"dialog {flow.dialog_id} round {turn.round} {turn.act}: {problem}")
+        return cls(f"dialog {flow.dialog_id} round {turn['round']} {turn['act']}: {problem}")
 
 
 class UnknownRegion(ShopDialogError):

@@ -42,7 +42,7 @@ from .jsonio import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
     from .catalog import Scene
-    from .engine import DialogFlow, Turn
+    from .engine import DialogFlow
     from .ontology import Ontology
 
 SPD_MODES = ("cumulative", "scene_only")
@@ -218,16 +218,17 @@ def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
     max_round = 0
     for flow in flows:
         n_utt += len(flow.turns)
-        sales = [t for t in flow.turns if t.speaker == "salesperson"]
+        sales = [t for t in flow.turns if t["speaker"] == "salesperson"]
         n_acts += len(sales)
-        n_prefs += sum(1 for t in flow.turns if t.act in _PREFERENCE_ACTS)
-        n_objects += len(flow.turns[0].candidate_items)
-        max_round = max(max_round, flow.turns[-1].round)
+        n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
+        n_objects += len(flow.turns[0]["candidate_items"])
+        max_round = max(max_round, flow.turns[-1]["round"])
 
     per_round_sum = [0.0] * max_round
     for flow in flows:
-        by_round = {t.round: len(t.candidate_items) for t in flow.turns if t.speaker == "customer"}
-        last = len(flow.turns[0].candidate_items)
+        by_round = {t["round"]: len(t["candidate_items"]) for t in flow.turns
+                    if t["speaker"] == "customer"}
+        last = len(flow.turns[0]["candidate_items"])
         for rnd in range(1, max_round + 1):
             last = by_round.get(rnd, last)
             per_round_sum[rnd - 1] += last
@@ -236,8 +237,8 @@ def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
     act_rows: list[dict[str, float]] = []
     for rnd in range(1, 9):
         counts = Counter(
-            t.act for flow in flows for t in flow.turns
-            if t.speaker == "salesperson" and t.round == rnd
+            t["act"] for flow in flows for t in flow.turns
+            if t["speaker"] == "salesperson" and t["round"] == rnd
         )
         total = sum(counts.values())
         act_rows.append(
@@ -288,19 +289,19 @@ def split_corpus(
 _CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
 
 
-def _preference_clauses(flow: DialogFlow) -> list[tuple[Turn, str, str, str]]:
+def _preference_clauses(flow: DialogFlow) -> list[tuple[dict, str, str, str]]:
     """(turn, attribute, polarity, concept_id) from the customer's preference turns; a
     missing slot, or an `attribute` or `concept_id` that is not a string, raises DialogError."""
     from .engine import slot, text_slot
 
     clauses = []
     for turn in flow.turns:
-        if turn.speaker != "customer" or turn.act not in _CLAUSE_ACTS:
+        act = turn["act"]
+        if turn["speaker"] != "customer" or act not in _CLAUSE_ACTS:
             continue
         try:
             attr, concept_id = text_slot(turn, "attribute"), text_slot(turn, "concept_id")
-            like = (slot(turn, "accept") if turn.act == "RESPOND_PROMPT"
-                    else turn.act == "ANSWER_PREFERENCE")
+            like = slot(turn, "accept") if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
         except ValidationError as exc:
             raise DialogError.at(flow, turn, exc) from None
         clauses.append((turn, attr, "like" if like else "dislike", concept_id))
@@ -338,10 +339,10 @@ def build_gold(
             scene = by_id[flow.scene_id]
             clauses = _preference_clauses(flow)
             for turn, attr, _, _ in clauses:
-                rnd = turn.round
+                rnd = turn["round"]
                 keep = [
-                    (pol, cid) for t, a, pol, cid in clauses
-                    if a == attr and (t.round == rnd or spd_mode == "cumulative" and t.round < rnd)
+                    (pol, cid) for t, a, pol, cid in clauses if a == attr
+                    and (t["round"] == rnd or spd_mode == "cumulative" and t["round"] < rnd)
                 ]
                 try:  # a bad clause first fails in its own round, in either mode
                     rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
@@ -350,26 +351,26 @@ def build_gold(
         elif task == "RRU":
             scene = by_id[flow.scene_id]
             for turn in flow.turns:
-                if turn.speaker == "salesperson" and turn.act == "REFER_REGION":
+                if turn["speaker"] == "salesperson" and turn["act"] == "REFER_REGION":
                     try:
                         ids = items_in_region(scene, slot(turn, "region_label"))
                     except ShopDialogError as exc:
                         raise DialogError.at(flow, turn, exc) from None
-                    rows[(flow.dialog_id, turn.round)] = sorted(ids)
+                    rows[(flow.dialog_id, turn["round"])] = sorted(ids)
         elif task == "ACT":
             for turn in flow.turns:
-                if turn.speaker == "salesperson":
-                    rows[(flow.dialog_id, turn.round)] = turn.act
+                if turn["speaker"] == "salesperson":
+                    rows[(flow.dialog_id, turn["round"])] = turn["act"]
         elif task == "RESPONSE":
             for turn in flow.turns:
-                if turn.speaker == "salesperson":
-                    if turn.utterance is None:
+                if turn["speaker"] == "salesperson":
+                    if "utterance" not in turn:
                         raise ValidationError(
                             f"{flow.dialog_id}: RESPONSE gold needs realized flows"
                         )
-                    rows[(flow.dialog_id, turn.round)] = turn.utterance
+                    rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
         elif task == "RECOMMEND":
-            last_round = flow.turns[-1].round
+            last_round = flow.turns[-1]["round"]
             rows[(flow.dialog_id, last_round)] = [flow.target_object_id]
     return header, rows
 

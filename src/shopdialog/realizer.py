@@ -20,7 +20,7 @@ import string
 from typing import NamedTuple
 
 from .catalog import Scene, SceneIndex
-from .engine import DialogFlow, Turn, text_slot
+from .engine import DialogFlow, text_slot
 from .errors import DialogError, MissingTemplate, ShopDialogError, ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
@@ -119,20 +119,20 @@ def item_description(scene: Scene, object_id: int) -> str:
     return base
 
 
-def _template_key(turn: Turn) -> str:
-    if "accept" in turn.slots:
-        return f"{turn.act}.{'accept' if turn.slots['accept'] else 'reject'}"
-    return turn.act
+def _template_key(turn: dict) -> str:
+    if "accept" in turn["slots"]:
+        return f"{turn['act']}.{'accept' if turn['slots']['accept'] else 'reject'}"
+    return turn["act"]
 
 
 def realize_turn(
-    turn: Turn, templates: TemplateSet, ont: Ontology, scene: Scene, rng: random.Random
+    turn: dict, templates: TemplateSet, ont: Ontology, scene: Scene, rng: random.Random
 ) -> str:
     """Render one turn; concept slots keep a registered surface form."""
     key = _template_key(turn)
     pool = templates.templates(key)
     template = pool[rng.randrange(len(pool))]
-    slots = turn.slots
+    slots = turn["slots"]
     fills: dict[str, str] = {}
     if "attribute" in slots:
         fills["attr"] = _attr_display(text_slot(turn, "attribute"))
@@ -165,7 +165,7 @@ def realize_dialog(
     turns = []
     for t in flow.turns:
         try:
-            turns.append(t._replace(utterance=realize_turn(t, templates, ont, scene, rng)))
+            turns.append({**t, "utterance": realize_turn(t, templates, ont, scene, rng)})
         except ShopDialogError as exc:
             raise DialogError.at(flow, t, exc) from None
     return flow._replace(turns=turns)

@@ -60,16 +60,16 @@ def corpus(scenes, ontology, policy) -> CorpusSummary:
         summary.n_success += flow.outcome == "success"
         prev = None
         for turn in flow.turns:
-            if flow.target_object_id not in turn.candidate_items:
+            if flow.target_object_id not in turn["candidate_items"]:
                 summary.retention_violations += 1
-            if turn.speaker == "salesperson":
+            if turn["speaker"] == "salesperson":
                 summary.total_sales_acts += 1
-                if turn.round == 1:
-                    summary.round1_acts[turn.act] += 1
+                if turn["round"] == 1:
+                    summary.round1_acts[turn["act"]] += 1
             else:
-                if prev is not None and len(turn.candidate_items) > prev:
+                if prev is not None and len(turn["candidate_items"]) > prev:
                     summary.monotonic_violations += 1
-                prev = len(turn.candidate_items)
+                prev = len(turn["candidate_items"])
         if len(summary.kept) < KEEP:
             summary.kept.append(flow)
     summary.elapsed = time.perf_counter() - start
@@ -101,15 +101,15 @@ def test_criterion_2_termination(corpus):
 def clauses_through(flow: DialogFlow, attr: str, upto_round: int):
     out = []
     for turn in flow.turns:
-        if turn.speaker != "customer" or turn.round > upto_round:
+        if turn["speaker"] != "customer" or turn["round"] > upto_round:
             continue
-        if turn.act == "ANSWER_PREFERENCE" and turn.slots["attribute"] == attr:
-            out.append(("like", turn.slots["concept_id"]))
-        elif turn.act == "NEGATE_PREFERENCE" and turn.slots["attribute"] == attr:
-            out.append(("dislike", turn.slots["concept_id"]))
-        elif turn.act == "RESPOND_PROMPT" and turn.slots["attribute"] == attr:
-            polarity = "like" if turn.slots["accept"] else "dislike"
-            out.append((polarity, turn.slots["concept_id"]))
+        if turn["act"] == "ANSWER_PREFERENCE" and turn["slots"]["attribute"] == attr:
+            out.append(("like", turn["slots"]["concept_id"]))
+        elif turn["act"] == "NEGATE_PREFERENCE" and turn["slots"]["attribute"] == attr:
+            out.append(("dislike", turn["slots"]["concept_id"]))
+        elif turn["act"] == "RESPOND_PROMPT" and turn["slots"]["attribute"] == attr:
+            polarity = "like" if turn["slots"]["accept"] else "dislike"
+            out.append((polarity, turn["slots"]["concept_id"]))
     return out
 
 
@@ -129,12 +129,12 @@ def test_criterion_3_oracle_equivalence(corpus, scenes, ontology):
     population = []
     for flow in corpus.kept:
         elicit_by_round = {
-            t.round: t.slots["attribute"] for t in flow.turns
-            if t.speaker == "customer" and t.act in
+            t["round"]: t["slots"]["attribute"] for t in flow.turns
+            if t["speaker"] == "customer" and t["act"] in
             ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
         }
         sales_rounds = {
-            t.round for t in flow.turns if t.speaker == "salesperson" and t.act in ELICIT_ACTS
+            t["round"] for t in flow.turns if t["speaker"] == "salesperson" and t["act"] in ELICIT_ACTS
         }
         population.extend((flow, rnd, elicit_by_round[rnd]) for rnd in sorted(sales_rounds))
     sample = random.Random(3).sample(population, 1_000)
@@ -234,19 +234,19 @@ def test_criterion_7_realization_round_trip(corpus, scenes, ontology, templates)
     bad_tokens = 0
     for flow in realized:
         for turn in flow.turns:
-            if turn.act in ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE",
+            if turn["act"] in ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE",
                             "PROMPT_PREFERENCE", "RESPOND_PROMPT"):
                 concept_turns += 1
-                concept = ontology.concept(turn.slots["concept_id"])
-                present = [f for f in concept.surface_forms if f in turn.utterance]
+                concept = ontology.concept(turn["slots"]["concept_id"])
+                present = [f for f in concept.surface_forms if f in turn["utterance"]]
                 if not present or any(
                     resolve_surface(ontology, f) != concept.concept_id for f in present
                 ):
                     bad_resolution += 1
-            if turn.act == "RECOMMEND_ITEM":
+            if turn["act"] == "RECOMMEND_ITEM":
                 recommend_turns += 1
-                tokens = re.findall(r"<@(\d+)>", turn.utterance)
-                if len(tokens) != 1 or int(tokens[0]) != turn.slots["object_id"]:
+                tokens = re.findall(r"<@(\d+)>", turn["utterance"])
+                if len(tokens) != 1 or int(tokens[0]) != turn["slots"]["object_id"]:
                     bad_tokens += 1
     ok = (
         len(realized) == KEEP

@@ -7,7 +7,6 @@ import pytest
 from shopdialog.catalog import Item, Scene
 from shopdialog.engine import (
     ACT_PAIRS,
-    DialogAct,
     ELICIT_ACTS,
     SALESPERSON_ACTS,
     apply_turn,
@@ -91,8 +90,8 @@ def test_round_one_ask_dominates(ontology, policy):
     counts = Counter()
     for i in range(4000):
         state = new_session(scene)
-        act = salesperson_step(state, policy, random.Random(i), ontology)
-        counts[act.name] += 1
+        name, _ = salesperson_step(state, policy, random.Random(i), ontology)
+        counts[name] += 1
     assert counts["ASK_PREFERENCE"] > counts["EXCLUDE_PREFERENCE"]
     assert counts["ASK_PREFERENCE"] > counts["PROMPT_PREFERENCE"]
 
@@ -102,8 +101,8 @@ def test_forced_singleton_renormalization(ontology, policy):
     scene = make_scene(["red"])
     state = new_session(scene)
     for i in range(50):
-        act = salesperson_step(state, policy, random.Random(i), ontology)
-        assert act.name == "RECOMMEND_ITEM"
+        name, _ = salesperson_step(state, policy, random.Random(i), ontology)
+        assert name == "RECOMMEND_ITEM"
 
 
 def all_acts_eligible_state(ontology, policy):
@@ -131,7 +130,7 @@ def test_sampling_matches_hand_set_row(ontology, policy):
     }
     cfg = policy._replace(rounds=(row,), stationary=row)
     rng = random.Random(777)
-    counts = Counter(salesperson_step(state, cfg, rng, ontology).name for _ in range(10_000))
+    counts = Counter(salesperson_step(state, cfg, rng, ontology)[0] for _ in range(10_000))
     for act, p in row.items():
         assert abs(counts[act] / 10_000 - p) <= 0.02, act
 
@@ -140,12 +139,12 @@ def test_customer_answers_with_covering_concept(ontology, policy):
     scene = make_scene(["red", "blue"])
     state = new_session(scene)
     goal = generate_goal(make_scene(["red"]), random.Random(0))
-    ask = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
+    ask = ("ASK_PREFERENCE", {"attribute": "color"})
     seen = set()
     for i in range(200):
-        answer = customer_step(state, goal, ask, ontology, random.Random(i))
-        assert answer.name == "ANSWER_PREFERENCE"
-        seen.add(answer.slots["concept_id"])
+        name, slots = customer_step(state, goal, ask, ontology, random.Random(i))
+        assert name == "ANSWER_PREFERENCE"
+        seen.add(slots["concept_id"])
     assert seen == {"warm_color", "powerful_color"}
 
 
@@ -166,7 +165,7 @@ def test_exclude_with_no_truthful_concept(policy):
     scene = make_scene(["red", "blue"])
     state = new_session(scene)
     goal = generate_goal(make_scene(["red"]), random.Random(0))
-    exclude = DialogAct("EXCLUDE_PREFERENCE", {"attribute": "color"})
+    exclude = ("EXCLUDE_PREFERENCE", {"attribute": "color"})
     with pytest.raises(NoTruthfulConcept):
         customer_step(state, goal, exclude, ont, random.Random(0))
 
@@ -175,11 +174,11 @@ def test_customer_never_negates_target(ontology, policy):
     scene = make_scene(["red", "blue", "yellow"])
     state = new_session(scene)
     goal = generate_goal(make_scene(["red"]), random.Random(0))
-    exclude = DialogAct("EXCLUDE_PREFERENCE", {"attribute": "color"})
+    exclude = ("EXCLUDE_PREFERENCE", {"attribute": "color"})
     for i in range(1000):
-        answer = customer_step(state, goal, exclude, ontology, random.Random(i))
-        assert answer.name == "NEGATE_PREFERENCE"
-        concept = ontology.concept(answer.slots["concept_id"])
+        name, slots = customer_step(state, goal, exclude, ontology, random.Random(i))
+        assert name == "NEGATE_PREFERENCE"
+        concept = ontology.concept(slots["concept_id"])
         assert goal.attributes[concept.attr] not in concept.values
 
 
@@ -187,16 +186,16 @@ def test_recommend_target_accepted(ontology):
     scene = make_scene(["red", "blue"])
     state = new_session(scene)
     goal = generate_goal(make_scene(["red"]), random.Random(0))
-    act = DialogAct("RECOMMEND_ITEM", {"object_id": goal.object_id})
-    answer = customer_step(state, goal, act, ontology, random.Random(0))
-    assert answer.slots["accept"] is True
+    act = ("RECOMMEND_ITEM", {"object_id": goal.object_id})
+    _, slots = customer_step(state, goal, act, ontology, random.Random(0))
+    assert slots["accept"] is True
 
 
 def test_apply_answer_intersects(ontology):
     scene = make_scene(["red", "blue", "yellow"])
     state = new_session(scene)
-    s_act = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
-    c_act = DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"})
+    s_act = ("ASK_PREFERENCE", {"attribute": "color"})
+    c_act = ("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"})
     nxt = apply_turn(state, s_act, c_act, ontology)
     assert nxt.candidate_values["color"] == {"red", "yellow"}
     assert nxt.round == 2
@@ -251,7 +250,7 @@ def test_apply_turn_narrows_per_act(ontology, case):
     else:
         s_slots = {"attribute": "color", **{k: v for k, v in c_slots.items() if k != "accept"}}
         c_slots = {"attribute": "color", **c_slots}
-    nxt = apply_turn(state, DialogAct(s_name, s_slots), DialogAct(c_name, c_slots), ontology)
+    nxt = apply_turn(state, (s_name, s_slots), (c_name, c_slots), ontology)
     expected_values = {a: set(vs) for a, vs in state.candidate_values.items()}
     if colors is not None:
         expected_values["color"] = colors
@@ -268,8 +267,8 @@ def test_apply_universe_intersection_is_identity(ontology):
     # A concept covering every scene color must leave the state unchanged.
     scene = make_scene(["red", "yellow"])
     state = new_session(scene)
-    s_act = DialogAct("ASK_PREFERENCE", {"attribute": "color"})
-    c_act = DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"})
+    s_act = ("ASK_PREFERENCE", {"attribute": "color"})
+    c_act = ("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"})
     nxt = apply_turn(state, s_act, c_act, ontology)
     assert nxt.candidate_values["color"] == state.candidate_values["color"]
     assert nxt.candidate_items == state.candidate_items
@@ -281,8 +280,8 @@ def test_apply_region_no_subtracts(ontology):
     region = BackgroundItem("front rack", (0.0, 0.0, 40.0, 50.0))  # covers items 0 and 1
     scene = make_scene(["red", "blue", "yellow"], regions=[region])
     state = new_session(scene)
-    s_act = DialogAct("REFER_REGION", {"region_label": "front rack"})
-    c_act = DialogAct("JUDGE_REGION", {"region_label": "front rack", "accept": False})
+    s_act = ("REFER_REGION", {"region_label": "front rack"})
+    c_act = ("JUDGE_REGION", {"region_label": "front rack", "accept": False})
     nxt = apply_turn(state, s_act, c_act, ontology)
     assert nxt.candidate_items == {2}
 
@@ -293,8 +292,8 @@ def test_apply_rejects_bad_pair(ontology):
     with pytest.raises(ValueError):
         apply_turn(
             state,
-            DialogAct("ASK_PREFERENCE", {"attribute": "color"}),
-            DialogAct("JUDGE_REGION", {"region_label": "x", "accept": True}),
+            ("ASK_PREFERENCE", {"attribute": "color"}),
+            ("JUDGE_REGION", {"region_label": "x", "accept": True}),
             ontology,
         )
 
@@ -305,10 +304,10 @@ def test_apply_inconsistent_state_detected(ontology):
     # Untruthful answers: no scene color is mysterious, and blue is no candidate,
     # so the color candidates would empty.
     for s_act, c_act in (
-        (DialogAct("ASK_PREFERENCE", {"attribute": "color"}),
-         DialogAct("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "mysterious_color"})),
-        (DialogAct("DISPLAY_CANDIDATE_VALUES", {"attribute": "color", "values": ["red", "yellow"]}),
-         DialogAct("CHOOSE_ATTRIBUTE_VALUE", {"attribute": "color", "value": "blue"})),
+        (("ASK_PREFERENCE", {"attribute": "color"}),
+         ("ANSWER_PREFERENCE", {"attribute": "color", "concept_id": "mysterious_color"})),
+        (("DISPLAY_CANDIDATE_VALUES", {"attribute": "color", "values": ["red", "yellow"]}),
+         ("CHOOSE_ATTRIBUTE_VALUE", {"attribute": "color", "value": "blue"})),
     ):
         with pytest.raises(InconsistentState):
             apply_turn(state, s_act, c_act, ontology)
@@ -317,8 +316,8 @@ def test_apply_inconsistent_state_detected(ontology):
 def test_single_item_scene_succeeds_round_one(ontology, policy):
     flow = run_dialog(make_scene(["red"]), ontology, policy, random.Random(5))
     assert flow.outcome == "success"
-    assert flow.turns[-1].round == 1
-    assert flow.turns[0].act == "RECOMMEND_ITEM"
+    assert flow.turns[-1]["round"] == 1
+    assert flow.turns[0]["act"] == "RECOMMEND_ITEM"
 
 
 def test_run_dialog_deterministic(scenes, ontology, policy):
@@ -338,23 +337,23 @@ def flow_scene(scenes, flow):
 
 def test_corpus_pairing(small_corpus):
     for flow in small_corpus:
-        sales = [t for t in flow.turns if t.speaker == "salesperson"]
-        custs = [t for t in flow.turns if t.speaker == "customer"]
+        sales = [t for t in flow.turns if t["speaker"] == "salesperson"]
+        custs = [t for t in flow.turns if t["speaker"] == "customer"]
         assert len(sales) == len(custs)
         for s, c in zip(sales, custs):
-            assert s.round == c.round
-            assert ACT_PAIRS[s.act] == c.act
+            assert s["round"] == c["round"]
+            assert ACT_PAIRS[s["act"]] == c["act"]
 
 
 def test_corpus_target_retention_and_monotonicity(small_corpus):
     for flow in small_corpus:
         prev = None
         for turn in flow.turns:
-            assert flow.target_object_id in turn.candidate_items
-            if turn.speaker == "customer":
+            assert flow.target_object_id in turn["candidate_items"]
+            if turn["speaker"] == "customer":
                 if prev is not None:
-                    assert len(turn.candidate_items) <= prev
-                prev = len(turn.candidate_items)
+                    assert len(turn["candidate_items"]) <= prev
+                prev = len(turn["candidate_items"])
 
 
 def test_corpus_guard_conformance(small_corpus, policy):
@@ -362,34 +361,34 @@ def test_corpus_guard_conformance(small_corpus, policy):
         elicited_round: dict[int, bool] = {}
         elicited = False
         for turn in flow.turns:
-            if turn.speaker == "customer":
-                if turn.act in ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT"):
+            if turn["speaker"] == "customer":
+                if turn["act"] in ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT"):
                     elicited = True
-                elicited_round[turn.round] = elicited
+                elicited_round[turn["round"]] = elicited
         prev_reject: dict[int, bool] = {}
         for turn in flow.turns:
-            if turn.speaker == "customer" and turn.act == "RESPOND_ATTRIBUTE_VALUE":
-                prev_reject[turn.round + 1] = not turn.slots["accept"]
+            if turn["speaker"] == "customer" and turn["act"] == "RESPOND_ATTRIBUTE_VALUE":
+                prev_reject[turn["round"] + 1] = not turn["slots"]["accept"]
         for turn in flow.turns:
-            if turn.speaker != "salesperson":
+            if turn["speaker"] != "salesperson":
                 continue
-            before = elicited_round.get(turn.round - 1, False)
-            if turn.act in ("GUESS_ATTRIBUTE_VALUE", "DISPLAY_CANDIDATE_VALUES"):
-                assert before, f"{flow.dialog_id} r{turn.round}: {turn.act} before any preference"
-            if turn.act == "DISPLAY_CANDIDATE_VALUES":
-                assert policy.display_min <= len(turn.slots["values"]) <= policy.display_max
-            if turn.act == "RECOMMEND_ITEM":
-                assert len(turn.candidate_items) <= policy.recommend_max
-            if turn.act == "REVISE_ATTRIBUTE_VALUE":
-                assert prev_reject.get(turn.round), "REVISE without fresh rejection"
+            before = elicited_round.get(turn["round"] - 1, False)
+            if turn["act"] in ("GUESS_ATTRIBUTE_VALUE", "DISPLAY_CANDIDATE_VALUES"):
+                assert before, f"{flow.dialog_id} r{turn['round']}: {turn['act']} before any preference"
+            if turn["act"] == "DISPLAY_CANDIDATE_VALUES":
+                assert policy.display_min <= len(turn["slots"]["values"]) <= policy.display_max
+            if turn["act"] == "RECOMMEND_ITEM":
+                assert len(turn["candidate_items"]) <= policy.recommend_max
+            if turn["act"] == "REVISE_ATTRIBUTE_VALUE":
+                assert prev_reject.get(turn["round"]), "REVISE without fresh rejection"
 
 
 def test_corpus_recommend_guard_is_true_guard(small_corpus, policy):
     # candidate_items on the salesperson turn is the pre-act state it acted on.
     for flow in small_corpus:
         for turn in flow.turns:
-            if turn.speaker == "salesperson" and turn.act == "RECOMMEND_ITEM":
-                assert len(turn.candidate_items) <= policy.recommend_max
+            if turn["speaker"] == "salesperson" and turn["act"] == "RECOMMEND_ITEM":
+                assert len(turn["candidate_items"]) <= policy.recommend_max
 
 
 def test_corpus_termination(small_corpus):
@@ -434,22 +433,22 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
         target = scene.items_by_id[flow.target_object_id]
         state = new_session(scene)
         judged = {it.object_id for it in scene.items}
-        sales = [t for t in flow.turns if t.speaker == "salesperson"]
-        custs = [t for t in flow.turns if t.speaker == "customer"]
+        sales = [t for t in flow.turns if t["speaker"] == "salesperson"]
+        custs = [t for t in flow.turns if t["speaker"] == "customer"]
         for s, c in zip(sales, custs):
             state = apply_turn(
-                state, DialogAct(s.act, s.slots), DialogAct(c.act, c.slots), ontology
+                state, (s["act"], s["slots"]), (c["act"], c["slots"]), ontology
             )
-            if c.act == "JUDGE_REGION":
-                region = scene.region_items[c.slots["region_label"]]
-                judged = judged & region if c.slots["accept"] else judged - region
-            elif c.act == "RESPOND_RECOMMENDATION" and not c.slots["accept"]:
-                judged.discard(s.slots["object_id"])
+            if c["act"] == "JUDGE_REGION":
+                region = scene.region_items[c["slots"]["region_label"]]
+                judged = judged & region if c["slots"]["accept"] else judged - region
+            elif c["act"] == "RESPOND_RECOMMENDATION" and not c["slots"]["accept"]:
+                judged.discard(s["slots"]["object_id"])
             for attr, value in target.attributes.items():
                 assert value in state.candidate_values[attr], (flow.dialog_id, state.round, attr)
             expected = consistent_items(state.candidate_values, scene) & judged
             assert state.candidate_items == expected
-            assert set(c.candidate_items) == state.candidate_items
+            assert set(c["candidate_items"]) == state.candidate_items
 
 
 def test_generate_corpus_deterministic_and_seeded_per_session(scenes, ontology, policy):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, Turn, generate_corpus
+from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, generate_corpus
 from shopdialog.errors import (
     BadRatios,
     EmptyCorpus,
@@ -27,6 +27,12 @@ from shopdialog.evalhub import (
     split_corpus,
     write_predictions,
 )
+
+
+def turn(rnd, speaker, act, slots, candidate_items):
+    """A turn in its wire form."""
+    return {"round": rnd, "speaker": speaker, "act": act, "slots": slots,
+            "candidate_items": candidate_items}
 
 
 def test_perfect_set_prediction():
@@ -104,14 +110,14 @@ def test_act_price_complaint_round():
     # A rejected price guess is followed by a revision; that round's gold act
     # is REVISE_ATTRIBUTE_VALUE and a matching prediction scores full marks.
     flow = DialogFlow("d0", "s", 0, "success", [
-        Turn(1, "salesperson", "GUESS_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$299"}, [0], {}),
-        Turn(1, "customer", "RESPOND_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$299", "accept": False}, [0], {}),
-        Turn(2, "salesperson", "REVISE_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$99"}, [0], {}),
-        Turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$99", "accept": True}, [0], {}),
+        turn(1, "salesperson", "GUESS_ATTRIBUTE_VALUE",
+             {"attribute": "price", "value": "$299"}, [0]),
+        turn(1, "customer", "RESPOND_ATTRIBUTE_VALUE",
+             {"attribute": "price", "value": "$299", "accept": False}, [0]),
+        turn(2, "salesperson", "REVISE_ATTRIBUTE_VALUE",
+             {"attribute": "price", "value": "$99"}, [0]),
+        turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
+             {"attribute": "price", "value": "$99", "accept": True}, [0]),
     ])
     _, rows = build_gold([flow], None, [], "ACT")
     assert rows[("d0", 2)] == "REVISE_ATTRIBUTE_VALUE"
@@ -252,9 +258,8 @@ def test_extract_item_ids_accepts_lists():
 def two_turn_flow(dialog_id="d0", act="ASK_PREFERENCE"):
     pair = {"ASK_PREFERENCE": "ANSWER_PREFERENCE"}[act]
     return DialogFlow(dialog_id, "s", 0, "success", [
-        Turn(1, "salesperson", act, {"attribute": "color"}, [0, 1], {"color": ["red", "blue"]}),
-        Turn(1, "customer", pair, {"attribute": "color", "concept_id": "warm_color"},
-             [0], {"color": ["red"]}),
+        turn(1, "salesperson", act, {"attribute": "color"}, [0, 1]),
+        turn(1, "customer", pair, {"attribute": "color", "concept_id": "warm_color"}, [0]),
     ])
 
 
@@ -340,9 +345,9 @@ def test_build_gold_spd_single_round(ontology, scenes):
 
     scene = make_scene(["red", "blue", "yellow"])
     flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        Turn(1, "salesperson", "ASK_PREFERENCE", {"attribute": "color"}, [0, 1, 2], {}),
-        Turn(1, "customer", "ANSWER_PREFERENCE",
-             {"attribute": "color", "concept_id": "warm_color"}, [0, 2], {}),
+        turn(1, "salesperson", "ASK_PREFERENCE", {"attribute": "color"}, [0, 1, 2]),
+        turn(1, "customer", "ANSWER_PREFERENCE",
+             {"attribute": "color", "concept_id": "warm_color"}, [0, 2]),
     ])
     header, rows = build_gold([flow], ontology, [scene], "SPD")
     assert header == {"task": "SPD", "spd_mode": "cumulative"}
@@ -354,12 +359,12 @@ def test_build_gold_spd_modes(ontology):
 
     scene = make_scene(["red", "yellow", "blue", "orange"])
     flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        Turn(1, "salesperson", "ASK_PREFERENCE", {"attribute": "color"}, [], {}),
-        Turn(1, "customer", "ANSWER_PREFERENCE",
-             {"attribute": "color", "concept_id": "warm_color"}, [], {}),
-        Turn(2, "salesperson", "EXCLUDE_PREFERENCE", {"attribute": "color"}, [], {}),
-        Turn(2, "customer", "NEGATE_PREFERENCE",
-             {"attribute": "color", "concept_id": "powerful_color"}, [], {}),
+        turn(1, "salesperson", "ASK_PREFERENCE", {"attribute": "color"}, []),
+        turn(1, "customer", "ANSWER_PREFERENCE",
+             {"attribute": "color", "concept_id": "warm_color"}, []),
+        turn(2, "salesperson", "EXCLUDE_PREFERENCE", {"attribute": "color"}, []),
+        turn(2, "customer", "NEGATE_PREFERENCE",
+             {"attribute": "color", "concept_id": "powerful_color"}, []),
     ])
     _, cumulative = build_gold([flow], ontology, [scene], "SPD", spd_mode="cumulative")
     assert cumulative[("d0", 2)] == ["yellow"]  # warm minus powerful, in scene
@@ -370,9 +375,9 @@ def test_build_gold_spd_modes(ontology):
 def test_build_gold_rru_definitional(ontology, scenes):
     f01 = next(s for s in scenes if s.scene_id == "f01")
     flow = DialogFlow("d0", "f01", 12, "success", [
-        Turn(1, "salesperson", "REFER_REGION", {"region_label": "far right shelf"}, [], {}),
-        Turn(1, "customer", "JUDGE_REGION",
-             {"region_label": "far right shelf", "accept": True}, [], {}),
+        turn(1, "salesperson", "REFER_REGION", {"region_label": "far right shelf"}, []),
+        turn(1, "customer", "JUDGE_REGION",
+             {"region_label": "far right shelf", "accept": True}, []),
     ])
     _, rows = build_gold([flow], ontology, scenes, "RRU")
     assert rows[("d0", 1)] == [12, 13, 16, 22, 31]

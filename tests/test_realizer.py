@@ -4,10 +4,8 @@ import pytest
 
 from shopdialog.engine import (
     DialogFlow,
-    Turn,
     flow_to_dict,
     generate_corpus,
-    turn_to_dict,
 )
 from shopdialog.errors import MissingTemplate, ValidationError
 from shopdialog.realizer import (
@@ -24,7 +22,7 @@ CONCEPT_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE",
 
 
 def concept_turn(concept_id="warm_color"):
-    return Turn(
+    return dict(
         round=1, speaker="customer", act="ANSWER_PREFERENCE",
         slots={"attribute": "color", "concept_id": concept_id},
         candidate_items=[0],
@@ -40,7 +38,7 @@ def test_answer_contains_surface_form(templates, ontology, scenes):
 def test_recommend_mentions_region_and_token(templates, ontology, scenes):
     f01 = next(s for s in scenes if s.scene_id == "f01")
     shelf_item = sorted({12, 13, 16, 22, 31})[0]
-    turn = Turn(
+    turn = dict(
         round=4, speaker="salesperson", act="RECOMMEND_ITEM",
         slots={"object_id": shelf_item},
         candidate_items=[shelf_item],
@@ -114,25 +112,25 @@ def test_annotations_untouched(realized_fixture):
     for flow, real in zip(flows, realized):
         assert flow.dialog_id == real.dialog_id
         for turn, rturn in zip(flow.turns, real.turns):
-            original = turn_to_dict(turn)
-            rendered = turn_to_dict(rturn)
+            original = dict(turn)
+            rendered = dict(rturn)
             rendered.pop("utterance")
             assert original == rendered
-            assert rturn.utterance
+            assert rturn["utterance"]
 
 
 def test_slot_values_recoverable_by_substring(realized_fixture):
     _, realized = realized_fixture
     for flow in realized:
         for turn in flow.turns:
-            slots = turn.slots
+            slots = turn["slots"]
             if "value" in slots:
-                assert slots["value"] in turn.utterance
+                assert slots["value"] in turn["utterance"]
             if "values" in slots:
                 for value in slots["values"]:
-                    assert value in turn.utterance
+                    assert value in turn["utterance"]
             if "region_label" in slots:
-                assert slots["region_label"] in turn.utterance
+                assert slots["region_label"] in turn["utterance"]
 
 
 def test_surface_forms_resolve_back(realized_fixture, ontology):
@@ -140,11 +138,11 @@ def test_surface_forms_resolve_back(realized_fixture, ontology):
     checked = 0
     for flow in realized:
         for turn in flow.turns:
-            if turn.act not in CONCEPT_ACTS:
+            if turn["act"] not in CONCEPT_ACTS:
                 continue
-            concept = ontology.concept(turn.slots["concept_id"])
-            present = [f for f in concept.surface_forms if f in turn.utterance]
-            assert present, f"{turn.act}: no surface form in {turn.utterance!r}"
+            concept = ontology.concept(turn["slots"]["concept_id"])
+            present = [f for f in concept.surface_forms if f in turn["utterance"]]
+            assert present, f"{turn['act']}: no surface form in {turn['utterance']!r}"
             assert all(resolve_surface(ontology, f) == concept.concept_id for f in present)
             checked += 1
     assert checked > 50
@@ -156,10 +154,10 @@ def test_recommend_turns_have_exactly_one_token(realized_fixture):
     _, realized = realized_fixture
     for flow in realized:
         for turn in flow.turns:
-            if turn.act == "RECOMMEND_ITEM":
-                tokens = re.findall(r"<@(\d+)>", turn.utterance)
+            if turn["act"] == "RECOMMEND_ITEM":
+                tokens = re.findall(r"<@(\d+)>", turn["utterance"])
                 assert len(tokens) == 1
-                assert int(tokens[0]) == turn.slots["object_id"]
+                assert int(tokens[0]) == turn["slots"]["object_id"]
 
 
 def test_realize_corpus_parallel_equals_serial(realized_fixture, scenes, ontology, templates):
@@ -177,4 +175,4 @@ def test_realized_corpus_round_trips_jsonl(realized_fixture, tmp_path):
     reloaded = read_flows(path)
     assert [flow_to_dict(f) for f in reloaded] == [flow_to_dict(f) for f in realized]
     # utterances survive the round trip
-    assert all(t.utterance for f in reloaded for t in f.turns)
+    assert all(t["utterance"] for f in reloaded for t in f.turns)

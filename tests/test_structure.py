@@ -5,6 +5,7 @@ function of its module, and the README lists the flow keys the engine writes."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -145,12 +146,16 @@ def test_traced_names_are_module_level_functions():
             assert fn.__qualname__ == name, f"{module}.{name} is {fn.__qualname__}"
 
 
-def test_flow_turn_keys_match_readme():
-    from shopdialog.engine import Turn, turn_to_dict
+def test_flow_turn_keys_match_readme(tmp_path, scenes, ontology, policy, templates):
+    from shopdialog.engine import generate_corpus, write_flows
+    from shopdialog.realizer import realize_corpus
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraph = readme.split("**Dialog flows**", 1)[1].split("\n\n", 1)[0]
     sentence = paragraph.split("Each turn carries", 1)[1].split(".", 1)[0]
-    realized = Turn(round=1, speaker="customer", act="ANSWER_PREFERENCE", slots={},
-                    candidate_items=[0], utterance="I like warm colors.")
-    assert list(turn_to_dict(realized)) == re.findall(r"`([^`]+)`", sentence)
+    flows = realize_corpus(list(generate_corpus(scenes, ontology, policy, 3, base_seed=0)),
+                           templates, ontology, scenes, base_seed=0)
+    write_flows(flows, tmp_path / "realized.jsonl")
+    lines = (tmp_path / "realized.jsonl").read_text(encoding="utf-8").splitlines()
+    keys = {tuple(turn) for line in lines for turn in json.loads(line)["turns"]}
+    assert keys == {tuple(re.findall(r"`([^`]+)`", sentence))}
