@@ -3,7 +3,8 @@
 Subcommands compose through files (JSON, JSON Lines); there is no hidden
 state and all randomness derives from --seed, so re-running a command with
 the same inputs reproduces its outputs byte for byte.  Every output artifact
-gets a sibling "<name>.manifest.json" recording the invocation.
+gets a sibling "<name>.manifest.json" recording the invocation; it holds no
+timestamp, so a re-run reproduces it byte for byte as well.
 
 Exit codes: 0 success, 1 validation/input error, 2 usage error.
 """
@@ -11,7 +12,6 @@ Exit codes: 0 success, 1 validation/input error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 from pathlib import Path
@@ -39,8 +39,6 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, argv: list[str], o
         },
         "outputs": outputs,
         "seed": getattr(args, "seed", None),
-        "config": str(getattr(args, "policy", None)) if getattr(args, "policy", None) else None,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tool_version": __version__,
     }
     write_json(out_path, manifest, sort_keys=True)
@@ -252,81 +250,83 @@ def _jobs(text: str) -> int:
     return _count(text, least=1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CATALOG_FLAGS = (
+    ("--scenes", {"required": True, "help": "scene JSON file"}),
+    ("--metadata", {"required": True, "help": "prototype metadata JSON file"}),
+    ("--ontology", {"required": True, "help": "ontology JSON file"}),
+)
+_SEED = ("--seed", {"type": int, "default": 0})
+_JOBS = ("--jobs", {"type": _jobs, "default": 1})
+_FLOWS = ("--flows", {"required": True, "help": "input flow JSONL"})
+_OUT = ("--out", {"required": True, "help": "output JSONL path"})
+_TASK = ("--task", {"required": True, "choices": [t.lower() for t in TASKS]})
+_FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
+
+# Each subcommand's help line, the function it runs, and its arguments in help order.
+SUBCOMMANDS = {
+    "validate": ("validate scenes, metadata and ontology", cmd_validate, (
+        *_CATALOG_FLAGS,
+        ("--policy", {"help": "also validate a policy config"}),
+        ("--templates", {"help": "also validate a template file"}))),
+    "simulate": ("generate dialog flows by self-play", cmd_simulate, (
+        *_CATALOG_FLAGS,
+        ("--policy", {"required": True, "help": "policy config JSON"}),
+        ("--n", {"type": _count, "required": True, "help": "number of dialogs"}),
+        _SEED, _JOBS, _OUT)),
+    "realize": ("fill utterances into dialog flows", cmd_realize, (
+        *_CATALOG_FLAGS,
+        ("--templates", {"required": True, "help": "template JSON file"}),
+        _FLOWS, _SEED, _JOBS, _OUT)),
+    "gold": ("derive gold annotations from flows", cmd_gold, (
+        *_CATALOG_FLAGS, _FLOWS, _TASK,
+        ("--spd-mode", {"choices": ["cumulative", "scene_only"], "default": "cumulative"}),
+        _OUT)),
+    "split": ("partition a corpus into the four benchmark splits", cmd_split, (
+        _FLOWS,
+        ("--ratios", {"default": "0.65,0.05,0.15,0.15", "help": "four comma-separated ratios"}),
+        _SEED,
+        ("--out-dir", {"required": True, "help": "output directory"}))),
+    "stats": ("corpus statistics report", cmd_stats, (
+        _FLOWS, ("--out", {"required": True, "help": "output report path"}), _FORMAT)),
+    "eval": ("score a prediction file against gold", cmd_eval, (
+        _TASK,
+        ("--pred", {"required": True, "help": "prediction JSONL"}),
+        ("--gold", {"required": True, "help": "gold JSONL"}),
+        ("--out", {"help": "report path (default: print to stdout)"}),
+        _FORMAT)),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`. Every subcommand is listed, but only the one `argv` names is
+    built, with its arguments; the top level takes no option values, so that one is the first
+    word of `argv` that is not an option."""
     parser = argparse.ArgumentParser(
         prog="shopdialog",
         description="Recommendation dialog simulation and benchmark pipeline.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
 
-    def add_catalog_flags(p):
-        p.add_argument("--scenes", required=True, help="scene JSON file")
-        p.add_argument("--metadata", required=True, help="prototype metadata JSON file")
-        p.add_argument("--ontology", required=True, help="ontology JSON file")
+    def subparser(prog: str, **kwargs) -> argparse.ArgumentParser | None:
+        # Parsing reads only the chosen subcommand's parser; listing the others (in help and
+        # in the invalid-choice error) needs just their names and help lines.
+        return argparse.ArgumentParser(prog, **kwargs) if prog == f"shopdialog {chosen}" else None
 
-    p = sub.add_parser("validate", help="validate scenes, metadata and ontology")
-    add_catalog_flags(p)
-    p.add_argument("--policy", help="also validate a policy config")
-    p.add_argument("--templates", help="also validate a template file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("simulate", help="generate dialog flows by self-play")
-    add_catalog_flags(p)
-    p.add_argument("--policy", required=True, help="policy config JSON")
-    p.add_argument("--n", type=_count, required=True, help="number of dialogs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=1)
-    p.add_argument("--out", required=True, help="output JSONL path")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("realize", help="fill utterances into dialog flows")
-    add_catalog_flags(p)
-    p.add_argument("--templates", required=True, help="template JSON file")
-    p.add_argument("--flows", required=True, help="input flow JSONL")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=1)
-    p.add_argument("--out", required=True, help="output JSONL path")
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("gold", help="derive gold annotations from flows")
-    add_catalog_flags(p)
-    p.add_argument("--flows", required=True, help="input flow JSONL")
-    p.add_argument("--task", required=True, choices=[t.lower() for t in TASKS])
-    p.add_argument("--spd-mode", choices=["cumulative", "scene_only"], default="cumulative")
-    p.add_argument("--out", required=True, help="output JSONL path")
-    p.set_defaults(func=cmd_gold)
-
-    p = sub.add_parser("split", help="partition a corpus into the four benchmark splits")
-    p.add_argument("--flows", required=True, help="input flow JSONL")
-    p.add_argument("--ratios", default="0.65,0.05,0.15,0.15", help="four comma-separated ratios")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True, help="output directory")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("stats", help="corpus statistics report")
-    p.add_argument("--flows", required=True, help="input flow JSONL")
-    p.add_argument("--out", required=True, help="output report path")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("eval", help="score a prediction file against gold")
-    p.add_argument("--task", required=True, choices=[t.lower() for t in TASKS])
-    p.add_argument("--pred", required=True, help="prediction JSONL")
-    p.add_argument("--gold", required=True, help="gold JSONL")
-    p.add_argument("--out", help="report path (default: print to stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_eval)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, (help_text, _, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if p is not None:
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args, argv)
+        return SUBCOMMANDS[args.command][1](args, argv)
     except ShopDialogError as exc:
         where = f"{args.flows}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
         print(f"error: {where}{exc}", file=sys.stderr)

@@ -709,3 +709,29 @@ def test_writers_put_turn_keys_in_canonical_order(tmp_path):
         keys = TURN_KEYS + (["utterance"] if name.startswith("realized") else [])
         for line in blob.decode().splitlines():
             assert all(list(t) == keys for t in json.loads(line)["turns"]), name
+
+
+def test_manifests_are_byte_identical_across_reruns(tmp_path):
+    """Every subcommand that writes a manifest (all but `validate`) writes the same bytes when
+    the same argv runs again."""
+    flows = simulate(tmp_path, "flows.jsonl", n=20)
+    realized = tmp_path / "realized.jsonl"
+    gold = tmp_path / "gold.jsonl"
+    argvs = [
+        ["simulate", *base_flags(), "--policy", str(DATA / "policy.json"), "--n", "20",
+         "--out", str(flows)],
+        ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+         "--flows", str(flows), "--out", str(realized)],
+        ["gold", *base_flags(), "--flows", str(realized), "--task", "act", "--out", str(gold)],
+        ["split", "--flows", str(realized), "--out-dir", str(tmp_path / "splits")],
+        ["stats", "--flows", str(realized), "--out", str(tmp_path / "stats.json")],
+        ["eval", "--task", "act", "--pred", str(gold), "--gold", str(gold),
+         "--out", str(tmp_path / "report.json")],
+    ]
+    for argv in argvs:
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0, argv
+            runs.append({p.name: p.read_bytes() for p in tmp_path.rglob("*.manifest.json")})
+        assert runs[0] == runs[1], argv[0]
+    assert len(runs[1]) == len(argvs)

@@ -520,3 +520,18 @@ def test_distinct_seeds_give_independent_corpora(scenes, ontology, policy):
     base = bodies(0)
     for other in (1, 300):
         assert len(base & bodies(other)) <= 3, other  # at most 1% of n
+
+
+def test_concepts_for_value_is_reached_once_per_answer(monkeypatch, scenes, ontology, policy):
+    """A wrapper set on `ontology.concepts_for_value`, as the benchmark's tracer sets one,
+    sees one call per ANSWER_PREFERENCE turn."""
+    from shopdialog import ontology as ontology_module
+
+    calls = []
+    real = ontology_module.concepts_for_value
+    monkeypatch.setattr(ontology_module, "concepts_for_value",
+                        lambda *args: calls.append(args) or real(*args))
+    flows = list(generate_corpus(scenes, ontology, policy, 40, base_seed=2))
+    answers = sum(t["act"] == "ANSWER_PREFERENCE" for f in flows for t in f.turns)
+    assert answers > 0
+    assert len(calls) == answers

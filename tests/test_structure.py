@@ -33,7 +33,8 @@ def test_region_containment_lives_in_catalog():
 
 
 def test_eval_imports_only_scoring_modules(tmp_path):
-    """`eval` on every task loads no simulation module, no dataclasses, csv or process pool."""
+    """`eval` on every task loads no simulation module, no dataclasses, datetime, csv or
+    process pool."""
     from tests.test_cli import TINY_GOLD, write_tiny_gold
 
     argvs = []
@@ -41,7 +42,7 @@ def test_eval_imports_only_scoring_modules(tmp_path):
         gold = str(write_tiny_gold(tmp_path / f"gold_{task}.jsonl", task))
         argvs.append(["eval", "--task", task, "--pred", gold, "--gold", gold,
                       "--out", str(tmp_path / f"report_{task}.json")])
-    unwanted = ["dataclasses", "csv", "shopdialog.engine", "shopdialog.catalog",
+    unwanted = ["dataclasses", "datetime", "csv", "shopdialog.engine", "shopdialog.catalog",
                 "shopdialog.ontology", "shopdialog.realizer", "concurrent.futures.process"]
     probe = (
         "import sys\nfrom shopdialog import cli\n"
@@ -74,7 +75,7 @@ def _fresh_run(argv: list[str], watched: list[str]) -> str:
 
 
 def test_flow_stages_import_only_what_they_run(tmp_path):
-    """No stage loads dataclasses; split and stats load no catalog, ontology, attributes or
+    """No stage loads dataclasses or datetime; split and stats load no catalog, ontology, attributes or
     realizer; validate, simulate and realize load no evalhub."""
     from shopdialog.acts import TASKS
     from shopdialog.cli import main
@@ -101,7 +102,7 @@ def test_flow_stages_import_only_what_they_run(tmp_path):
     flow_only = ["shopdialog.catalog", "shopdialog.ontology", "shopdialog.attributes",
                  "shopdialog.realizer"]
     for name, argv in stages.items():
-        watched = ["dataclasses"]
+        watched = ["dataclasses", "datetime"]
         if name in ("split", "stats"):
             watched += flow_only
         elif not name.startswith("gold"):
@@ -118,17 +119,24 @@ def _traced_targets() -> dict[str, tuple[str, ...]]:
     )
 
 
-def test_traced_names_exist():
+def test_traced_names_exist(scenes, ontology, policy):
     for module, names in _traced_targets().items():
         mod = importlib.import_module(f"shopdialog.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
     # The tracer reads these arguments by position.
-    from shopdialog.engine import generate_corpus
+    from shopdialog import engine
     from shopdialog.evalhub import build_gold
 
     assert list(inspect.signature(build_gold).parameters)[3] == "task"
-    assert list(inspect.signature(generate_corpus).parameters)[5] == "jobs"
+    assert list(inspect.signature(engine.generate_corpus).parameters)[5] == "jobs"
+    # It counts accepted dialogs from the `outcome` of what generate_corpus yields, and times
+    # the flow codec through these engine functions.
+    flows = list(engine.generate_corpus(scenes, ontology, policy, 2, 0))
+    assert len(flows) == 2 and all(flow.outcome in ("success", "max_rounds") for flow in flows)
+    for name in ("flow_to_dict", "flow_from_dict", "read_flows", "write_flows"):
+        fn = getattr(engine, name)
+        assert inspect.isfunction(fn) and fn.__qualname__ == name, name
 
 
 def test_traced_names_are_module_level_functions():
