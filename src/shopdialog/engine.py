@@ -12,6 +12,9 @@ Flows are interchanged as JSON Lines, one dialog per line:
      "success"|"max_rounds", "turns": [{"round", "speaker", "act", "slots",
      "candidate_items", ("utterance")}, ...]}
 
+A turn is that wire dict from the moment `run_dialog` appends it:
+`flow_from_dict` rebuilds each turn it reads in this key order, and
+`flow_to_dict` passes turns through.  An act is a `(name, slots)` pair.
 A salesperson turn is annotated with the candidate items it acted on; the
 paired customer turn carries the items left after the round's narrowing.
 Candidate values are not stored: replaying the act pairs through
