@@ -381,19 +381,19 @@ def run_dialog(
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
         while True:
-            s_act = salesperson_step(state, cfg, rng, ont, banned)
+            s_name, s_slots = s_act = salesperson_step(state, cfg, rng, ont, banned)
             try:
-                c_act = customer_step(state, goal, s_act, ont, rng)
+                c_name, c_slots = c_act = customer_step(state, goal, s_act, ont, rng)
                 break
             except NoTruthfulConcept:
-                banned |= {s_act[0]}
+                banned |= {s_name}
         rnd = state.round
-        turns.append({"round": rnd, "speaker": "salesperson", "act": s_act[0], "slots": s_act[1],
+        turns.append({"round": rnd, "speaker": "salesperson", "act": s_name, "slots": s_slots,
                       "candidate_items": items})
         state = apply_turn(state, s_act, c_act, ont)
         if len(state.candidate_items) < len(items):  # a round only narrows the items
             items = sorted(state.candidate_items)
-        turns.append({"round": rnd, "speaker": "customer", "act": c_act[0], "slots": c_act[1],
+        turns.append({"round": rnd, "speaker": "customer", "act": c_name, "slots": c_slots,
                       "candidate_items": items})
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
