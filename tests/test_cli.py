@@ -665,7 +665,8 @@ def test_policy_field_errors_name_the_field(tmp_path, capsys, keys, value, messa
 
 
 # argv -> exit code, stdout and stderr of every help, version and usage-error run, as
-# written by the parser that built every subparser in full; argparse wraps at $COLUMNS.
+# written by the parser that built every subparser in full. argparse wraps at $COLUMNS,
+# and its wording can change between Python versions; these are Python 3.11's.
 USAGE_PINS = json.loads((Path(__file__).with_name("cli_usage.json")).read_text(encoding="utf-8"))
 
 
