@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from shopdialog.acts import SALESPERSON_ACTS
 from shopdialog.cli import main
-from tests.conftest import DATA
+from tests.conftest import DATA, ROOT
 
 
 def base_flags():
@@ -736,3 +739,64 @@ def test_manifests_are_byte_identical_across_reruns(tmp_path):
             runs.append({p.name: p.read_bytes() for p in tmp_path.rglob("*.manifest.json")})
         assert runs[0] == runs[1], argv[0]
     assert len(runs[1]) == len(argvs)
+
+
+def run_module(argv, cwd, unbuffered=False, **streams):
+    """`python -m shopdialog argv` in a new process, with stdout and stderr piped unless
+    `streams` says otherwise. `subprocess.run` waits in `communicate(timeout=...)`, which returns
+    only once every process holding the pipes, pool workers included, has closed them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-m", "shopdialog", *argv], cwd=cwd, env=env,
+                          timeout=120, **streams)
+
+
+def test_module_entry_point_end_to_end(tmp_path, monkeypatch, capsys):
+    """Every stage run as `python -m shopdialog` exits 0 with the stdout, stderr, artifacts and
+    manifests of the same argv run in-process through `cli.main`; bad input exits 1 with one
+    `error:` line and a usage error exits 2. Output paths are relative, so manifests compare."""
+    pack = [*base_flags(), "--seed", "3"]
+    policy, templates = ["--policy", str(DATA / "policy.json")], ["--templates", str(DATA / "templates.json")]
+    act = ["--task", "act", "--pred", "gold_act.jsonl", "--gold", "gold_act.jsonl"]
+    argvs = [
+        ["simulate", *pack, *policy, "--n", "30", "--jobs", "1", "--out", "flows.jsonl"],
+        ["simulate", *pack, *policy, "--n", "30", "--jobs", "2", "--out", "flows_j2.jsonl"],
+        ["realize", *pack, *templates, "--flows", "flows.jsonl", "--jobs", "2", "--out", "realized.jsonl"],
+        ["gold", *base_flags(), "--flows", "realized.jsonl", "--task", "act", "--out", "gold_act.jsonl"],
+        ["split", "--flows", "realized.jsonl", "--seed", "3", "--out-dir", "splits"],
+        ["stats", "--flows", "realized.jsonl", "--format", "csv", "--out", "stats.csv"],
+        ["eval", *act, "--out", "report.json"],
+        ["eval", *act],
+    ]
+    sub, inproc = tmp_path / "sub", tmp_path / "inproc"
+    sub.mkdir()
+    inproc.mkdir()
+    monkeypatch.chdir(inproc)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        result = run_module(argv, sub)
+        assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == (0, out, err), argv
+        assert err == "", argv
+    assert json.loads(out)["micro"]["f1"] == 1.0  # the report `eval` printed to the pipe
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    written = files(sub)
+    assert written == files(inproc)
+    assert len([name for name in written if name.endswith(".manifest.json")]) == len(argvs) - 1
+    assert written["flows.jsonl"] == written["flows_j2.jsonl"]
+
+    (sub / "bad.jsonl").write_text("{not json\n")
+    result = run_module(["stats", "--flows", "bad.jsonl", "--out", "bad.json"], sub)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode().startswith("error: bad.jsonl:1: ")
+    assert result.stderr.count(b"\n") == 1
+    result = run_module(["simulate", "--n", "5"], sub)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"usage: shopdialog simulate")
+    assert not (sub / "bad.json").exists()
