@@ -7,12 +7,17 @@ gets a sibling "<name>.manifest.json" recording the invocation; it holds no
 timestamp, so a re-run reproduces it byte for byte as well.
 
 Exit codes: 0 success, 1 validation/input error, 2 usage error.
+
+A process started as `python -m shopdialog` or `shopdialog` enters through `run()`: on
+success it flushes stdout and stderr and ends without interpreter teardown, so `atexit`
+handlers do not run.  `main()` called in-process returns its code as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -333,5 +338,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Exit with `main()`'s code. Success ends in `os._exit(0)` once the standard streams are
+    flushed: every file is closed by its `with` and every pool shut down by then, so teardown
+    would only free memory. A reader that closed stdout ends the run with 1 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps that quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if code:
+        sys.exit(code)
+    sys.stderr.flush()
+    os._exit(0)

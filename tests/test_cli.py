@@ -800,3 +800,16 @@ def test_module_entry_point_end_to_end(tmp_path, monkeypatch, capsys):
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr.startswith(b"usage: shopdialog simulate")
     assert not (sub / "bad.json").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_without_traceback(tmp_path, unbuffered):
+    """A stage whose stdout reader has gone exits 1 with nothing on stderr, whether the write
+    fails in `print` (unbuffered) or in the flush before exit (buffered)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_module(["validate", *base_flags()], tmp_path, unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")

@@ -1,6 +1,7 @@
 """Structure guard: one module owns each concern, each subcommand loads only the modules it
 runs and none loads `dataclasses`, every name the benchmark's tracer patches is a top-level
-function of its module, and the README lists the flow keys the engine writes."""
+function of its module, the README lists the flow keys the engine writes, and a successful
+process has nothing left to close when `cli.run` skips interpreter teardown."""
 
 import ast
 import importlib
@@ -167,3 +168,36 @@ def test_flow_turn_keys_match_readme(tmp_path, scenes, ontology, policy, templat
     lines = (tmp_path / "realized.jsonl").read_text(encoding="utf-8").splitlines()
     keys = {tuple(turn) for line in lines for turn in json.loads(line)["turns"]}
     assert keys == {tuple(re.findall(r"`([^`]+)`", sentence))}
+
+
+def test_every_open_is_a_with_item():
+    """`cli.run` ends a successful process without teardown, which would otherwise close a file
+    left open, so every `open(...)` in the package is the context expression of a `with`."""
+    calls = 0
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_with = {id(item.context_expr) for node in ast.walk(tree)
+                   if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id == "open" or (
+                    isinstance(func, ast.Attribute) and func.attr == "open"
+                    and not (isinstance(func.value, ast.Name) and func.value.id == "os")):
+                calls += 1
+                assert id(node) in in_with, f"{path.name}:{node.lineno}"
+    assert calls >= 4
+
+
+def test_script_target_is_the_module_entry_point():
+    """The installed `shopdialog` command runs the function `python -m shopdialog` runs."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^shopdialog\s*=\s*"([^"]+)"', scripts, re.M).group(1)
+    tree = ast.parse((SRC / "__main__.py").read_text(encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    [call] = [node.value for node in guard.body if isinstance(node, ast.Expr)]
+    imports = {alias.asname or alias.name: f"shopdialog.{node.module}:{alias.name}"
+               for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+    assert imports.get(ast.unparse(call.func)) == target == "shopdialog.cli:run"
