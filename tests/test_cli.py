@@ -796,10 +796,10 @@ def test_module_entry_point_end_to_end(tmp_path, monkeypatch, capsys):
     assert (result.returncode, result.stdout) == (1, b"")
     assert result.stderr.decode().startswith("error: bad.jsonl:1: ")
     assert result.stderr.count(b"\n") == 1
+    assert not (sub / "bad.json").exists()
     result = run_module(["simulate", "--n", "5"], sub)
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr.startswith(b"usage: shopdialog simulate")
-    assert not (sub / "bad.json").exists()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -177,7 +177,7 @@ def test_every_open_is_a_with_item():
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         in_with = {id(item.context_expr) for node in ast.walk(tree)
-                   if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+                   if isinstance(node, ast.With) for item in node.items}
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
             if isinstance(func, ast.Name) and func.id == "open" or (
