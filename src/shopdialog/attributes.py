@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import UnknownAttribute
+from .errors import ValidationError
 
 FASHION = "fashion"
 FURNITURE = "furniture"
@@ -37,13 +37,13 @@ def get_attribute(name: str) -> AttributeType:
     try:
         return _BY_NAME[name]
     except KeyError:
-        raise UnknownAttribute(f"unknown attribute {name!r}") from None
+        raise ValidationError(f"unknown attribute {name!r}") from None
 
 
 def attributes_for_domain(domain: str) -> tuple[AttributeType, ...]:
     """Attributes declared for a scene domain, in registry order."""
     if domain not in DOMAINS:
-        raise UnknownAttribute(f"unknown domain {domain!r}")
+        raise ValidationError(f"unknown domain {domain!r}")
     return tuple(a for a in ATTRIBUTES if a.domain in ("both", domain))
 
 

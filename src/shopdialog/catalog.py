@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
-from .errors import UnknownAttribute, UnknownRegion, ValidationError
+from .errors import ValidationError
 from .jsonio import read_json_with
 
 Bbox = tuple[float, float, float, float]
@@ -186,7 +186,7 @@ def _validate_metadata(raw: object) -> Metadata:
         for name, value in attrs.items():
             try:
                 attr = get_attribute(name)
-            except UnknownAttribute as exc:
+            except ValidationError as exc:
                 raise ValidationError(f"metadata {proto!r}: {exc}") from None
             if not isinstance(value, str):
                 raise ValidationError(f"metadata {proto!r}: value of {name!r} must be a string")
@@ -228,7 +228,7 @@ def items_in_region(scene: Scene, region_label: str) -> set[int]:
     try:
         return set(scene.region_items[region_label])
     except (KeyError, TypeError):  # TypeError: an unhashable label read from a flow
-        raise UnknownRegion(f"scene {scene.scene_id}: no region labeled {region_label!r}") from None
+        raise ValidationError(f"scene {scene.scene_id}: no region labeled {region_label!r}") from None
 
 
 def attribute_of(item: Item, attr: str) -> str:
@@ -236,7 +236,7 @@ def attribute_of(item: Item, attr: str) -> str:
     try:
         return item.attributes[attr]
     except KeyError:
-        raise UnknownAttribute(
+        raise ValidationError(
             f"item {item.object_id} ({item.prototype_id}) has no attribute {attr!r}"
         ) from None
 
@@ -246,4 +246,4 @@ def scene_value_universe(scene: Scene, attr: str) -> set[str]:
     try:
         return set(scene.value_universe[attr])
     except KeyError:
-        raise UnknownAttribute(f"scene {scene.scene_id}: no attribute {attr!r}") from None
+        raise ValidationError(f"scene {scene.scene_id}: no attribute {attr!r}") from None

@@ -9,8 +9,8 @@ timestamp, so a re-run reproduces it byte for byte as well.
 Exit codes: 0 success, 1 validation/input error, 2 usage error.
 
 A process started as `python -m shopdialog` or `shopdialog` enters through `run()`: on
-success it flushes stdout and stderr and ends without interpreter teardown, so `atexit`
-handlers do not run.  `main()` called in-process returns its code as before.
+exit code 0 (success, `--help`, `--version`) it flushes stdout and stderr and ends without
+interpreter teardown, so `atexit` handlers do not run.  `main()` called in-process returns its code as before.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .acts import SPLIT_NAMES, TASKS
-from .errors import BadRatios, DialogError, ShopDialogError, TaskMismatch, ValidationError
+from .errors import DialogError, ShopDialogError, ValidationError
 from .jsonio import write_json
 
 # Each subcommand imports the modules it runs when it runs: `eval` loads only
@@ -133,7 +133,7 @@ def cmd_split(args, argv) -> int:
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
     except ValueError:
-        raise BadRatios(f"ratios must be comma-separated numbers, got {args.ratios!r}") from None
+        raise ValidationError(f"ratios must be comma-separated numbers, got {args.ratios!r}") from None
     parts = split_corpus(flows, ratios, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,14 +181,11 @@ def cmd_eval(args, argv) -> int:
                           eval_set_task_macro, extract_item_ids, read_predictions)
 
     task = args.task.upper()
-    if task not in TASKS:
-        raise TaskMismatch(f"unknown task {args.task!r}")
     pred_header, pred_rows = read_predictions(args.pred, task)
     gold_header, gold_rows = read_predictions(args.gold, task)
 
     report: dict = {"task": task, "n_rounds": len(gold_rows), "tool_version": __version__}
     if task in ("SPD", "RRU"):
-        preds = {k: set(v) for k, v in pred_rows.items()}
         gold = {k: set(v) for k, v in gold_rows.items()}
         if task == "SPD":
             report["spd_mode"] = gold_header.get("spd_mode", "cumulative")
@@ -196,12 +193,15 @@ def cmd_eval(args, argv) -> int:
             if pred_mode != report["spd_mode"]:
                 print(f"warning: {args.pred}: spd_mode {pred_mode!r} differs from gold "
                       f"{report['spd_mode']!r}", file=sys.stderr)
-        report["micro"] = _asdict(eval_set_task(preds, gold, task))
-        report["macro"] = _asdict(eval_set_task_macro(preds, gold))
+        report["micro"] = _asdict(eval_set_task(pred_rows, gold, task))
+        report["macro"] = _asdict(eval_set_task_macro(pred_rows, gold))
     elif task == "ACT":
         report.update(_asdict(eval_act(pred_rows, gold_rows)))
     elif task == "RESPONSE":
-        report["bleu4"] = eval_response(pred_rows, gold_rows)
+        try:
+            report["bleu4"] = eval_response(pred_rows, gold_rows)
+        except ValidationError as exc:  # a gold file without rows
+            raise ValidationError(f"{args.gold}: {exc}") from None
     elif task == "RECOMMEND":
         gold = {k: extract_item_ids(v) for k, v in gold_rows.items()}
         report["micro"] = _asdict(eval_recommend(pred_rows, gold))
@@ -339,11 +339,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with `main()`'s code. Success ends in `os._exit(0)` once the standard streams are
-    flushed: every file is closed by its `with` and every pool shut down by then, so teardown
-    would only free memory. A reader that closed stdout ends the run with 1 and no traceback."""
+    """Exit with `main()`'s code. Code 0, from a subcommand or from `--help` or `--version`, ends
+    in `os._exit(0)` once the standard streams are flushed: every file is closed by its `with` and
+    every pool shut down by then, so teardown would only free memory. A reader that closed stdout
+    ends the run with 1 and no traceback."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's exit: 0 after --help or --version, 2 on a usage error
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit; pointing it at devnull keeps that quiet.

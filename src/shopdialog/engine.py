@@ -29,13 +29,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS
-from .errors import (
-    EmptyScene,
-    InconsistentState,
-    MalformedFile,
-    NoTruthfulConcept,
-    ValidationError,
-)
+from .errors import MalformedFile, NoTruthfulConcept, ValidationError
 from .jsonio import read_json_with, read_jsonl, write_jsonl
 from .parallel import parallel_map, session_seed
 
@@ -147,7 +141,7 @@ def new_session(scene: Scene) -> SessionState:
 def generate_goal(scene: Scene, rng: random.Random) -> Item:
     """Uniformly pick the hidden target item."""
     if not scene.items:
-        raise EmptyScene(f"scene {scene.scene_id} has no items")
+        raise ValidationError(f"scene {scene.scene_id} has no items")
     return scene.items[rng.randrange(len(scene.items))]
 
 
@@ -323,7 +317,7 @@ def apply_turn(
         named = values[attr] & offered
         kept = named if accept else values[attr] - named
         if not kept:
-            raise InconsistentState(f"candidate values of {attr} emptied")
+            raise ValidationError(f"candidate values of {attr} emptied")
         values = {**values, attr: kept}
         holders = frozenset().union(*map(state.scene.value_items[attr].__getitem__, named))
         items = items & holders if accept else items - holders
@@ -333,7 +327,7 @@ def apply_turn(
     elif not accept:
         items = items - {s_slots["object_id"]}
     if not items:
-        raise InconsistentState("candidate item set emptied")
+        raise ValidationError("candidate item set emptied")
     elicited = state.elicited_attrs
     if s_name in ELICIT_ACTS:
         elicited = elicited | {attr}

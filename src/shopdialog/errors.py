@@ -14,61 +14,13 @@ class ValidationError(ShopDialogError):
 
 
 class DialogError(ValidationError):
-    """A turn of a flow file breaks a rule; the message names the dialog, round and act,
-    and the CLI puts the flow file's path in front."""
+    """A flow file breaks a rule, and the CLI puts its path in front. `at` names the dialog,
+    round and act of the turn at fault."""
 
     @classmethod
     def at(cls, flow, turn, problem) -> "DialogError":
         return cls(f"dialog {flow.dialog_id} round {turn['round']} {turn['act']}: {problem}")
 
 
-class UnknownRegion(ShopDialogError):
-    """Region label not present in the scene."""
-
-
-class UnknownAttribute(ShopDialogError):
-    """Attribute not declared for the item's domain (or not in the registry)."""
-
-
-class UnknownConcept(ShopDialogError):
-    """Concept id not present in the ontology."""
-
-
-class UnknownValue(ShopDialogError):
-    """Value not in the attribute's global value space."""
-
-
-class MixedAttributeTypes(ShopDialogError):
-    """Preference clauses span more than one attribute type."""
-
-
-class EmptyScene(ShopDialogError):
-    """Scene has no items to pick a goal from."""
-
-
 class NoTruthfulConcept(ShopDialogError):
     """Customer cannot name any concept excluding the target's values."""
-
-
-class InconsistentState(ShopDialogError):
-    """A candidate set emptied; impossible under a truthful customer."""
-
-
-class MissingTemplate(ShopDialogError):
-    """No utterance template registered for an act."""
-
-
-class TaskMismatch(ShopDialogError):
-    """Prediction file task does not match the requested evaluation task."""
-
-
-class UnknownActName(ShopDialogError):
-    """Predicted act name is outside the salesperson act repertoire."""
-
-
-class EmptyCorpus(ShopDialogError):
-    """Operation needs at least one dialog / pair to evaluate."""
-
-
-class BadRatios(ShopDialogError):
-    """Split ratios must be four non-negative numbers summing to one."""

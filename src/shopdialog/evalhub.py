@@ -25,19 +25,10 @@ import math
 import random
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
-from .errors import (
-    BadRatios,
-    DialogError,
-    EmptyCorpus,
-    MalformedFile,
-    ShopDialogError,
-    TaskMismatch,
-    UnknownActName,
-    ValidationError,
-)
+from .errors import DialogError, MalformedFile, ShopDialogError, ValidationError
 from .jsonio import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
@@ -67,10 +58,10 @@ class PRF(NamedTuple):
         return cls(p, r, f1, tp, fp, fn)
 
 
-def eval_set_task(preds: dict[Key, set], gold: dict[Key, set], task: str) -> PRF:
+def eval_set_task(preds: dict[Key, Iterable], gold: dict[Key, set], task: str) -> PRF:
     """Micro-averaged PRF over element-level matches pooled across rounds."""
     if task not in ("SPD", "RRU"):
-        raise TaskMismatch(f"set-based scoring applies to SPD/RRU, not {task!r}")
+        raise ValidationError(f"set-based scoring applies to SPD/RRU, not {task!r}")
     tp = fp = fn = 0
     for key, gold_set in gold.items():
         pred_set = set(preds.get(key, set()))
@@ -80,7 +71,7 @@ def eval_set_task(preds: dict[Key, set], gold: dict[Key, set], task: str) -> PRF
     return PRF.from_counts(tp, fp, fn)
 
 
-def eval_set_task_macro(preds: dict[Key, set], gold: dict[Key, set]) -> PRF:
+def eval_set_task_macro(preds: dict[Key, Iterable], gold: dict[Key, set]) -> PRF:
     """Unweighted mean of per-round PRF (secondary to the micro headline)."""
     ps, rs, f1s = [], [], []
     for key, gold_set in gold.items():
@@ -108,9 +99,6 @@ def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
 
     Counts come from one tally of (gold, predicted) acts; a key one side lacks has None there.
     """
-    for key, act in preds.items():
-        if act not in SALESPERSON_ACTS:
-            raise UnknownActName(f"{key}: {act!r} is not a salesperson act")
     confusion = Counter((g, preds.get(key)) for key, g in gold.items())
     confusion.update((None, p) for key, p in preds.items() if key not in gold)
     classes = sorted(set(gold.values()) | set(preds.values()))
@@ -145,7 +133,7 @@ def eval_response(preds: dict[Key, str], refs: dict[Key, str]) -> float:
     Each distinct pair is scored once, its integer counts weighted by how often it occurs.
     """
     if not refs:
-        raise EmptyCorpus("no reference utterances to score against")
+        raise ValidationError("no reference utterances to score against")
     pairs = Counter(zip(map(preds.get, refs, itertools.repeat("")), refs.values()))
     clipped = [0] * 4
     totals = [0] * 4
@@ -210,16 +198,18 @@ def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
     """Corpus aggregates; the per-round candidate series carries each dialog's
     last observed count forward, so the corpus curve is non-increasing."""
     if not flows:
-        raise EmptyCorpus("no dialogs")
+        raise DialogError("no dialogs")
     n_utt = 0
     n_acts = 0
     n_prefs = 0
     n_objects = 0
     max_round = 0
+    round_acts: Counter = Counter()  # (round, act) of the salesperson turns
     for flow in flows:
         n_utt += len(flow.turns)
-        sales = [t for t in flow.turns if t["speaker"] == "salesperson"]
+        sales = [(t["round"], t["act"]) for t in flow.turns if t["speaker"] == "salesperson"]
         n_acts += len(sales)
+        round_acts.update(sales)
         n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
         n_objects += len(flow.turns[0]["candidate_items"])
         max_round = max(max_round, flow.turns[-1]["round"])
@@ -234,16 +224,13 @@ def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
             per_round_sum[rnd - 1] += last
     n = len(flows)
 
-    act_rows: list[dict[str, float]] = []
-    for rnd in range(1, 9):
-        counts = Counter(
-            t["act"] for flow in flows for t in flow.turns
-            if t["speaker"] == "salesperson" and t["round"] == rnd
-        )
-        total = sum(counts.values())
-        act_rows.append(
-            {a: (counts[a] / total if total else 0.0) for a in SALESPERSON_ACTS}
-        )
+    totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
+    for (rnd, _), count in round_acts.items():
+        totals[rnd] += count
+    act_rows = [
+        {a: (round_acts[rnd, a] / totals[rnd] if totals[rnd] else 0.0) for a in SALESPERSON_ACTS}
+        for rnd in range(1, 9)
+    ]
 
     return StatsReport(
         n_dialogs=n,
@@ -267,9 +254,9 @@ def split_corpus(
     come out exactly 65/5/15/15.
     """
     if len(ratios) != len(SPLIT_NAMES):
-        raise BadRatios(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
+        raise ValidationError(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
     if not all(0 <= r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:  # NaN fails 0 <= r
-        raise BadRatios(f"ratios must be finite, non-negative and sum to 1, got {ratios}")
+        raise ValidationError(f"ratios must be finite, non-negative and sum to 1, got {ratios}")
     n = len(flows)
     sizes = [int(n * r) for r in ratios]
     # Largest fractional remainders absorb the rounding gap (< 4 dialogs).
@@ -322,7 +309,7 @@ def build_gold(
     the elicited attribute up to the round, `scene_only` just that round's.
     """
     if task not in TASKS:
-        raise TaskMismatch(f"unknown task {task!r}")
+        raise ValidationError(f"unknown task {task!r}")
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
     from .catalog import SceneIndex, items_in_region
@@ -388,7 +375,7 @@ def _is_list_of(payload, kind: type) -> bool:
 _PAYLOAD_TYPES = {
     "SPD": (lambda p: _is_list_of(p, str), "a list of value strings"),
     "RRU": (lambda p: _is_list_of(p, int), "a list of integer object ids"),
-    "ACT": (lambda p: isinstance(p, str), "an act name"),
+    "ACT": (lambda p: p in SALESPERSON_ACTS, "a salesperson act name"),
     "RESPONSE": (lambda p: isinstance(p, str), "an utterance string"),
     "RECOMMEND": (lambda p: isinstance(p, str) or _is_list_of(p, int), "a list of ids or an utterance"),
 }
@@ -406,7 +393,7 @@ def read_predictions(path, task: str | None = None) -> tuple[dict, dict[Key, obj
             if line_no == 1:
                 header = record
                 if task is not None and header.get("task", task) != task:
-                    raise TaskMismatch(f"{path} declares task {header['task']!r}, expected {task!r}")
+                    raise ValidationError(f"{path} declares task {header['task']!r}, expected {task!r}")
                 continue
             raise MalformedFile(f"{path}:{line_no}: row without dialog_id")
         dialog_id, rnd = record["dialog_id"], record.get("round")

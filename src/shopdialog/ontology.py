@@ -21,12 +21,7 @@ from typing import NamedTuple
 
 from .attributes import get_attribute, numeric_payload
 from .catalog import Scene, scene_value_universe
-from .errors import (
-    MixedAttributeTypes,
-    UnknownConcept,
-    UnknownValue,
-    ValidationError,
-)
+from .errors import ValidationError
 from .jsonio import read_json_with, string_list
 
 Polarity = str  # "like" | "dislike"
@@ -62,7 +57,7 @@ class Ontology:
         try:
             return self._by_id[concept_id]
         except (KeyError, TypeError):  # TypeError: an unhashable id read from a flow
-            raise UnknownConcept(f"unknown concept {concept_id!r}") from None
+            raise ValidationError(f"unknown concept {concept_id!r}") from None
 
     def concepts_of(self, attr: str) -> tuple[Concept, ...]:
         """The attribute's concepts, sorted by concept_id."""
@@ -162,7 +157,7 @@ def concepts_for_value(ont: Ontology, attr: str, value: str) -> set[str]:
     try:
         return set(ont._owners[attr, value])
     except KeyError:
-        raise UnknownValue(f"{value!r} is not in the {attr} value space") from None
+        raise ValidationError(f"{value!r} is not in the {attr} value space") from None
 
 
 def spd_oracle(
@@ -178,7 +173,7 @@ def spd_oracle(
     concepts = [ont.concept(cid) for _, cid in expressed]
     attrs = {c.attr for c in concepts}
     if len(attrs) != 1:
-        raise MixedAttributeTypes(f"clauses span attributes {sorted(attrs)}")
+        raise ValidationError(f"clauses span attributes {sorted(attrs)}")
     result = scene_value_universe(scene, attrs.pop())
     for (polarity, cid), concept in zip(expressed, concepts):
         if polarity == "like":

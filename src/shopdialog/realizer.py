@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .catalog import Scene, SceneIndex
 from .engine import DialogFlow, text_slot
-from .errors import DialogError, MissingTemplate, ShopDialogError, ValidationError
+from .errors import DialogError, ShopDialogError, ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
 from .parallel import parallel_map, session_seed
@@ -63,7 +63,7 @@ class TemplateSet(NamedTuple):
         try:
             return self.by_key[key]
         except KeyError:
-            raise MissingTemplate(f"no templates for act key {key!r}") from None
+            raise ValidationError(f"no templates for act key {key!r}") from None
 
 
 def _placeholders(template: str) -> set[str]:

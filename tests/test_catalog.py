@@ -15,7 +15,7 @@ from shopdialog.catalog import (
     load_catalog,
     scene_value_universe,
 )
-from shopdialog.errors import UnknownAttribute, UnknownRegion, ValidationError
+from shopdialog.errors import ValidationError
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -133,7 +133,7 @@ def test_empty_region():
 
 def test_unknown_region():
     scene = Scene("s", "fashion", items=(make_item(0, (0.0, 0.0, 10.0, 10.0)),), regions=())
-    with pytest.raises(UnknownRegion):
+    with pytest.raises(ValidationError, match="scene s: no region labeled 'front shelf'"):
         items_in_region(scene, "front shelf")
 
 
@@ -207,7 +207,7 @@ def test_attribute_domain_mismatch():
         "price": "$299", "brand": "Home Store", "size": "large", "customer_review": "4.0",
     }
     sofa = make_item(0, (0.0, 0.0, 10.0, 10.0), sofa_attrs)
-    with pytest.raises(UnknownAttribute):
+    with pytest.raises(ValidationError, match="has no attribute 'sleeve_length'"):
         attribute_of(sofa, "sleeve_length")
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from shopdialog.acts import SALESPERSON_ACTS
+from shopdialog import __version__
+from shopdialog.acts import SALESPERSON_ACTS, SPLIT_NAMES
 from shopdialog.cli import main
 from tests.conftest import DATA, ROOT
 
@@ -628,6 +629,7 @@ def edited_config(tmp_path, config, keys, value):
     ("scenes", (0, "scene_id"), ["f01"]),
     ("scenes", (0, "items", 0, "prototype_id"), ["p_fash_020"]),
     ("scenes", (0, "regions", 0, "label"), ["back left rack"]),
+    ("ontology", (0, "attribute"), "nope"),
 ], ids=["policy-without-rounds", "policy-row-not-an-object", "policy-non-numeric-probability",
         "policy-non-numeric-field", "policy-fractional-max-rounds", "policy-bool-display-min",
         "policy-negative-recommend-max", "policy-zero-recommend-max", "policy-bool-probability",
@@ -636,7 +638,7 @@ def edited_config(tmp_path, config, keys, value):
         "concept-values-not-a-list", "template-bare-string", "template-stray-brace",
         "scene-non-numeric-bbox", "scene-regions-not-a-list", "scene-item-not-an-object",
         "metadata-unknown-attribute", "scene-list-valued-scene-id", "scene-list-valued-prototype-id",
-        "scene-list-valued-region-label"])
+        "scene-list-valued-region-label", "block-unknown-attribute"])
 def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     """A config file whose contents do not fit its schema exits 1 with one line naming it."""
     bad = edited_config(tmp_path, config, keys, value)
@@ -649,6 +651,40 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
     assert "unhashable" not in err
+
+
+@pytest.mark.parametrize("case", ["act-pred", "act-gold", "stats-no-dialogs", "response-no-gold-rows"])
+def test_input_errors_name_their_file(tmp_path, capsys, case):
+    """An ACT payload outside the salesperson repertoire, in either file, a flow file without
+    dialogs and a RESPONSE gold file without rows each exit 1 with one line naming the file."""
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    out = tmp_path / "out.json"
+    if case.startswith("act"):
+        bad.write_text(write_tiny_gold(good, "act").read_text().replace("REFER_REGION", "FOO"))
+        pred, gold = (bad, good) if case == "act-pred" else (good, bad)
+        argv = ["eval", "--task", "act", "--pred", str(pred), "--gold", str(gold)]
+        expected = f"error: {bad}:3: a ACT payload must be a salesperson act name\n"
+    elif case == "stats-no-dialogs":
+        bad.write_text("\n")
+        argv = ["stats", "--flows", str(bad)]
+        expected = f"error: {bad}: no dialogs\n"
+    else:
+        write_tiny_gold(good, "response")
+        bad.write_text(json.dumps({"task": "RESPONSE"}) + "\n")
+        argv = ["eval", "--task", "response", "--pred", str(good), "--gold", str(bad)]
+        expected = f"error: {bad}: no reference utterances to score against\n"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
+def test_split_of_a_flow_file_without_dialogs(tmp_path, capsys):
+    flows = tmp_path / "empty.jsonl"
+    flows.write_text("")
+    out_dir = tmp_path / "splits"
+    assert main(["split", "--flows", str(flows), "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out == "split sizes: train=0, dev=0, dev_test=0, test_std=0\n"
+    assert [(out_dir / f"{name}.jsonl").read_text() for name in SPLIT_NAMES] == [""] * 4
 
 
 @pytest.mark.parametrize("keys, value, message", [
@@ -813,3 +849,21 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path, unbuffered):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0), (["simulate"], 2)],
+                         ids=["version", "help", "usage-error"])
+def test_every_exit_code_zero_skips_teardown(tmp_path, argv, code):
+    """`cli.run` ends exit code 0, argparse's after `--version` or `--help` too, without
+    interpreter teardown, so a handler registered with `atexit` does not run; a usage error
+    takes the normal exit and runs it."""
+    probe = ("import atexit, sys\nfrom shopdialog import cli\n"
+             "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+             f"sys.argv[1:] = {argv!r}\ncli.run()\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == code
+    assert ("atexit ran" in result.stderr) == (code != 0)
+    if argv == ["--version"]:
+        assert result.stdout == f"{__version__}\n"

@@ -19,7 +19,7 @@ from shopdialog.engine import (
     run_dialog,
     salesperson_step,
 )
-from shopdialog.errors import EmptyScene, InconsistentState
+from shopdialog.errors import ValidationError
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -59,7 +59,7 @@ def test_goal_deterministic():
 
 def test_goal_empty_scene():
     scene = Scene("empty-ish", "fashion", (), ())
-    with pytest.raises(EmptyScene):
+    with pytest.raises(ValidationError, match="scene empty-ish has no items"):
         generate_goal(scene, random.Random(0))
 
 
@@ -309,7 +309,7 @@ def test_apply_inconsistent_state_detected(ontology):
         (("DISPLAY_CANDIDATE_VALUES", {"attribute": "color", "values": ["red", "yellow"]}),
          ("CHOOSE_ATTRIBUTE_VALUE", {"attribute": "color", "value": "blue"})),
     ):
-        with pytest.raises(InconsistentState):
+        with pytest.raises(ValidationError, match="candidate values of color emptied"):
             apply_turn(state, s_act, c_act, ontology)
 
 

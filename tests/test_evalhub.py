@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, generate_corpus
-from shopdialog.errors import (
-    BadRatios,
-    EmptyCorpus,
-    MalformedFile,
-    TaskMismatch,
-    UnknownActName,
-)
+from shopdialog.errors import MalformedFile, ValidationError
 from shopdialog.evalhub import (
     PRF,
     ActReport,
@@ -69,7 +63,7 @@ def test_missing_rows_count_as_empty():
 
 
 def test_set_task_rejects_wrong_task():
-    with pytest.raises(TaskMismatch):
+    with pytest.raises(ValidationError, match="set-based scoring applies to SPD/RRU, not 'ACT'"):
         eval_set_task({}, {}, "ACT")
 
 
@@ -125,9 +119,12 @@ def test_act_price_complaint_round():
     assert report.micro.f1 == 1.0
 
 
-def test_act_unknown_name_rejected():
-    with pytest.raises(UnknownActName):
-        eval_act({("d0", 1): "SING_A_SONG"}, {("d0", 1): "ASK_PREFERENCE"})
+def test_act_unknown_name_rejected(tmp_path):
+    """An ACT payload outside the salesperson repertoire is rejected where the file is read."""
+    path = tmp_path / "pred.jsonl"
+    write_predictions(path, {"task": "ACT"}, {("d0", 1): "ASK_PREFERENCE", ("d0", 2): "SING_A_SONG"})
+    with pytest.raises(MalformedFile, match="pred.jsonl:3: a ACT payload must be a salesperson act name"):
+        read_predictions(path, "ACT")
 
 
 def test_bleu_identical_corpus():
@@ -154,7 +151,7 @@ def test_bleu_hand_computed_pair():
 
 
 def test_bleu_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValidationError, match="no reference utterances to score against"):
         eval_response({}, {})
 
 
@@ -287,7 +284,7 @@ def test_stats_candidate_series_non_increasing(scenes, ontology, policy):
 
 
 def test_stats_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValidationError, match="no dialogs"):
         corpus_stats([])
 
 
@@ -316,9 +313,10 @@ def test_split_deterministic():
 
 
 def test_split_bad_ratios():
-    with pytest.raises(BadRatios):
+    with pytest.raises(ValidationError, match=r"ratios must be finite, non-negative and sum to 1, "
+                                              r"got \(0.5, 0.5, 0.5, 0.5\)"):
         split_corpus(make_flows(4), (0.5, 0.5, 0.5, 0.5), seed=0)
-    with pytest.raises(BadRatios):
+    with pytest.raises(ValidationError, match="need 4 ratios, got 3"):
         split_corpus(make_flows(4), (1.0, 0.0, 0.0), seed=0)
 
 

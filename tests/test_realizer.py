@@ -7,7 +7,7 @@ from shopdialog.engine import (
     flow_to_dict,
     generate_corpus,
 )
-from shopdialog.errors import MissingTemplate, ValidationError
+from shopdialog.errors import ValidationError
 from shopdialog.realizer import (
     item_description,
     realize_corpus,
@@ -74,7 +74,7 @@ def test_empty_flow_unchanged(templates, ontology, scenes):
 def test_missing_template_raises(ontology, scenes):
     broken = templates_from_dict_ok()
     del broken.by_key["ANSWER_PREFERENCE"]
-    with pytest.raises(MissingTemplate):
+    with pytest.raises(ValidationError, match="no templates for act key 'ANSWER_PREFERENCE'"):
         realize_turn(concept_turn(), broken, ontology, scenes[0], random.Random(0))
 
 

@@ -1,7 +1,8 @@
 """Structure guard: one module owns each concern, each subcommand loads only the modules it
 runs and none loads `dataclasses`, every name the benchmark's tracer patches is a top-level
-function of its module, the README lists the flow keys the engine writes, and a successful
-process has nothing left to close when `cli.run` skips interpreter teardown."""
+function of its module, the README lists the flow keys the engine writes and the exception
+types `errors.py` defines, and a successful process has nothing left to close when `cli.run`
+skips interpreter teardown."""
 
 import ast
 import importlib
@@ -201,3 +202,23 @@ def test_script_target_is_the_module_entry_point():
                for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
                for alias in node.names}
     assert imports.get(ast.unparse(call.func)) == target == "shopdialog.cli:run"
+
+
+def test_exception_classes_match_readme_and_are_used():
+    """`errors.py` defines exactly the exceptions README's table lists, and some module of the
+    package raises or catches each one; a class that is neither is one more name to learn."""
+    defined = [node.name for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| exception | meaning |", 1)[1].split("\n\n", 1)[0]
+    assert defined == re.findall(r"^\| `(\w+)` \|", table, re.M)
+    used = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(ast.unparse(exc).split(".")[0])  # `DialogError.at(...)` raises a DialogError
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                used.update(ast.unparse(t) for t in types)
+    assert set(defined) <= used, sorted(set(defined) - used)
