@@ -2,15 +2,15 @@
 
 Subcommands compose through files (JSON, JSON Lines); there is no hidden
 state and all randomness derives from --seed, so re-running a command with
-the same inputs reproduces its outputs byte for byte.  Every output artifact
-gets a sibling "<name>.manifest.json" recording the invocation; it holds no
-timestamp, so a re-run reproduces it byte for byte as well.
+the same inputs reproduces its outputs byte for byte.  `main()` runs each subcommand, after
+`validate`'s catalog checks if it takes the catalog flags, and writes one manifest of the
+run without a timestamp: "<out>.manifest.json", or "split.manifest.json" in --out-dir.
 
 Exit codes: 0 success, 1 validation/input error, 2 usage error.
 
 A process started as `python -m shopdialog` or `shopdialog` enters through `run()`: on
 exit code 0 (success, `--help`, `--version`) it flushes stdout and stderr and ends without
-interpreter teardown, so `atexit` handlers do not run.  `main()` called in-process returns its code as before.
+interpreter teardown, so `atexit` handlers do not run.  `main()` called in-process returns its code.
 """
 
 from __future__ import annotations
@@ -49,83 +49,69 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, argv: list[str], o
     write_json(out_path, manifest, sort_keys=True)
 
 
-def cmd_validate(args, argv) -> int:
+def _catalog(args):
+    """(scenes, ontology) from the catalog flags. Every metadata value must sit in the ontology
+    value space, otherwise a simulated customer could face a value no concept covers."""
     from .catalog import load_catalog
-    from .engine import load_policy
     from .ontology import load_ontology
-    from .realizer import load_templates
 
     scenes, metadata = load_catalog(args.scenes, args.metadata)
     ont = load_ontology(args.ontology)
-    # Cross-check: every metadata value must sit in the ontology value space,
-    # otherwise a simulated customer could face a value no concept covers.
-    problems = []
     for proto, attrs in metadata.items():
         for attr, value in attrs.items():
-            space = ont.value_spaces.get(attr)
-            if space is None or value not in space:
-                problems.append(f"{proto}: {attr}={value!r} not covered by the ontology")
-    if problems:
-        raise ValidationError("; ".join(problems[:5]))
+            if value not in ont.value_spaces.get(attr, ()):
+                raise ValidationError(f"{args.metadata}: {proto}: {attr}={value!r} not covered by the ontology")
+    return scenes, ont
+
+
+def cmd_validate(args):
+    from .engine import load_policy
+    from .realizer import load_templates
+
+    scenes, ont = _catalog(args)
     if args.policy:
         load_policy(args.policy)
     if args.templates:
         load_templates(args.templates)
     n_items = sum(len(s.items) for s in scenes)
-    print(f"OK: {len(scenes)} scenes, {n_items} items, {len(ont.concepts)} concepts")
-    return 0
+    return [], f"OK: {len(scenes)} scenes, {n_items} items, {len(ont.concepts)} concepts"
 
 
-def cmd_simulate(args, argv) -> int:
-    from .catalog import load_catalog
+def cmd_simulate(args):
     from .engine import generate_corpus, load_policy, write_flows
-    from .ontology import load_ontology
 
-    scenes, _ = load_catalog(args.scenes, args.metadata)
-    ont = load_ontology(args.ontology)
+    scenes, ont = _catalog(args)
     cfg = load_policy(args.policy)
     flows = generate_corpus(scenes, ont, cfg, args.n, args.seed, jobs=args.jobs)
     count = write_flows(flows, args.out)
-    _write_manifest(Path(str(args.out) + ".manifest.json"), args, argv, [str(args.out)])
-    print(f"wrote {count} dialogs to {args.out}")
-    return 0
+    return [str(args.out)], f"wrote {count} dialogs to {args.out}"
 
 
-def cmd_realize(args, argv) -> int:
-    from .catalog import load_catalog
+def cmd_realize(args):
     from .engine import read_flows, write_flows
-    from .ontology import load_ontology
     from .realizer import load_templates, realize_corpus
 
-    scenes, _ = load_catalog(args.scenes, args.metadata)
-    ont = load_ontology(args.ontology)
+    scenes, ont = _catalog(args)
     templates = load_templates(args.templates)
     flows = read_flows(args.flows)
     realized = realize_corpus(flows, templates, ont, scenes, args.seed, jobs=args.jobs)
     write_flows(realized, args.out)
-    _write_manifest(Path(str(args.out) + ".manifest.json"), args, argv, [str(args.out)])
-    print(f"realized {len(realized)} dialogs to {args.out}")
-    return 0
+    return [str(args.out)], f"realized {len(realized)} dialogs to {args.out}"
 
 
-def cmd_gold(args, argv) -> int:
-    from .catalog import load_catalog
+def cmd_gold(args):
     from .engine import read_flows
     from .evalhub import build_gold, write_predictions
-    from .ontology import load_ontology
 
-    scenes, _ = load_catalog(args.scenes, args.metadata)
-    ont = load_ontology(args.ontology)
+    scenes, ont = _catalog(args)
     flows = read_flows(args.flows)
     task = args.task.upper()
     header, rows = build_gold(flows, ont, scenes, task, spd_mode=args.spd_mode)
     write_predictions(args.out, header, rows)
-    _write_manifest(Path(str(args.out) + ".manifest.json"), args, argv, [str(args.out)])
-    print(f"wrote {len(rows)} {task} gold rows to {args.out}")
-    return 0
+    return [str(args.out)], f"wrote {len(rows)} {task} gold rows to {args.out}"
 
 
-def cmd_split(args, argv) -> int:
+def cmd_split(args):
     from .engine import read_flows, write_flows
     from .evalhub import split_corpus
 
@@ -137,17 +123,13 @@ def cmd_split(args, argv) -> int:
     parts = split_corpus(flows, ratios, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name in SPLIT_NAMES:
-        path = out_dir / f"{name}.jsonl"
+    outputs = [str(out_dir / f"{name}.jsonl") for name in SPLIT_NAMES]
+    for name, path in zip(SPLIT_NAMES, outputs):
         write_flows(parts[name], path)
-        outputs.append(str(path))
-    _write_manifest(out_dir / "split.manifest.json", args, argv, outputs)
-    print("split sizes: " + ", ".join(f"{n}={len(parts[n])}" for n in SPLIT_NAMES))
-    return 0
+    return outputs, "split sizes: " + ", ".join(f"{n}={len(parts[n])}" for n in SPLIT_NAMES)
 
 
-def cmd_stats(args, argv) -> int:
+def cmd_stats(args):
     from .engine import read_flows
     from .evalhub import corpus_stats
 
@@ -171,12 +153,10 @@ def cmd_stats(args, argv) -> int:
                     writer.writerow(["act_distribution", rnd, act, p])
     else:
         write_json(out, _asdict(report))
-    _write_manifest(Path(str(out) + ".manifest.json"), args, argv, [str(out)])
-    print(f"stats for {report.n_dialogs} dialogs written to {out}")
-    return 0
+    return [str(out)], f"stats for {report.n_dialogs} dialogs written to {out}"
 
 
-def cmd_eval(args, argv) -> int:
+def cmd_eval(args):
     from .evalhub import (eval_act, eval_recommend, eval_response, eval_set_task,
                           eval_set_task_macro, extract_item_ids, read_predictions)
 
@@ -193,7 +173,7 @@ def cmd_eval(args, argv) -> int:
             if pred_mode != report["spd_mode"]:
                 print(f"warning: {args.pred}: spd_mode {pred_mode!r} differs from gold "
                       f"{report['spd_mode']!r}", file=sys.stderr)
-        report["micro"] = _asdict(eval_set_task(pred_rows, gold, task))
+        report["micro"] = _asdict(eval_set_task(pred_rows, gold))
         report["macro"] = _asdict(eval_set_task_macro(pred_rows, gold))
     elif task == "ACT":
         report.update(_asdict(eval_act(pred_rows, gold_rows)))
@@ -206,22 +186,20 @@ def cmd_eval(args, argv) -> int:
         gold = {k: extract_item_ids(v) for k, v in gold_rows.items()}
         report["micro"] = _asdict(eval_recommend(pred_rows, gold))
 
-    if args.out:
-        out = Path(args.out)
-        if args.format == "csv":
-            import csv
+    if not args.out:
+        return [], json.dumps(report, indent=2, ensure_ascii=False)
+    out = Path(args.out)
+    if args.format == "csv":
+        import csv
 
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["metric", "value"])
-                for key, value in sorted(_flatten(report).items()):
-                    writer.writerow([key, value])
-        else:
-            write_json(out, report)
-        _write_manifest(Path(str(out) + ".manifest.json"), args, argv, [str(out)])
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["metric", "value"])
+            for key, value in sorted(_flatten(report).items()):
+                writer.writerow([key, value])
     else:
-        print(json.dumps(report, indent=2, ensure_ascii=False))
-    return 0
+        write_json(out, report)
+    return [str(out)], None
 
 
 def _asdict(obj):
@@ -267,7 +245,7 @@ _OUT = ("--out", {"required": True, "help": "output JSONL path"})
 _TASK = ("--task", {"required": True, "choices": [t.lower() for t in TASKS]})
 _FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
 
-# Each subcommand's help line, the function it runs, and its arguments in help order.
+# Per subcommand: help line, function (args -> paths written, line to print), arguments in help order.
 SUBCOMMANDS = {
     "validate": ("validate scenes, metadata and ontology", cmd_validate, (
         *_CATALOG_FLAGS,
@@ -331,11 +309,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return SUBCOMMANDS[args.command][1](args, argv)
+        outputs, message = SUBCOMMANDS[args.command][1](args)
     except ShopDialogError as exc:
         where = f"{args.flows}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
+    if outputs:
+        out_dir = getattr(args, "out_dir", None)
+        manifest = Path(out_dir, "split.manifest.json") if out_dir else Path(outputs[0] + ".manifest.json")
+        _write_manifest(manifest, args, argv, outputs)
+    if message is not None:
+        print(message)
+    return 0
 
 
 def run() -> None:

@@ -58,13 +58,12 @@ class PRF(NamedTuple):
         return cls(p, r, f1, tp, fp, fn)
 
 
-def eval_set_task(preds: dict[Key, Iterable], gold: dict[Key, set], task: str) -> PRF:
-    """Micro-averaged PRF over element-level matches pooled across rounds."""
-    if task not in ("SPD", "RRU"):
-        raise ValidationError(f"set-based scoring applies to SPD/RRU, not {task!r}")
+def eval_set_task(preds: dict[Key, object], gold: dict[Key, set], as_set=set) -> PRF:
+    """Micro-averaged PRF over element-level matches pooled across rounds; `as_set` reads a
+    prediction's payload as a set, and a missing prediction is empty."""
     tp = fp = fn = 0
     for key, gold_set in gold.items():
-        pred_set = set(preds.get(key, set()))
+        pred_set = as_set(preds.get(key, ()))
         tp += len(pred_set & gold_set)
         fp += len(pred_set - gold_set)
         fn += len(gold_set - pred_set)
@@ -170,13 +169,7 @@ def extract_item_ids(payload) -> set[int]:
 
 def eval_recommend(preds: dict[Key, object], gold_targets: dict[Key, set[int]]) -> PRF:
     """Micro PRF over per-dialog recommended-id sets; unparseable preds are empty."""
-    tp = fp = fn = 0
-    for key, gold_ids in gold_targets.items():
-        pred_ids = extract_item_ids(preds.get(key, ()))
-        tp += len(pred_ids & gold_ids)
-        fp += len(pred_ids - gold_ids)
-        fn += len(gold_ids - pred_ids)
-    return PRF.from_counts(tp, fp, fn)
+    return eval_set_task(preds, gold_targets, extract_item_ids)
 
 
 class StatsReport(NamedTuple):
@@ -323,7 +316,7 @@ def build_gold(
     rows: dict[Key, object] = {}
     for flow in flows:
         if task == "SPD":
-            scene = by_id[flow.scene_id]
+            scene = by_id.scene_of(flow)
             clauses = _preference_clauses(flow)
             for turn, attr, _, _ in clauses:
                 rnd = turn["round"]
@@ -336,7 +329,7 @@ def build_gold(
                 except ShopDialogError as exc:
                     raise DialogError.at(flow, turn, exc) from None
         elif task == "RRU":
-            scene = by_id[flow.scene_id]
+            scene = by_id.scene_of(flow)
             for turn in flow.turns:
                 if turn["speaker"] == "salesperson" and turn["act"] == "REFER_REGION":
                     try:
@@ -352,9 +345,7 @@ def build_gold(
             for turn in flow.turns:
                 if turn["speaker"] == "salesperson":
                     if "utterance" not in turn:
-                        raise ValidationError(
-                            f"{flow.dialog_id}: RESPONSE gold needs realized flows"
-                        )
+                        raise DialogError(f"dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
                     rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
         elif task == "RECOMMEND":
             last_round = flow.turns[-1]["round"]

@@ -175,7 +175,7 @@ def _realize_one(shared: tuple, item: tuple[int, DialogFlow]) -> DialogFlow:
     templates, ont, scenes_by_id, base_seed = shared
     i, flow = item
     seed = session_seed(base_seed, "realize", i)
-    return realize_dialog(flow, templates, ont, scenes_by_id[flow.scene_id], seed)
+    return realize_dialog(flow, templates, ont, scenes_by_id.scene_of(flow), seed)
 
 
 def realize_corpus(

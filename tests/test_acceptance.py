@@ -185,7 +185,7 @@ def test_criterion_4_policy_calibration(corpus):
 
 
 def test_criterion_5_metric_correctness():
-    prf = eval_set_task({("d", 1): {"red", "yellow"}}, {("d", 1): {"yellow", "brown", "red"}}, "SPD")
+    prf = eval_set_task({("d", 1): {"red", "yellow"}}, {("d", 1): {"yellow", "brown", "red"}})
     f1_ok = abs(prf.f1 - 0.8) < 1e-12 and prf.precision == 1.0
 
     refs = {("d", 1): "please have a look at this one", ("d", 2): "what about the red jacket"}

@@ -1,5 +1,6 @@
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from shopdialog.catalog import (
     load_catalog,
     scene_value_universe,
 )
-from shopdialog.errors import ValidationError
+from shopdialog.errors import DialogError, ValidationError
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -85,8 +86,8 @@ def test_scene_index_survives_pickling(scenes):
     assert list(copy) == list(index)
     assert items_in_region(copy["f01"], region) == expected
     assert copy["f01"].value_universe == f01.value_universe
-    with pytest.raises(ValidationError, match="unknown scene_id 'nope'"):
-        copy["nope"]
+    with pytest.raises(DialogError, match="dialog d0: unknown scene_id 'nope': not in the scene file"):
+        copy.scene_of(SimpleNamespace(dialog_id="d0", scene_id="nope"))
 
 
 def test_nonpositive_bbox_rejected(tmp_path):

@@ -338,8 +338,8 @@ def test_unknown_scene_id_exits_one(tmp_path, capsys, stage, jobs):
                "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown scene_id 'nope'")
-    assert err.count("\n") == 1
+    dialog = records[1]["dialog_id"]
+    assert err == f"error: {flows}: dialog {dialog}: unknown scene_id 'nope': not in the scene file\n"
 
 
 def row(payload) -> str:
@@ -653,13 +653,42 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     assert "unhashable" not in err
 
 
-@pytest.mark.parametrize("case", ["act-pred", "act-gold", "stats-no-dialogs", "response-no-gold-rows"])
+@pytest.mark.parametrize("stage", ["validate", "simulate", "realize", "gold"])
+def test_metadata_outside_the_ontology_exits_one_before_writing(tmp_path, capsys, stage):
+    """Every stage that takes the catalog flags checks that the ontology covers each metadata
+    value, and stops with one line naming the metadata file before it writes anything."""
+    flows = simulate(tmp_path, "flows.jsonl", n=2)
+    capsys.readouterr()
+    bad = edited_config(tmp_path, "metadata", ("p_fash_000", "color"), "chartreuse")
+    flags = ["--scenes", str(DATA / "scenes.json"), "--metadata", str(bad),
+             "--ontology", str(DATA / "ontology.json")]
+    out = tmp_path / "out.jsonl"
+    extra = {
+        "validate": [],
+        "simulate": ["--policy", str(DATA / "policy.json"), "--n", "300", "--out", str(out)],
+        "realize": ["--templates", str(DATA / "templates.json"), "--flows", str(flows), "--out", str(out)],
+        "gold": ["--task", "spd", "--flows", str(flows), "--out", str(out)],
+    }[stage]
+    assert main([stage, *flags, *extra]) == 1
+    expected = f"error: {bad}: p_fash_000: color='chartreuse' not covered by the ontology\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["act-pred", "act-gold", "stats-no-dialogs", "response-no-gold-rows",
+                                  "response-unrealized"])
 def test_input_errors_name_their_file(tmp_path, capsys, case):
     """An ACT payload outside the salesperson repertoire, in either file, a flow file without
-    dialogs and a RESPONSE gold file without rows each exit 1 with one line naming the file."""
+    dialogs, a RESPONSE gold file without rows and RESPONSE gold from unrealized flows each
+    exit 1 with one line naming the file."""
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     out = tmp_path / "out.json"
-    if case.startswith("act"):
+    if case == "response-unrealized":
+        simulate(tmp_path, bad.name, n=2)
+        capsys.readouterr()
+        argv = ["gold", *base_flags(), "--task", "response", "--flows", str(bad)]
+        expected = f"error: {bad}: dialog d00000: RESPONSE gold needs realized flows\n"
+    elif case.startswith("act"):
         bad.write_text(write_tiny_gold(good, "act").read_text().replace("REFER_REGION", "FOO"))
         pred, gold = (bad, good) if case == "act-pred" else (good, bad)
         argv = ["eval", "--task", "act", "--pred", str(pred), "--gold", str(gold)]

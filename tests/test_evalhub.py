@@ -31,14 +31,14 @@ def turn(rnd, speaker, act, slots, candidate_items):
 
 def test_perfect_set_prediction():
     gold = {("d0", 1): {"red", "yellow"}, ("d0", 3): {"blue"}}
-    prf = eval_set_task(gold, gold, "SPD")
+    prf = eval_set_task(gold, gold)
     assert prf.precision == prf.recall == prf.f1 == 1.0
 
 
 def test_partial_set_prediction():
     gold = {("d0", 1): {"yellow", "brown", "red"}}
     preds = {("d0", 1): {"red", "yellow"}}
-    prf = eval_set_task(preds, gold, "SPD")
+    prf = eval_set_task(preds, gold)
     assert prf.precision == 1.0
     assert prf.recall == pytest.approx(2 / 3)
     assert prf.f1 == pytest.approx(0.8)
@@ -49,7 +49,7 @@ def test_micro_pooling_matches_hand_counts():
     # Pooled: tp=2 (2 and 4), fp=1 (1), fn=2 (3 and 5).
     preds = {("d0", 1): {1, 2}, ("d0", 2): {4}}
     gold = {("d0", 1): {2, 3}, ("d0", 2): {4, 5}}
-    prf = eval_set_task(preds, gold, "RRU")
+    prf = eval_set_task(preds, gold)
     assert (prf.tp, prf.fp, prf.fn) == (2, 1, 2)
     assert prf.precision == pytest.approx(2 / 3)
     assert prf.recall == pytest.approx(2 / 4)
@@ -57,14 +57,9 @@ def test_micro_pooling_matches_hand_counts():
 
 def test_missing_rows_count_as_empty():
     gold = {("d0", 1): {"red"}, ("d1", 1): {"blue"}}
-    prf = eval_set_task({("d0", 1): {"red"}}, gold, "SPD")
+    prf = eval_set_task({("d0", 1): {"red"}}, gold)
     assert prf.recall == pytest.approx(0.5)
     assert prf.precision == 1.0
-
-
-def test_set_task_rejects_wrong_task():
-    with pytest.raises(ValidationError, match="set-based scoring applies to SPD/RRU, not 'ACT'"):
-        eval_set_task({}, {}, "ACT")
 
 
 def test_f1_harmonic_identity():
@@ -85,9 +80,9 @@ def test_prf_bounds(tp, fp, fn):
 def test_row_order_invariance():
     gold = {("d0", 1): {"a"}, ("d1", 2): {"b", "c"}, ("d2", 3): {"d"}}
     preds = {("d2", 3): {"d"}, ("d0", 1): {"a", "b"}}
-    forward = eval_set_task(preds, gold, "SPD")
+    forward = eval_set_task(preds, gold)
     backward = eval_set_task(
-        dict(reversed(list(preds.items()))), dict(reversed(list(gold.items()))), "SPD"
+        dict(reversed(list(preds.items()))), dict(reversed(list(gold.items())))
     )
     assert forward == backward
 

@@ -1,8 +1,8 @@
 """Structure guard: one module owns each concern, each subcommand loads only the modules it
 runs and none loads `dataclasses`, every name the benchmark's tracer patches is a top-level
-function of its module, the README lists the flow keys the engine writes and the exception
-types `errors.py` defines, and a successful process has nothing left to close when `cli.run`
-skips interpreter teardown."""
+function of its module, `cli.main` alone writes manifests, the README lists the flow keys the
+engine writes and the exception types `errors.py` defines, and a successful process has
+nothing left to close when `cli.run` skips interpreter teardown."""
 
 import ast
 import importlib
@@ -110,6 +110,22 @@ def test_flow_stages_import_only_what_they_run(tmp_path):
         elif not name.startswith("gold"):
             watched.append("shopdialog.evalhub")
         assert _fresh_run(argv, watched) == "0 []", name
+
+
+def test_main_is_the_one_output_step():
+    """`main` writes every manifest, at the one call of `_write_manifest` in the package, and
+    each subcommand's function takes only the parsed arguments."""
+    from shopdialog.cli import SUBCOMMANDS
+
+    callers = []
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_write_manifest"]
+    assert callers == ["cli.py:main"]
+    for name, (_, fn, _) in SUBCOMMANDS.items():
+        assert len(inspect.signature(fn).parameters) == 1, name
 
 
 def _traced_targets() -> dict[str, tuple[str, ...]]:
