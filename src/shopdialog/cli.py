@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .acts import SPLIT_NAMES, TASKS
 from .errors import DialogError, ShopDialogError, ValidationError
-from .jsonio import write_json
+from .jsonio import replacing, write_json
 
 # Each subcommand imports the modules it runs when it runs: `eval` loads only
 # evalhub, `split` and `stats` the engine's flow reader and evalhub, and
@@ -93,10 +93,9 @@ def cmd_realize(args):
 
     scenes, ont = _catalog(args)
     templates = load_templates(args.templates)
-    flows = read_flows(args.flows)
-    realized = realize_corpus(flows, templates, ont, scenes, args.seed, jobs=args.jobs)
-    write_flows(realized, args.out)
-    return [str(args.out)], f"realized {len(realized)} dialogs to {args.out}"
+    realized = realize_corpus(read_flows(args.flows), templates, ont, scenes, args.seed, jobs=args.jobs)
+    count = write_flows(realized, args.out)
+    return [str(args.out)], f"realized {count} dialogs to {args.out}"
 
 
 def cmd_gold(args):
@@ -104,42 +103,53 @@ def cmd_gold(args):
     from .evalhub import build_gold, write_predictions
 
     scenes, ont = _catalog(args)
-    flows = read_flows(args.flows)
     task = args.task.upper()
-    header, rows = build_gold(flows, ont, scenes, task, spd_mode=args.spd_mode)
+    header, rows = build_gold(read_flows(args.flows), ont, scenes, task, spd_mode=args.spd_mode)
     write_predictions(args.out, header, rows)
     return [str(args.out)], f"wrote {len(rows)} {task} gold rows to {args.out}"
 
 
 def cmd_split(args):
-    from .engine import read_flows, write_flows
-    from .evalhub import split_corpus
+    import contextlib
+    from collections import Counter
 
-    flows = read_flows(args.flows)
+    from .engine import flow_to_dict, read_flows
+    from .evalhub import split_corpus
+    from .jsonio import count_records, jsonl_writer
+
+    n = count_records(args.flows)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
     except ValueError:
         raise ValidationError(f"ratios must be comma-separated numbers, got {args.ratios!r}") from None
-    parts = split_corpus(flows, ratios, args.seed)
+    split_of = split_corpus(n, ratios, args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [str(out_dir / f"{name}.jsonl") for name in SPLIT_NAMES]
-    for name, path in zip(SPLIT_NAMES, outputs):
-        write_flows(parts[name], path)
-    return outputs, "split sizes: " + ", ".join(f"{n}={len(parts[n])}" for n in SPLIT_NAMES)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        with contextlib.ExitStack() as stack:
+            write = {name: stack.enter_context(jsonl_writer(path)) for name, path in zip(SPLIT_NAMES, outputs)}
+            for (_, flow), name in zip(read_flows(args.flows), split_of):
+                write[name](flow_to_dict(flow))
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
+    sizes = Counter(split_of)
+    return outputs, "split sizes: " + ", ".join(f"{name}={sizes[name]}" for name in SPLIT_NAMES)
 
 
 def cmd_stats(args):
     from .engine import read_flows
     from .evalhub import corpus_stats
 
-    flows = read_flows(args.flows)
-    report = corpus_stats(flows)
+    report = corpus_stats(flow for _, flow in read_flows(args.flows))
     out = Path(args.out)
     if args.format == "csv":
         import csv
 
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with replacing(out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["section", "round", "act", "value"])
             for field, value in report._asdict().items():
@@ -192,7 +202,7 @@ def cmd_eval(args):
     if args.format == "csv":
         import csv
 
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with replacing(out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
             for key, value in sorted(_flatten(report).items()):
@@ -307,11 +317,16 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args = parser.parse_args(argv)
+    if args.command == "eval" and args.format == "csv" and not args.out:
+        parser.error("eval --format csv needs --out")
     try:
         outputs, message = SUBCOMMANDS[args.command][1](args)
     except ShopDialogError as exc:
-        where = f"{args.flows}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
+        where = ""
+        if isinstance(exc, DialogError):  # raised reading --flows, on the record at `line` if any
+            where = f"{args.flows}: " if exc.line is None else f"{args.flows}:{exc.line}: "
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     if outputs:

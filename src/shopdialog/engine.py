@@ -14,7 +14,9 @@ Flows are interchanged as JSON Lines, one dialog per line:
 
 A turn is that wire dict from the moment `run_dialog` appends it:
 `flow_from_dict` rebuilds each turn it reads in this key order, and
-`flow_to_dict` passes turns through.  An act is a `(name, slots)` pair.
+`flow_to_dict` passes turns through.  `read_flows` yields a file's flows one at
+a time with their line numbers, so no reader holds the corpus.  An act is a
+`(name, slots)` pair.
 A salesperson turn is annotated with the candidate items it acted on; the
 paired customer turn carries the items left after the round's narrowing.
 Candidate values are not stored: replaying the act pairs through
@@ -474,8 +476,8 @@ def write_flows(flows: Iterable[DialogFlow], path) -> int:
     return write_jsonl(path, (flow_to_dict(flow) for flow in flows))
 
 
-def read_flows(path) -> list[DialogFlow]:
-    flows = []
+def read_flows(path) -> Iterator[tuple[int, DialogFlow]]:
+    """Yield (line_no, flow) for each record of a flow file, decoding it when it is reached."""
     for line_no, record in read_jsonl(path):
         try:
             flow = flow_from_dict(record)
@@ -483,5 +485,4 @@ def read_flows(path) -> list[DialogFlow]:
             raise MalformedFile(f"{path}:{line_no}: bad dialog record ({exc})") from exc
         if not flow.turns:
             raise MalformedFile(f"{path}:{line_no}: dialog {flow.dialog_id!r} has no turns")
-        flows.append(flow)
-    return flows
+        yield line_no, flow

@@ -187,35 +187,32 @@ class StatsReport(NamedTuple):
 _PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE")
 
 
-def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
-    """Corpus aggregates; the per-round candidate series carries each dialog's
+def corpus_stats(flows: Iterable[DialogFlow]) -> StatsReport:
+    """Corpus aggregates, in one pass; the per-round candidate series carries each dialog's
     last observed count forward, so the corpus curve is non-increasing."""
-    if not flows:
-        raise DialogError("no dialogs")
-    n_utt = 0
-    n_acts = 0
-    n_prefs = 0
-    n_objects = 0
-    max_round = 0
+    n = n_utt = n_acts = n_prefs = n_objects = max_round = 0
     round_acts: Counter = Counter()  # (round, act) of the salesperson turns
+    steps: Counter = Counter()  # round -> change of the summed carried count at that round
     for flow in flows:
-        n_utt += len(flow.turns)
-        sales = [(t["round"], t["act"]) for t in flow.turns if t["speaker"] == "salesperson"]
+        turns = flow.turns
+        n += 1
+        n_utt += len(turns)
+        sales = [(t["round"], t["act"]) for t in turns if t["speaker"] == "salesperson"]
         n_acts += len(sales)
         round_acts.update(sales)
-        n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
-        n_objects += len(flow.turns[0]["candidate_items"])
-        max_round = max(max_round, flow.turns[-1]["round"])
-
-    per_round_sum = [0.0] * max_round
-    for flow in flows:
-        by_round = {t["round"]: len(t["candidate_items"]) for t in flow.turns
-                    if t["speaker"] == "customer"}
-        last = len(flow.turns[0]["candidate_items"])
-        for rnd in range(1, max_round + 1):
-            last = by_round.get(rnd, last)
-            per_round_sum[rnd - 1] += last
-    n = len(flows)
+        n_prefs += sum(1 for t in turns if t["act"] in _PREFERENCE_ACTS)
+        last = len(turns[0]["candidate_items"])
+        n_objects += last
+        max_round = max(max_round, turns[-1]["round"])
+        steps[1] += last
+        by_round = {t["round"]: len(t["candidate_items"]) for t in turns if t["speaker"] == "customer"}
+        for rnd, count in sorted(by_round.items()):  # each customer round from 1 on sets the count
+            if rnd >= 1:
+                steps[rnd] += count - last
+                last = count
+    if not n:
+        raise DialogError("no dialogs")
+    per_round_sum = itertools.accumulate(steps[rnd] for rnd in range(1, max_round + 1))
 
     totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
     for (rnd, _), count in round_acts.items():
@@ -237,10 +234,9 @@ def corpus_stats(flows: list[DialogFlow]) -> StatsReport:
     )
 
 
-def split_corpus(
-    flows: list[DialogFlow], ratios: tuple[float, float, float, float], seed: int
-) -> dict[str, list[DialogFlow]]:
-    """Seed-deterministic disjoint exhaustive partition into the four splits.
+def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -> list[str]:
+    """The split of each of n dialogs, by position: a seed-deterministic disjoint exhaustive
+    partition into the four splits.
 
     Sizes are floor(ratio * n) with the remainder going to the splits with
     the largest fractional parts, so e.g. 100 dialogs at (.65, .05, .15, .15)
@@ -250,7 +246,6 @@ def split_corpus(
         raise ValidationError(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
     if not all(0 <= r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:  # NaN fails 0 <= r
         raise ValidationError(f"ratios must be finite, non-negative and sum to 1, got {ratios}")
-    n = len(flows)
     sizes = [int(n * r) for r in ratios]
     # Largest fractional remainders absorb the rounding gap (< 4 dialogs).
     by_fraction = sorted(range(len(ratios)), key=lambda i: (sizes[i] - n * ratios[i], i))
@@ -258,12 +253,13 @@ def split_corpus(
         sizes[by_fraction[i]] += 1
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    out: dict[str, list[DialogFlow]] = {}
+    split_of = [""] * n
     start = 0
     for name, size in zip(SPLIT_NAMES, sizes):
-        out[name] = [flows[i] for i in sorted(order[start:start + size])]
+        for i in order[start:start + size]:
+            split_of[i] = name
         start += size
-    return out
+    return split_of
 
 
 _CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
@@ -289,13 +285,14 @@ def _preference_clauses(flow: DialogFlow) -> list[tuple[dict, str, str, str]]:
 
 
 def build_gold(
-    flows: list[DialogFlow],
+    flows: Iterable[tuple[int, DialogFlow]],
     ont: Ontology,
     scenes: list[Scene],
     task: str,
     spd_mode: str = "cumulative",
 ) -> tuple[dict, dict[Key, object]]:
-    """Gold rows restricted to the task's eligible rounds, plus a file header.
+    """Gold rows restricted to the task's eligible rounds, plus a file header, from the
+    (line_no, flow) pairs `read_flows` yields; a DialogError carries its flow's line.
 
     SPD gold is recomputed from the preference clauses through the oracle
     (never read off the flow annotations): `cumulative` folds every clause on
@@ -314,42 +311,46 @@ def build_gold(
     if task == "SPD":
         header["spd_mode"] = spd_mode
     rows: dict[Key, object] = {}
-    for flow in flows:
-        if task == "SPD":
-            scene = by_id.scene_of(flow)
-            clauses = _preference_clauses(flow)
-            for turn, attr, _, _ in clauses:
-                rnd = turn["round"]
-                keep = [
-                    (pol, cid) for t, a, pol, cid in clauses if a == attr
-                    and (t["round"] == rnd or spd_mode == "cumulative" and t["round"] < rnd)
-                ]
-                try:  # a bad clause first fails in its own round, in either mode
-                    rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
-                except ShopDialogError as exc:
-                    raise DialogError.at(flow, turn, exc) from None
-        elif task == "RRU":
-            scene = by_id.scene_of(flow)
-            for turn in flow.turns:
-                if turn["speaker"] == "salesperson" and turn["act"] == "REFER_REGION":
-                    try:
-                        ids = items_in_region(scene, slot(turn, "region_label"))
+    try:
+        for line_no, flow in flows:
+            if task == "SPD":
+                scene = by_id.scene_of(flow)
+                clauses = _preference_clauses(flow)
+                for turn, attr, _, _ in clauses:
+                    rnd = turn["round"]
+                    keep = [
+                        (pol, cid) for t, a, pol, cid in clauses if a == attr
+                        and (t["round"] == rnd or spd_mode == "cumulative" and t["round"] < rnd)
+                    ]
+                    try:  # a bad clause first fails in its own round, in either mode
+                        rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
                     except ShopDialogError as exc:
                         raise DialogError.at(flow, turn, exc) from None
-                    rows[(flow.dialog_id, turn["round"])] = sorted(ids)
-        elif task == "ACT":
-            for turn in flow.turns:
-                if turn["speaker"] == "salesperson":
-                    rows[(flow.dialog_id, turn["round"])] = turn["act"]
-        elif task == "RESPONSE":
-            for turn in flow.turns:
-                if turn["speaker"] == "salesperson":
-                    if "utterance" not in turn:
-                        raise DialogError(f"dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
-                    rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
-        elif task == "RECOMMEND":
-            last_round = flow.turns[-1]["round"]
-            rows[(flow.dialog_id, last_round)] = [flow.target_object_id]
+            elif task == "RRU":
+                scene = by_id.scene_of(flow)
+                for turn in flow.turns:
+                    if turn["speaker"] == "salesperson" and turn["act"] == "REFER_REGION":
+                        try:
+                            ids = items_in_region(scene, slot(turn, "region_label"))
+                        except ShopDialogError as exc:
+                            raise DialogError.at(flow, turn, exc) from None
+                        rows[(flow.dialog_id, turn["round"])] = sorted(ids)
+            elif task == "ACT":
+                for turn in flow.turns:
+                    if turn["speaker"] == "salesperson":
+                        rows[(flow.dialog_id, turn["round"])] = turn["act"]
+            elif task == "RESPONSE":
+                for turn in flow.turns:
+                    if turn["speaker"] == "salesperson":
+                        if "utterance" not in turn:
+                            raise DialogError(f"dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
+                        rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
+            elif task == "RECOMMEND":
+                last_round = flow.turns[-1]["round"]
+                rows[(flow.dialog_id, last_round)] = [flow.target_object_id]
+    except DialogError as exc:  # about the flow on line_no
+        exc.line = line_no
+        raise
     return header, rows
 
 

@@ -2,15 +2,20 @@
 
 Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
-Each JSON Lines line is decoded on its own, with JSON whitespace allowed around it.
+JSON Lines are read one record at a time: each line is decoded on its own, with
+JSON whitespace allowed around it, and a blank line is no record.
 A config file whose contents do not fit its schema raises ValidationError
-naming the path.
+naming the path.  Every write goes to a temporary file beside its target, which
+replaces the target only once the write has finished; a failed write leaves no
+temporary file and the target as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Callable, Iterable, Iterator, TypeVar
+import os
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import MalformedFile, ValidationError
 
@@ -51,9 +56,40 @@ def string_list(value, where: str) -> list[str]:
     return value
 
 
+@contextlib.contextmanager
+def replacing(path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file to write in place of `path`: "<path>.tmp", renamed over `path` when the
+    block ends, or deleted if it raises."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, payload, sort_keys: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=sort_keys) + "\n")
+
+
+def _record_text(line: str) -> str:
+    """The line without the whitespace json.loads skips, or "" if it is blank by
+    str.strip()'s wider rule and so holds no record."""
+    text = line.strip(" \t\n\r")
+    return "" if text.isspace() else text
+
+
+def count_records(path) -> int:
+    """The number of records `read_jsonl` yields from `path` if none is malformed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return sum(1 for line in fh if _record_text(line))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"cannot read {path}: {exc}") from exc
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
@@ -61,8 +97,8 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
-                text = line.strip(" \t\n\r")  # the whitespace json.loads skips
-                if not text or text.isspace():  # blank by str.strip()'s wider rule
+                text = _record_text(line)
+                if not text:
                     continue
                 try:
                     record, end = _decode_line(text)
@@ -80,11 +116,18 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def jsonl_writer(path) -> Iterator[Callable[[dict], object]]:
+    """A function that writes one record as a compact JSON line of `path`, through `replacing`."""
+    with replacing(path) as fh:
+        yield lambda record: fh.write(_encode_line(record) + "\n")
+
+
 def write_jsonl(path, records: Iterable[dict]) -> int:
-    """Write one compact JSON object per line; returns the number written."""
+    """Write each record as one line in place of `path`; returns the number written."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with jsonl_writer(path) as write:
         for record in records:
-            fh.write(_encode_line(record) + "\n")
+            write(record)
             count += 1
     return count

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 
 def session_seed(base_seed: int, stream: str, index: int) -> str:
@@ -16,10 +16,13 @@ def _map_chunk(args) -> list:
     return [fn(shared, item) for item in chunk]
 
 
-def parallel_map(fn: Callable, shared, items: Sequence, jobs: int = 1) -> Iterator:
-    """Yield fn(shared, item) per item in order: lazily in-process at jobs <= 1, else one
-    contiguous chunk per worker process, at most one worker per CPU (fn must be module-level)."""
+def parallel_map(fn: Callable, shared, items: Iterable, jobs: int = 1) -> Iterator:
+    """Yield fn(shared, item) per item in order: one item at a time in-process at jobs <= 1,
+    else the items are listed and split into one contiguous chunk per worker process, at most
+    one worker per CPU (fn must be module-level)."""
     jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        items = list(items)
     if jobs <= 1 or len(items) <= 1:
         for item in items:
             yield fn(shared, item)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .catalog import Scene, SceneIndex
 from .engine import DialogFlow, text_slot
@@ -171,21 +171,27 @@ def realize_dialog(
     return flow._replace(turns=turns)
 
 
-def _realize_one(shared: tuple, item: tuple[int, DialogFlow]) -> DialogFlow:
+def _realize_one(shared: tuple, item: tuple[int, tuple[int, DialogFlow]]) -> DialogFlow:
     templates, ont, scenes_by_id, base_seed = shared
-    i, flow = item
+    i, (line_no, flow) = item
     seed = session_seed(base_seed, "realize", i)
-    return realize_dialog(flow, templates, ont, scenes_by_id.scene_of(flow), seed)
+    try:
+        return realize_dialog(flow, templates, ont, scenes_by_id.scene_of(flow), seed)
+    except DialogError as exc:
+        exc.line = line_no
+        raise
 
 
 def realize_corpus(
-    flows: list[DialogFlow],
+    flows: Iterable[tuple[int, DialogFlow]],
     templates: TemplateSet,
     ont: Ontology,
     scenes: list[Scene],
     base_seed: int,
     jobs: int = 1,
-) -> list[DialogFlow]:
-    """Realize a corpus; dialog i is seeded from (base_seed, i), so any jobs count agrees."""
+) -> Iterator[DialogFlow]:
+    """Realize the (line_no, flow) pairs `read_flows` yields, in order and at jobs 1 one at a
+    time; dialog i is seeded from (base_seed, i), so any jobs count agrees. A DialogError
+    carries the line of the flow it is about."""
     shared = (templates, ont, SceneIndex(scenes), base_seed)
-    return list(parallel_map(_realize_one, shared, list(enumerate(flows)), jobs))
+    return parallel_map(_realize_one, shared, enumerate(flows), jobs)

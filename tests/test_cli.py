@@ -339,7 +339,7 @@ def test_unknown_scene_id_exits_one(tmp_path, capsys, stage, jobs):
     assert rc == 1
     err = capsys.readouterr().err
     dialog = records[1]["dialog_id"]
-    assert err == f"error: {flows}: dialog {dialog}: unknown scene_id 'nope': not in the scene file\n"
+    assert err == f"error: {flows}:2: dialog {dialog}: unknown scene_id 'nope': not in the scene file\n"
 
 
 def row(payload) -> str:
@@ -421,11 +421,11 @@ MISSING = object()
 def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
     """A simulated flow file whose first turn with `slot` (by `speaker` and of `act`, if given)
     holds `bad` there instead, or by default a list of the slot's own value, or lacks the slot
-    if `bad` is MISSING; returns the file and "dialog <id> round <r> <act>", the turn's place
-    in error messages."""
+    if `bad` is MISSING; returns the file and "<line>: dialog <id> round <r> <act>", the turn's
+    place in error messages after the file's path and a colon."""
     flows = simulate(tmp_path, "flows.jsonl", n=40)
     records = [json.loads(line) for line in flows.read_text().splitlines()]
-    record, turn = next((r, t) for r in records for t in r["turns"]
+    line, record, turn = next((i, r, t) for i, r in enumerate(records, 1) for t in r["turns"]
                         if slot in t["slots"] and speaker in (None, t["speaker"])
                         and act in (None, t["act"]))
     if bad is MISSING:
@@ -433,7 +433,7 @@ def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
     else:
         turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    return flows, f"dialog {record['dialog_id']} round {turn['round']} {turn['act']}"
+    return flows, f"{line}: dialog {record['dialog_id']} round {turn['round']} {turn['act']}"
 
 
 @pytest.mark.parametrize("slot, bad", [
@@ -449,7 +449,7 @@ def test_realize_rejects_wrong_typed_slot(tmp_path, capsys, slot, bad):
                "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flows}: {where}: ") and slot in err
+    assert err.startswith(f"error: {flows}:{where}: ") and slot in err
     assert err.count("\n") == 1
 
 
@@ -461,7 +461,7 @@ def test_realize_slot_error_is_located_at_any_jobs(tmp_path, capsys, jobs):
                "--jobs", str(jobs), "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {flows}: {where}: slot 'attribute' must be a string, got ['")
+        f"error: {flows}:{where}: slot 'attribute' must be a string, got ['")
 
 
 @pytest.mark.parametrize("task, slot, message", [
@@ -475,7 +475,7 @@ def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
     """A preference clause's `attribute` or `concept_id` must be a string, and a region label
     one of the scene's; the error names the flow file, dialog, round and act."""
     flows, where = flows_with_bad_slot(tmp_path, slot, speaker="customer" if task == "spd" else None)
-    message = f"error: {flows}: " + message.format(where=where)
+    message = f"error: {flows}:" + message.format(where=where)
     capsys.readouterr()
     rc = main(["gold", *base_flags(), "--task", task, "--flows", str(flows),
                "--out", str(tmp_path / "gold.jsonl")])
@@ -505,7 +505,7 @@ def test_missing_slot_exits_one(tmp_path, capsys, stage, act, slot):
     flows, where = flows_with_bad_slot(tmp_path, slot, MISSING, act=act)
     capsys.readouterr()
     assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 1
-    assert capsys.readouterr().err == f"error: {flows}: {where}: missing slot '{slot}'\n"
+    assert capsys.readouterr().err == f"error: {flows}:{where}: missing slot '{slot}'\n"
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -521,7 +521,7 @@ def test_gold_unknown_name_is_located(tmp_path, capsys, task, act, slot, problem
     capsys.readouterr()
     assert main(stage_argv(f"gold {task}", flows, tmp_path / "gold.jsonl")) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flows}: {where}: ") and err.endswith(f"{problem}\n")
+    assert err.startswith(f"error: {flows}:{where}: ") and err.endswith(f"{problem}\n")
     assert err.count("\n") == 1
 
 
@@ -537,7 +537,7 @@ def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
                "--jobs", str(jobs), "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flows}: dialog {records[1]['dialog_id']} "
+    assert err.startswith(f"error: {flows}:2: dialog {records[1]['dialog_id']} "
                           f"round {recommend['round']} RECOMMEND_ITEM: unknown object_id 999")
     assert err.count("\n") == 1
 
@@ -687,7 +687,7 @@ def test_input_errors_name_their_file(tmp_path, capsys, case):
         simulate(tmp_path, bad.name, n=2)
         capsys.readouterr()
         argv = ["gold", *base_flags(), "--task", "response", "--flows", str(bad)]
-        expected = f"error: {bad}: dialog d00000: RESPONSE gold needs realized flows\n"
+        expected = f"error: {bad}:1: dialog d00000: RESPONSE gold needs realized flows\n"
     elif case.startswith("act"):
         bad.write_text(write_tiny_gold(good, "act").read_text().replace("REFER_REGION", "FOO"))
         pred, gold = (bad, good) if case == "act-pred" else (good, bad)

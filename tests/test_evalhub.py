@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shopdialog.acts import SPLIT_NAMES
 from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, generate_corpus
 from shopdialog.errors import MalformedFile, ValidationError
 from shopdialog.evalhub import (
@@ -108,7 +109,7 @@ def test_act_price_complaint_round():
         turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$99", "accept": True}, [0]),
     ])
-    _, rows = build_gold([flow], None, [], "ACT")
+    _, rows = build_gold([(1, flow)], None, [], "ACT")
     assert rows[("d0", 2)] == "REVISE_ATTRIBUTE_VALUE"
     report = eval_act({("d0", 2): "REVISE_ATTRIBUTE_VALUE"}, {("d0", 2): rows[("d0", 2)]})
     assert report.micro.f1 == 1.0
@@ -283,36 +284,27 @@ def test_stats_empty_corpus():
         corpus_stats([])
 
 
-def make_flows(n):
-    return [two_turn_flow(f"d{i:03d}") for i in range(n)]
-
-
 def test_split_exact_sizes():
-    parts = split_corpus(make_flows(100), (0.65, 0.05, 0.15, 0.15), seed=1)
-    assert [len(parts[k]) for k in ("train", "dev", "dev_test", "test_std")] == [65, 5, 15, 15]
+    split_of = split_corpus(100, (0.65, 0.05, 0.15, 0.15), seed=1)
+    assert [split_of.count(k) for k in ("train", "dev", "dev_test", "test_std")] == [65, 5, 15, 15]
 
 
 def test_split_everything_in_train():
-    parts = split_corpus(make_flows(10), (1.0, 0.0, 0.0, 0.0), seed=1)
-    assert len(parts["train"]) == 10
-    assert not parts["dev"] and not parts["dev_test"] and not parts["test_std"]
+    assert split_corpus(10, (1.0, 0.0, 0.0, 0.0), seed=1) == ["train"] * 10
 
 
 def test_split_deterministic():
-    flows = make_flows(50)
-    a = split_corpus(flows, (0.65, 0.05, 0.15, 0.15), seed=9)
-    b = split_corpus(flows, (0.65, 0.05, 0.15, 0.15), seed=9)
-    assert {k: [f.dialog_id for f in v] for k, v in a.items()} == {
-        k: [f.dialog_id for f in v] for k, v in b.items()
-    }
+    a = split_corpus(50, (0.65, 0.05, 0.15, 0.15), seed=9)
+    b = split_corpus(50, (0.65, 0.05, 0.15, 0.15), seed=9)
+    assert a == b and a != split_corpus(50, (0.65, 0.05, 0.15, 0.15), seed=10)
 
 
 def test_split_bad_ratios():
     with pytest.raises(ValidationError, match=r"ratios must be finite, non-negative and sum to 1, "
                                               r"got \(0.5, 0.5, 0.5, 0.5\)"):
-        split_corpus(make_flows(4), (0.5, 0.5, 0.5, 0.5), seed=0)
+        split_corpus(4, (0.5, 0.5, 0.5, 0.5), seed=0)
     with pytest.raises(ValidationError, match="need 4 ratios, got 3"):
-        split_corpus(make_flows(4), (1.0, 0.0, 0.0), seed=0)
+        split_corpus(4, (1.0, 0.0, 0.0), seed=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,11 +318,9 @@ def test_split_bad_ratios():
 def test_split_disjoint_and_exhaustive(n, raw_ratios, seed):
     total = sum(raw_ratios)
     ratios = tuple(r / total for r in raw_ratios)
-    flows = make_flows(n)
-    parts = split_corpus(flows, ratios, seed)
-    ids = [f.dialog_id for part in parts.values() for f in part]
-    assert len(ids) == n
-    assert len(set(ids)) == n
+    split_of = split_corpus(n, ratios, seed)
+    assert len(split_of) == n
+    assert set(split_of) <= set(SPLIT_NAMES)
 
 
 def test_build_gold_spd_single_round(ontology, scenes):
@@ -342,7 +332,7 @@ def test_build_gold_spd_single_round(ontology, scenes):
         turn(1, "customer", "ANSWER_PREFERENCE",
              {"attribute": "color", "concept_id": "warm_color"}, [0, 2]),
     ])
-    header, rows = build_gold([flow], ontology, [scene], "SPD")
+    header, rows = build_gold([(1, flow)], ontology, [scene], "SPD")
     assert header == {"task": "SPD", "spd_mode": "cumulative"}
     assert rows[("d0", 1)] == ["red", "yellow"]
 
@@ -359,9 +349,9 @@ def test_build_gold_spd_modes(ontology):
         turn(2, "customer", "NEGATE_PREFERENCE",
              {"attribute": "color", "concept_id": "powerful_color"}, []),
     ])
-    _, cumulative = build_gold([flow], ontology, [scene], "SPD", spd_mode="cumulative")
+    _, cumulative = build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="cumulative")
     assert cumulative[("d0", 2)] == ["yellow"]  # warm minus powerful, in scene
-    _, scene_only = build_gold([flow], ontology, [scene], "SPD", spd_mode="scene_only")
+    _, scene_only = build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="scene_only")
     assert scene_only[("d0", 2)] == ["blue", "yellow"]  # scene minus powerful
 
 
@@ -372,14 +362,14 @@ def test_build_gold_rru_definitional(ontology, scenes):
         turn(1, "customer", "JUDGE_REGION",
              {"region_label": "far right shelf", "accept": True}, []),
     ])
-    _, rows = build_gold([flow], ontology, scenes, "RRU")
+    _, rows = build_gold([(1, flow)], ontology, scenes, "RRU")
     assert rows[("d0", 1)] == [12, 13, 16, 22, 31]
 
 
 def test_build_gold_recommend_is_target(ontology, scenes):
     flow = two_turn_flow()
     flow = flow._replace(scene_id=scenes[0].scene_id, target_object_id=7)
-    _, rows = build_gold([flow], ontology, scenes, "RECOMMEND")
+    _, rows = build_gold([(1, flow)], ontology, scenes, "RECOMMEND")
     assert rows[("d0", 1)] == [7]
 
 

@@ -103,7 +103,7 @@ def test_template_validation_requires_all_acts():
 @pytest.fixture(scope="module")
 def realized_fixture(scenes, ontology, policy, templates):
     flows = list(generate_corpus(scenes, ontology, policy, 60, base_seed=5))
-    realized = realize_corpus(flows, templates, ontology, scenes, base_seed=5)
+    realized = list(realize_corpus(enumerate(flows, 1), templates, ontology, scenes, base_seed=5))
     return flows, realized
 
 
@@ -162,7 +162,7 @@ def test_recommend_turns_have_exactly_one_token(realized_fixture):
 
 def test_realize_corpus_parallel_equals_serial(realized_fixture, scenes, ontology, templates):
     flows, realized = realized_fixture
-    parallel = realize_corpus(flows, templates, ontology, scenes, base_seed=5, jobs=3)
+    parallel = realize_corpus(enumerate(flows, 1), templates, ontology, scenes, base_seed=5, jobs=3)
     assert [flow_to_dict(f) for f in parallel] == [flow_to_dict(f) for f in realized]
 
 
@@ -172,7 +172,8 @@ def test_realized_corpus_round_trips_jsonl(realized_fixture, tmp_path):
     _, realized = realized_fixture
     path = tmp_path / "realized.jsonl"
     write_flows(realized, path)
-    reloaded = read_flows(path)
+    lines, reloaded = zip(*read_flows(path))
+    assert lines == tuple(range(1, len(realized) + 1))
     assert [flow_to_dict(f) for f in reloaded] == [flow_to_dict(f) for f in realized]
     # utterances survive the round trip
     assert all(t["utterance"] for f in reloaded for t in f.turns)

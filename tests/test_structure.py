@@ -179,7 +179,7 @@ def test_flow_turn_keys_match_readme(tmp_path, scenes, ontology, policy, templat
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraph = readme.split("**Dialog flows**", 1)[1].split("\n\n", 1)[0]
     sentence = paragraph.split("Each turn carries", 1)[1].split(".", 1)[0]
-    flows = realize_corpus(list(generate_corpus(scenes, ontology, policy, 3, base_seed=0)),
+    flows = realize_corpus(enumerate(generate_corpus(scenes, ontology, policy, 3, base_seed=0), 1),
                            templates, ontology, scenes, base_seed=0)
     write_flows(flows, tmp_path / "realized.jsonl")
     lines = (tmp_path / "realized.jsonl").read_text(encoding="utf-8").splitlines()
