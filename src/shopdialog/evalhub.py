@@ -355,7 +355,7 @@ def build_gold(
 
 
 def write_predictions(path, header: dict, rows: dict[Key, object]) -> None:
-    records = ({"dialog_id": d, "round": r, "payload": p} for (d, r), p in sorted(rows.items()))
+    records = ({"dialog_id": d, "round": r, "payload": rows[d, r]} for d, r in sorted(rows))
     write_jsonl(path, itertools.chain([header], records))
 
 

@@ -707,6 +707,68 @@ def test_input_errors_name_their_file(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def flows_with_bad_last_line(tmp_path, tail):
+    """A simulated 30-dialog flow file whose last line does not parse (`malformed-line`), holds a
+    first turn whose slots are no object (`slots-not-an-object`), or holds a dialog whose first
+    ANSWER_PREFERENCE turn lacks the `concept_id` that `realize` and `gold --task spd` need
+    (`missing-slot`)."""
+    records = [json.loads(line) for line in simulate(tmp_path, "clean.jsonl").read_text().splitlines()]
+    last = next(r for r in reversed(records) if any(t["act"] == "ANSWER_PREFERENCE" for t in r["turns"]))
+    records.remove(last)
+    if tail == "slots-not-an-object":
+        last["turns"][0]["slots"] = ["attribute"]
+    elif tail == "missing-slot":
+        del next(t for t in last["turns"] if t["act"] == "ANSWER_PREFERENCE")["slots"]["concept_id"]
+    lines = [json.dumps(r) for r in [*records, last]]
+    if tail == "malformed-line":
+        lines[-1] = lines[-1][:-1]
+    flows = tmp_path / "bad.jsonl"
+    flows.write_text("".join(line + "\n" for line in lines))
+    return flows
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("stage, tail", [
+    *((stage, tail) for stage in ("realize", "split", "gold", "stats")
+      for tail in ("malformed-line", "slots-not-an-object")),
+    ("realize", "missing-slot"), ("gold", "missing-slot"),
+])
+def test_a_failed_stage_leaves_its_outputs_as_they_were(tmp_path, capsys, stage, tail, existing):
+    """The streamed stages find a bad last line only after writing every dialog before it; they
+    exit 1 with one error line naming it and leave no output, no temporary file and no
+    `--out-dir` they made, and an output that was there keeps its bytes."""
+    flows = flows_with_bad_last_line(tmp_path, tail)
+    out_root = tmp_path / "out"
+    out_root.mkdir()
+    if stage == "split":
+        out = out_root / "splits" if existing else out_root / "new" / "splits"
+        flag, previous = ["--out-dir", str(out)], out / "train.jsonl"
+    else:
+        out = previous = out_root / ("result.json" if stage == "stats" else "result.jsonl")
+        flag = ["--out", str(out)]
+    if existing:
+        previous.parent.mkdir(exist_ok=True)
+        previous.write_bytes(b"previous\n")
+    extra = {"realize": [*base_flags(), "--templates", str(DATA / "templates.json")],
+             "gold": [*base_flags(), "--task", "spd"]}.get(stage, [])
+    capsys.readouterr()
+    assert main([stage, *extra, "--flows", str(flows), *flag]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith(f"error: {flows}:30: ") and err.count("\n") == 1
+    left = {str(p.relative_to(out_root)): p.read_bytes() for p in out_root.rglob("*") if p.is_file()}
+    assert left == ({str(previous.relative_to(out_root)): b"previous\n"} if existing else {})
+    assert [p.name for p in out_root.iterdir()] == ([previous.relative_to(out_root).parts[0]] if existing else [])
+
+
+def test_eval_csv_without_out_is_a_usage_error(tmp_path, capsys):
+    gold = write_tiny_gold(tmp_path / "gold.jsonl", "act")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--task", "act", "--pred", str(gold), "--gold", str(gold), "--format", "csv"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "shopdialog: error: eval --format csv needs --out"
+
+
 def test_split_of_a_flow_file_without_dialogs(tmp_path, capsys):
     flows = tmp_path / "empty.jsonl"
     flows.write_text("")
