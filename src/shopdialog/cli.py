@@ -16,6 +16,7 @@ interpreter teardown, so `atexit` handlers do not run.  `main()` called in-proce
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .acts import SPLIT_NAMES, TASKS
 from .errors import DialogError, ShopDialogError, ValidationError
-from .jsonio import replacing, write_json
+from .jsonio import count_records, encode_line, replacing, write_json
 
 # Each subcommand imports the modules it runs when it runs: `eval` loads only
 # evalhub, `split` and `stats` the engine's flow reader and evalhub, and
@@ -110,12 +111,8 @@ def cmd_gold(args):
 
 
 def cmd_split(args):
-    import contextlib
-    from collections import Counter
-
     from .engine import flow_to_dict, read_flows
     from .evalhub import split_corpus
-    from .jsonio import count_records, jsonl_writer
 
     n = count_records(args.flows)
     try:
@@ -129,15 +126,14 @@ def cmd_split(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         with contextlib.ExitStack() as stack:
-            write = {name: stack.enter_context(jsonl_writer(path)) for name, path in zip(SPLIT_NAMES, outputs)}
+            files = {name: stack.enter_context(replacing(path)) for name, path in zip(SPLIT_NAMES, outputs)}
             for (_, flow), name in zip(read_flows(args.flows), split_of):
-                write[name](flow_to_dict(flow))
+                files[name].write(encode_line(flow_to_dict(flow)) + "\n")
     except BaseException:
         for d in made:
             d.rmdir()
         raise
-    sizes = Counter(split_of)
-    return outputs, "split sizes: " + ", ".join(f"{name}={sizes[name]}" for name in SPLIT_NAMES)
+    return outputs, "split sizes: " + ", ".join(f"{name}={split_of.count(name)}" for name in SPLIT_NAMES)
 
 
 def cmd_stats(args):
@@ -152,15 +148,13 @@ def cmd_stats(args):
         with replacing(out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["section", "round", "act", "value"])
-            for field, value in report._asdict().items():
-                if field in ("candidate_items_by_round", "act_distribution_by_round"):
-                    continue
-                writer.writerow([field, "", "", value])
-            for rnd, mean in enumerate(report.candidate_items_by_round, 1):
-                writer.writerow(["candidate_items", rnd, "", mean])
-            for rnd, row in enumerate(report.act_distribution_by_round, 1):
-                for act, p in row.items():
-                    writer.writerow(["act_distribution", rnd, act, p])
+            writer.writerows([field, "", "", value] for field, value in report._asdict().items()
+                             if field not in ("candidate_items_by_round", "act_distribution_by_round"))
+            writer.writerows(["candidate_items", rnd, "", mean]
+                             for rnd, mean in enumerate(report.candidate_items_by_round, 1))
+            writer.writerows(["act_distribution", rnd, act, p]
+                             for rnd, row in enumerate(report.act_distribution_by_round, 1)
+                             for act, p in row.items())
     else:
         write_json(out, _asdict(report))
     return [str(out)], f"stats for {report.n_dialogs} dialogs written to {out}"
@@ -205,8 +199,7 @@ def cmd_eval(args):
         with replacing(out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
-            for key, value in sorted(_flatten(report).items()):
-                writer.writerow([key, value])
+            writer.writerows(sorted(_flatten(report).items()))
     else:
         write_json(out, report)
     return [str(out)], None
@@ -324,9 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outputs, message = SUBCOMMANDS[args.command][1](args)
     except ShopDialogError as exc:
-        where = ""
-        if isinstance(exc, DialogError):  # raised reading --flows, on the record at `line` if any
-            where = f"{args.flows}: " if exc.line is None else f"{args.flows}:{exc.line}: "
+        line = "" if getattr(exc, "line", None) is None else f":{exc.line}"  # a DialogError's record
+        where = f"{args.flows}{line}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     if outputs:

@@ -14,9 +14,8 @@ Flows are interchanged as JSON Lines, one dialog per line:
 
 A turn is that wire dict from the moment `run_dialog` appends it:
 `flow_from_dict` rebuilds each turn it reads in this key order, and
-`flow_to_dict` passes turns through.  `read_flows` yields a file's flows one at
-a time with their line numbers, so no reader holds the corpus.  An act is a
-`(name, slots)` pair.
+`flow_to_dict` passes turns through.  `read_flows` yields one flow at a time,
+with its line number.  An act is a `(name, slots)` pair.
 A salesperson turn is annotated with the candidate items it acted on; the
 paired customer turn carries the items left after the round's narrowing.
 Candidate values are not stored: replaying the act pairs through
@@ -477,7 +476,6 @@ def write_flows(flows: Iterable[DialogFlow], path) -> int:
 
 
 def read_flows(path) -> Iterator[tuple[int, DialogFlow]]:
-    """Yield (line_no, flow) for each record of a flow file, decoding it when it is reached."""
     for line_no, record in read_jsonl(path):
         try:
             flow = flow_from_dict(record)

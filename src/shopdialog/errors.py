@@ -15,9 +15,7 @@ class ValidationError(ShopDialogError):
 
 class DialogError(ValidationError):
     """A flow file breaks a rule, and the CLI puts its path in front. `at` names the dialog,
-    round and act of the turn at fault; a reader sets `line` to its record's line number."""
-
-    line: int | None = None
+    round and act of the turn at fault. A stage that reads flows sets `line` to the record's."""
 
     @classmethod
     def at(cls, flow, turn, problem) -> "DialogError":

@@ -190,29 +190,25 @@ _PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE
 def corpus_stats(flows: Iterable[DialogFlow]) -> StatsReport:
     """Corpus aggregates, in one pass; the per-round candidate series carries each dialog's
     last observed count forward, so the corpus curve is non-increasing."""
-    n = n_utt = n_acts = n_prefs = n_objects = max_round = 0
+    n = n_utt = n_prefs = n_objects = max_round = 0
     round_acts: Counter = Counter()  # (round, act) of the salesperson turns
     steps: Counter = Counter()  # round -> change of the summed carried count at that round
-    for flow in flows:
-        turns = flow.turns
-        n += 1
-        n_utt += len(turns)
-        sales = [(t["round"], t["act"]) for t in turns if t["speaker"] == "salesperson"]
-        n_acts += len(sales)
-        round_acts.update(sales)
-        n_prefs += sum(1 for t in turns if t["act"] in _PREFERENCE_ACTS)
-        last = len(turns[0]["candidate_items"])
+    for n, flow in enumerate(flows, 1):
+        n_utt += len(flow.turns)
+        round_acts.update((t["round"], t["act"]) for t in flow.turns if t["speaker"] == "salesperson")
+        n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
+        last = len(flow.turns[0]["candidate_items"])
         n_objects += last
-        max_round = max(max_round, turns[-1]["round"])
+        max_round = max(max_round, flow.turns[-1]["round"])
         steps[1] += last
-        by_round = {t["round"]: len(t["candidate_items"]) for t in turns if t["speaker"] == "customer"}
-        for rnd, count in sorted(by_round.items()):  # each customer round from 1 on sets the count
-            if rnd >= 1:
-                steps[rnd] += count - last
-                last = count
+        by_round = {t["round"]: len(t["candidate_items"]) for t in flow.turns
+                    if t["speaker"] == "customer" and t["round"] >= 1}
+        for rnd, count in sorted(by_round.items()):  # a customer round sets the count from then on
+            steps[rnd] += count - last
+            last = count
     if not n:
         raise DialogError("no dialogs")
-    per_round_sum = itertools.accumulate(steps[rnd] for rnd in range(1, max_round + 1))
+    carried = itertools.accumulate(steps[rnd] for rnd in range(1, max_round + 1))  # summed per round
 
     totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
     for (rnd, _), count in round_acts.items():
@@ -226,10 +222,10 @@ def corpus_stats(flows: Iterable[DialogFlow]) -> StatsReport:
         n_dialogs=n,
         n_utterances=n_utt,
         avg_utterances_per_dialog=n_utt / n,
-        avg_salesperson_acts_per_dialog=n_acts / n,
+        avg_salesperson_acts_per_dialog=sum(round_acts.values()) / n,
         avg_subjective_preferences_per_dialog=n_prefs / n,
         avg_objects_per_scene=n_objects / n,
-        candidate_items_by_round=[s / n for s in per_round_sum],
+        candidate_items_by_round=[s / n for s in carried],
         act_distribution_by_round=act_rows,
     )
 
@@ -254,11 +250,8 @@ def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -
     order = list(range(n))
     random.Random(seed).shuffle(order)
     split_of = [""] * n
-    start = 0
-    for name, size in zip(SPLIT_NAMES, sizes):
-        for i in order[start:start + size]:
-            split_of[i] = name
-        start += size
+    for i, name in zip(order, (name for name, size in zip(SPLIT_NAMES, sizes) for _ in range(size))):
+        split_of[i] = name  # the first sizes[0] shuffled positions go to train, and so on
     return split_of
 
 
@@ -291,8 +284,8 @@ def build_gold(
     task: str,
     spd_mode: str = "cumulative",
 ) -> tuple[dict, dict[Key, object]]:
-    """Gold rows restricted to the task's eligible rounds, plus a file header, from the
-    (line_no, flow) pairs `read_flows` yields; a DialogError carries its flow's line.
+    """Gold rows of the (line_no, flow) pairs `read_flows` yields, for the task's eligible rounds,
+    plus a file header; a DialogError carries its flow's line.
 
     SPD gold is recomputed from the preference clauses through the oracle
     (never read off the flow annotations): `cumulative` folds every clause on

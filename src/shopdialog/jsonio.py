@@ -2,12 +2,9 @@
 
 Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
-JSON Lines are read one record at a time: each line is decoded on its own, with
-JSON whitespace allowed around it, and a blank line is no record.
-A config file whose contents do not fit its schema raises ValidationError
-naming the path.  Every write goes to a temporary file beside its target, which
-replaces the target only once the write has finished; a failed write leaves no
-temporary file and the target as it was.
+JSON Lines are read one line at a time, each decoded on its own with JSON whitespace
+allowed around it.  A config file whose contents do not fit its schema raises
+ValidationError naming the path.  A write replaces its target only once it is done.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ from .errors import MalformedFile, ValidationError
 T = TypeVar("T")
 # One encoder and one decoder for every JSON Lines record: json.dumps(..., ensure_ascii=False)
 # builds an encoder per call, and json.loads adds a Python-level wrapper per call.  A record
-# is a tree, so the encoder skips the reference-cycle check.
-_encode_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+# is a tree, so the encoder skips the reference-cycle check.  A line is encode_line(record) + "\n".
+encode_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 _decode_line = json.JSONDecoder().raw_decode
 
 
@@ -58,17 +55,15 @@ def string_list(value, where: str) -> list[str]:
 
 @contextlib.contextmanager
 def replacing(path, newline: str | None = None) -> Iterator[TextIO]:
-    """A text file to write in place of `path`: "<path>.tmp", renamed over `path` when the
-    block ends, or deleted if it raises."""
+    """A text file "<path>.tmp" that is renamed over `path` when the block ends, or removed if it raises."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
+    finally:
+        if os.path.exists(tmp):  # the block raised
             os.remove(tmp)
-        raise
 
 
 def write_json(path, payload, sort_keys: bool = False) -> None:
@@ -76,18 +71,11 @@ def write_json(path, payload, sort_keys: bool = False) -> None:
         fh.write(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=sort_keys) + "\n")
 
 
-def _record_text(line: str) -> str:
-    """The line without the whitespace json.loads skips, or "" if it is blank by
-    str.strip()'s wider rule and so holds no record."""
-    text = line.strip(" \t\n\r")
-    return "" if text.isspace() else text
-
-
 def count_records(path) -> int:
-    """The number of records `read_jsonl` yields from `path` if none is malformed."""
+    """How many records `read_jsonl` reads from `path` if none is malformed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return sum(1 for line in fh if _record_text(line))
+            return sum(1 for line in fh if not line.isspace())
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
 
@@ -97,9 +85,9 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
-                text = _record_text(line)
-                if not text:
+                if line.isspace():  # blank by str.isspace(), as count_records also counts
                     continue
+                text = line.strip(" \t\n\r")  # the whitespace json.loads skips
                 try:
                     record, end = _decode_line(text)
                 except json.JSONDecodeError:
@@ -116,18 +104,10 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def jsonl_writer(path) -> Iterator[Callable[[dict], object]]:
-    """A function that writes one record as a compact JSON line of `path`, through `replacing`."""
-    with replacing(path) as fh:
-        yield lambda record: fh.write(_encode_line(record) + "\n")
-
-
 def write_jsonl(path, records: Iterable[dict]) -> int:
     """Write each record as one line in place of `path`; returns the number written."""
     count = 0
-    with jsonl_writer(path) as write:
-        for record in records:
-            write(record)
-            count += 1
+    with replacing(path) as fh:
+        for count, record in enumerate(records, 1):
+            fh.write(encode_line(record) + "\n")
     return count

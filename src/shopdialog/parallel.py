@@ -17,13 +17,10 @@ def _map_chunk(args) -> list:
 
 
 def parallel_map(fn: Callable, shared, items: Iterable, jobs: int = 1) -> Iterator:
-    """Yield fn(shared, item) per item in order: one item at a time in-process at jobs <= 1,
-    else the items are listed and split into one contiguous chunk per worker process, at most
-    one worker per CPU (fn must be module-level)."""
+    """Yield fn(shared, item) per item in order: one at a time in-process at jobs <= 1, else from
+    a list of them, one contiguous chunk per worker process, at most one per CPU (fn module-level)."""
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    if jobs <= 1 or len(items := list(items)) <= 1:
         for item in items:
             yield fn(shared, item)
         return

@@ -190,8 +190,6 @@ def realize_corpus(
     base_seed: int,
     jobs: int = 1,
 ) -> Iterator[DialogFlow]:
-    """Realize the (line_no, flow) pairs `read_flows` yields, in order and at jobs 1 one at a
-    time; dialog i is seeded from (base_seed, i), so any jobs count agrees. A DialogError
-    carries the line of the flow it is about."""
+    """Realize (line_no, flow) pairs in order; dialog i is seeded from (base_seed, i) at any jobs."""
     shared = (templates, ont, SceneIndex(scenes), base_seed)
     return parallel_map(_realize_one, shared, enumerate(flows), jobs)
