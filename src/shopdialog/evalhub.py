@@ -24,6 +24,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -331,7 +332,7 @@ def build_gold(
             elif task == "ACT":
                 for turn in flow.turns:
                     if turn["speaker"] == "salesperson":
-                        rows[(flow.dialog_id, turn["round"])] = turn["act"]
+                        rows[(flow.dialog_id, turn["round"])] = sys.intern(turn["act"])  # one str per name
             elif task == "RESPONSE":
                 for turn in flow.turns:
                     if turn["speaker"] == "salesperson":
