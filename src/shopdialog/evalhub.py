@@ -251,7 +251,7 @@ def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -
     order = list(range(n))
     random.Random(seed).shuffle(order)
     split_of = [""] * n
-    for i, name in zip(order, (name for name, size in zip(SPLIT_NAMES, sizes) for _ in range(size))):
+    for i, name in zip(order, itertools.chain(*map(itertools.repeat, SPLIT_NAMES, sizes))):
         split_of[i] = name  # the first sizes[0] shuffled positions go to train, and so on
     return split_of
 
