@@ -62,8 +62,6 @@ def main() -> None:
     run(["split", "--flows", str(realized), "--seed", str(args.seed),
          "--out-dir", str(out / "splits")])
     run(["stats", "--flows", str(flows), "--out", str(out / "stats.json")])
-    run(["stats", "--flows", str(flows), "--out", str(out / "stats.csv"),
-         "--format", "csv"])
     for task in ("spd", "rru", "act", "recommend", "response"):
         gold = out / f"gold_{task}.jsonl"
         run(["eval", "--task", task, "--pred", str(gold), "--gold", str(gold),

@@ -6,7 +6,7 @@ the same inputs reproduces its outputs byte for byte.  `main()` runs each subcom
 `validate`'s catalog checks if it takes the catalog flags, and writes one manifest of the
 run without a timestamp: "<out>.manifest.json", or "split.manifest.json" in --out-dir.
 
-Exit codes: 0 success, 1 validation/input error, 2 usage error.
+Exit codes: 0 success, 1 validation, input or output error, 2 usage error.
 
 A process started as `python -m shopdialog` or `shopdialog` enters through `run()`: on
 exit code 0 (success, `--help`, `--version`) it flushes stdout and stderr and ends without
@@ -122,16 +122,21 @@ def cmd_split(args):
     split_of = split_corpus(n, ratios, args.seed)
     out_dir = Path(args.out_dir)
     outputs = [str(out_dir / f"{name}.jsonl") for name in SPLIT_NAMES]
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Innermost first. Unlike Path.exists, os.path.exists is False for a name too long to make.
+    made = [d for d in (out_dir, *out_dir.parents) if not os.path.exists(d)]
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ShopDialogError(f"cannot write {out_dir}: {exc.strerror}") from exc
         with contextlib.ExitStack() as stack:
             files = {name: stack.enter_context(replacing(path)) for name, path in zip(SPLIT_NAMES, outputs)}
             for (_, flow), name in zip(read_flows(args.flows), split_of):
                 files[name].write(encode_line(flow_to_dict(flow)) + "\n")
     except BaseException:
         for d in made:
-            d.rmdir()
+            with contextlib.suppress(OSError):  # mkdir may have failed before making it
+                d.rmdir()
         raise
     return outputs, "split sizes: " + ", ".join(f"{name}={split_of.count(name)}" for name in SPLIT_NAMES)
 
@@ -142,21 +147,7 @@ def cmd_stats(args):
 
     report = corpus_stats(flow for _, flow in read_flows(args.flows))
     out = Path(args.out)
-    if args.format == "csv":
-        import csv
-
-        with replacing(out, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["section", "round", "act", "value"])
-            writer.writerows([field, "", "", value] for field, value in report._asdict().items()
-                             if field not in ("candidate_items_by_round", "act_distribution_by_round"))
-            writer.writerows(["candidate_items", rnd, "", mean]
-                             for rnd, mean in enumerate(report.candidate_items_by_round, 1))
-            writer.writerows(["act_distribution", rnd, act, p]
-                             for rnd, row in enumerate(report.act_distribution_by_round, 1)
-                             for act, p in row.items())
-    else:
-        write_json(out, _asdict(report))
+    write_json(out, _asdict(report))
     return [str(out)], f"stats for {report.n_dialogs} dialogs written to {out}"
 
 
@@ -193,15 +184,7 @@ def cmd_eval(args):
     if not args.out:
         return [], json.dumps(report, indent=2, ensure_ascii=False)
     out = Path(args.out)
-    if args.format == "csv":
-        import csv
-
-        with replacing(out, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            writer.writerows(sorted(_flatten(report).items()))
-    else:
-        write_json(out, report)
+    write_json(out, report)
     return [str(out)], None
 
 
@@ -212,17 +195,6 @@ def _asdict(obj):
     if isinstance(obj, dict):
         return {key: _asdict(value) for key, value in obj.items()}
     return obj
-
-
-def _flatten(obj: dict, prefix: str = "") -> dict:
-    flat = {}
-    for key, value in obj.items():
-        name = f"{prefix}.{key}" if prefix else str(key)
-        if isinstance(value, dict):
-            flat.update(_flatten(value, name))
-        else:
-            flat[name] = value
-    return flat
 
 
 def _count(text: str, least: int = 0) -> int:
@@ -246,7 +218,6 @@ _JOBS = ("--jobs", {"type": _jobs, "default": 1})
 _FLOWS = ("--flows", {"required": True, "help": "input flow JSONL"})
 _OUT = ("--out", {"required": True, "help": "output JSONL path"})
 _TASK = ("--task", {"required": True, "choices": [t.lower() for t in TASKS]})
-_FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
 
 # Per subcommand: help line, function (args -> paths written, line to print), arguments in help order.
 SUBCOMMANDS = {
@@ -273,13 +244,12 @@ SUBCOMMANDS = {
         _SEED,
         ("--out-dir", {"required": True, "help": "output directory"}))),
     "stats": ("corpus statistics report", cmd_stats, (
-        _FLOWS, ("--out", {"required": True, "help": "output report path"}), _FORMAT)),
+        _FLOWS, ("--out", {"required": True, "help": "output report path"}))),
     "eval": ("score a prediction file against gold", cmd_eval, (
         _TASK,
         ("--pred", {"required": True, "help": "prediction JSONL"}),
         ("--gold", {"required": True, "help": "gold JSONL"}),
-        ("--out", {"help": "report path (default: print to stdout)"}),
-        _FORMAT)),
+        ("--out", {"help": "report path (default: print to stdout)"}))),
 }
 
 
@@ -310,21 +280,18 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
-    if args.command == "eval" and args.format == "csv" and not args.out:
-        parser.error("eval --format csv needs --out")
+    args = build_parser(argv).parse_args(argv)
     try:
         outputs, message = SUBCOMMANDS[args.command][1](args)
+        if outputs:
+            out_dir = getattr(args, "out_dir", None)
+            manifest = Path(out_dir, "split.manifest.json") if out_dir else Path(outputs[0] + ".manifest.json")
+            _write_manifest(manifest, args, argv, outputs)
     except ShopDialogError as exc:
         line = "" if getattr(exc, "line", None) is None else f":{exc.line}"  # a DialogError's record
         where = f"{args.flows}{line}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
-    if outputs:
-        out_dir = getattr(args, "out_dir", None)
-        manifest = Path(out_dir, "split.manifest.json") if out_dir else Path(outputs[0] + ".manifest.json")
-        _write_manifest(manifest, args, argv, outputs)
     if message is not None:
         print(message)
     return 0

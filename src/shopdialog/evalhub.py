@@ -367,18 +367,19 @@ _PAYLOAD_TYPES = {
 }
 
 
-def read_predictions(path, task: str | None = None) -> tuple[dict, dict[Key, object]]:
-    """Parse a prediction/gold file; returns (header, rows). Header may be {}.
+def read_predictions(path, task: str) -> tuple[dict, dict[Key, object]]:
+    """Parse a prediction/gold file of `task`; returns (header, rows). Header may be {}.
 
-    Given a task, a header declaring another task or a payload of the wrong type is an error.
+    A header declaring another task or a payload of the wrong type is an error.
     """
+    fits, expected = _PAYLOAD_TYPES[task]
     header: dict = {}
     rows: dict[Key, object] = {}
     for line_no, record in read_jsonl(path):
         if "dialog_id" not in record:
             if line_no == 1:
                 header = record
-                if task is not None and header.get("task", task) != task:
+                if header.get("task", task) != task:
                     raise ValidationError(f"{path} declares task {header['task']!r}, expected {task!r}")
                 continue
             raise MalformedFile(f"{path}:{line_no}: row without dialog_id")
@@ -387,10 +388,8 @@ def read_predictions(path, task: str | None = None) -> tuple[dict, dict[Key, obj
             raise MalformedFile(
                 f"{path}:{line_no}: a row needs a string dialog_id, an integer round and a payload"
             )
-        if task is not None:
-            fits, expected = _PAYLOAD_TYPES[task]
-            if not fits(record["payload"]):
-                raise MalformedFile(f"{path}:{line_no}: a {task} payload must be {expected}")
+        if not fits(record["payload"]):
+            raise MalformedFile(f"{path}:{line_no}: a {task} payload must be {expected}")
         if (dialog_id, rnd) in rows:
             raise ValidationError(f"{path}:{line_no}: duplicate key {(dialog_id, rnd)}")
         rows[(dialog_id, rnd)] = record["payload"]

@@ -4,7 +4,8 @@ Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
 JSON Lines are read one line at a time, each decoded on its own with JSON whitespace
 allowed around it.  A config file whose contents do not fit its schema raises
-ValidationError naming the path.  A write replaces its target only once it is done.
+ValidationError naming the path.  A write replaces its target only once it is done, and
+one that cannot create or replace it raises ShopDialogError naming the path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
-from .errors import MalformedFile, ValidationError
+from .errors import MalformedFile, ShopDialogError, ValidationError
 
 T = TypeVar("T")
 # One encoder and one decoder for every JSON Lines record: json.dumps(..., ensure_ascii=False)
@@ -54,13 +55,21 @@ def string_list(value, where: str) -> list[str]:
 
 
 @contextlib.contextmanager
-def replacing(path, newline: str | None = None) -> Iterator[TextIO]:
-    """A text file "<path>.tmp" that is renamed over `path` when the block ends, or removed if it raises."""
+def replacing(path) -> Iterator[TextIO]:
+    """A text file "<path>.tmp" that is renamed over `path` when the block ends, or removed if it
+    raises. An OSError in opening, closing or renaming it (not in the block) names `path`."""
     tmp = f"{path}.tmp"
+    in_block = False
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            in_block = True
             yield fh
+            in_block = False
         os.replace(tmp, path)
+    except OSError as exc:
+        if in_block:
+            raise
+        raise ShopDialogError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
         if os.path.exists(tmp):  # the block raised
             os.remove(tmp)

@@ -196,7 +196,7 @@ STATS_SCALARS = [
 ]
 
 
-def test_stats_json_and_csv(tmp_path):
+def test_stats_json_report(tmp_path):
     flows = simulate(tmp_path, "flows.jsonl")
     out_json = tmp_path / "stats.json"
     rc = main(["stats", "--flows", str(flows), "--out", str(out_json)])
@@ -206,14 +206,6 @@ def test_stats_json_and_csv(tmp_path):
     assert report["n_dialogs"] == 30
     assert len(report["act_distribution_by_round"]) == 8
     assert all(list(row) == list(SALESPERSON_ACTS) for row in report["act_distribution_by_round"])
-    out_csv = tmp_path / "stats.csv"
-    rc = main(["stats", "--flows", str(flows), "--out", str(out_csv), "--format", "csv"])
-    assert rc == 0
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == "section,round,act,value"
-    sections = [line.split(",")[0] for line in lines[1:]]
-    assert list(dict.fromkeys(sections)) == [*STATS_SCALARS, "candidate_items", "act_distribution"]
-    assert any(line.startswith("act_distribution,1,ASK_PREFERENCE") for line in lines)
 
 
 # A small gold file per task, with a header, meant to be scored against itself.
@@ -244,14 +236,11 @@ def write_tiny_gold(path, task, header=None):
 
 @pytest.mark.parametrize("task", list(REPORT_KEYS))
 def test_eval_report_keys_in_order(tmp_path, task):
-    """The json report's keys, each PRF's fields and the csv metric column keep their order."""
+    """The report's keys and each PRF's fields keep their order."""
     gold = write_tiny_gold(tmp_path / "gold.jsonl", task)
-    reports = {}
-    for fmt in ("json", "csv"):
-        reports[fmt] = tmp_path / f"report.{fmt}"
-        assert main(["eval", "--task", task, "--pred", str(gold), "--gold", str(gold),
-                     "--out", str(reports[fmt]), "--format", fmt]) == 0
-    report = json.loads(reports["json"].read_text())
+    out = tmp_path / "report.json"
+    assert main(["eval", "--task", task, "--pred", str(gold), "--gold", str(gold), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
     assert list(report) == REPORT_KEYS[task]
     prfs = {k: report[k] for k in ("micro", "macro") if k in report}
     if task == "act":
@@ -259,9 +248,6 @@ def test_eval_report_keys_in_order(tmp_path, task):
         prfs.update((f"per_class.{act}", prf) for act, prf in report["per_class"].items())
     for prf in prfs.values():
         assert list(prf) == PRF_KEYS
-    scalars = [k for k in REPORT_KEYS[task] if k not in ("micro", "macro", "per_class")]
-    metrics = [line.split(",")[0] for line in reports["csv"].read_text().splitlines()]
-    assert metrics == ["metric", *sorted(scalars + [f"{k}.{f}" for k in prfs for f in PRF_KEYS])]
 
 
 @pytest.mark.parametrize("pred_mode", ["scene_only", "cumulative", None])
@@ -278,19 +264,6 @@ def test_eval_warns_on_spd_mode_mismatch(tmp_path, capsys, pred_mode):
     assert reports[0].read_bytes() == reports[1].read_bytes()
     warning = f"warning: {pred}: spd_mode 'scene_only' differs from gold 'cumulative'\n"
     assert capsys.readouterr().err == (warning if pred_mode == "scene_only" else "")
-
-
-def test_eval_csv_report(tmp_path):
-    flows = simulate(tmp_path, "flows.jsonl")
-    gold = tmp_path / "gold.jsonl"
-    main(["gold", *base_flags(), "--flows", str(flows), "--task", "rru", "--out", str(gold)])
-    out = tmp_path / "report.csv"
-    rc = main(["eval", "--task", "rru", "--pred", str(gold), "--gold", str(gold),
-               "--out", str(out), "--format", "csv"])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "metric,value"
-    assert any(line.startswith("micro.f1,1.0") for line in lines)
 
 
 def test_inputs_never_mutated(tmp_path):
@@ -572,7 +545,7 @@ def test_v1_flows_with_candidate_values_still_read(tmp_path):
         runs = [["gold", *base_flags(), "--task", task] for task in
                 ("spd", "rru", "act", "recommend", "response")]
         runs += [["gold", *base_flags(), "--task", "spd", "--spd-mode", "scene_only"],
-                 ["stats"], ["stats", "--format", "csv"], realize]
+                 ["stats"], realize]
         written = []
         for i, argv in enumerate(runs):
             out = tmp_path / f"{tag}_{i}.out"
@@ -760,13 +733,69 @@ def test_a_failed_stage_leaves_its_outputs_as_they_were(tmp_path, capsys, stage,
     assert [p.name for p in out_root.iterdir()] == ([previous.relative_to(out_root).parts[0]] if existing else [])
 
 
-def test_eval_csv_without_out_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("stage", ["stats", "eval"])
+def test_format_is_no_option(tmp_path, capsys, stage):
+    """Reports are JSON only: `--format` is an unrecognized argument, and nothing is written."""
     gold = write_tiny_gold(tmp_path / "gold.jsonl", "act")
+    inputs = (["--flows", str(gold)] if stage == "stats" else
+              ["--task", "act", "--pred", str(gold), "--gold", str(gold)])
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--task", "act", "--pred", str(gold), "--gold", str(gold), "--format", "csv"])
+        main([stage, *inputs, "--out", str(tmp_path / "report.csv"), "--format", "csv"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.splitlines()[-1] == "shopdialog: error: eval --format csv needs --out"
+    assert out == "" and err.splitlines()[-1] == "shopdialog: error: unrecognized arguments: --format csv"
+    assert [p.name for p in tmp_path.iterdir()] == ["gold.jsonl"]
+
+
+# case: the output path under a directory holding `a_dir` and an empty file `a_file`, and the reason.
+UNWRITABLE = {
+    "missing-parent": ("missing/out.json", "No such file or directory"),
+    "directory": ("a_dir", "Is a directory"),
+    "parent-is-a-file": ("a_file/splits", "Not a directory"),
+    "out-dir-is-a-file": ("a_file", "File exists"),
+    "name-too-long": ("x" * 300, "File name too long"),
+    "new-parent-name-too-long": ("new/" + "x" * 300, "File name too long"),
+}
+
+
+@pytest.mark.parametrize("stage, case", [
+    *((stage, case) for stage in ("simulate", "realize", "gold", "stats", "eval")
+      for case in ("missing-parent", "directory")),
+    *(("split", case) for case in ("parent-is-a-file", "out-dir-is-a-file", "name-too-long",
+                                   "new-parent-name-too-long")),
+])
+def test_unwritable_output_exits_one(tmp_path, capsys, stage, case):
+    """An output that cannot be written exits 1 with one line naming the path given, and the
+    stage creates nothing: no output, no temporary file, no manifest and no directory, not even
+    the parent that `split` makes before the name it cannot make (`new-parent-name-too-long`)."""
+    flows = simulate(tmp_path, "flows.jsonl", n=5)
+    gold = write_tiny_gold(tmp_path / "gold.jsonl", "act")
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    name, reason = UNWRITABLE[case]
+    out = tmp_path / name
+    argv = {
+        "simulate": ["simulate", *base_flags(), "--policy", str(DATA / "policy.json"), "--n", "5", "--out"],
+        "realize": ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+                    "--flows", str(flows), "--out"],
+        "gold": ["gold", *base_flags(), "--task", "act", "--flows", str(flows), "--out"],
+        "stats": ["stats", "--flows", str(flows), "--out"],
+        "eval": ["eval", "--task", "act", "--pred", str(gold), "--gold", str(gold), "--out"],
+        "split": ["split", "--flows", str(flows), "--out-dir"],
+    }[stage]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([*argv, str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_unwritable_manifest_exits_one(tmp_path, capsys):
+    """A manifest that cannot be written is reported like any other output."""
+    out = tmp_path / "stats.json"
+    Path(f"{out}.manifest.json").mkdir()
+    assert main(["stats", "--flows", str(simulate(tmp_path, "flows.jsonl", n=5)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}.manifest.json: Is a directory\n"
 
 
 def test_split_of_a_flow_file_without_dialogs(tmp_path, capsys):
@@ -894,7 +923,7 @@ def test_module_entry_point_end_to_end(tmp_path, monkeypatch, capsys):
         ["realize", *pack, *templates, "--flows", "flows.jsonl", "--jobs", "2", "--out", "realized.jsonl"],
         ["gold", *base_flags(), "--flows", "realized.jsonl", "--task", "act", "--out", "gold_act.jsonl"],
         ["split", "--flows", "realized.jsonl", "--seed", "3", "--out-dir", "splits"],
-        ["stats", "--flows", "realized.jsonl", "--format", "csv", "--out", "stats.csv"],
+        ["stats", "--flows", "realized.jsonl", "--out", "stats.json"],
         ["eval", *act, "--out", "report.json"],
         ["eval", *act],
     ]

@@ -377,7 +377,7 @@ def test_prediction_file_round_trip(tmp_path):
     rows = {("d0", 1): ["red"], ("d1", 2): ["blue", "green"]}
     path = tmp_path / "pred.jsonl"
     write_predictions(path, {"task": "SPD", "spd_mode": "cumulative"}, rows)
-    header, loaded = read_predictions(path)
+    header, loaded = read_predictions(path, "SPD")
     assert header["task"] == "SPD"
     assert loaded == rows
 

@@ -1,8 +1,8 @@
 """Structure guard: one module owns each concern, each subcommand loads only the modules it
-runs and none loads `dataclasses`, every name the benchmark's tracer patches is a top-level
-function of its module, `cli.main` alone writes manifests, the README lists the flow keys the
-engine writes and the exception types `errors.py` defines, and a successful process has
-nothing left to close when `cli.run` skips interpreter teardown."""
+runs, none loads `dataclasses` and none imports `csv`, every name the benchmark's tracer
+patches is a top-level function of its module, `cli.main` alone writes manifests, the README
+lists the flow keys the engine writes and the exception types `errors.py` defines, and a
+successful process has nothing left to close when `cli.run` skips interpreter teardown."""
 
 import ast
 import importlib
@@ -56,6 +56,15 @@ def test_eval_imports_only_scoring_modules(tmp_path):
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == f"{[0] * len(argvs)} []"
+
+
+def test_no_module_imports_csv():
+    """Reports are JSON only."""
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "csv" not in names, path.name
 
 
 def test_no_module_uses_dataclasses():
