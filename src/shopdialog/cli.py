@@ -147,8 +147,8 @@ def cmd_stats(args):
 
     report = corpus_stats(flow for _, flow in read_flows(args.flows))
     out = Path(args.out)
-    write_json(out, _asdict(report))
-    return [str(out)], f"stats for {report.n_dialogs} dialogs written to {out}"
+    write_json(out, report)
+    return [str(out)], f"stats for {report['n_dialogs']} dialogs written to {out}"
 
 
 def cmd_eval(args):
@@ -168,10 +168,10 @@ def cmd_eval(args):
             if pred_mode != report["spd_mode"]:
                 print(f"warning: {args.pred}: spd_mode {pred_mode!r} differs from gold "
                       f"{report['spd_mode']!r}", file=sys.stderr)
-        report["micro"] = _asdict(eval_set_task(pred_rows, gold))
-        report["macro"] = _asdict(eval_set_task_macro(pred_rows, gold))
+        report["micro"] = eval_set_task(pred_rows, gold)
+        report["macro"] = eval_set_task_macro(pred_rows, gold)
     elif task == "ACT":
-        report.update(_asdict(eval_act(pred_rows, gold_rows)))
+        report.update(eval_act(pred_rows, gold_rows))
     elif task == "RESPONSE":
         try:
             report["bleu4"] = eval_response(pred_rows, gold_rows)
@@ -179,22 +179,13 @@ def cmd_eval(args):
             raise ValidationError(f"{args.gold}: {exc}") from None
     elif task == "RECOMMEND":
         gold = {k: extract_item_ids(v) for k, v in gold_rows.items()}
-        report["micro"] = _asdict(eval_recommend(pred_rows, gold))
+        report["micro"] = eval_recommend(pred_rows, gold)
 
     if not args.out:
         return [], json.dumps(report, indent=2, ensure_ascii=False)
     out = Path(args.out)
     write_json(out, report)
     return [str(out)], None
-
-
-def _asdict(obj):
-    """A report's NamedTuples, and dicts of them, as dicts with the fields in order."""
-    if hasattr(obj, "_asdict"):
-        obj = obj._asdict()
-    if isinstance(obj, dict):
-        return {key: _asdict(value) for key, value in obj.items()}
-    return obj
 
 
 def _count(text: str, least: int = 0) -> int:

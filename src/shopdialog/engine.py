@@ -467,7 +467,7 @@ def flow_from_dict(raw: dict) -> DialogFlow:
     )
     if not (type(flow.dialog_id) is str and type(flow.scene_id) is str
             and type(flow.target_object_id) is int and type(flow.outcome) is str):
-        raise _field_type_error(flow._asdict(), "")
+        raise _field_type_error(flow_to_dict(flow), "")
     return flow
 
 

@@ -26,7 +26,7 @@ import random
 import re
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
 from .errors import DialogError, MalformedFile, ShopDialogError, ValidationError
@@ -43,23 +43,26 @@ Key = tuple[str, int]
 ID_TOKEN = re.compile(r"<@(\d+)>")
 
 
-class PRF(NamedTuple):
-    precision: float
-    recall: float
-    f1: float
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int) -> "PRF":
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * p * r / (p + r) if p + r else 0.0
-        return cls(p, r, f1, tp, fp, fn)
+def prf(tp: int, fp: int, fn: int) -> dict:
+    """The micro or per-class block of a report: precision, recall and F1 of the counts, then
+    the counts."""
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * p * r / (p + r) if p + r else 0.0
+    return {"precision": p, "recall": r, "f1": f1, "tp": tp, "fp": fp, "fn": fn}
 
 
-def eval_set_task(preds: dict[Key, object], gold: dict[Key, set], as_set=set) -> PRF:
+def _macro(blocks: Iterable[dict]) -> dict:
+    """The unweighted mean of the blocks' precision, recall and F1; zeros for no blocks. Each
+    column is added up by `sum`, whose float total a running `+=` need not match bit for bit."""
+    columns: dict[str, list[float]] = {"precision": [], "recall": [], "f1": []}
+    for block in blocks:
+        for key, column in columns.items():
+            column.append(block[key])
+    return {key: sum(column) / len(column) if column else 0.0 for key, column in columns.items()}
+
+
+def eval_set_task(preds: dict[Key, object], gold: dict[Key, set], as_set=set) -> dict:
     """Micro-averaged PRF over element-level matches pooled across rounds; `as_set` reads a
     prediction's payload as a set, and a missing prediction is empty."""
     tp = fp = fn = 0
@@ -68,34 +71,17 @@ def eval_set_task(preds: dict[Key, object], gold: dict[Key, set], as_set=set) ->
         tp += len(pred_set & gold_set)
         fp += len(pred_set - gold_set)
         fn += len(gold_set - pred_set)
-    return PRF.from_counts(tp, fp, fn)
+    return prf(tp, fp, fn)
 
 
-def eval_set_task_macro(preds: dict[Key, Iterable], gold: dict[Key, set]) -> PRF:
+def eval_set_task_macro(preds: dict[Key, Iterable], gold: dict[Key, set]) -> dict:
     """Unweighted mean of per-round PRF (secondary to the micro headline)."""
-    ps, rs, f1s = [], [], []
-    for key, gold_set in gold.items():
-        pred_set = set(preds.get(key, set()))
-        prf = PRF.from_counts(
-            len(pred_set & gold_set), len(pred_set - gold_set), len(gold_set - pred_set)
-        )
-        ps.append(prf.precision)
-        rs.append(prf.recall)
-        f1s.append(prf.f1)
-    n = len(gold)
-    if n == 0:
-        return PRF(0.0, 0.0, 0.0)
-    return PRF(sum(ps) / n, sum(rs) / n, sum(f1s) / n)
+    pred_sets = (set(preds.get(key, ())) for key in gold)
+    return _macro(prf(len(p & g), len(p - g), len(g - p)) for p, g in zip(pred_sets, gold.values()))
 
 
-class ActReport(NamedTuple):
-    micro: PRF
-    macro: PRF
-    per_class: dict[str, PRF]
-
-
-def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
-    """Per-class PRF over the salesperson acts plus micro/macro averages.
+def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> dict:
+    """Micro, macro and per-class PRF over the salesperson acts.
 
     Counts come from one tally of (gold, predicted) acts; a key one side lacks has None there.
     """
@@ -111,15 +97,9 @@ def eval_act(preds: dict[Key, str], gold: dict[Key, str]) -> ActReport:
             counts[p][1] += n
         if g is not None:
             counts[g][2] += n
-    per_class = {cls: PRF.from_counts(*c) for cls, c in counts.items()}
-    micro = PRF.from_counts(*(sum(c[i] for c in counts.values()) for i in range(3)))
-    n = len(classes)
-    macro = PRF(
-        sum(p.precision for p in per_class.values()) / n if n else 0.0,
-        sum(p.recall for p in per_class.values()) / n if n else 0.0,
-        sum(p.f1 for p in per_class.values()) / n if n else 0.0,
-    )
-    return ActReport(micro, macro, per_class)
+    per_class = {cls: prf(*c) for cls, c in counts.items()}
+    micro = prf(*(sum(c[i] for c in counts.values()) for i in range(3)))
+    return {"micro": micro, "macro": _macro(per_class.values()), "per_class": per_class}
 
 
 def _ngrams(t: list[str]) -> Counter:
@@ -168,27 +148,16 @@ def extract_item_ids(payload) -> set[int]:
     return {int(v) for v in payload}
 
 
-def eval_recommend(preds: dict[Key, object], gold_targets: dict[Key, set[int]]) -> PRF:
+def eval_recommend(preds: dict[Key, object], gold_targets: dict[Key, set[int]]) -> dict:
     """Micro PRF over per-dialog recommended-id sets; unparseable preds are empty."""
     return eval_set_task(preds, gold_targets, extract_item_ids)
-
-
-class StatsReport(NamedTuple):
-    n_dialogs: int
-    n_utterances: int
-    avg_utterances_per_dialog: float
-    avg_salesperson_acts_per_dialog: float
-    avg_subjective_preferences_per_dialog: float
-    avg_objects_per_scene: float
-    candidate_items_by_round: list[float]
-    act_distribution_by_round: list[dict[str, float]]  # rounds 1..8, rows sum to 1
 
 
 # Turns realized with a preference surface form: these carry the concept slot.
 _PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE")
 
 
-def corpus_stats(flows: Iterable[DialogFlow]) -> StatsReport:
+def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
     """Corpus aggregates, in one pass; the per-round candidate series carries each dialog's
     last observed count forward, so the corpus curve is non-increasing."""
     n = n_utt = n_prefs = n_objects = max_round = 0
@@ -219,16 +188,16 @@ def corpus_stats(flows: Iterable[DialogFlow]) -> StatsReport:
         for rnd in range(1, 9)
     ]
 
-    return StatsReport(
-        n_dialogs=n,
-        n_utterances=n_utt,
-        avg_utterances_per_dialog=n_utt / n,
-        avg_salesperson_acts_per_dialog=sum(round_acts.values()) / n,
-        avg_subjective_preferences_per_dialog=n_prefs / n,
-        avg_objects_per_scene=n_objects / n,
-        candidate_items_by_round=[s / n for s in carried],
-        act_distribution_by_round=act_rows,
-    )
+    return {
+        "n_dialogs": n,
+        "n_utterances": n_utt,
+        "avg_utterances_per_dialog": n_utt / n,
+        "avg_salesperson_acts_per_dialog": sum(round_acts.values()) / n,
+        "avg_subjective_preferences_per_dialog": n_prefs / n,
+        "avg_objects_per_scene": n_objects / n,
+        "candidate_items_by_round": [s / n for s in carried],
+        "act_distribution_by_round": act_rows,  # rounds 1..8, rows sum to 1
+    }
 
 
 def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -> list[str]:
@@ -286,7 +255,8 @@ def build_gold(
     spd_mode: str = "cumulative",
 ) -> tuple[dict, dict[Key, object]]:
     """Gold rows of the (line_no, flow) pairs `read_flows` yields, for the task's eligible rounds,
-    plus a file header; a DialogError carries its flow's line.
+    plus a file header; a DialogError carries its flow's line. Every task needs each flow's
+    scene in `scenes`, and RECOMMEND its target among the scene's items.
 
     SPD gold is recomputed from the preference clauses through the oracle
     (never read off the flow annotations): `cumulative` folds every clause on
@@ -307,21 +277,22 @@ def build_gold(
     rows: dict[Key, object] = {}
     try:
         for line_no, flow in flows:
+            scene = by_id.scene_of(flow)
             if task == "SPD":
-                scene = by_id.scene_of(flow)
                 clauses = _preference_clauses(flow)
-                for turn, attr, _, _ in clauses:
+                for turn, attr, _, concept_id in clauses:
                     rnd = turn["round"]
                     keep = [
                         (pol, cid) for t, a, pol, cid in clauses if a == attr
                         and (t["round"] == rnd or spd_mode == "cumulative" and t["round"] < rnd)
                     ]
                     try:  # a bad clause first fails in its own round, in either mode
+                        if ont.concept(concept_id).attr != attr:
+                            raise ValidationError(f"concept {concept_id!r} is not a {attr} concept")
                         rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
                     except ShopDialogError as exc:
                         raise DialogError.at(flow, turn, exc) from None
             elif task == "RRU":
-                scene = by_id.scene_of(flow)
                 for turn in flow.turns:
                     if turn["speaker"] == "salesperson" and turn["act"] == "REFER_REGION":
                         try:
@@ -340,6 +311,9 @@ def build_gold(
                             raise DialogError(f"dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
                         rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
             elif task == "RECOMMEND":
+                if flow.target_object_id not in scene.items_by_id:
+                    raise DialogError(f"dialog {flow.dialog_id}: unknown target_object_id "
+                                      f"{flow.target_object_id}: not in scene {scene.scene_id!r}")
                 last_round = flow.turns[-1]["round"]
                 rows[(flow.dialog_id, last_round)] = [flow.target_object_id]
     except DialogError as exc:  # about the flow on line_no

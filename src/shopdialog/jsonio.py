@@ -57,21 +57,23 @@ def string_list(value, where: str) -> list[str]:
 @contextlib.contextmanager
 def replacing(path) -> Iterator[TextIO]:
     """A text file "<path>.tmp" that is renamed over `path` when the block ends, or removed if it
-    raises. An OSError in opening, closing or renaming it (not in the block) names `path`."""
+    raises. An OSError in opening, closing or renaming it (not in the block) names `path`; a
+    "<path>.tmp" that cannot be opened is left as it was."""
     tmp = f"{path}.tmp"
-    in_block = False
+    opened = in_block = False
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            in_block = True
+            opened = in_block = True
             yield fh
             in_block = False
         os.replace(tmp, path)
+        opened = False
     except OSError as exc:
         if in_block:
             raise
         raise ShopDialogError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
-        if os.path.exists(tmp):  # the block raised
+        if opened:  # the block, the close or the rename raised
             os.remove(tmp)
 
 

@@ -37,7 +37,6 @@ class Concept(NamedTuple):
     attr: str
     values: frozenset[str]
     surface_forms: tuple[str, ...]
-    provenance: str = "expert"
 
 
 class Ontology:
@@ -97,6 +96,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
         value_spaces[attr_name] = space
 
         for raw in block["concepts"]:
+            # "provenance" documents where a concept came from; it is accepted and not kept.
             allowed = {"concept_id", "values", "min", "max", "surface_forms", "provenance"}
             extra = set(raw) - allowed
             if extra:
@@ -120,7 +120,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
             forms = tuple(string_list(raw["surface_forms"], f"concept {cid!r}: surface_forms"))
             if not forms:
                 raise ValidationError(f"concept {cid!r}: needs at least one surface form")
-            concepts.append(Concept(cid, attr_name, values, forms, raw.get("provenance", "expert")))
+            concepts.append(Concept(cid, attr_name, values, forms))
 
     ids = [c.concept_id for c in concepts]
     if len(set(ids)) != len(ids):

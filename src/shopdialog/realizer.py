@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .catalog import Scene, SceneIndex
 from .engine import DialogFlow, text_slot
@@ -50,27 +50,18 @@ _ALLOWED_PLACEHOLDERS = {
     "RESPOND_RECOMMENDATION.reject": set(),
 }
 REQUIRED_KEYS = tuple(_ALLOWED_PLACEHOLDERS)
+Templates = dict[str, tuple[str, ...]]  # act key -> its templates
 # The slot each placeholder is filled from.
 _SLOT_OF = {"attr": "attribute", "preference_phrase": "concept_id", "value": "value",
             "values_list": "values", "region_label": "region_label", "object_id": "object_id",
             "item_description": "object_id"}
 
 
-class TemplateSet(NamedTuple):
-    by_key: dict[str, tuple[str, ...]]
-
-    def templates(self, key: str) -> tuple[str, ...]:
-        try:
-            return self.by_key[key]
-        except KeyError:
-            raise ValidationError(f"no templates for act key {key!r}") from None
-
-
 def _placeholders(template: str) -> set[str]:
     return {f[1] for f in string.Formatter().parse(template) if f[1] is not None}
 
 
-def templates_from_dict(raw: dict) -> TemplateSet:
+def templates_from_dict(raw: dict) -> Templates:
     if not isinstance(raw, dict):
         raise ValidationError("templates: must map act keys to lists of templates")
     extra = set(raw) - set(REQUIRED_KEYS)
@@ -79,7 +70,7 @@ def templates_from_dict(raw: dict) -> TemplateSet:
     missing = set(REQUIRED_KEYS) - set(raw)
     if missing:
         raise ValidationError(f"templates: missing act keys {sorted(missing)}")
-    by_key: dict[str, tuple[str, ...]] = {}
+    by_key: Templates = {}
     for key, templates in raw.items():
         string_list(templates, f"templates: {key!r}")
         if not templates:
@@ -89,10 +80,10 @@ def templates_from_dict(raw: dict) -> TemplateSet:
             if bad:
                 raise ValidationError(f"templates: {key!r} has unfillable placeholders {sorted(bad)}")
         by_key[key] = tuple(templates)
-    return TemplateSet(by_key)
+    return by_key
 
 
-def load_templates(path) -> TemplateSet:
+def load_templates(path) -> Templates:
     return read_json_with(path, templates_from_dict)
 
 
@@ -126,11 +117,13 @@ def _template_key(turn: dict) -> str:
 
 
 def realize_turn(
-    turn: dict, templates: TemplateSet, ont: Ontology, scene: Scene, rng: random.Random
+    turn: dict, templates: Templates, ont: Ontology, scene: Scene, rng: random.Random
 ) -> str:
     """Render one turn; concept slots keep a registered surface form."""
     key = _template_key(turn)
-    pool = templates.templates(key)
+    pool = templates.get(key)
+    if pool is None:
+        raise ValidationError(f"no templates for act key {key!r}")
     template = pool[rng.randrange(len(pool))]
     slots = turn["slots"]
     fills: dict[str, str] = {}
@@ -157,7 +150,7 @@ def realize_turn(
 
 
 def realize_dialog(
-    flow: DialogFlow, templates: TemplateSet, ont: Ontology, scene: Scene, seed: int | str
+    flow: DialogFlow, templates: Templates, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
     """Fill every turn's utterance; acts, slots and candidate items untouched.
     A turn that cannot be rendered raises DialogError naming it."""
@@ -184,7 +177,7 @@ def _realize_one(shared: tuple, item: tuple[int, tuple[int, DialogFlow]]) -> Dia
 
 def realize_corpus(
     flows: Iterable[tuple[int, DialogFlow]],
-    templates: TemplateSet,
+    templates: Templates,
     ont: Ontology,
     scenes: list[Scene],
     base_seed: int,

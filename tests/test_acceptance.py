@@ -186,7 +186,7 @@ def test_criterion_4_policy_calibration(corpus):
 
 def test_criterion_5_metric_correctness():
     prf = eval_set_task({("d", 1): {"red", "yellow"}}, {("d", 1): {"yellow", "brown", "red"}})
-    f1_ok = abs(prf.f1 - 0.8) < 1e-12 and prf.precision == 1.0
+    f1_ok = abs(prf["f1"] - 0.8) < 1e-12 and prf["precision"] == 1.0
 
     refs = {("d", 1): "please have a look at this one", ("d", 2): "what about the red jacket"}
     bleu_identical = eval_response(refs, refs)
@@ -202,11 +202,11 @@ def test_criterion_5_metric_correctness():
         f1_ok
         and abs(bleu_identical - 1.0) < 1e-9
         and abs(bleu_pair - hand) < 1e-9
-        and rec.f1 == 1.0
+        and rec["f1"] == 1.0
     )
     assert check(
         5, "metric correctness", ok,
-        f"F1 {prf.f1:.3f}, BLEU pair {bleu_pair:.6f} vs hand {hand:.6f}",
+        f"F1 {prf['f1']:.3f}, BLEU pair {bleu_pair:.6f} vs hand {hand:.6f}",
     )
 
 

@@ -217,6 +217,7 @@ TINY_GOLD = {
     "recommend": ({"task": "RECOMMEND"}, [[3], [7]]),
 }
 PRF_KEYS = ["precision", "recall", "f1", "tp", "fp", "fn"]
+MACRO_KEYS = ["precision", "recall", "f1"]
 REPORT_KEYS = {
     "spd": ["task", "n_rounds", "tool_version", "spd_mode", "micro", "macro"],
     "rru": ["task", "n_rounds", "tool_version", "micro", "macro"],
@@ -236,18 +237,19 @@ def write_tiny_gold(path, task, header=None):
 
 @pytest.mark.parametrize("task", list(REPORT_KEYS))
 def test_eval_report_keys_in_order(tmp_path, task):
-    """The report's keys and each PRF's fields keep their order."""
+    """The report's keys and each PRF's fields keep their order; a macro block has no counts."""
     gold = write_tiny_gold(tmp_path / "gold.jsonl", task)
     out = tmp_path / "report.json"
     assert main(["eval", "--task", task, "--pred", str(gold), "--gold", str(gold), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert list(report) == REPORT_KEYS[task]
-    prfs = {k: report[k] for k in ("micro", "macro") if k in report}
+    if "micro" in report:
+        assert list(report["micro"]) == PRF_KEYS
+    if "macro" in report:
+        assert list(report["macro"]) == MACRO_KEYS
     if task == "act":
         assert list(report["per_class"]) == ["ASK_PREFERENCE", "REFER_REGION"]
-        prfs.update((f"per_class.{act}", prf) for act, prf in report["per_class"].items())
-    for prf in prfs.values():
-        assert list(prf) == PRF_KEYS
+        assert all(list(prf) == PRF_KEYS for prf in report["per_class"].values())
 
 
 @pytest.mark.parametrize("pred_mode", ["scene_only", "cumulative", None])
@@ -296,23 +298,57 @@ def test_non_finite_ratios_exit_one(tmp_path, capsys, ratios):
     assert not (tmp_path / "splits").exists()
 
 
-@pytest.mark.parametrize("stage, jobs", [("gold", 1), ("realize", 1), ("realize", 2)])
+@pytest.mark.parametrize("stage, jobs", [
+    ("gold", 1), *((f"gold {task}", 1) for task in ("rru", "act", "recommend", "response")),
+    ("realize", 1), ("realize", 2),
+])
 def test_unknown_scene_id_exits_one(tmp_path, capsys, stage, jobs):
+    """Every gold task and `realize` reject a flow whose scene is not in the scene file;
+    `gold` alone is `gold spd`."""
     flows = simulate(tmp_path, "flows.jsonl", n=2)
+    if stage == "gold response":  # RESPONSE gold reads realized flows
+        assert main(stage_argv("realize", flows, tmp_path / "realized.jsonl")) == 0
+        flows = tmp_path / "realized.jsonl"
     records = [json.loads(line) for line in flows.read_text().splitlines()]
     records[1]["scene_id"] = "nope"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    if stage == "gold":
-        extra = ["--task", "spd"]
-    else:
-        extra = ["--templates", str(DATA / "templates.json"), "--jobs", str(jobs)]
+    argv = stage_argv("gold spd" if stage == "gold" else stage, flows, tmp_path / "out.jsonl")
     capsys.readouterr()
-    rc = main([stage, *base_flags(), *extra,
-               "--flows", str(flows), "--out", str(tmp_path / "out.jsonl")])
-    assert rc == 1
+    assert main([*argv, "--jobs", str(jobs)] if stage == "realize" else argv) == 1
     err = capsys.readouterr().err
     dialog = records[1]["dialog_id"]
     assert err == f"error: {flows}:2: dialog {dialog}: unknown scene_id 'nope': not in the scene file\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_unknown_recommend_target_exits_one(tmp_path, capsys):
+    """RECOMMEND gold rejects a target that is not one of the flow's scene's items."""
+    flows = simulate(tmp_path, "flows.jsonl", n=2)
+    records = [json.loads(line) for line in flows.read_text().splitlines()]
+    records[1]["target_object_id"] = 99999
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(stage_argv("gold recommend", flows, tmp_path / "gold.jsonl")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:2: dialog {records[1]['dialog_id']}: unknown target_object_id 99999: "
+        f"not in scene {records[1]['scene_id']!r}\n")
+    assert not (tmp_path / "gold.jsonl").exists()
+
+
+@pytest.mark.parametrize("spd_mode", ["cumulative", "scene_only"])
+def test_gold_spd_rejects_concept_of_another_attribute(tmp_path, capsys, spd_mode):
+    """A preference clause whose concept belongs to another attribute than its `attribute`
+    slot is a located error, not a gold row of the other attribute's values."""
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(flow_line(speaker="customer", act="ANSWER_PREFERENCE",
+                               slots={"attribute": "color", "concept_id": "premium_price"}) + "\n")
+    capsys.readouterr()
+    argv = stage_argv("gold spd", flows, tmp_path / "gold.jsonl")
+    assert main([*argv, "--spd-mode", spd_mode]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:1: dialog d00000 round 1 ANSWER_PREFERENCE: "
+        "concept 'premium_price' is not a color concept\n")
+    assert not (tmp_path / "gold.jsonl").exists()
 
 
 def row(payload) -> str:
@@ -755,12 +791,13 @@ UNWRITABLE = {
     "out-dir-is-a-file": ("a_file", "File exists"),
     "name-too-long": ("x" * 300, "File name too long"),
     "new-parent-name-too-long": ("new/" + "x" * 300, "File name too long"),
+    "tmp-is-a-directory": ("out.json", "Is a directory"),  # "<out>.tmp" is made a directory first
 }
 
 
 @pytest.mark.parametrize("stage, case", [
     *((stage, case) for stage in ("simulate", "realize", "gold", "stats", "eval")
-      for case in ("missing-parent", "directory")),
+      for case in ("missing-parent", "directory", "tmp-is-a-directory")),
     *(("split", case) for case in ("parent-is-a-file", "out-dir-is-a-file", "name-too-long",
                                    "new-parent-name-too-long")),
 ])
@@ -774,6 +811,8 @@ def test_unwritable_output_exits_one(tmp_path, capsys, stage, case):
     (tmp_path / "a_file").write_text("")
     name, reason = UNWRITABLE[case]
     out = tmp_path / name
+    if case == "tmp-is-a-directory":
+        Path(f"{out}.tmp").mkdir()  # the stage must leave it as it is
     argv = {
         "simulate": ["simulate", *base_flags(), "--policy", str(DATA / "policy.json"), "--n", "5", "--out"],
         "realize": ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),

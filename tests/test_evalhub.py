@@ -9,8 +9,6 @@ from shopdialog.acts import SPLIT_NAMES
 from shopdialog.engine import SALESPERSON_ACTS, DialogFlow, generate_corpus
 from shopdialog.errors import MalformedFile, ValidationError
 from shopdialog.evalhub import (
-    PRF,
-    ActReport,
     build_gold,
     corpus_stats,
     eval_act,
@@ -18,6 +16,7 @@ from shopdialog.evalhub import (
     eval_response,
     eval_set_task,
     extract_item_ids,
+    prf,
     read_predictions,
     split_corpus,
     write_predictions,
@@ -32,17 +31,17 @@ def turn(rnd, speaker, act, slots, candidate_items):
 
 def test_perfect_set_prediction():
     gold = {("d0", 1): {"red", "yellow"}, ("d0", 3): {"blue"}}
-    prf = eval_set_task(gold, gold)
-    assert prf.precision == prf.recall == prf.f1 == 1.0
+    block = eval_set_task(gold, gold)
+    assert block["precision"] == block["recall"] == block["f1"] == 1.0
 
 
 def test_partial_set_prediction():
     gold = {("d0", 1): {"yellow", "brown", "red"}}
     preds = {("d0", 1): {"red", "yellow"}}
-    prf = eval_set_task(preds, gold)
-    assert prf.precision == 1.0
-    assert prf.recall == pytest.approx(2 / 3)
-    assert prf.f1 == pytest.approx(0.8)
+    block = eval_set_task(preds, gold)
+    assert block["precision"] == 1.0
+    assert block["recall"] == pytest.approx(2 / 3)
+    assert block["f1"] == pytest.approx(0.8)
 
 
 def test_micro_pooling_matches_hand_counts():
@@ -50,32 +49,32 @@ def test_micro_pooling_matches_hand_counts():
     # Pooled: tp=2 (2 and 4), fp=1 (1), fn=2 (3 and 5).
     preds = {("d0", 1): {1, 2}, ("d0", 2): {4}}
     gold = {("d0", 1): {2, 3}, ("d0", 2): {4, 5}}
-    prf = eval_set_task(preds, gold)
-    assert (prf.tp, prf.fp, prf.fn) == (2, 1, 2)
-    assert prf.precision == pytest.approx(2 / 3)
-    assert prf.recall == pytest.approx(2 / 4)
+    block = eval_set_task(preds, gold)
+    assert (block["tp"], block["fp"], block["fn"]) == (2, 1, 2)
+    assert block["precision"] == pytest.approx(2 / 3)
+    assert block["recall"] == pytest.approx(2 / 4)
 
 
 def test_missing_rows_count_as_empty():
     gold = {("d0", 1): {"red"}, ("d1", 1): {"blue"}}
-    prf = eval_set_task({("d0", 1): {"red"}}, gold)
-    assert prf.recall == pytest.approx(0.5)
-    assert prf.precision == 1.0
+    block = eval_set_task({("d0", 1): {"red"}}, gold)
+    assert block["recall"] == pytest.approx(0.5)
+    assert block["precision"] == 1.0
 
 
 def test_f1_harmonic_identity():
-    prf = PRF.from_counts(3, 2, 4)
-    expected = 2 * prf.precision * prf.recall / (prf.precision + prf.recall)
-    assert abs(prf.f1 - expected) < 1e-12
+    block = prf(3, 2, 4)
+    expected = 2 * block["precision"] * block["recall"] / (block["precision"] + block["recall"])
+    assert abs(block["f1"] - expected) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
 def test_prf_bounds(tp, fp, fn):
-    prf = PRF.from_counts(tp, fp, fn)
-    assert 0.0 <= prf.precision <= 1.0
-    assert 0.0 <= prf.recall <= 1.0
-    assert 0.0 <= prf.f1 <= 1.0
+    block = prf(tp, fp, fn)
+    assert 0.0 <= block["precision"] <= 1.0
+    assert 0.0 <= block["recall"] <= 1.0
+    assert 0.0 <= block["f1"] <= 1.0
 
 
 def test_row_order_invariance():
@@ -91,15 +90,18 @@ def test_row_order_invariance():
 def test_act_perfect_and_wrong():
     gold = {("d0", 1): "ASK_PREFERENCE", ("d0", 2): "RECOMMEND_ITEM"}
     report = eval_act(gold, gold)
-    assert report.micro.f1 == 1.0
+    assert report["micro"]["f1"] == 1.0
     wrong = eval_act({("d0", 1): "REFER_REGION"}, {("d0", 1): "ASK_PREFERENCE"})
-    assert wrong.micro.f1 == 0.0
+    assert wrong["micro"]["f1"] == 0.0
 
 
 def test_act_price_complaint_round():
     # A rejected price guess is followed by a revision; that round's gold act
     # is REVISE_ATTRIBUTE_VALUE and a matching prediction scores full marks.
-    flow = DialogFlow("d0", "s", 0, "success", [
+    from tests.test_engine import make_scene
+
+    scene = make_scene(["red"])
+    flow = DialogFlow("d0", scene.scene_id, 0, "success", [
         turn(1, "salesperson", "GUESS_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$299"}, [0]),
         turn(1, "customer", "RESPOND_ATTRIBUTE_VALUE",
@@ -109,10 +111,10 @@ def test_act_price_complaint_round():
         turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$99", "accept": True}, [0]),
     ])
-    _, rows = build_gold([(1, flow)], None, [], "ACT")
+    _, rows = build_gold([(1, flow)], None, [scene], "ACT")
     assert rows[("d0", 2)] == "REVISE_ATTRIBUTE_VALUE"
     report = eval_act({("d0", 2): "REVISE_ATTRIBUTE_VALUE"}, {("d0", 2): rows[("d0", 2)]})
-    assert report.micro.f1 == 1.0
+    assert report["micro"]["f1"] == 1.0
 
 
 def test_act_unknown_name_rejected(tmp_path):
@@ -186,15 +188,15 @@ def reference_act(preds, gold):
         ctp = sum(1 for k, g in gold.items() if g == cls and preds.get(k) == cls)
         cfp = sum(1 for k, p in preds.items() if p == cls and gold.get(k) != cls)
         cfn = sum(1 for k, g in gold.items() if g == cls and preds.get(k) != cls)
-        per_class[cls] = PRF.from_counts(ctp, cfp, cfn)
+        per_class[cls] = prf(ctp, cfp, cfn)
         tp, fp, fn = tp + ctp, fp + cfp, fn + cfn
     n = len(classes)
-    macro = PRF(
-        sum(p.precision for p in per_class.values()) / n if n else 0.0,
-        sum(p.recall for p in per_class.values()) / n if n else 0.0,
-        sum(p.f1 for p in per_class.values()) / n if n else 0.0,
-    )
-    return ActReport(PRF.from_counts(tp, fp, fn), macro, per_class)
+    macro = {
+        "precision": sum(p["precision"] for p in per_class.values()) / n if n else 0.0,
+        "recall": sum(p["recall"] for p in per_class.values()) / n if n else 0.0,
+        "f1": sum(p["f1"] for p in per_class.values()) / n if n else 0.0,
+    }
+    return {"micro": prf(tp, fp, fn), "macro": macro, "per_class": per_class}
 
 
 # Few short sentences over a tiny vocabulary, so pairs repeat, hypotheses are
@@ -229,18 +231,18 @@ def test_act_equals_three_pass_reference(data):
     preds = data.draw(st.dictionaries(KEYS, act, max_size=30))  # misses and extras
     got, want = eval_act(preds, gold), reference_act(preds, gold)
     assert got == want
-    assert list(got.per_class) == list(want.per_class)
+    assert list(got["per_class"]) == list(want["per_class"])
 
 
 def test_recommend_extraction_cases():
     gold = {("d0", 9): {1132}}
-    assert eval_recommend({("d0", 9): 'I suggest this one <@1132>'}, gold).f1 == 1.0
+    assert eval_recommend({("d0", 9): 'I suggest this one <@1132>'}, gold)["f1"] == 1.0
     missing = eval_recommend({("d0", 9): "no token here"}, gold)
-    assert missing.recall == 0.0
+    assert missing["recall"] == 0.0
     multi = eval_recommend({("d0", 9): "<@3> <@7>"}, {("d0", 9): {3}})
-    assert multi.precision == pytest.approx(0.5)
-    assert multi.recall == 1.0
-    assert multi.f1 == pytest.approx(2 / 3)
+    assert multi["precision"] == pytest.approx(0.5)
+    assert multi["recall"] == 1.0
+    assert multi["f1"] == pytest.approx(2 / 3)
 
 
 def test_extract_item_ids_accepts_lists():
@@ -258,25 +260,25 @@ def two_turn_flow(dialog_id="d0", act="ASK_PREFERENCE"):
 
 def test_stats_single_dialog():
     report = corpus_stats([two_turn_flow()])
-    assert report.n_utterances == 2
-    assert report.avg_utterances_per_dialog == 2.0
-    assert report.avg_salesperson_acts_per_dialog == 1.0
-    assert report.avg_objects_per_scene == 2.0
+    assert report["n_utterances"] == 2
+    assert report["avg_utterances_per_dialog"] == 2.0
+    assert report["avg_salesperson_acts_per_dialog"] == 1.0
+    assert report["avg_objects_per_scene"] == 2.0
 
 
 def test_stats_round_one_point_mass():
     flows = [two_turn_flow(f"d{i}") for i in range(5)]
     report = corpus_stats(flows)
-    assert report.act_distribution_by_round[0]["ASK_PREFERENCE"] == 1.0
-    assert sum(report.act_distribution_by_round[0].values()) == pytest.approx(1.0)
+    assert report["act_distribution_by_round"][0]["ASK_PREFERENCE"] == 1.0
+    assert sum(report["act_distribution_by_round"][0].values()) == pytest.approx(1.0)
 
 
 def test_stats_candidate_series_non_increasing(scenes, ontology, policy):
     flows = list(generate_corpus(scenes, ontology, policy, 400, base_seed=21))
     report = corpus_stats(flows)
-    series = report.candidate_items_by_round
+    series = report["candidate_items_by_round"]
     assert all(a >= b for a, b in zip(series, series[1:]))
-    assert report.n_dialogs == 400
+    assert report["n_dialogs"] == 400
 
 
 def test_stats_empty_corpus():

@@ -71,19 +71,11 @@ def test_empty_flow_unchanged(templates, ontology, scenes):
     assert flow_to_dict(realized) == flow_to_dict(flow)
 
 
-def test_missing_template_raises(ontology, scenes):
-    broken = templates_from_dict_ok()
-    del broken.by_key["ANSWER_PREFERENCE"]
+def test_missing_template_raises(templates, ontology, scenes):
+    broken = dict(templates)
+    del broken["ANSWER_PREFERENCE"]
     with pytest.raises(ValidationError, match="no templates for act key 'ANSWER_PREFERENCE'"):
         realize_turn(concept_turn(), broken, ontology, scenes[0], random.Random(0))
-
-
-def templates_from_dict_ok():
-    from shopdialog.realizer import load_templates
-    from tests.conftest import DATA
-
-    ts = load_templates(DATA / "templates.json")
-    return ts._replace(by_key=dict(ts.by_key))
 
 
 def test_template_validation_rejects_unknown_placeholder():
