@@ -1,5 +1,5 @@
-"""The dialog act vocabulary and the benchmark's task and split names, importable
-without the engine or the scoring code."""
+"""The dialog act vocabulary, the slots each act carries, and the benchmark's task and split
+names, importable without the engine or the scoring code."""
 
 TASKS = ("SPD", "RRU", "ACT", "RESPONSE", "RECOMMEND")
 SPLIT_NAMES = ("train", "dev", "dev_test", "test_std")
@@ -26,3 +26,18 @@ ACT_PAIRS = {
     "RECOMMEND_ITEM": "RESPOND_RECOMMENDATION",
 }
 ELICIT_ACTS = ("ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE")
+
+# The slots each act carries, in the order the engine writes them: `engine.check_turn` checks
+# the turns `realize` and `gold` read against it, and the realizer derives its template keys.
+ACT_SLOTS = {
+    "ASK_PREFERENCE": ("attribute",), "EXCLUDE_PREFERENCE": ("attribute",),
+    "PROMPT_PREFERENCE": ("attribute", "concept_id"),
+    "GUESS_ATTRIBUTE_VALUE": ("attribute", "value"), "REVISE_ATTRIBUTE_VALUE": ("attribute", "value"),
+    "DISPLAY_CANDIDATE_VALUES": ("attribute", "values"),
+    "REFER_REGION": ("region_label",), "RECOMMEND_ITEM": ("object_id",),
+    "ANSWER_PREFERENCE": ("attribute", "concept_id"), "NEGATE_PREFERENCE": ("attribute", "concept_id"),
+    "RESPOND_PROMPT": ("attribute", "concept_id", "accept"),
+    "RESPOND_ATTRIBUTE_VALUE": ("attribute", "value", "accept"),
+    "CHOOSE_ATTRIBUTE_VALUE": ("attribute", "value"),
+    "JUDGE_REGION": ("region_label", "accept"), "RESPOND_RECOMMENDATION": ("accept",),
+}

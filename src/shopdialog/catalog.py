@@ -230,7 +230,7 @@ def items_in_region(scene: Scene, region_label: str) -> set[int]:
     """Object ids whose bbox center lies inside the labeled region's bbox."""
     try:
         return set(scene.region_items[region_label])
-    except (KeyError, TypeError):  # TypeError: an unhashable label read from a flow
+    except KeyError:
         raise ValidationError(f"scene {scene.scene_id}: no region labeled {region_label!r}") from None
 
 

@@ -15,7 +15,8 @@ Flows are interchanged as JSON Lines, one dialog per line:
 A turn is that wire dict from the moment `run_dialog` appends it:
 `flow_from_dict` rebuilds each turn it reads in this key order, and
 `flow_to_dict` passes turns through.  `read_flows` yields one flow at a time,
-with its line number.  An act is a `(name, slots)` pair.
+with its line number.  An act is a `(name, slots)` pair carrying the slots `acts.ACT_SLOTS`
+lists; `realize` and `gold` check every turn they read against that table with `check_turn`.
 A salesperson turn is annotated with the candidate items it acted on; the
 paired customer turn carries the items left after the round's narrowing.
 Candidate values are not stored: replaying the act pairs through
@@ -29,9 +30,9 @@ import random
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS
+from .acts import ACT_PAIRS, ACT_SLOTS, ELICIT_ACTS, SALESPERSON_ACTS
 from .errors import MalformedFile, NoTruthfulConcept, ValidationError
-from .jsonio import read_json_with, read_jsonl, write_jsonl
+from .jsonio import read_json_with, read_jsonl, string_list, write_jsonl
 from .parallel import parallel_map, session_seed
 
 if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
@@ -340,20 +341,39 @@ def apply_turn(
     )
 
 
-def slot(turn: dict, key: str):
-    """A slot the turn's act carries; a missing one raises ValidationError."""
-    try:
-        return turn["slots"][key]
-    except KeyError:
-        raise ValidationError(f"missing slot {key!r}") from None
+# The acts each speaker may take, and the slots read as text.
+_SPEAKER_ACTS = {"salesperson": frozenset(SALESPERSON_ACTS), "customer": frozenset(ACT_PAIRS.values())}
+_TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
 
 
-def text_slot(turn: dict, key: str) -> str:
-    """A slot that is read as text, checked to be a string."""
-    value = slot(turn, key)
-    if type(value) is not str:
-        raise ValidationError(f"slot {key!r} must be a string, got {value!r}")
-    return value
+def check_turn(turn: dict, scene: Scene, ont: Ontology) -> None:
+    """Check a turn read from a flow file against `ACT_SLOTS`; the first fault raises
+    ValidationError. The act must be one of its speaker's, and each slot of the act, in table
+    order, present: a text slot a string, `attribute` one of the scene's attributes and
+    `concept_id` a concept of it, `values` a non-empty list of strings, `region_label` one of the
+    scene's regions, `object_id` one of its items and `accept` a bool. Other slots are not read,
+    and no random number is drawn."""
+    act, slots = turn["act"], turn["slots"]
+    if act not in _SPEAKER_ACTS.get(turn["speaker"], ()):
+        raise ValidationError(f"not an act of speaker {turn['speaker']!r}")
+    for key in ACT_SLOTS[act]:
+        if key not in slots:
+            raise ValidationError(f"missing slot {key!r}")
+        value = slots[key]
+        if key in _TEXT_SLOTS and type(value) is not str:
+            raise ValidationError(f"slot {key!r} must be a string, got {value!r}")
+        if key == "attribute" and value not in scene.value_universe:
+            raise ValidationError(f"scene {scene.scene_id}: no attribute {value!r}")
+        elif key == "concept_id" and ont.concept(value).attr != slots["attribute"]:
+            raise ValidationError(f"concept {value!r} is not a {slots['attribute']} concept")
+        elif key == "values" and not string_list(value, "slot 'values'"):
+            raise ValidationError("slot 'values' must not be empty")
+        elif key == "region_label" and value not in scene.region_items:
+            raise ValidationError(f"scene {scene.scene_id}: no region labeled {value!r}")
+        elif key == "object_id" and (type(value) is not int or value not in scene.items_by_id):
+            raise ValidationError(f"unknown object_id {value!r}: not in scene {scene.scene_id!r}")
+        elif key == "accept" and type(value) is not bool:
+            raise ValidationError(f"slot 'accept' must be true or false, got {value!r}")
 
 
 class DialogFlow(NamedTuple):

@@ -29,7 +29,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterable
 
 from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
-from .errors import DialogError, MalformedFile, ShopDialogError, ValidationError
+from .errors import DialogError, MalformedFile, ValidationError
 from .jsonio import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
@@ -153,7 +153,8 @@ def eval_recommend(preds: dict[Key, object], gold_targets: dict[Key, set[int]]) 
     return eval_set_task(preds, gold_targets, extract_item_ids)
 
 
-# Turns realized with a preference surface form: these carry the concept slot.
+# The acts `avg_subjective_preferences_per_dialog` counts. RESPOND_PROMPT carries a concept too,
+# but only the one its PROMPT_PREFERENCE offered, so it is not counted again.
 _PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE")
 
 
@@ -228,22 +229,15 @@ def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -
 _CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
 
 
-def _preference_clauses(flow: DialogFlow) -> list[tuple[dict, str, str, str]]:
-    """(turn, attribute, polarity, concept_id) from the customer's preference turns; a
-    missing slot, or an `attribute` or `concept_id` that is not a string, raises DialogError."""
-    from .engine import slot, text_slot
-
+def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
+    """(round, attribute, polarity, concept_id) of the customer's preference turns."""
     clauses = []
     for turn in flow.turns:
-        act = turn["act"]
-        if turn["speaker"] != "customer" or act not in _CLAUSE_ACTS:
-            continue
-        try:
-            attr, concept_id = text_slot(turn, "attribute"), text_slot(turn, "concept_id")
-            like = slot(turn, "accept") if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
-        except ValidationError as exc:
-            raise DialogError.at(flow, turn, exc) from None
-        clauses.append((turn, attr, "like" if like else "dislike", concept_id))
+        act, slots = turn["act"], turn["slots"]
+        if act in _CLAUSE_ACTS:
+            like = slots["accept"] if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
+            clauses.append((turn["round"], slots["attribute"], "like" if like else "dislike",
+                            slots["concept_id"]))
     return clauses
 
 
@@ -256,7 +250,8 @@ def build_gold(
 ) -> tuple[dict, dict[Key, object]]:
     """Gold rows of the (line_no, flow) pairs `read_flows` yields, for the task's eligible rounds,
     plus a file header; a DialogError carries its flow's line. Every task needs each flow's
-    scene in `scenes`, and RECOMMEND its target among the scene's items.
+    scene in `scenes`, checks every turn of the flow with `engine.check_turn` before it reads
+    one, and RECOMMEND needs its target among the scene's items.
 
     SPD gold is recomputed from the preference clauses through the oracle
     (never read off the flow annotations): `cumulative` folds every clause on
@@ -267,7 +262,7 @@ def build_gold(
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
     from .catalog import SceneIndex, items_in_region
-    from .engine import slot
+    from .engine import check_turn
     from .ontology import spd_oracle
 
     by_id = SceneIndex(scenes)
@@ -278,27 +273,21 @@ def build_gold(
     try:
         for line_no, flow in flows:
             scene = by_id.scene_of(flow)
+            for turn in flow.turns:
+                try:
+                    check_turn(turn, scene, ont)
+                except ValidationError as exc:
+                    raise DialogError.at(flow, turn, exc) from None
             if task == "SPD":
                 clauses = _preference_clauses(flow)
-                for turn, attr, _, concept_id in clauses:
-                    rnd = turn["round"]
-                    keep = [
-                        (pol, cid) for t, a, pol, cid in clauses if a == attr
-                        and (t["round"] == rnd or spd_mode == "cumulative" and t["round"] < rnd)
-                    ]
-                    try:  # a bad clause first fails in its own round, in either mode
-                        if ont.concept(concept_id).attr != attr:
-                            raise ValidationError(f"concept {concept_id!r} is not a {attr} concept")
-                        rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
-                    except ShopDialogError as exc:
-                        raise DialogError.at(flow, turn, exc) from None
+                for rnd, attr, _, _ in clauses:
+                    keep = [(pol, cid) for r, a, pol, cid in clauses
+                            if a == attr and (r == rnd or spd_mode == "cumulative" and r < rnd)]
+                    rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
             elif task == "RRU":
                 for turn in flow.turns:
-                    if turn["speaker"] == "salesperson" and turn["act"] == "REFER_REGION":
-                        try:
-                            ids = items_in_region(scene, slot(turn, "region_label"))
-                        except ShopDialogError as exc:
-                            raise DialogError.at(flow, turn, exc) from None
+                    if turn["act"] == "REFER_REGION":
+                        ids = items_in_region(scene, turn["slots"]["region_label"])
                         rows[(flow.dialog_id, turn["round"])] = sorted(ids)
             elif task == "ACT":
                 for turn in flow.turns:

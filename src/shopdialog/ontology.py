@@ -55,7 +55,7 @@ class Ontology:
     def concept(self, concept_id: str) -> Concept:
         try:
             return self._by_id[concept_id]
-        except (KeyError, TypeError):  # TypeError: an unhashable id read from a flow
+        except KeyError:
             raise ValidationError(f"unknown concept {concept_id!r}") from None
 
     def concepts_of(self, attr: str) -> tuple[Concept, ...]:

@@ -8,9 +8,10 @@ are rendered verbatim.  Recommendation turns embed the item id as an
 "<@id>" token, which the recommendation metric extracts by regex.
 
 Template files are UTF-8 JSON mapping an act key to a list of template
-strings.  Acts whose turn carries an accept slot use variant keys:
-"RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject", and likewise for
-RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
+strings.  Keys and placeholders derive from `acts.ACT_SLOTS`: an act that
+carries an accept slot has the keys "RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject",
+and likewise for RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
+Every turn passes `engine.check_turn` before it is rendered, at any seed.
 """
 
 from __future__ import annotations
@@ -19,42 +20,27 @@ import random
 import string
 from typing import Iterable, Iterator
 
+from .acts import ACT_SLOTS
 from .catalog import Scene, SceneIndex
-from .engine import DialogFlow, text_slot
-from .errors import DialogError, ShopDialogError, ValidationError
+from .engine import DialogFlow, check_turn
+from .errors import DialogError, ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
 from .parallel import parallel_map, session_seed
 
-# Every act key a template file must give, with the placeholders its templates
-# may use (all are filled from the turn's slots).
+# The placeholders each slot fills.
+_PLACEHOLDERS = {"attribute": {"attr"}, "concept_id": {"preference_phrase"}, "value": {"value"},
+                 "values": {"values_list"}, "region_label": {"region_label"},
+                 "object_id": {"object_id", "item_description"}, "accept": set()}
+# Every act key a template file must give, with the placeholders its templates may use: an
+# act that carries `accept` has an ".accept" and a ".reject" key.
 _ALLOWED_PLACEHOLDERS = {
-    "ASK_PREFERENCE": {"attr"},
-    "EXCLUDE_PREFERENCE": {"attr"},
-    "PROMPT_PREFERENCE": {"attr", "preference_phrase"},
-    "GUESS_ATTRIBUTE_VALUE": {"attr", "value"},
-    "REVISE_ATTRIBUTE_VALUE": {"attr", "value"},
-    "DISPLAY_CANDIDATE_VALUES": {"attr", "values_list"},
-    "REFER_REGION": {"region_label"},
-    "RECOMMEND_ITEM": {"item_description", "object_id"},
-    "ANSWER_PREFERENCE": {"attr", "preference_phrase"},
-    "NEGATE_PREFERENCE": {"attr", "preference_phrase"},
-    "RESPOND_PROMPT.accept": {"attr", "preference_phrase"},
-    "RESPOND_PROMPT.reject": {"attr", "preference_phrase"},
-    "RESPOND_ATTRIBUTE_VALUE.accept": {"attr", "value"},
-    "RESPOND_ATTRIBUTE_VALUE.reject": {"attr", "value"},
-    "CHOOSE_ATTRIBUTE_VALUE": {"attr", "value"},
-    "JUDGE_REGION.accept": {"region_label"},
-    "JUDGE_REGION.reject": {"region_label"},
-    "RESPOND_RECOMMENDATION.accept": set(),
-    "RESPOND_RECOMMENDATION.reject": set(),
+    key: set().union(*(_PLACEHOLDERS[slot] for slot in slots))
+    for act, slots in ACT_SLOTS.items()
+    for key in ((f"{act}.accept", f"{act}.reject") if "accept" in slots else (act,))
 }
 REQUIRED_KEYS = tuple(_ALLOWED_PLACEHOLDERS)
 Templates = dict[str, tuple[str, ...]]  # act key -> its templates
-# The slot each placeholder is filled from.
-_SLOT_OF = {"attr": "attribute", "preference_phrase": "concept_id", "value": "value",
-            "values_list": "values", "region_label": "region_label", "object_id": "object_id",
-            "item_description": "object_id"}
 
 
 def _placeholders(template: str) -> set[str]:
@@ -87,10 +73,6 @@ def load_templates(path) -> Templates:
     return read_json_with(path, templates_from_dict)
 
 
-def _attr_display(attr: str) -> str:
-    return attr.replace("_", " ")
-
-
 def _values_list(values: list[str]) -> str:
     if len(values) == 1:
         return values[0]
@@ -99,10 +81,7 @@ def _values_list(values: list[str]) -> str:
 
 def item_description(scene: Scene, object_id: int) -> str:
     """Color + type, anchored to the first region covering the item's center."""
-    item = scene.items_by_id.get(object_id) if type(object_id) is int else None
-    if item is None:
-        raise ValidationError(f"unknown object_id {object_id!r}: not in scene {scene.scene_id!r}")
-    attrs = item.attributes
+    attrs = scene.items_by_id[object_id].attributes
     base = f"{attrs['color']} {attrs['type']}"
     for label, ids in scene.region_items.items():
         if object_id in ids:
@@ -110,56 +89,48 @@ def item_description(scene: Scene, object_id: int) -> str:
     return base
 
 
-def _template_key(turn: dict) -> str:
-    if "accept" in turn["slots"]:
-        return f"{turn['act']}.{'accept' if turn['slots']['accept'] else 'reject'}"
-    return turn["act"]
-
-
 def realize_turn(
     turn: dict, templates: Templates, ont: Ontology, scene: Scene, rng: random.Random
 ) -> str:
-    """Render one turn; concept slots keep a registered surface form."""
-    key = _template_key(turn)
+    """Render one turn that `check_turn` passed, from the slots its act carries; concept slots
+    keep a registered surface form."""
+    act, slots = turn["act"], turn["slots"]
+    carried = ACT_SLOTS[act]
+    key = f"{act}.{'accept' if slots['accept'] else 'reject'}" if "accept" in carried else act
     pool = templates.get(key)
     if pool is None:
         raise ValidationError(f"no templates for act key {key!r}")
     template = pool[rng.randrange(len(pool))]
-    slots = turn["slots"]
     fills: dict[str, str] = {}
-    if "attribute" in slots:
-        fills["attr"] = _attr_display(text_slot(turn, "attribute"))
-    if "concept_id" in slots:
-        forms = ont.concept(text_slot(turn, "concept_id")).surface_forms
+    if "attribute" in carried:
+        fills["attr"] = slots["attribute"].replace("_", " ")
+    if "concept_id" in carried:
+        forms = ont.concept(slots["concept_id"]).surface_forms
         fills["preference_phrase"] = forms[rng.randrange(len(forms))]
-    if "value" in slots:
-        fills["value"] = text_slot(turn, "value")
-    if "values" in slots:
-        if not string_list(slots["values"], "slot 'values'"):
-            raise ValidationError("slot 'values' must not be empty")
+    if "value" in carried:
+        fills["value"] = slots["value"]
+    if "values" in carried:
         fills["values_list"] = _values_list(slots["values"])
-    if "region_label" in slots:
-        fills["region_label"] = text_slot(turn, "region_label")
-    if "object_id" in slots:
+    if "region_label" in carried:
+        fills["region_label"] = slots["region_label"]
+    if "object_id" in carried:
         fills["object_id"] = str(slots["object_id"])
         fills["item_description"] = item_description(scene, slots["object_id"])
-    try:
-        return template.format(**fills)
-    except KeyError as exc:  # the template needs a slot the turn lacks
-        raise ValidationError(f"missing slot {_SLOT_OF[exc.args[0]]!r}") from None
+    return template.format(**fills)
 
 
 def realize_dialog(
     flow: DialogFlow, templates: Templates, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
-    """Fill every turn's utterance; acts, slots and candidate items untouched.
-    A turn that cannot be rendered raises DialogError naming it."""
+    """Fill every turn's utterance, each after `check_turn`; acts, slots and candidate items
+    untouched. A turn that fails the check or cannot be rendered raises DialogError naming it."""
     rng = random.Random(seed)
     turns = []
     for t in flow.turns:
         try:
+            check_turn(t, scene, ont)
             turns.append({**t, "utterance": realize_turn(t, templates, ont, scene, rng)})
-        except ShopDialogError as exc:
+        except ValidationError as exc:
             raise DialogError.at(flow, t, exc) from None
     return flow._replace(turns=turns)
 

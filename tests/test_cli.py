@@ -427,22 +427,32 @@ def test_wrong_typed_turn_field_is_named_in_every_reader(tmp_path, capsys, stage
 MISSING = object()
 
 
-def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
-    """A simulated flow file whose first turn with `slot` (by `speaker` and of `act`, if given)
-    holds `bad` there instead, or by default a list of the slot's own value, or lacks the slot
-    if `bad` is MISSING; returns the file and "<line>: dialog <id> round <r> <act>", the turn's
-    place in error messages after the file's path and a colon."""
-    flows = simulate(tmp_path, "flows.jsonl", n=40)
-    records = [json.loads(line) for line in flows.read_text().splitlines()]
+def flows_with_bad_turn(tmp_path, edit, slot=None, speaker=None, act=None, text=None):
+    """A flow file, of `text` or else of 40 simulated dialogs, whose first turn with `slot` (by
+    `speaker` and of `act`, if given) is changed in place by `edit(turn)`; returns the file,
+    "<line>: dialog <id> round <r> <act>", the edited turn's place in error messages after the
+    file's path and a colon, and the edited record and turn."""
+    if text is None:
+        text = simulate(tmp_path, "flows.jsonl", n=40).read_text()
+    records = [json.loads(line) for line in text.splitlines()]
     line, record, turn = next((i, r, t) for i, r in enumerate(records, 1) for t in r["turns"]
-                        if slot in t["slots"] and speaker in (None, t["speaker"])
-                        and act in (None, t["act"]))
-    if bad is MISSING:
-        del turn["slots"][slot]
-    else:
-        turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
+                              if slot in (None, *t["slots"]) and speaker in (None, t["speaker"])
+                              and act in (None, t["act"]))
+    edit(turn)
+    flows = tmp_path / "flows.jsonl"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    return flows, f"{line}: dialog {record['dialog_id']} round {turn['round']} {turn['act']}"
+    return flows, f"{line}: dialog {record['dialog_id']} round {turn['round']} {turn['act']}", record, turn
+
+
+def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
+    """`flows_with_bad_turn`'s file and place, where the turn holds `bad` in `slot`, or by
+    default a list of the slot's own value, or lacks the slot if `bad` is MISSING."""
+    def edit(turn):
+        if bad is MISSING:
+            del turn["slots"][slot]
+        else:
+            turn["slots"][slot] = [turn["slots"][slot]] if bad is None else bad
+    return flows_with_bad_turn(tmp_path, edit, slot, speaker, act)[:2]
 
 
 @pytest.mark.parametrize("slot, bad", [
@@ -473,28 +483,6 @@ def test_realize_slot_error_is_located_at_any_jobs(tmp_path, capsys, jobs):
         f"error: {flows}:{where}: slot 'attribute' must be a string, got ['")
 
 
-@pytest.mark.parametrize("task, slot, message", [
-    pytest.param("spd", "attribute", "{where}: slot 'attribute' must be a string, got ['",
-                 id="spd-attribute"),
-    pytest.param("spd", "concept_id", "{where}: slot 'concept_id' must be a string, got ['",
-                 id="spd-concept_id"),
-    pytest.param("rru", "region_label", "{where}: scene f0", id="rru-region_label"),
-])
-def test_gold_rejects_list_valued_slot(tmp_path, capsys, task, slot, message):
-    """A preference clause's `attribute` or `concept_id` must be a string, and a region label
-    one of the scene's; the error names the flow file, dialog, round and act."""
-    flows, where = flows_with_bad_slot(tmp_path, slot, speaker="customer" if task == "spd" else None)
-    message = f"error: {flows}:" + message.format(where=where)
-    capsys.readouterr()
-    rc = main(["gold", *base_flags(), "--task", task, "--flows", str(flows),
-               "--out", str(tmp_path / "gold.jsonl")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(message)
-    assert err.count("\n") == 1
-    assert not (tmp_path / "gold.jsonl").exists()
-
-
 def stage_argv(stage, flows, out):
     """`realize`, or `gold --task <task>` for a stage named "gold <task>", on a flow file."""
     if stage == "realize":
@@ -515,6 +503,112 @@ def test_missing_slot_exits_one(tmp_path, capsys, stage, act, slot):
     capsys.readouterr()
     assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 1
     assert capsys.readouterr().err == f"error: {flows}:{where}: missing slot '{slot}'\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+STAGES = ("realize", "gold spd", "gold rru", "gold act", "gold recommend", "gold response")
+
+
+@pytest.fixture(scope="module")
+def realized_text(tmp_path_factory):
+    """40 simulated dialogs at seed 7, realized: an input that every stage reads."""
+    tmp = tmp_path_factory.mktemp("realized")
+    assert main(stage_argv("realize", simulate(tmp, "flows.jsonl", n=40), tmp / "realized.jsonl")) == 0
+    return (tmp / "realized.jsonl").read_text()
+
+
+# Per rule of `engine.check_turn`: the act whose first turn breaks it, the field set ("act" is
+# the act name, any other a slot), its new value (or MISSING), and the problem reported, in
+# which {scene} and {attribute} name the turn's scene and `attribute` slot.
+TURN_RULES = {
+    "salesperson-act-unknown": ("RECOMMEND_ITEM", "act", "SING_A_SONG",
+                                "not an act of speaker 'salesperson'"),
+    "customer-act-of-salesperson": ("ANSWER_PREFERENCE", "act", "ASK_PREFERENCE",
+                                    "not an act of speaker 'customer'"),
+    "slot-missing": ("ANSWER_PREFERENCE", "attribute", MISSING, "missing slot 'attribute'"),
+    "attribute-not-a-string": ("ASK_PREFERENCE", "attribute", ["color"],
+                               "slot 'attribute' must be a string, got ['color']"),
+    "attribute-not-in-scene": ("ASK_PREFERENCE", "attribute", "nope", "scene {scene}: no attribute 'nope'"),
+    "concept-not-a-string": ("NEGATE_PREFERENCE", "concept_id", ["warm_color"],
+                             "slot 'concept_id' must be a string, got ['warm_color']"),
+    "concept-unknown": ("PROMPT_PREFERENCE", "concept_id", "nope", "unknown concept 'nope'"),
+    "concept-of-another-attribute": ("ANSWER_PREFERENCE", "concept_id", "premium_price",
+                                     "concept 'premium_price' is not a {attribute} concept"),
+    "value-not-a-string": ("GUESS_ATTRIBUTE_VALUE", "value", 5, "slot 'value' must be a string, got 5"),
+    "values-not-strings": ("DISPLAY_CANDIDATE_VALUES", "values", [1, 2], "slot 'values' must be a list of strings"),
+    "values-empty": ("DISPLAY_CANDIDATE_VALUES", "values", [], "slot 'values' must not be empty"),
+    "region-not-a-string": ("REFER_REGION", "region_label", ["nope"],
+                            "slot 'region_label' must be a string, got ['nope']"),
+    "region-unknown": ("JUDGE_REGION", "region_label", "nope", "scene {scene}: no region labeled 'nope'"),
+    "object-unknown": ("RECOMMEND_ITEM", "object_id", 999, "unknown object_id 999: not in scene '{scene}'"),
+    "object-not-an-integer": ("RECOMMEND_ITEM", "object_id", "12", "unknown object_id '12': not in scene '{scene}'"),
+    "accept-not-a-bool": ("RESPOND_RECOMMENDATION", "accept", "no", "slot 'accept' must be true or false, got 'no'"),
+}
+
+
+@pytest.mark.parametrize("rule", TURN_RULES)
+@pytest.mark.parametrize("stage", STAGES)
+def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text, stage, rule):
+    """`realize` and every `gold` task check each turn by the one act-slot table before they read
+    it, so a turn that breaks a rule gives each of them the same located line and no output."""
+    act, field, value, problem = TURN_RULES[rule]
+
+    def edit(turn):
+        if field == "act":
+            turn["act"] = value
+        elif value is MISSING:
+            del turn["slots"][field]
+        else:
+            turn["slots"][field] = value
+
+    flows, where, record, turn = flows_with_bad_turn(tmp_path, edit, act=act, text=realized_text)
+    problem = problem.format(scene=record["scene_id"], attribute=turn["slots"].get("attribute"))
+    capsys.readouterr()
+    assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 1
+    assert capsys.readouterr().err == f"error: {flows}:{where}: {problem}\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+# Turns that realize with exit 0 at some --seed (or fold into SPD gold, or write an ACT gold row)
+# unless every turn is checked against the act-slot table: the turn's act and slots, and the problem.
+HAND_EDITED_FAULTS = {
+    "answer-without-attribute": ("ANSWER_PREFERENCE", {"concept_id": "warm_color"},
+                                 "missing slot 'attribute'"),
+    "concept-of-another-attribute": ("ANSWER_PREFERENCE",
+                                     {"attribute": "color", "concept_id": "premium_price"},
+                                     "concept 'premium_price' is not a color concept"),
+    "accept-no": ("RESPOND_PROMPT", {"attribute": "color", "concept_id": "warm_color", "accept": "no"},
+                  "slot 'accept' must be true or false, got 'no'"),
+    "salesperson-sings": ("SING_A_SONG", {}, "not an act of speaker 'salesperson'"),
+}
+
+
+def hand_edited_flows(tmp_path, fault):
+    act, slots, problem = HAND_EDITED_FAULTS[fault]
+    speaker = "salesperson" if act == "SING_A_SONG" else "customer"
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(flow_line(speaker=speaker, act=act, slots=slots) + "\n")
+    return flows, f"error: {flows}:1: dialog d00000 round 1 {act}: {problem}\n"
+
+
+@pytest.mark.parametrize("fault", HAND_EDITED_FAULTS)
+@pytest.mark.parametrize("stage, jobs", [("realize", 1), ("realize", 2), *((s, 1) for s in STAGES[1:])])
+def test_hand_edited_fault_exits_one(tmp_path, capsys, stage, jobs, fault):
+    """Each fault gives one located line and no output in `realize` at either `--jobs` and in
+    every `gold` task."""
+    flows, line = hand_edited_flows(tmp_path, fault)
+    argv = stage_argv(stage, flows, tmp_path / "out.jsonl")
+    assert main([*argv, "--jobs", str(jobs)] if stage == "realize" else argv) == 1
+    assert capsys.readouterr().err == line
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_realize_rejects_a_missing_slot_at_every_seed(tmp_path, capsys, seed):
+    """Whether or not the template the seed picks uses `{attr}`, a turn without `attribute` fails."""
+    flows, line = hand_edited_flows(tmp_path, "answer-without-attribute")
+    assert main([*stage_argv("realize", flows, tmp_path / "out.jsonl"), "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err == line
     assert not (tmp_path / "out.jsonl").exists()
 
 

@@ -1,4 +1,5 @@
-"""Structure guard: one module owns each concern, each subcommand loads only the modules it
+"""Structure guard: one module owns each concern, simulated turns carry exactly the slots of the
+act-slot table and the template keys derive from it, each subcommand loads only the modules it
 runs, none loads `dataclasses` and none imports `csv`, every name the benchmark's tracer
 patches is a top-level function of its module, `cli.main` alone writes manifests, the README
 lists the flow keys the engine writes and the exception types `errors.py` defines, and a
@@ -32,6 +33,43 @@ def test_json_parsing_lives_in_jsonio():
 
 def test_region_containment_lives_in_catalog():
     assert _modules_containing("contains_center") == {"catalog.py"}
+
+
+def test_missing_slots_are_reported_in_one_module():
+    """Only `engine.check_turn` checks that a turn carries its act's slots."""
+    assert _modules_containing("missing slot") == {"engine.py"}
+
+
+def test_simulated_turns_carry_exactly_their_act_slots(scenes, ontology, policy):
+    """The engine writes each act with the slots `ACT_SLOTS` lists, in that order, every turn
+    passes `check_turn`, and every act of the table occurs."""
+    from shopdialog.acts import ACT_SLOTS
+    from shopdialog.catalog import SceneIndex
+    from shopdialog.engine import check_turn, generate_corpus
+
+    by_id = SceneIndex(scenes)
+    seen = set()
+    for seed in (3, 11):
+        for flow in generate_corpus(scenes, ontology, policy, 300, seed):
+            for turn in flow.turns:
+                assert tuple(turn["slots"]) == ACT_SLOTS[turn["act"]], turn
+                check_turn(turn, by_id[flow.scene_id], ontology)
+                seen.add(turn["act"])
+    assert seen == set(ACT_SLOTS)
+
+
+def test_template_keys_derive_from_act_slots():
+    """A template file gives one key per act, or an ".accept" and a ".reject" key for an act that
+    carries `accept`; the shipped file gives exactly those."""
+    from shopdialog.acts import ACT_PAIRS, ACT_SLOTS, SALESPERSON_ACTS
+    from shopdialog.realizer import REQUIRED_KEYS
+
+    assert set(ACT_SLOTS) == {*SALESPERSON_ACTS, *ACT_PAIRS.values()}
+    derived = [key for act, slots in ACT_SLOTS.items()
+               for key in ((f"{act}.accept", f"{act}.reject") if "accept" in slots else (act,))]
+    assert list(REQUIRED_KEYS) == derived
+    shipped = json.loads((ROOT / "data" / "templates.json").read_text(encoding="utf-8"))
+    assert set(shipped) == set(derived)
 
 
 def test_eval_imports_only_scoring_modules(tmp_path):
