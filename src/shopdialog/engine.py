@@ -6,21 +6,20 @@ simulator that answers from a hidden target item.  Candidate attribute-value
 sets and the candidate item set narrow monotonically until the target is
 recommended and accepted.
 
-Flows are interchanged as JSON Lines, one dialog per line:
+Flows are interchanged as JSON Lines, one dialog per line, here cut short and wrapped:
 
-    {"dialog_id": ..., "scene_id": ..., "target_object_id": ..., "outcome":
-     "success"|"max_rounds", "turns": [{"round", "speaker", "act", "slots",
-     "candidate_items", ("utterance")}, ...]}
+    {"dialog_id":"d00000","scene_id":"f02","target_object_id":9,"outcome":"success","turns":[
+     {"round":1,"speaker":"salesperson","act":"ASK_PREFERENCE","slots":{"attribute":"color"},
+     "candidate_items":[0,1,2,...,25]},...]}
 
-A turn is that wire dict from the moment `run_dialog` appends it:
-`flow_from_dict` rebuilds each turn it reads in this key order, and
-`flow_to_dict` passes turns through.  `read_flows` yields one flow at a time,
-with its line number.  An act is a `(name, slots)` pair carrying the slots `acts.ACT_SLOTS`
-lists; `realize` and `gold` check every turn they read against that table with `check_turn`.
-A salesperson turn is annotated with the candidate items it acted on; the
-paired customer turn carries the items left after the round's narrowing.
-Candidate values are not stored: replaying the act pairs through
-`apply_turn` from `new_session(scene)` rebuilds them.
+The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn
+is that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn
+it reads in this key order, and `flow_to_dict` passes turns through.  `read_flows` yields one
+flow at a time, with its line number.  An act is a `(name, slots)` pair carrying the slots
+`acts.ACT_SLOTS` lists; `realize` and `gold` check every turn they read against that table
+with `check_turn`.  A salesperson turn is annotated with the candidate items it acted on; the
+paired customer turn carries the items left after the round's narrowing.  Candidate values are
+not stored: replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds them.
 """
 
 from __future__ import annotations

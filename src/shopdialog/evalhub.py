@@ -4,8 +4,8 @@ Prediction and gold files are JSON Lines.  An optional first header line
 declares the task (and, for the preference-disambiguation task, the gold
 mode); every other line is a row:
 
-    {"task": "SPD", "spd_mode": "cumulative"}
-    {"dialog_id": "d00000", "round": 3, "payload": ["red", "yellow"]}
+    {"task":"SPD","spd_mode":"cumulative"}
+    {"dialog_id":"d00000","round":3,"payload":["red","yellow"]}
 
 Payload types per task: SPD list of value strings, RRU list of object ids,
 ACT an act name, RESPONSE an utterance string, RECOMMEND a list of object

@@ -18,10 +18,9 @@ from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 from .errors import MalformedFile, ShopDialogError, ValidationError
 
 T = TypeVar("T")
-# One encoder and one decoder for every JSON Lines record: json.dumps(..., ensure_ascii=False)
-# builds an encoder per call, and json.loads adds a Python-level wrapper per call.  A record
-# is a tree, so the encoder skips the reference-cycle check.  A line is encode_line(record) + "\n".
-encode_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+# One encoder and one decoder for every JSON Lines record, built once, not per call as json.dumps
+# and json.loads do.  Records are trees (no cycle check), written with no whitespace between tokens.
+encode_line = json.JSONEncoder(ensure_ascii=False, check_circular=False, separators=(",", ":")).encode
 _decode_line = json.JSONDecoder().raw_decode
 
 

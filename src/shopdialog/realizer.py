@@ -43,10 +43,6 @@ REQUIRED_KEYS = tuple(_ALLOWED_PLACEHOLDERS)
 Templates = dict[str, tuple[str, ...]]  # act key -> its templates
 
 
-def _placeholders(template: str) -> set[str]:
-    return {f[1] for f in string.Formatter().parse(template) if f[1] is not None}
-
-
 def templates_from_dict(raw: dict) -> Templates:
     if not isinstance(raw, dict):
         raise ValidationError("templates: must map act keys to lists of templates")
@@ -62,9 +58,14 @@ def templates_from_dict(raw: dict) -> Templates:
         if not templates:
             raise ValidationError(f"templates: {key!r} needs at least one template")
         for tpl in templates:
-            bad = _placeholders(tpl) - _ALLOWED_PLACEHOLDERS[key]
+            fields = [f[1:] for f in string.Formatter().parse(tpl) if f[1] is not None]
+            bad = {name for name, _, _ in fields} - _ALLOWED_PLACEHOLDERS[key]
             if bad:
                 raise ValidationError(f"templates: {key!r} has unfillable placeholders {sorted(bad)}")
+            for name, spec, conv in fields:  # a placeholder is a bare name: "{attr}"
+                if spec or conv:
+                    field = "{" + name + (f"!{conv}" if conv else "") + (f":{spec}" if spec else "") + "}"
+                    raise ValidationError(f"templates: {key!r} has a format spec or conversion: {field!r}")
         by_key[key] = tuple(templates)
     return by_key
 

@@ -95,8 +95,8 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
 # sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
 # reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
 PINNED_FLOWS_SHA256 = {
-    3: "6f162221af64b960133c46f62a5bd8fdc3427ee0cafac05ae343ac32de6ba6cb",
-    11: "95c04507d52478ad487a8aaadad9e4850913aa7da5b6c75f3e4cda14d9ab7a44",
+    3: "b306e4384ba34bfc57ad198a2fbe1a988a313e8e39561049cbde67608ce11722",
+    11: "3274a832304ae9bf0acbf27c73a14dfd133e54d239a75ca40ca29fffe2ee269a",
 }
 
 
@@ -517,6 +517,65 @@ def realized_text(tmp_path_factory):
     return (tmp / "realized.jsonl").read_text()
 
 
+TASKS = ("spd", "rru", "act", "recommend", "response")
+
+
+@pytest.fixture(scope="module")
+def compact_corpus(tmp_path_factory):
+    """20 simulated dialogs at seed 7, their realization and all five gold files, as written."""
+    tmp = tmp_path_factory.mktemp("compact")
+    files = {"flows": simulate(tmp, "flows.jsonl", n=20), "realized": tmp / "realized.jsonl"}
+    assert main(stage_argv("realize", files["flows"], files["realized"])) == 0
+    for task in TASKS:
+        files[task] = tmp / f"gold_{task}.jsonl"
+        source = files["realized" if task == "response" else "flows"]
+        assert main(stage_argv(f"gold {task}", source, files[task])) == 0
+    return files
+
+
+def copied(src: Path, dst: Path, keep=lambda i: True, spaced=False) -> Path:
+    """The lines of `src` whose index `keep` accepts; if `spaced`, in the form `json.dumps`
+    writes by default, with the second line also padded by JSON whitespace."""
+    lines = [line for i, line in enumerate(src.read_text(encoding="utf-8").splitlines()) if keep(i)]
+    if spaced:
+        records = [json.loads(line) for line in lines]
+        lines = [json.dumps(record, ensure_ascii=False) for record in records]
+        lines[1] = " \t" + json.dumps(records[1], ensure_ascii=False, separators=(" ,\t", "  :  ")) + "\t "
+    dst.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize("stage", ["realize", *(f"gold {t}" for t in TASKS), "split", "stats",
+                                   *(f"eval {t}" for t in TASKS)])
+def test_spaced_records_read_as_compact_ones(tmp_path, compact_corpus, stage):
+    """Every reader takes any JSON whitespace: from files in the spaced form of earlier writers,
+    one line padded further, each stage writes the bytes it writes from the compact files. The
+    `eval` predictions drop every third row, so the scores are not all 1."""
+    outputs = []
+    name, task = stage.split()[0], stage.split()[-1]
+    source = "realized" if stage in ("gold response", "split") else "flows"
+    for form in ("compact", "spaced"):
+        out = tmp_path / form / "out"
+        out.mkdir(parents=True)
+        if name == "eval":
+            gold = copied(compact_corpus[task], tmp_path / form / "gold.jsonl", spaced=form == "spaced")
+            pred = copied(compact_corpus[task], tmp_path / form / "pred.jsonl", lambda i: i % 3 != 1,
+                          spaced=form == "spaced")
+            argv = ["eval", "--task", task, "--pred", str(pred), "--gold", str(gold),
+                    "--out", str(out / "report.json")]
+        else:
+            flows = copied(compact_corpus[source], tmp_path / form / "flows.jsonl", spaced=form == "spaced")
+            if name == "split":
+                argv = ["split", "--flows", str(flows), "--out-dir", str(out)]
+            elif name == "stats":
+                argv = ["stats", "--flows", str(flows), "--out", str(out / "stats.json")]
+            else:
+                argv = stage_argv(stage, flows, out / "out.jsonl")
+        assert main(argv) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 # Per rule of `engine.check_turn`: the act whose first turn breaks it, the field set ("act" is
 # the act name, any other a slot), its new value (or MISSING), and the problem reported, in
 # which {scene} and {attribute} name the turn's scene and `attribute` slot.
@@ -725,6 +784,8 @@ def edited_config(tmp_path, config, keys, value):
     ("ontology", (0, "concepts", 0, "values"), "dress"),
     ("templates", ("ASK_PREFERENCE",), "great"),
     ("templates", ("ASK_PREFERENCE", 0), "Which {attr do you like?"),
+    ("templates", ("ASK_PREFERENCE", 0), "What {attr:d} do you like?"),
+    ("templates", ("ASK_PREFERENCE", 0), "What {attr!r} do you like?"),
     ("scenes", (0, "items", 0, "bbox", 0), "a"),
     ("scenes", (0, "regions"), 5),
     ("scenes", (0, "items", 0), 5),
@@ -739,6 +800,7 @@ def edited_config(tmp_path, config, keys, value):
         "policy-nan-probability", "block-without-attribute", "block-without-value-space",
         "block-without-concepts", "concept-without-id", "concept-without-surface-forms",
         "concept-values-not-a-list", "template-bare-string", "template-stray-brace",
+        "template-format-spec", "template-conversion",
         "scene-non-numeric-bbox", "scene-regions-not-a-list", "scene-item-not-an-object",
         "metadata-unknown-attribute", "scene-list-valued-scene-id", "scene-list-valued-prototype-id",
         "scene-list-valued-region-label", "block-unknown-attribute"])
@@ -754,6 +816,21 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
     assert "unhashable" not in err
+
+
+@pytest.mark.parametrize("field", ["{attr:d}", "{attr!r}"])
+def test_realize_rejects_template_with_format_spec_or_conversion(tmp_path, capsys, field):
+    """A template field that is not a bare name stops `realize` with one line naming the
+    template file, before it writes anything."""
+    flows = simulate(tmp_path, "flows.jsonl", n=2)
+    capsys.readouterr()
+    bad = edited_config(tmp_path, "templates", ("ASK_PREFERENCE", 0), f"What {field} do you like?")
+    out = tmp_path / "out.jsonl"
+    assert main(["realize", *base_flags(), "--templates", str(bad), "--flows", str(flows),
+                 "--out", str(out)]) == 1
+    expected = f"error: {bad}: templates: 'ASK_PREFERENCE' has a format spec or conversion: '{field}'\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
 
 
 @pytest.mark.parametrize("stage", ["validate", "simulate", "realize", "gold"])

@@ -87,6 +87,24 @@ def test_template_validation_rejects_unknown_placeholder():
         templates_from_dict(raw)
 
 
+@pytest.mark.parametrize("template, field", [
+    ("What {attr:d} do you like?", "{attr:d}"),
+    ("What {attr!r} do you like?", "{attr!r}"),
+    ("What {attr!s:>9} do you like?", "{attr!s:>9}"),
+    ("What {attr:{attr}} do you like?", "{attr:{attr}}"),
+])
+def test_template_validation_rejects_format_spec_or_conversion(template, field):
+    """A placeholder is a bare name: a spec or conversion could fail or quote at render time."""
+    from shopdialog.realizer import REQUIRED_KEYS
+
+    raw = {k: ["hello"] for k in REQUIRED_KEYS}
+    raw["ASK_PREFERENCE"] = [template]
+    message = f"templates: 'ASK_PREFERENCE' has a format spec or conversion: '{field}'"
+    with pytest.raises(ValidationError) as exc:
+        templates_from_dict(raw)
+    assert str(exc.value) == message
+
+
 def test_template_validation_requires_all_acts():
     with pytest.raises(ValidationError):
         templates_from_dict({"ASK_PREFERENCE": ["hi"]})
