@@ -33,7 +33,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=500)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-dir", default=str(ROOT / "out" / "demo"))
     args = parser.parse_args()
 
@@ -50,11 +49,9 @@ def main() -> None:
     run(["validate", *base, "--policy", str(DATA / "policy.json"),
          "--templates", str(DATA / "templates.json")])
     run(["simulate", *base, "--policy", str(DATA / "policy.json"),
-         "--n", str(args.n), "--seed", str(args.seed), "--jobs", str(args.jobs),
-         "--out", str(flows)])
+         "--n", str(args.n), "--seed", str(args.seed), "--out", str(flows)])
     run(["realize", *base, "--templates", str(DATA / "templates.json"),
-         "--flows", str(flows), "--seed", str(args.seed), "--jobs", str(args.jobs),
-         "--out", str(realized)])
+         "--flows", str(flows), "--seed", str(args.seed), "--out", str(realized)])
     for task in ("spd", "rru", "act", "recommend", "response"):
         source = realized if task == "response" else flows
         run(["gold", *base, "--flows", str(source), "--task", task,

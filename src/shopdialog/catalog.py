@@ -145,7 +145,7 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     for entry in raw["items"]:
         _require_fields(entry, {"object_id", "prototype_id", "bbox"}, f"scene {scene_id} item")
         oid = entry["object_id"]
-        if not isinstance(oid, int) or oid < 0:
+        if type(oid) is not int or oid < 0:
             raise ValidationError(f"scene {scene_id}: object_id must be a non-negative integer")
         if oid in seen_ids:
             raise ValidationError(f"scene {scene_id}: duplicate object_id {oid}")

@@ -83,7 +83,7 @@ def cmd_simulate(args):
 
     scenes, ont = _catalog(args)
     cfg = load_policy(args.policy)
-    flows = generate_corpus(scenes, ont, cfg, args.n, args.seed, jobs=args.jobs)
+    flows = generate_corpus(scenes, ont, cfg, args.n, args.seed)
     count = write_flows(flows, args.out)
     return [str(args.out)], f"wrote {count} dialogs to {args.out}"
 
@@ -94,7 +94,7 @@ def cmd_realize(args):
 
     scenes, ont = _catalog(args)
     templates = load_templates(args.templates)
-    realized = realize_corpus(read_flows(args.flows), templates, ont, scenes, args.seed, jobs=args.jobs)
+    realized = realize_corpus(read_flows(args.flows), templates, ont, scenes, args.seed)
     count = write_flows(realized, args.out)
     return [str(args.out)], f"realized {count} dialogs to {args.out}"
 
@@ -205,7 +205,9 @@ _CATALOG_FLAGS = (
     ("--ontology", {"required": True, "help": "ontology JSON file"}),
 )
 _SEED = ("--seed", {"type": int, "default": 0})
-_JOBS = ("--jobs", {"type": _jobs, "default": 1})
+# Every stage runs in one process; --jobs still parses, so that command lines which pass it
+# (perfbench's among them) keep working, but nothing reads its value.
+_JOBS = ("--jobs", {"type": _jobs, "default": 1, "help": "accepted and ignored; an integer >= 1"})
 _FLOWS = ("--flows", {"required": True, "help": "input flow JSONL"})
 _OUT = ("--out", {"required": True, "help": "output JSONL path"})
 _TASK = ("--task", {"required": True, "choices": [t.lower() for t in TASKS]})
@@ -290,9 +292,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """Exit with `main()`'s code. Code 0, from a subcommand or from `--help` or `--version`, ends
-    in `os._exit(0)` once the standard streams are flushed: every file is closed by its `with` and
-    every pool shut down by then, so teardown would only free memory. A reader that closed stdout
-    ends the run with 1 and no traceback."""
+    in `os._exit(0)` once the standard streams are flushed: every file is closed by its `with` by
+    then, so teardown would only free memory. A reader that closed stdout ends the run with 1
+    and no traceback."""
     try:
         try:
             code = main()

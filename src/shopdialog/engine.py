@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from .acts import ACT_PAIRS, ACT_SLOTS, ELICIT_ACTS, SALESPERSON_ACTS
 from .errors import MalformedFile, NoTruthfulConcept, ValidationError
 from .jsonio import read_json_with, read_jsonl, string_list, write_jsonl
-from .parallel import parallel_map, session_seed
 
 if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
     from .catalog import Item, Scene
@@ -413,28 +412,24 @@ def run_dialog(
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
 
 
-def _run_session(shared: tuple, index: int) -> DialogFlow:
-    scenes, ont, cfg, base_seed = shared
-    rng = random.Random(session_seed(base_seed, "simulate", index))
-    scene = scenes[rng.randrange(len(scenes))]
-    return run_dialog(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
+def session_seed(base_seed: int, stream: str, index: int) -> str:
+    """Seed of item `index` in `stream`; random.Random hashes it with SHA-512."""
+    return f"{stream}:{base_seed}:{index}"
 
 
 def generate_corpus(
-    scenes: list[Scene],
-    ont: Ontology,
-    cfg: PolicyConfig,
-    n: int,
-    base_seed: int,
-    jobs: int = 1,
+    scenes: list[Scene], ont: Ontology, cfg: PolicyConfig, n: int, base_seed: int
 ) -> Iterator[DialogFlow]:
-    """Yield n dialogs in index order; identical output for any jobs count.
+    """Yield n dialogs in index order.
 
     Session i draws from its own RNG, seeded with session_seed(base_seed,
-    "simulate", i) (scene pick first, then the dialog), so parallel chunking
-    cannot change results and distinct base seeds give independent corpora.
+    "simulate", i) (scene pick first, then the dialog), so distinct base seeds
+    give independent corpora.
     """
-    yield from parallel_map(_run_session, (scenes, ont, cfg, base_seed), range(n), jobs)
+    for index in range(n):
+        rng = random.Random(session_seed(base_seed, "simulate", index))
+        scene = scenes[rng.randrange(len(scenes))]
+        yield run_dialog(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
 
 
 def flow_to_dict(flow: DialogFlow) -> dict:

@@ -102,6 +102,8 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
             if extra:
                 raise ValidationError(f"{attr_name} concept: unknown fields {sorted(extra)}")
             cid = raw["concept_id"]
+            if type(cid) is not str:
+                raise ValidationError(f"concept {cid!r}: concept_id must be a string")
             if "values" in raw:
                 if "min" in raw or "max" in raw:
                     raise ValidationError(f"concept {cid!r}: give either values or min/max")

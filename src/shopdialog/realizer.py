@@ -22,11 +22,10 @@ from typing import Iterable, Iterator
 
 from .acts import ACT_SLOTS
 from .catalog import Scene, SceneIndex
-from .engine import DialogFlow, check_turn
+from .engine import DialogFlow, check_turn, session_seed
 from .errors import DialogError, ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
-from .parallel import parallel_map, session_seed
 
 # The placeholders each slot fills.
 _PLACEHOLDERS = {"attribute": {"attr"}, "concept_id": {"preference_phrase"}, "value": {"value"},
@@ -136,25 +135,20 @@ def realize_dialog(
     return flow._replace(turns=turns)
 
 
-def _realize_one(shared: tuple, item: tuple[int, tuple[int, DialogFlow]]) -> DialogFlow:
-    templates, ont, scenes_by_id, base_seed = shared
-    i, (line_no, flow) = item
-    seed = session_seed(base_seed, "realize", i)
-    try:
-        return realize_dialog(flow, templates, ont, scenes_by_id.scene_of(flow), seed)
-    except DialogError as exc:
-        exc.line = line_no
-        raise
-
-
 def realize_corpus(
     flows: Iterable[tuple[int, DialogFlow]],
     templates: Templates,
     ont: Ontology,
     scenes: list[Scene],
     base_seed: int,
-    jobs: int = 1,
 ) -> Iterator[DialogFlow]:
-    """Realize (line_no, flow) pairs in order; dialog i is seeded from (base_seed, i) at any jobs."""
-    shared = (templates, ont, SceneIndex(scenes), base_seed)
-    return parallel_map(_realize_one, shared, enumerate(flows), jobs)
+    """Realize (line_no, flow) pairs in order; dialog i is seeded from (base_seed, i), and a
+    DialogError is located at the dialog's line."""
+    scenes_by_id = SceneIndex(scenes)
+    for i, (line_no, flow) in enumerate(flows):
+        try:
+            yield realize_dialog(flow, templates, ont, scenes_by_id.scene_of(flow),
+                                 session_seed(base_seed, "realize", i))
+        except DialogError as exc:
+            exc.line = line_no
+            raise

@@ -1,6 +1,4 @@
 import json
-import pickle
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +8,12 @@ from shopdialog.catalog import (
     BackgroundItem,
     Item,
     Scene,
-    SceneIndex,
     attribute_of,
     items_in_region,
     load_catalog,
     scene_value_universe,
 )
-from shopdialog.errors import DialogError, ValidationError
+from shopdialog.errors import ValidationError
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -70,24 +67,19 @@ def test_duplicate_object_id_rejected(tmp_path):
         load_catalog(*paths)
 
 
+@pytest.mark.parametrize("oid", [True, False, -1, 1.0, "1"])
+def test_non_integer_object_id_rejected(tmp_path, oid):
+    """A bool is no object id: `realize` and `gold` would reject the flows `simulate` writes."""
+    items = [{"object_id": oid, "prototype_id": "p0", "bbox": [0, 0, 10, 10]}]
+    paths = write_minimal(tmp_path, minimal_scene(items=items), {"p0": FASHION_ATTRS})
+    with pytest.raises(ValidationError, match=": scene s0: object_id must be a non-negative integer$"):
+        load_catalog(*paths)
+
+
 def test_duplicate_scene_id_rejected(tmp_path):
     paths = write_minimal(tmp_path, [minimal_scene(), minimal_scene()], {"p0": FASHION_ATTRS})
     with pytest.raises(ValidationError, match="duplicate scene_id 's0'"):
         load_catalog(*paths)
-
-
-def test_scene_index_survives_pickling(scenes):
-    # realize --jobs ships the index, and the scenes' cached facts, to workers.
-    index = SceneIndex(scenes)
-    f01 = index["f01"]
-    region = f01.regions[0].label
-    expected = items_in_region(f01, region)
-    copy = pickle.loads(pickle.dumps(index))
-    assert list(copy) == list(index)
-    assert items_in_region(copy["f01"], region) == expected
-    assert copy["f01"].value_universe == f01.value_universe
-    with pytest.raises(DialogError, match="dialog d0: unknown scene_id 'nope': not in the scene file"):
-        copy.scene_of(SimpleNamespace(dialog_id="d0", scene_id="nope"))
 
 
 def test_nonpositive_bbox_rejected(tmp_path):

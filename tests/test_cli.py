@@ -704,6 +704,23 @@ def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_realize_reports_the_first_fault_in_file_order(tmp_path, capsys, jobs):
+    """A rule error on line 2 is reported before a line 5 that does not parse, at any `--jobs`."""
+    flows = simulate(tmp_path, "flows.jsonl", n=5)
+    lines = flows.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["scene_id"] = "nope"
+    lines[1] = json.dumps(record)
+    lines[4] = "{not json"
+    flows.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert main([*stage_argv("realize", flows, tmp_path / "out.jsonl"), "--jobs", str(jobs)]) == 1
+    assert capsys.readouterr().err == (f"error: {flows}:2: dialog {record['dialog_id']}: "
+                                       "unknown scene_id 'nope': not in the scene file\n")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_stats_without_salesperson_turn(tmp_path):
     flows = tmp_path / "flows.jsonl"
     turn = {"round": 2, "speaker": "customer", "act": "ANSWER_PREFERENCE",
@@ -794,6 +811,7 @@ def edited_config(tmp_path, config, keys, value):
     ("scenes", (0, "items", 0, "prototype_id"), ["p_fash_020"]),
     ("scenes", (0, "regions", 0, "label"), ["back left rack"]),
     ("ontology", (0, "attribute"), "nope"),
+    ("scenes", (0, "items", 1, "object_id"), True),
 ], ids=["policy-without-rounds", "policy-row-not-an-object", "policy-non-numeric-probability",
         "policy-non-numeric-field", "policy-fractional-max-rounds", "policy-bool-display-min",
         "policy-negative-recommend-max", "policy-zero-recommend-max", "policy-bool-probability",
@@ -803,7 +821,7 @@ def edited_config(tmp_path, config, keys, value):
         "template-format-spec", "template-conversion",
         "scene-non-numeric-bbox", "scene-regions-not-a-list", "scene-item-not-an-object",
         "metadata-unknown-attribute", "scene-list-valued-scene-id", "scene-list-valued-prototype-id",
-        "scene-list-valued-region-label", "block-unknown-attribute"])
+        "scene-list-valued-region-label", "block-unknown-attribute", "scene-bool-object-id"])
 def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     """A config file whose contents do not fit its schema exits 1 with one line naming it."""
     bad = edited_config(tmp_path, config, keys, value)
@@ -1110,7 +1128,7 @@ def test_manifests_are_byte_identical_across_reruns(tmp_path):
 def run_module(argv, cwd, unbuffered=False, **streams):
     """`python -m shopdialog argv` in a new process, with stdout and stderr piped unless
     `streams` says otherwise. `subprocess.run` waits in `communicate(timeout=...)`, which returns
-    only once every process holding the pipes, pool workers included, has closed them."""
+    only once every process holding the pipes has closed them."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if unbuffered:

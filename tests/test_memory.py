@@ -3,11 +3,11 @@ the number of dialogs in its flow file.
 
 Each stage runs in-process through `cli.main` under `tracemalloc`, on the first 400 and on all
 1,600 dialogs of one simulated file, after an untraced warm-up run on 10 dialogs (module imports
-and first-call caches are not the stage's data). `realize`, `split` and `stats` must peak within
-1.5x of their 400-dialog peak. `gold` keeps every row it writes, because `write_predictions`
-sorts them by key, so its peak grows with its rows: about 0.9 KB a dialog for SPD. It must grow
-by less than half the bytes the larger file adds; a reader that holds the decoded corpus grows
-by about five times them.
+and first-call caches are not the stage's data). `realize` at either `--jobs`, `split` and
+`stats` must peak within 1.5x of their 400-dialog peak. `gold` keeps every row it writes, because
+`write_predictions` sorts them by key, so its peak grows with its rows: about 0.9 KB a dialog for
+SPD. It must grow by less than half the bytes the larger file adds; a reader that holds the
+decoded corpus grows by about five times them.
 """
 
 import tracemalloc
@@ -37,8 +37,8 @@ def flow_files(tmp_path_factory):
 
 
 def stage_argv(stage, flows, out):
-    if stage == "realize":
-        return ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
+    if stage.startswith("realize"):  # "realize" or "realize --jobs 2"
+        return [*stage.split(), *base_flags(), "--templates", str(DATA / "templates.json"),
                 "--flows", str(flows), "--out", str(out)]
     if stage == "gold":
         return ["gold", *base_flags(), "--task", "spd", "--flows", str(flows), "--out", str(out)]
@@ -56,7 +56,7 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("stage", ["realize", "split", "stats", "gold"])
+@pytest.mark.parametrize("stage", ["realize", "realize --jobs 2", "split", "stats", "gold"])
 def test_peak_memory_does_not_hold_the_corpus(flow_files, tmp_path, capsys, stage):
     assert main(stage_argv(stage, flow_files[10], tmp_path / "warm-up")) == 0
     small, large = (traced_peak(stage_argv(stage, flow_files[n], tmp_path / f"out_{n}"))

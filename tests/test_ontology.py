@@ -33,6 +33,17 @@ def test_duplicate_surface_form_rejected():
         ontology_from_blocks([block])
 
 
+@pytest.mark.parametrize("ids", [(7, "coolish"), (7, 8)], ids=["one", "every"])
+def test_non_string_concept_id_rejected(ids):
+    """An integer concept id would pass `simulate` and then fail `realize` and `gold`."""
+    block = copy.deepcopy(COLOR_BLOCK)
+    block["concepts"][1]["values"] = ["blue", "olive"]
+    for concept, cid in zip(block["concepts"], ids):
+        concept["concept_id"] = cid
+    with pytest.raises(ValidationError, match="^concept 7: concept_id must be a string$"):
+        ontology_from_blocks([block])
+
+
 def test_empty_value_set_rejected():
     block = copy.deepcopy(COLOR_BLOCK)
     block["concepts"][0]["values"] = []

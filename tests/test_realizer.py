@@ -170,12 +170,6 @@ def test_recommend_turns_have_exactly_one_token(realized_fixture):
                 assert int(tokens[0]) == turn["slots"]["object_id"]
 
 
-def test_realize_corpus_parallel_equals_serial(realized_fixture, scenes, ontology, templates):
-    flows, realized = realized_fixture
-    parallel = realize_corpus(enumerate(flows, 1), templates, ontology, scenes, base_seed=5, jobs=3)
-    assert [flow_to_dict(f) for f in parallel] == [flow_to_dict(f) for f in realized]
-
-
 def test_realized_corpus_round_trips_jsonl(realized_fixture, tmp_path):
     from shopdialog.engine import read_flows, write_flows
 
