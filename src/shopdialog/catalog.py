@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
-from .errors import DialogError, ValidationError
+from .errors import ValidationError
 from .jsonio import read_json_with
 
 Bbox = tuple[float, float, float, float]
@@ -91,12 +91,6 @@ class SceneIndex(dict):
             if scene.scene_id in self:
                 raise ValidationError(f"duplicate scene_id {scene.scene_id!r}")
             self[scene.scene_id] = scene
-
-    def scene_of(self, flow) -> Scene:
-        """The scene a flow plays in; a scene_id the index lacks raises DialogError."""
-        if flow.scene_id not in self:
-            raise DialogError(f"dialog {flow.dialog_id}: unknown scene_id {flow.scene_id!r}: not in the scene file")
-        return self[flow.scene_id]
 
 
 Metadata = dict[str, dict[str, str]]

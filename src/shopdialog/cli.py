@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .acts import SPLIT_NAMES, TASKS
-from .errors import DialogError, ShopDialogError, ValidationError
+from .errors import ShopDialogError, ValidationError
 from .jsonio import count_records, encode_line, replacing, write_json
 
 # Each subcommand imports the modules it runs when it runs: `eval` loads only
@@ -145,7 +145,10 @@ def cmd_stats(args):
     from .engine import read_flows
     from .evalhub import corpus_stats
 
-    report = corpus_stats(flow for _, flow in read_flows(args.flows))
+    try:
+        report = corpus_stats(flow for _, flow in read_flows(args.flows))
+    except ValidationError as exc:  # a flow file without dialogs
+        raise ValidationError(f"{args.flows}: {exc}") from None
     out = Path(args.out)
     write_json(out, report)
     return [str(out)], f"stats for {report['n_dialogs']} dialogs written to {out}"
@@ -281,9 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest = Path(out_dir, "split.manifest.json") if out_dir else Path(outputs[0] + ".manifest.json")
             _write_manifest(manifest, args, argv, outputs)
     except ShopDialogError as exc:
-        line = "" if getattr(exc, "line", None) is None else f":{exc.line}"  # a DialogError's record
-        where = f"{args.flows}{line}: " if isinstance(exc, DialogError) else ""  # raised reading --flows
-        print(f"error: {where}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if message is not None:
         print(message)

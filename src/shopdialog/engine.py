@@ -15,9 +15,10 @@ Flows are interchanged as JSON Lines, one dialog per line, here cut short and wr
 The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn
 is that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn
 it reads in this key order, and `flow_to_dict` passes turns through.  `read_flows` yields one
-flow at a time, with its line number.  An act is a `(name, slots)` pair carrying the slots
-`acts.ACT_SLOTS` lists; `realize` and `gold` check every turn they read against that table
-with `check_turn`.  A salesperson turn is annotated with the candidate items it acted on; the
+flow at a time, located as "<path>:<line>".  An act is a `(name, slots)` pair carrying the slots
+`acts.ACT_SLOTS` lists; `realize` and `gold` check every flow they read with `check_flow`, which
+checks each turn against that table with `check_turn` and puts the flow's location in front of
+the first fault.  A salesperson turn is annotated with the candidate items it acted on; the
 paired customer turn carries the items left after the round's narrowing.  Candidate values are
 not stored: replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds them.
 """
@@ -34,7 +35,7 @@ from .errors import MalformedFile, NoTruthfulConcept, ValidationError
 from .jsonio import read_json_with, read_jsonl, string_list, write_jsonl
 
 if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
-    from .catalog import Item, Scene
+    from .catalog import Item, Scene, SceneIndex
     from .ontology import Ontology
 
 
@@ -374,6 +375,25 @@ def check_turn(turn: dict, scene: Scene, ont: Ontology) -> None:
             raise ValidationError(f"slot 'accept' must be true or false, got {value!r}")
 
 
+def check_flow(where: str, flow: DialogFlow, scenes: SceneIndex, ont: Ontology) -> Scene:
+    """The scene of a flow read from a file, once the flow fits the catalog: its scene is in
+    `scenes`, every turn passes `check_turn`, and its target is one of the scene's items. The
+    first fault raises ValidationError, which starts with `where` and the dialog's id."""
+    at = f"{where}: dialog {flow.dialog_id}"
+    scene = scenes.get(flow.scene_id)
+    if scene is None:
+        raise ValidationError(f"{at}: unknown scene_id {flow.scene_id!r}: not in the scene file")
+    for turn in flow.turns:
+        try:
+            check_turn(turn, scene, ont)
+        except ValidationError as exc:
+            raise ValidationError(f"{at} round {turn['round']} {turn['act']}: {exc}") from None
+    if flow.target_object_id not in scene.items_by_id:
+        raise ValidationError(f"{at}: unknown target_object_id {flow.target_object_id}: "
+                              f"not in scene {scene.scene_id!r}")
+    return scene
+
+
 class DialogFlow(NamedTuple):
     dialog_id: str
     scene_id: str
@@ -462,7 +482,7 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order; other keys, such as the `candidate_values` of
     older files, are dropped, and so is a null `utterance`. A field of the wrong type raises
-    TypeError naming it."""
+    TypeError naming it, and an outcome other than "success" or "max_rounds" ValueError."""
     turns = []
     for t in raw["turns"]:
         turn = {"round": t["round"], "speaker": t["speaker"], "act": t["act"], "slots": t["slots"],
@@ -482,6 +502,8 @@ def flow_from_dict(raw: dict) -> DialogFlow:
     if not (type(flow.dialog_id) is str and type(flow.scene_id) is str
             and type(flow.target_object_id) is int and type(flow.outcome) is str):
         raise _field_type_error(flow_to_dict(flow), "")
+    if flow.outcome not in ("success", "max_rounds"):
+        raise ValueError(f"outcome must be 'success' or 'max_rounds', got {flow.outcome!r}")
     return flow
 
 
@@ -489,12 +511,14 @@ def write_flows(flows: Iterable[DialogFlow], path) -> int:
     return write_jsonl(path, (flow_to_dict(flow) for flow in flows))
 
 
-def read_flows(path) -> Iterator[tuple[int, DialogFlow]]:
+def read_flows(path) -> Iterator[tuple[str, DialogFlow]]:
+    """Yield ("<path>:<line>", flow) for each dialog of a flow file; the location is the one
+    every fault of the flow is reported at."""
     for line_no, record in read_jsonl(path):
         try:
             flow = flow_from_dict(record)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFile(f"{path}:{line_no}: bad dialog record ({exc})") from exc
         if not flow.turns:
             raise MalformedFile(f"{path}:{line_no}: dialog {flow.dialog_id!r} has no turns")
-        yield line_no, flow
+        yield f"{path}:{line_no}", flow

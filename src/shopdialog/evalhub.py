@@ -29,7 +29,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterable
 
 from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
-from .errors import DialogError, MalformedFile, ValidationError
+from .errors import MalformedFile, ValidationError
 from .jsonio import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
@@ -178,7 +178,7 @@ def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
             steps[rnd] += count - last
             last = count
     if not n:
-        raise DialogError("no dialogs")
+        raise ValidationError("no dialogs")
     carried = itertools.accumulate(steps[rnd] for rnd in range(1, max_round + 1))  # summed per round
 
     totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
@@ -242,16 +242,15 @@ def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
 
 
 def build_gold(
-    flows: Iterable[tuple[int, DialogFlow]],
+    flows: Iterable[tuple[str, DialogFlow]],
     ont: Ontology,
     scenes: list[Scene],
     task: str,
     spd_mode: str = "cumulative",
 ) -> tuple[dict, dict[Key, object]]:
-    """Gold rows of the (line_no, flow) pairs `read_flows` yields, for the task's eligible rounds,
-    plus a file header; a DialogError carries its flow's line. Every task needs each flow's
-    scene in `scenes`, checks every turn of the flow with `engine.check_turn` before it reads
-    one, and RECOMMEND needs its target among the scene's items.
+    """Gold rows of the (where, flow) pairs `read_flows` yields, for the task's eligible rounds,
+    plus a file header. Every task checks each flow with `engine.check_flow` before it reads
+    one, and rejects a `dialog_id` it has already seen, whose rows would merge.
 
     SPD gold is recomputed from the preference clauses through the oracle
     (never read off the flow annotations): `cumulative` folds every clause on
@@ -262,7 +261,7 @@ def build_gold(
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
     from .catalog import SceneIndex, items_in_region
-    from .engine import check_turn
+    from .engine import check_flow
     from .ontology import spd_oracle
 
     by_id = SceneIndex(scenes)
@@ -270,44 +269,35 @@ def build_gold(
     if task == "SPD":
         header["spd_mode"] = spd_mode
     rows: dict[Key, object] = {}
-    try:
-        for line_no, flow in flows:
-            scene = by_id.scene_of(flow)
+    seen: set[str] = set()
+    for where, flow in flows:
+        scene = check_flow(where, flow, by_id, ont)
+        if flow.dialog_id in seen:
+            raise ValidationError(f"{where}: dialog {flow.dialog_id}: duplicate dialog_id")
+        seen.add(flow.dialog_id)
+        if task == "SPD":
+            clauses = _preference_clauses(flow)
+            for rnd, attr, _, _ in clauses:
+                keep = [(pol, cid) for r, a, pol, cid in clauses
+                        if a == attr and (r == rnd or spd_mode == "cumulative" and r < rnd)]
+                rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
+        elif task == "RRU":
             for turn in flow.turns:
-                try:
-                    check_turn(turn, scene, ont)
-                except ValidationError as exc:
-                    raise DialogError.at(flow, turn, exc) from None
-            if task == "SPD":
-                clauses = _preference_clauses(flow)
-                for rnd, attr, _, _ in clauses:
-                    keep = [(pol, cid) for r, a, pol, cid in clauses
-                            if a == attr and (r == rnd or spd_mode == "cumulative" and r < rnd)]
-                    rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
-            elif task == "RRU":
-                for turn in flow.turns:
-                    if turn["act"] == "REFER_REGION":
-                        ids = items_in_region(scene, turn["slots"]["region_label"])
-                        rows[(flow.dialog_id, turn["round"])] = sorted(ids)
-            elif task == "ACT":
-                for turn in flow.turns:
-                    if turn["speaker"] == "salesperson":
-                        rows[(flow.dialog_id, turn["round"])] = sys.intern(turn["act"])  # one str per name
-            elif task == "RESPONSE":
-                for turn in flow.turns:
-                    if turn["speaker"] == "salesperson":
-                        if "utterance" not in turn:
-                            raise DialogError(f"dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
-                        rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
-            elif task == "RECOMMEND":
-                if flow.target_object_id not in scene.items_by_id:
-                    raise DialogError(f"dialog {flow.dialog_id}: unknown target_object_id "
-                                      f"{flow.target_object_id}: not in scene {scene.scene_id!r}")
-                last_round = flow.turns[-1]["round"]
-                rows[(flow.dialog_id, last_round)] = [flow.target_object_id]
-    except DialogError as exc:  # about the flow on line_no
-        exc.line = line_no
-        raise
+                if turn["act"] == "REFER_REGION":
+                    ids = items_in_region(scene, turn["slots"]["region_label"])
+                    rows[(flow.dialog_id, turn["round"])] = sorted(ids)
+        elif task == "ACT":
+            for turn in flow.turns:
+                if turn["speaker"] == "salesperson":
+                    rows[(flow.dialog_id, turn["round"])] = sys.intern(turn["act"])  # one str per name
+        elif task == "RESPONSE":
+            for turn in flow.turns:
+                if turn["speaker"] == "salesperson":
+                    if "utterance" not in turn:
+                        raise ValidationError(f"{where}: dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
+                    rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
+        elif task == "RECOMMEND":
+            rows[(flow.dialog_id, flow.turns[-1]["round"])] = [flow.target_object_id]
     return header, rows
 
 

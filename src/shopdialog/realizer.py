@@ -11,7 +11,7 @@ Template files are UTF-8 JSON mapping an act key to a list of template
 strings.  Keys and placeholders derive from `acts.ACT_SLOTS`: an act that
 carries an accept slot has the keys "RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject",
 and likewise for RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
-Every turn passes `engine.check_turn` before it is rendered, at any seed.
+`realize_corpus` checks each flow with `engine.check_flow` before it renders any of its turns.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 
 from .acts import ACT_SLOTS
 from .catalog import Scene, SceneIndex
-from .engine import DialogFlow, check_turn, session_seed
-from .errors import DialogError, ValidationError
+from .engine import DialogFlow, check_flow, session_seed
+from .errors import ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
 
@@ -122,33 +122,23 @@ def realize_turn(
 def realize_dialog(
     flow: DialogFlow, templates: Templates, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
-    """Fill every turn's utterance, each after `check_turn`; acts, slots and candidate items
-    untouched. A turn that fails the check or cannot be rendered raises DialogError naming it."""
+    """Fill every turn's utterance; acts, slots and candidate items untouched. The flow must
+    have passed `check_flow`."""
     rng = random.Random(seed)
-    turns = []
-    for t in flow.turns:
-        try:
-            check_turn(t, scene, ont)
-            turns.append({**t, "utterance": realize_turn(t, templates, ont, scene, rng)})
-        except ValidationError as exc:
-            raise DialogError.at(flow, t, exc) from None
-    return flow._replace(turns=turns)
+    return flow._replace(turns=[{**t, "utterance": realize_turn(t, templates, ont, scene, rng)}
+                                for t in flow.turns])
 
 
 def realize_corpus(
-    flows: Iterable[tuple[int, DialogFlow]],
+    flows: Iterable[tuple[str, DialogFlow]],
     templates: Templates,
     ont: Ontology,
     scenes: list[Scene],
     base_seed: int,
 ) -> Iterator[DialogFlow]:
-    """Realize (line_no, flow) pairs in order; dialog i is seeded from (base_seed, i), and a
-    DialogError is located at the dialog's line."""
+    """Realize the (where, flow) pairs `read_flows` yields, in order, each once `check_flow`
+    passed it; dialog i is seeded from (base_seed, i)."""
     scenes_by_id = SceneIndex(scenes)
-    for i, (line_no, flow) in enumerate(flows):
-        try:
-            yield realize_dialog(flow, templates, ont, scenes_by_id.scene_of(flow),
-                                 session_seed(base_seed, "realize", i))
-        except DialogError as exc:
-            exc.line = line_no
-            raise
+    for i, (where, flow) in enumerate(flows):
+        scene = check_flow(where, flow, scenes_by_id, ont)
+        yield realize_dialog(flow, templates, ont, scene, session_seed(base_seed, "realize", i))

@@ -321,18 +321,45 @@ def test_unknown_scene_id_exits_one(tmp_path, capsys, stage, jobs):
     assert not (tmp_path / "out.jsonl").exists()
 
 
-def test_unknown_recommend_target_exits_one(tmp_path, capsys):
-    """RECOMMEND gold rejects a target that is not one of the flow's scene's items."""
+def edited_flows(tmp_path, stage, edit) -> tuple[Path, list[dict]]:
+    """Two simulated flows, realized for `gold response`, whose records `edit` changes."""
     flows = simulate(tmp_path, "flows.jsonl", n=2)
+    if stage == "gold response":  # RESPONSE gold reads realized flows
+        assert main(stage_argv("realize", flows, tmp_path / "realized.jsonl")) == 0
+        flows = tmp_path / "realized.jsonl"
     records = [json.loads(line) for line in flows.read_text().splitlines()]
-    records[1]["target_object_id"] = 99999
+    edit(records)
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return flows, records
+
+
+@pytest.mark.parametrize("stage, jobs", [
+    *((f"gold {task}", 1) for task in ("spd", "rru", "act", "recommend", "response")),
+    ("realize", 1), ("realize", 2),
+])
+def test_unknown_recommend_target_exits_one(tmp_path, capsys, stage, jobs):
+    """Every gold task and `realize` reject a flow whose target is not one of its scene's items,
+    so `realize` writes nothing that `gold --task recommend` would then reject."""
+    flows, records = edited_flows(tmp_path, stage, lambda r: r[1].update(target_object_id=99999))
+    argv = stage_argv(stage, flows, tmp_path / "out.jsonl")
     capsys.readouterr()
-    assert main(stage_argv("gold recommend", flows, tmp_path / "gold.jsonl")) == 1
+    assert main([*argv, "--jobs", str(jobs)] if stage == "realize" else argv) == 1
     assert capsys.readouterr().err == (
         f"error: {flows}:2: dialog {records[1]['dialog_id']}: unknown target_object_id 99999: "
         f"not in scene {records[1]['scene_id']!r}\n")
-    assert not (tmp_path / "gold.jsonl").exists()
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("task", ["spd", "rru", "act", "recommend", "response"])
+def test_duplicate_dialog_id_exits_one(tmp_path, capsys, task):
+    """Gold rows are keyed by dialog id, so a repeated id would merge two dialogs' rows."""
+    flows, records = edited_flows(tmp_path, f"gold {task}",
+                                  lambda r: r[1].update(dialog_id=r[0]["dialog_id"]))
+    capsys.readouterr()
+    assert main(stage_argv(f"gold {task}", flows, tmp_path / "out.jsonl")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:2: dialog {records[0]['dialog_id']}: duplicate dialog_id\n")
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("spd_mode", ["cumulative", "scene_only"])
@@ -391,13 +418,14 @@ def flow_line(flow_fields: dict | None = None, **turn_fields) -> str:
     (None, flow_line({"scene_id": ["f01"]}) + "\n", 1),
     (None, flow_line({"dialog_id": 0}) + "\n", 1),
     (None, flow_line({"target_object_id": "1"}) + "\n", 1),
+    (None, flow_line() + "\n" + flow_line({"outcome": "banana"}) + "\n", 2),
 ], ids=["row-without-round", "non-integer-round", "row-without-payload",
         "array-header", "array-flow", "flow-without-turns", "spd-payload-not-a-list",
         "rru-string-id", "rru-float-id", "recommend-payload-not-a-list",
         "turn-candidate-items-not-a-list", "turn-string-round", "turn-fractional-round",
         "turn-bool-round", "turn-slots-not-an-object", "turn-list-act", "turn-null-speaker",
         "turn-non-string-utterance", "list-scene-id", "integer-dialog-id",
-        "string-target-object-id"])
+        "string-target-object-id", "unknown-outcome"])
 def test_malformed_jsonl_exits_one(tmp_path, capsys, task, text, line):
     """A malformed line, or a well-formed one with bad contents, exits 1 naming its line."""
     bad = tmp_path / "bad.jsonl"

@@ -176,8 +176,8 @@ def test_realized_corpus_round_trips_jsonl(realized_fixture, tmp_path):
     _, realized = realized_fixture
     path = tmp_path / "realized.jsonl"
     write_flows(realized, path)
-    lines, reloaded = zip(*read_flows(path))
-    assert lines == tuple(range(1, len(realized) + 1))
+    where, reloaded = zip(*read_flows(path))
+    assert where == tuple(f"{path}:{i}" for i in range(1, len(realized) + 1))
     assert [flow_to_dict(f) for f in reloaded] == [flow_to_dict(f) for f in realized]
     # utterances survive the round trip
     assert all(t["utterance"] for f in reloaded for t in f.turns)

@@ -42,6 +42,25 @@ def test_missing_slots_are_reported_in_one_module():
     assert _modules_containing("missing slot") == {"engine.py"}
 
 
+def test_flows_are_checked_and_located_in_one_module():
+    """Only `engine.check_flow` calls `check_turn`, and it puts the flow's "<path>:<line>" in
+    front of the fault; no module sets a `line` on an exception afterwards."""
+    callers, stamps = [], []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == "check_turn"]
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+            stamps += [f"{path.name}:{node.lineno}" for t in targets
+                       if isinstance(t, ast.Attribute) and t.attr == "line"]
+    assert callers == ["engine.py:check_flow"]
+    assert stamps == []
+
+
 def test_simulated_turns_carry_exactly_their_act_slots(scenes, ontology, policy):
     """The engine writes each act with the slots `ACT_SLOTS` lists, in that order, every turn
     passes `check_turn`, and every act of the table occurs."""
@@ -283,7 +302,7 @@ def test_exception_classes_match_readme_and_are_used():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                used.add(ast.unparse(exc).split(".")[0])  # `DialogError.at(...)` raises a DialogError
+                used.add(ast.unparse(exc).split(".")[0])  # a constructor such as `X.at(...)` raises an X
             elif isinstance(node, ast.ExceptHandler) and node.type is not None:
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 used.update(ast.unparse(t) for t in types)
