@@ -105,9 +105,10 @@ def cmd_gold(args):
 
     scenes, ont = _catalog(args)
     task = args.task.upper()
-    header, rows = build_gold(read_flows(args.flows), ont, scenes, task, spd_mode=args.spd_mode)
-    write_predictions(args.out, header, rows)
-    return [str(args.out)], f"wrote {len(rows)} {task} gold rows to {args.out}"
+    header = {"task": task, "spd_mode": args.spd_mode} if task == "SPD" else {"task": task}
+    rows = build_gold(read_flows(args.flows), ont, scenes, task, args.spd_mode)
+    count = write_predictions(args.out, header, rows)
+    return [str(args.out)], f"wrote {count} {task} gold rows to {args.out}"
 
 
 def cmd_split(args):

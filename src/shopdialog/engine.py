@@ -12,15 +12,16 @@ Flows are interchanged as JSON Lines, one dialog per line, here cut short and wr
      {"round":1,"speaker":"salesperson","act":"ASK_PREFERENCE","slots":{"attribute":"color"},
      "candidate_items":[0,1,2,...,25]},...]}
 
-The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn
-is that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn
-it reads in this key order, and `flow_to_dict` passes turns through.  `read_flows` yields one
-flow at a time, located as "<path>:<line>".  An act is a `(name, slots)` pair carrying the slots
+The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn is
+that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it
+reads in this key order, and `flow_to_dict` passes turns through.  `read_flows` yields one flow at
+a time, located as "<path>:<line>"; its turn k (from 1) is round ceil(k/2)'s salesperson turn if k
+is odd, else its customer turn.  An act is a `(name, slots)` pair carrying the slots
 `acts.ACT_SLOTS` lists; `realize` and `gold` check every flow they read with `check_flow`, which
-checks each turn against that table with `check_turn` and puts the flow's location in front of
-the first fault.  A salesperson turn is annotated with the candidate items it acted on; the
-paired customer turn carries the items left after the round's narrowing.  Candidate values are
-not stored: replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds them.
+checks each turn against that table with `check_turn` and puts the flow's location in front of the
+first fault.  A salesperson turn is annotated with the candidate items it acted on; the paired
+customer turn carries the items left after the round's narrowing.  Candidate values are not stored:
+replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds them.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
             elig.add("GUESS_ATTRIBUTE_VALUE")
         if not counts.isdisjoint(range(cfg.display_min, cfg.display_max + 1)):
             elig.add("DISPLAY_CANDIDATE_VALUES")
-        if (len(state.elicited_attrs) >= cfg.refer_region_min_elicited
-                and next(_informative_regions(state), None) is not None):
-            elig.add("REFER_REGION")
+    if (len(state.elicited_attrs) >= cfg.refer_region_min_elicited
+            and next(_informative_regions(state), None) is not None):
+        elig.add("REFER_REGION")
     if state.last_guess is not None:
         elig.add("REVISE_ATTRIBUTE_VALUE")
     if len(state.candidate_items) <= cfg.recommend_max:
@@ -482,9 +483,10 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order; other keys, such as the `candidate_values` of
     older files, are dropped, and so is a null `utterance`. A field of the wrong type raises
-    TypeError naming it, and an outcome other than "success" or "max_rounds" ValueError."""
+    TypeError naming it, and a turn out of the order `read_flows` yields (a last salesperson turn
+    needs no reply) or an outcome other than "success" or "max_rounds" ValueError."""
     turns = []
-    for t in raw["turns"]:
+    for k, t in enumerate(raw["turns"], 1):
         turn = {"round": t["round"], "speaker": t["speaker"], "act": t["act"], "slots": t["slots"],
                 "candidate_items": t["candidate_items"]}
         utterance = t.get("utterance")
@@ -494,7 +496,11 @@ def flow_from_dict(raw: dict) -> DialogFlow:
                 and type(turn["act"]) is str and type(turn["slots"]) is dict
                 and type(turn["candidate_items"]) is list
                 and (utterance is None or type(utterance) is str)):
-            raise _field_type_error(turn, f"turn {len(turns) + 1}: ")
+            raise _field_type_error(turn, f"turn {k}: ")
+        rnd, speaker = (k + 1) // 2, ("customer", "salesperson")[k % 2]
+        if turn["round"] != rnd or turn["speaker"] != speaker:
+            raise ValueError(f"turn {k} must be round {rnd}'s {speaker} turn, "
+                             f"got round {turn['round']} {turn['speaker']!r}")
         turns.append(turn)
     flow = DialogFlow(
         raw["dialog_id"], raw["scene_id"], raw["target_object_id"], raw["outcome"], turns

@@ -1,8 +1,8 @@
 """Benchmark evaluation, corpus statistics, gold building and dataset splits.
 
-Prediction and gold files are JSON Lines.  An optional first header line
-declares the task (and, for the preference-disambiguation task, the gold
-mode); every other line is a row:
+Prediction and gold files are JSON Lines.  An optional header, the first
+record, declares the task (and, for the preference-disambiguation task, the
+gold mode); every other record is a row, and gold rows come in flow order:
 
     {"task":"SPD","spd_mode":"cumulative"}
     {"dialog_id":"d00000","round":3,"payload":["red","yellow"]}
@@ -24,9 +24,8 @@ import itertools
 import math
 import random
 import re
-import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
 from .errors import MalformedFile, ValidationError
@@ -161,29 +160,25 @@ _PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE
 def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
     """Corpus aggregates, in one pass; the per-round candidate series carries each dialog's
     last observed count forward, so the corpus curve is non-increasing."""
-    n = n_utt = n_prefs = n_objects = max_round = 0
+    n = n_utt = n_prefs = n_objects = 0
     round_acts: Counter = Counter()  # (round, act) of the salesperson turns
+    totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
     steps: Counter = Counter()  # round -> change of the summed carried count at that round
-    for n, flow in enumerate(flows, 1):
+    for n, flow in enumerate(flows, 1):  # a flow's turns alternate from round 1's salesperson turn
         n_utt += len(flow.turns)
-        round_acts.update((t["round"], t["act"]) for t in flow.turns if t["speaker"] == "salesperson")
+        round_acts.update((t["round"], t["act"]) for t in flow.turns[::2])
+        totals.update(t["round"] for t in flow.turns[::2])
         n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
         last = len(flow.turns[0]["candidate_items"])
         n_objects += last
-        max_round = max(max_round, flow.turns[-1]["round"])
         steps[1] += last
-        by_round = {t["round"]: len(t["candidate_items"]) for t in flow.turns
-                    if t["speaker"] == "customer" and t["round"] >= 1}
-        for rnd, count in sorted(by_round.items()):  # a customer round sets the count from then on
-            steps[rnd] += count - last
-            last = count
+        for t in flow.turns[1::2]:  # a customer turn sets the count from its round on
+            steps[t["round"]] += len(t["candidate_items"]) - last
+            last = len(t["candidate_items"])
     if not n:
         raise ValidationError("no dialogs")
-    carried = itertools.accumulate(steps[rnd] for rnd in range(1, max_round + 1))  # summed per round
+    carried = itertools.accumulate(steps[rnd] for rnd in range(1, max(totals) + 1))  # summed per round
 
-    totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
-    for (rnd, _), count in round_acts.items():
-        totals[rnd] += count
     act_rows = [
         {a: (round_acts[rnd, a] / totals[rnd] if totals[rnd] else 0.0) for a in SALESPERSON_ACTS}
         for rnd in range(1, 9)
@@ -247,10 +242,10 @@ def build_gold(
     scenes: list[Scene],
     task: str,
     spd_mode: str = "cumulative",
-) -> tuple[dict, dict[Key, object]]:
-    """Gold rows of the (where, flow) pairs `read_flows` yields, for the task's eligible rounds,
-    plus a file header. Every task checks each flow with `engine.check_flow` before it reads
-    one, and rejects a `dialog_id` it has already seen, whose rows would merge.
+) -> Iterator[tuple[Key, object]]:
+    """Yield the `((dialog_id, round), payload)` gold rows of the (where, flow) pairs `read_flows`
+    yields, for the task's eligible rounds, in flow order. Every task checks each flow with
+    `engine.check_flow` before it reads one, and rejects a `dialog_id` it has already seen.
 
     SPD gold is recomputed from the preference clauses through the oracle
     (never read off the flow annotations): `cumulative` folds every clause on
@@ -265,45 +260,37 @@ def build_gold(
     from .ontology import spd_oracle
 
     by_id = SceneIndex(scenes)
-    header: dict = {"task": task}
-    if task == "SPD":
-        header["spd_mode"] = spd_mode
-    rows: dict[Key, object] = {}
     seen: set[str] = set()
     for where, flow in flows:
         scene = check_flow(where, flow, by_id, ont)
-        if flow.dialog_id in seen:
-            raise ValidationError(f"{where}: dialog {flow.dialog_id}: duplicate dialog_id")
-        seen.add(flow.dialog_id)
+        dialog_id = flow.dialog_id
+        if dialog_id in seen:
+            raise ValidationError(f"{where}: dialog {dialog_id}: duplicate dialog_id")
+        seen.add(dialog_id)
         if task == "SPD":
             clauses = _preference_clauses(flow)
             for rnd, attr, _, _ in clauses:
                 keep = [(pol, cid) for r, a, pol, cid in clauses
                         if a == attr and (r == rnd or spd_mode == "cumulative" and r < rnd)]
-                rows[(flow.dialog_id, rnd)] = sorted(spd_oracle(ont, scene, keep))
+                yield (dialog_id, rnd), sorted(spd_oracle(ont, scene, keep))
         elif task == "RRU":
-            for turn in flow.turns:
+            for turn in flow.turns[::2]:
                 if turn["act"] == "REFER_REGION":
-                    ids = items_in_region(scene, turn["slots"]["region_label"])
-                    rows[(flow.dialog_id, turn["round"])] = sorted(ids)
-        elif task == "ACT":
-            for turn in flow.turns:
-                if turn["speaker"] == "salesperson":
-                    rows[(flow.dialog_id, turn["round"])] = sys.intern(turn["act"])  # one str per name
-        elif task == "RESPONSE":
-            for turn in flow.turns:
-                if turn["speaker"] == "salesperson":
-                    if "utterance" not in turn:
-                        raise ValidationError(f"{where}: dialog {flow.dialog_id}: RESPONSE gold needs realized flows")
-                    rows[(flow.dialog_id, turn["round"])] = turn["utterance"]
+                    yield (dialog_id, turn["round"]), sorted(items_in_region(scene, turn["slots"]["region_label"]))
+        elif task in ("ACT", "RESPONSE"):  # one field of each salesperson turn
+            field = "act" if task == "ACT" else "utterance"
+            for turn in flow.turns[::2]:
+                if field not in turn:
+                    raise ValidationError(f"{where}: dialog {dialog_id}: RESPONSE gold needs realized flows")
+                yield (dialog_id, turn["round"]), turn[field]
         elif task == "RECOMMEND":
-            rows[(flow.dialog_id, flow.turns[-1]["round"])] = [flow.target_object_id]
-    return header, rows
+            yield (dialog_id, flow.turns[-1]["round"]), [flow.target_object_id]
 
 
-def write_predictions(path, header: dict, rows: dict[Key, object]) -> None:
-    records = ({"dialog_id": d, "round": r, "payload": rows[d, r]} for d, r in sorted(rows))
-    write_jsonl(path, itertools.chain([header], records))
+def write_predictions(path, header: dict, rows: Iterable[tuple[Key, object]]) -> int:
+    """Write the header, then each `(key, payload)` row in the order given; returns the row count."""
+    records = ({"dialog_id": d, "round": r, "payload": payload} for (d, r), payload in rows)
+    return write_jsonl(path, itertools.chain([header], records)) - 1
 
 
 def _is_list_of(payload, kind: type) -> bool:
@@ -328,9 +315,9 @@ def read_predictions(path, task: str) -> tuple[dict, dict[Key, object]]:
     fits, expected = _PAYLOAD_TYPES[task]
     header: dict = {}
     rows: dict[Key, object] = {}
-    for line_no, record in read_jsonl(path):
+    for index, (line_no, record) in enumerate(read_jsonl(path)):
         if "dialog_id" not in record:
-            if line_no == 1:
+            if index == 0:
                 header = record
                 if header.get("task", task) != task:
                     raise ValidationError(f"{path} declares task {header['task']!r}, expected {task!r}")

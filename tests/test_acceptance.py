@@ -124,7 +124,7 @@ def brute_force_filter(ontology, scene, attr, clauses):
 
 def test_criterion_3_oracle_equivalence(corpus, scenes, ontology):
     by_id = {s.scene_id: s for s in scenes}
-    _, gold_rows = build_gold(enumerate(corpus.kept, 1), ontology, scenes, "SPD", spd_mode="cumulative")
+    gold_rows = dict(build_gold(enumerate(corpus.kept, 1), ontology, scenes, "SPD", spd_mode="cumulative"))
 
     population = []
     for flow in corpus.kept:

@@ -130,6 +130,7 @@ def test_pipeline_gold_eval_perfect(tmp_path, capsys):
     rc = main(["gold", *base_flags(), "--flows", str(flows),
                "--task", "spd", "--out", str(gold)])
     assert rc == 0
+    assert gold.read_text().startswith('{"task":"SPD","spd_mode":"cumulative"}\n')
     report_path = tmp_path / "report.json"
     rc = main(["eval", "--task", "spd", "--pred", str(gold), "--gold", str(gold),
                "--out", str(report_path)])
@@ -367,7 +368,7 @@ def test_gold_spd_rejects_concept_of_another_attribute(tmp_path, capsys, spd_mod
     """A preference clause whose concept belongs to another attribute than its `attribute`
     slot is a located error, not a gold row of the other attribute's values."""
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(flow_line(speaker="customer", act="ANSWER_PREFERENCE",
+    flows.write_text(flow_line(before=[ASK_COLOR], speaker="customer", act="ANSWER_PREFERENCE",
                                slots={"attribute": "color", "concept_id": "premium_price"}) + "\n")
     capsys.readouterr()
     argv = stage_argv("gold spd", flows, tmp_path / "gold.jsonl")
@@ -387,13 +388,17 @@ EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_objec
                          "outcome": "success", "turns": []})
 
 
-def flow_line(flow_fields: dict | None = None, **turn_fields) -> str:
-    """A one-turn realized flow line, with the given flow and turn fields replaced."""
-    turn = {"round": 1, "speaker": "salesperson", "act": "ASK_PREFERENCE",
-            "slots": {"attribute": "color"}, "candidate_items": [1, 2],
-            "utterance": "Any color in mind?", **turn_fields}
+ASK_COLOR = {"round": 1, "speaker": "salesperson", "act": "ASK_PREFERENCE",
+             "slots": {"attribute": "color"}, "candidate_items": [1, 2],
+             "utterance": "Any color in mind?"}
+
+
+def flow_line(flow_fields: dict | None = None, before=(), **turn_fields) -> str:
+    """A realized flow line of the turns `before` and then `ASK_COLOR` with the given turn fields
+    replaced, and with the given flow fields replaced."""
+    turns = [*before, {**ASK_COLOR, **turn_fields}]
     return json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
-                       "outcome": "max_rounds", "turns": [turn], **(flow_fields or {})})
+                       "outcome": "max_rounds", "turns": turns, **(flow_fields or {})})
 
 
 @pytest.mark.parametrize("task, text, line", [
@@ -672,9 +677,12 @@ HAND_EDITED_FAULTS = {
 
 def hand_edited_flows(tmp_path, fault):
     act, slots, problem = HAND_EDITED_FAULTS[fault]
-    speaker = "salesperson" if act == "SING_A_SONG" else "customer"
+    if act == "SING_A_SONG":
+        line = flow_line(act=act, slots=slots)
+    else:  # a customer turn, after the round's salesperson turn
+        line = flow_line(before=[ASK_COLOR], speaker="customer", act=act, slots=slots)
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(flow_line(speaker=speaker, act=act, slots=slots) + "\n")
+    flows.write_text(line + "\n")
     return flows, f"error: {flows}:1: dialog d00000 round 1 {act}: {problem}\n"
 
 
@@ -749,7 +757,9 @@ def test_realize_reports_the_first_fault_in_file_order(tmp_path, capsys, jobs):
     assert not (tmp_path / "out.jsonl").exists()
 
 
-def test_stats_without_salesperson_turn(tmp_path):
+def test_stats_without_salesperson_turn(tmp_path, capsys):
+    """A flow opens with round 1's salesperson turn: a lone customer turn of round 2 is a
+    located error, not a dialog without salesperson acts."""
     flows = tmp_path / "flows.jsonl"
     turn = {"round": 2, "speaker": "customer", "act": "ANSWER_PREFERENCE",
             "slots": {"attribute": "color", "concept_id": "warm_color"},
@@ -757,10 +767,54 @@ def test_stats_without_salesperson_turn(tmp_path):
     flows.write_text(json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
                                  "outcome": "max_rounds", "turns": [turn]}) + "\n")
     out = tmp_path / "stats.json"
-    assert main(["stats", "--flows", str(flows), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["avg_salesperson_acts_per_dialog"] == 0
-    assert report["candidate_items_by_round"] == [2, 2]
+    assert main(["stats", "--flows", str(flows), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:1: bad dialog record "
+        "(turn 1 must be round 1's salesperson turn, got round 2 'customer')\n")
+    assert not out.exists()
+
+
+def _renumber_rounds(turns):
+    for turn in turns:
+        turn["round"] = 1
+
+
+def _swap_speakers(turns):
+    turns[2]["speaker"], turns[3]["speaker"] = turns[3]["speaker"], turns[2]["speaker"]
+
+
+# Per fault: how it edits the turns of a dialog, and the problem `read_flows` reports.
+TURN_ORDER_FAULTS = {
+    "rounds-renumbered": (_renumber_rounds,
+                          "turn 3 must be round 2's salesperson turn, got round 1 'salesperson'"),
+    "customer-first": (lambda turns: turns.pop(0),
+                       "turn 1 must be round 1's salesperson turn, got round 1 'customer'"),
+    "speakers-swapped": (_swap_speakers,
+                         "turn 3 must be round 2's salesperson turn, got round 2 'customer'"),
+}
+
+
+@pytest.mark.parametrize("fault", TURN_ORDER_FAULTS)
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_turns_out_of_order(tmp_path, capsys, realized_text, stage, fault):
+    """Turn k must be round ceil(k/2)'s salesperson turn for odd k and its customer turn for even
+    k; every flow reader rejects a dialog that breaks it with one located line and writes nothing,
+    so `gold` never merges two turns' rows under one key."""
+    edit, problem = TURN_ORDER_FAULTS[fault]
+    records = [json.loads(line) for line in realized_text.splitlines()]
+    edit(records[1]["turns"])
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    if stage == "split":
+        argv = ["split", "--flows", str(flows), "--out-dir", str(tmp_path / "splits")]
+    elif stage == "stats":
+        argv = ["stats", "--flows", str(flows), "--out", str(tmp_path / "stats.json")]
+    else:
+        argv = stage_argv(stage, flows, tmp_path / "out.jsonl")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flows}:2: bad dialog record ({problem})\n"
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
 def test_v1_flows_with_candidate_values_still_read(tmp_path):

@@ -72,6 +72,20 @@ def test_round_one_gating(policy):
     assert {"ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE"} <= elig
 
 
+def test_refer_region_threshold_zero_allows_round_one(scenes, ontology, policy):
+    """`refer_region_min_elicited: 0` lets the salesperson refer to a region before any
+    preference is elicited, which the shipped threshold of 1 forbids."""
+    zero = policy._replace(refer_region_min_elicited=0)
+    assert policy.refer_region_min_elicited == 1
+    state = new_session(scenes[0])
+    assert "REFER_REGION" in eligible_acts(state, zero)
+    assert "REFER_REGION" not in eligible_acts(state, policy)
+    corpora = [list(generate_corpus(scenes, ontology, cfg, 200, base_seed=3)) for cfg in (zero, policy)]
+    opening = [sum(f.turns[0]["act"] == "REFER_REGION" for f in corpus) for corpus in corpora]
+    assert opening[0] > 0 and opening[1] == 0
+    assert corpora[0] != corpora[1]
+
+
 def test_single_candidate_allows_recommend(policy):
     state = new_session(make_scene(["red"]))
     assert "RECOMMEND_ITEM" in eligible_acts(state, policy)

@@ -111,7 +111,7 @@ def test_act_price_complaint_round():
         turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$99", "accept": True}, [0]),
     ])
-    _, rows = build_gold([(1, flow)], None, [scene], "ACT")
+    rows = dict(build_gold([(1, flow)], None, [scene], "ACT"))
     assert rows[("d0", 2)] == "REVISE_ATTRIBUTE_VALUE"
     report = eval_act({("d0", 2): "REVISE_ATTRIBUTE_VALUE"}, {("d0", 2): rows[("d0", 2)]})
     assert report["micro"]["f1"] == 1.0
@@ -120,7 +120,7 @@ def test_act_price_complaint_round():
 def test_act_unknown_name_rejected(tmp_path):
     """An ACT payload outside the salesperson repertoire is rejected where the file is read."""
     path = tmp_path / "pred.jsonl"
-    write_predictions(path, {"task": "ACT"}, {("d0", 1): "ASK_PREFERENCE", ("d0", 2): "SING_A_SONG"})
+    write_predictions(path, {"task": "ACT"}, [(("d0", 1), "ASK_PREFERENCE"), (("d0", 2), "SING_A_SONG")])
     with pytest.raises(MalformedFile, match="pred.jsonl:3: a ACT payload must be a salesperson act name"):
         read_predictions(path, "ACT")
 
@@ -334,8 +334,7 @@ def test_build_gold_spd_single_round(ontology, scenes):
         turn(1, "customer", "ANSWER_PREFERENCE",
              {"attribute": "color", "concept_id": "warm_color"}, [0, 2]),
     ])
-    header, rows = build_gold([(1, flow)], ontology, [scene], "SPD")
-    assert header == {"task": "SPD", "spd_mode": "cumulative"}
+    rows = dict(build_gold([(1, flow)], ontology, [scene], "SPD"))
     assert rows[("d0", 1)] == ["red", "yellow"]
 
 
@@ -351,9 +350,9 @@ def test_build_gold_spd_modes(ontology):
         turn(2, "customer", "NEGATE_PREFERENCE",
              {"attribute": "color", "concept_id": "powerful_color"}, []),
     ])
-    _, cumulative = build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="cumulative")
+    cumulative = dict(build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="cumulative"))
     assert cumulative[("d0", 2)] == ["yellow"]  # warm minus powerful, in scene
-    _, scene_only = build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="scene_only")
+    scene_only = dict(build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="scene_only"))
     assert scene_only[("d0", 2)] == ["blue", "yellow"]  # scene minus powerful
 
 
@@ -364,24 +363,36 @@ def test_build_gold_rru_definitional(ontology, scenes):
         turn(1, "customer", "JUDGE_REGION",
              {"region_label": "far right shelf", "accept": True}, []),
     ])
-    _, rows = build_gold([(1, flow)], ontology, scenes, "RRU")
+    rows = dict(build_gold([(1, flow)], ontology, scenes, "RRU"))
     assert rows[("d0", 1)] == [12, 13, 16, 22, 31]
 
 
 def test_build_gold_recommend_is_target(ontology, scenes):
     flow = two_turn_flow()
     flow = flow._replace(scene_id=scenes[0].scene_id, target_object_id=7)
-    _, rows = build_gold([(1, flow)], ontology, scenes, "RECOMMEND")
+    rows = dict(build_gold([(1, flow)], ontology, scenes, "RECOMMEND"))
     assert rows[("d0", 1)] == [7]
 
 
 def test_prediction_file_round_trip(tmp_path):
     rows = {("d0", 1): ["red"], ("d1", 2): ["blue", "green"]}
     path = tmp_path / "pred.jsonl"
-    write_predictions(path, {"task": "SPD", "spd_mode": "cumulative"}, rows)
+    assert write_predictions(path, {"task": "SPD", "spd_mode": "cumulative"}, rows.items()) == 2
     header, loaded = read_predictions(path, "SPD")
     assert header["task"] == "SPD"
     assert loaded == rows
+
+
+def test_header_is_the_first_record(tmp_path):
+    """Blank lines are skipped before the header as everywhere else; a header-like record after
+    the first is a row without dialog_id."""
+    path = tmp_path / "pred.jsonl"
+    row = '{"dialog_id":"d0","round":1,"payload":"ASK_PREFERENCE"}\n'
+    path.write_text('\n \n{"task":"ACT"}\n' + row)
+    assert read_predictions(path, "ACT") == ({"task": "ACT"}, {("d0", 1): "ASK_PREFERENCE"})
+    path.write_text('\n' + row + '{"task":"ACT"}\n')
+    with pytest.raises(MalformedFile, match="pred.jsonl:3: row without dialog_id"):
+        read_predictions(path, "ACT")
 
 
 @pytest.mark.parametrize("task, payload, fits", [
@@ -392,7 +403,7 @@ def test_prediction_file_round_trip(tmp_path):
 def test_list_payload_types_are_exact(tmp_path, task, payload, fits):
     """A list payload's elements must have exactly the task's type: `true` is not an id."""
     path = tmp_path / "pred.jsonl"
-    write_predictions(path, {"task": task}, {("d0", 1): payload})
+    write_predictions(path, {"task": task}, [(("d0", 1), payload)])
     if fits:
         assert read_predictions(path, task)[1] == {("d0", 1): payload}
     else:
