@@ -11,13 +11,15 @@ Metadata files map prototype ids to complete attribute maps:
     {"proto_0": {"type": "jacket", "color": "red", ...}, ...}
 
 Field names are normative; validators reject unknown fields.  A scene item
-references a prototype and inherits its attributes at load time.
+references a prototype and inherits its attributes at load time.  `load_catalog` returns
+the scenes as a dict from scene_id to Scene, in file order; every stage looks a flow's
+scene up in it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
 from .errors import ValidationError
@@ -28,7 +30,6 @@ Bbox = tuple[float, float, float, float]
 
 class Item(NamedTuple):
     object_id: int
-    prototype_id: str
     bbox: Bbox
     attributes: dict[str, str]
 
@@ -72,7 +73,7 @@ class Scene:
         for attr in attribute_names_for_domain(self.domain):
             by_value: dict[str, list[int]] = {}
             for it in self.items:
-                by_value.setdefault(attribute_of(it, attr), []).append(it.object_id)
+                by_value.setdefault(it.attributes[attr], []).append(it.object_id)
             table[attr] = {v: frozenset(ids) for v, ids in by_value.items()}
         return table
 
@@ -80,17 +81,6 @@ class Scene:
     def value_universe(self) -> dict[str, frozenset[str]]:
         """Declared attribute -> its distinct values over the items, in registry order."""
         return {attr: frozenset(by_value) for attr, by_value in self.value_items.items()}
-
-
-class SceneIndex(dict):
-    """Scenes by scene_id; duplicate ids are rejected."""
-
-    def __init__(self, scenes: Iterable[Scene]):
-        super().__init__()
-        for scene in scenes:
-            if scene.scene_id in self:
-                raise ValidationError(f"duplicate scene_id {scene.scene_id!r}")
-            self[scene.scene_id] = scene
 
 
 Metadata = dict[str, dict[str, str]]
@@ -156,7 +146,7 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
                 f"do not match the {domain} declaration {sorted(declared)}"
             )
         bbox = _parse_bbox(entry["bbox"], f"scene {scene_id} item {oid}")
-        items.append(Item(oid, proto, bbox, dict(attrs)))
+        items.append(Item(oid, bbox, dict(attrs)))
 
     regions = []
     seen_labels: set[str] = set()
@@ -197,18 +187,24 @@ def _validate_metadata(raw: object) -> Metadata:
     return raw
 
 
-def _parse_scenes(raw: object, metadata: Metadata) -> list[Scene]:
+def _parse_scenes(raw: object, metadata: Metadata) -> dict[str, Scene]:
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list):
         raise ValidationError("scene file must hold a scene object or a list of them")
-    scenes = [_parse_scene(entry, metadata) for entry in raw]
-    SceneIndex(scenes)  # rejects duplicate scene ids
+    if not raw:
+        raise ValidationError("scene file needs at least one scene")
+    scenes: dict[str, Scene] = {}
+    for entry in raw:
+        scene = _parse_scene(entry, metadata)
+        if scene.scene_id in scenes:
+            raise ValidationError(f"duplicate scene_id {scene.scene_id!r}")
+        scenes[scene.scene_id] = scene
     return scenes
 
 
-def load_catalog(scene_path, metadata_path) -> tuple[list[Scene], Metadata]:
-    """Load and validate scenes plus the item-prototype metadata index."""
+def load_catalog(scene_path, metadata_path) -> tuple[dict[str, Scene], Metadata]:
+    """Load and validate the scenes, by scene_id in file order, and the item-prototype metadata."""
     metadata = read_json_with(metadata_path, _validate_metadata)
     return read_json_with(scene_path, lambda raw: _parse_scenes(raw, metadata)), metadata
 
@@ -226,16 +222,6 @@ def items_in_region(scene: Scene, region_label: str) -> set[int]:
         return set(scene.region_items[region_label])
     except KeyError:
         raise ValidationError(f"scene {scene.scene_id}: no region labeled {region_label!r}") from None
-
-
-def attribute_of(item: Item, attr: str) -> str:
-    """The item's stored value for attr; total over valid catalogs."""
-    try:
-        return item.attributes[attr]
-    except KeyError:
-        raise ValidationError(
-            f"item {item.object_id} ({item.prototype_id}) has no attribute {attr!r}"
-        ) from None
 
 
 def scene_value_universe(scene: Scene, attr: str) -> set[str]:

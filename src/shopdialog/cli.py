@@ -74,7 +74,7 @@ def cmd_validate(args):
         load_policy(args.policy)
     if args.templates:
         load_templates(args.templates)
-    n_items = sum(len(s.items) for s in scenes)
+    n_items = sum(len(s.items) for s in scenes.values())
     return [], f"OK: {len(scenes)} scenes, {n_items} items, {len(ont.concepts)} concepts"
 
 
@@ -83,7 +83,7 @@ def cmd_simulate(args):
 
     scenes, ont = _catalog(args)
     cfg = load_policy(args.policy)
-    flows = generate_corpus(scenes, ont, cfg, args.n, args.seed)
+    flows = generate_corpus(list(scenes.values()), ont, cfg, args.n, args.seed)
     count = write_flows(flows, args.out)
     return [str(args.out)], f"wrote {count} dialogs to {args.out}"
 

@@ -36,7 +36,7 @@ from .errors import MalformedFile, NoTruthfulConcept, ValidationError
 from .jsonio import read_json_with, read_jsonl, string_list, write_jsonl
 
 if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
-    from .catalog import Item, Scene, SceneIndex
+    from .catalog import Item, Scene
     from .ontology import Ontology
 
 
@@ -144,7 +144,7 @@ def generate_goal(scene: Scene, rng: random.Random) -> Item:
     """Uniformly pick the hidden target item."""
     if not scene.items:
         raise ValidationError(f"scene {scene.scene_id} has no items")
-    return scene.items[rng.randrange(len(scene.items))]
+    return rng.choice(scene.items)
 
 
 def _informative_regions(state: SessionState) -> Iterator[str]:
@@ -157,12 +157,13 @@ def _informative_regions(state: SessionState) -> Iterator[str]:
 def eligible_acts(state: SessionState, cfg: PolicyConfig) -> set[str]:
     """Guard-based act availability; never empty (RECOMMEND_ITEM is forced last)."""
     counts = set(map(len, state.candidate_values.values()))
-    multi = max(counts) >= 2
-    elig = set(ELICIT_ACTS) if multi else set()
+    most = max(counts)
+    elig = set(ELICIT_ACTS) if most >= 2 else set()
     if state.elicited_attrs:
-        if multi:
+        if most >= 2:
             elig.add("GUESS_ATTRIBUTE_VALUE")
-        if not counts.isdisjoint(range(cfg.display_min, cfg.display_max + 1)):
+        # The window stops at the largest count, so a huge display_max costs nothing.
+        if not counts.isdisjoint(range(cfg.display_min, min(cfg.display_max, most) + 1)):
             elig.add("DISPLAY_CANDIDATE_VALUES")
     if (len(state.elicited_attrs) >= cfg.refer_region_min_elicited
             and next(_informative_regions(state), None) is not None):
@@ -201,7 +202,7 @@ def salesperson_step(
     weights = list(map(cfg.row_for_round(state.round).__getitem__, order))  # rows cover every act
     total = sum(weights)
     if total <= 0:
-        name = order[rng.randrange(len(order))]
+        name = rng.choice(order)
     else:  # the first act whose running weight passes the draw, else the last
         draw = rng.random() * total
         for name, running in zip(order, accumulate(weights)):
@@ -221,29 +222,29 @@ def _choose_slots(
         concepts = ont.concepts_of(attr)
         informative = [c for c in concepts if 0 < len(c.values & cands) < len(cands)]
         pool = informative or [c for c in concepts if c.values & cands] or concepts
-        return {"attribute": attr, "concept_id": pool[rng.randrange(len(pool))].concept_id}
+        return {"attribute": attr, "concept_id": rng.choice(pool).concept_id}
     if name == "GUESS_ATTRIBUTE_VALUE":
         attr = _most_ambiguous_attr(state)
         values = sorted(state.candidate_values[attr])
-        return {"attribute": attr, "value": values[rng.randrange(len(values))]}
+        return {"attribute": attr, "value": rng.choice(values)}
     if name == "REVISE_ATTRIBUTE_VALUE":
         assert state.last_guess is not None
         attr = state.last_guess[0]
         values = sorted(state.candidate_values[attr])
-        return {"attribute": attr, "value": values[rng.randrange(len(values))]}
+        return {"attribute": attr, "value": rng.choice(values)}
     if name == "DISPLAY_CANDIDATE_VALUES":
         windowed = [
             a for a, vs in state.candidate_values.items()
             if cfg.display_min <= len(vs) <= cfg.display_max
         ]
-        attr = windowed[rng.randrange(len(windowed))]
+        attr = rng.choice(windowed)
         return {"attribute": attr, "values": sorted(state.candidate_values[attr])}
     if name == "REFER_REGION":
         labels = list(_informative_regions(state))
-        return {"region_label": labels[rng.randrange(len(labels))]}
+        return {"region_label": rng.choice(labels)}
     if name == "RECOMMEND_ITEM":
         items = sorted(state.candidate_items)
-        return {"object_id": items[rng.randrange(len(items))]}
+        return {"object_id": rng.choice(items)}
     raise ValueError(f"not a salesperson act: {name}")
 
 
@@ -259,8 +260,7 @@ def customer_step(
     if name == "ASK_PREFERENCE":
         attr = slots["attribute"]
         options = sorted(_ontology().concepts_for_value(ont, attr, goal.attributes[attr]))
-        return "ANSWER_PREFERENCE", {"attribute": attr,
-                                     "concept_id": options[rng.randrange(len(options))]}
+        return "ANSWER_PREFERENCE", {"attribute": attr, "concept_id": rng.choice(options)}
     if name == "EXCLUDE_PREFERENCE":
         # Answer about the asked attribute if a truthful dislike exists there,
         # otherwise fall back to any other attribute of the domain.
@@ -272,8 +272,7 @@ def customer_step(
             informative = [c for c in honest if c.values & state.candidate_values[attr]]
             pool = informative or honest
             if pool:
-                return "NEGATE_PREFERENCE", {
-                    "attribute": attr, "concept_id": pool[rng.randrange(len(pool))].concept_id}
+                return "NEGATE_PREFERENCE", {"attribute": attr, "concept_id": rng.choice(pool).concept_id}
         raise NoTruthfulConcept("every concept of every attribute covers the target")
     if name == "PROMPT_PREFERENCE":
         attr, cid = slots["attribute"], slots["concept_id"]
@@ -376,7 +375,7 @@ def check_turn(turn: dict, scene: Scene, ont: Ontology) -> None:
             raise ValidationError(f"slot 'accept' must be true or false, got {value!r}")
 
 
-def check_flow(where: str, flow: DialogFlow, scenes: SceneIndex, ont: Ontology) -> Scene:
+def check_flow(where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Ontology) -> Scene:
     """The scene of a flow read from a file, once the flow fits the catalog: its scene is in
     `scenes`, every turn passes `check_turn`, and its target is one of the scene's items. The
     first fault raises ValidationError, which starts with `where` and the dialog's id."""
@@ -449,7 +448,7 @@ def generate_corpus(
     """
     for index in range(n):
         rng = random.Random(session_seed(base_seed, "simulate", index))
-        scene = scenes[rng.randrange(len(scenes))]
+        scene = rng.choice(scenes)
         yield run_dialog(scene, ont, cfg, rng, dialog_id=f"d{index:05d}")
 
 

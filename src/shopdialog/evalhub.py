@@ -239,7 +239,7 @@ def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
 def build_gold(
     flows: Iterable[tuple[str, DialogFlow]],
     ont: Ontology,
-    scenes: list[Scene],
+    scenes: dict[str, Scene],
     task: str,
     spd_mode: str = "cumulative",
 ) -> Iterator[tuple[Key, object]]:
@@ -255,14 +255,13 @@ def build_gold(
         raise ValidationError(f"unknown task {task!r}")
     if spd_mode not in SPD_MODES:
         raise ValidationError(f"unknown spd_mode {spd_mode!r}")
-    from .catalog import SceneIndex, items_in_region
+    from .catalog import items_in_region
     from .engine import check_flow
     from .ontology import spd_oracle
 
-    by_id = SceneIndex(scenes)
     seen: set[str] = set()
     for where, flow in flows:
-        scene = check_flow(where, flow, by_id, ont)
+        scene = check_flow(where, flow, scenes, ont)
         dialog_id = flow.dialog_id
         if dialog_id in seen:
             raise ValidationError(f"{where}: dialog {dialog_id}: duplicate dialog_id")

@@ -21,7 +21,7 @@ import string
 from typing import Iterable, Iterator
 
 from .acts import ACT_SLOTS
-from .catalog import Scene, SceneIndex
+from .catalog import Scene
 from .engine import DialogFlow, check_flow, session_seed
 from .errors import ValidationError
 from .jsonio import read_json_with, string_list
@@ -100,13 +100,13 @@ def realize_turn(
     pool = templates.get(key)
     if pool is None:
         raise ValidationError(f"no templates for act key {key!r}")
-    template = pool[rng.randrange(len(pool))]
+    template = rng.choice(pool)
     fills: dict[str, str] = {}
     if "attribute" in carried:
         fills["attr"] = slots["attribute"].replace("_", " ")
     if "concept_id" in carried:
         forms = ont.concept(slots["concept_id"]).surface_forms
-        fills["preference_phrase"] = forms[rng.randrange(len(forms))]
+        fills["preference_phrase"] = rng.choice(forms)
     if "value" in carried:
         fills["value"] = slots["value"]
     if "values" in carried:
@@ -133,12 +133,11 @@ def realize_corpus(
     flows: Iterable[tuple[str, DialogFlow]],
     templates: Templates,
     ont: Ontology,
-    scenes: list[Scene],
+    scenes: dict[str, Scene],
     base_seed: int,
 ) -> Iterator[DialogFlow]:
     """Realize the (where, flow) pairs `read_flows` yields, in order, each once `check_flow`
-    passed it; dialog i is seeded from (base_seed, i)."""
-    scenes_by_id = SceneIndex(scenes)
+    passed it against `scenes`, by scene_id; dialog i is seeded from (base_seed, i)."""
     for i, (where, flow) in enumerate(flows):
-        scene = check_flow(where, flow, scenes_by_id, ont)
+        scene = check_flow(where, flow, scenes, ont)
         yield realize_dialog(flow, templates, ont, scene, session_seed(base_seed, "realize", i))

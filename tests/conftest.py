@@ -35,8 +35,13 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def scenes(catalog):
+def scenes_by_id(catalog):
     return catalog[0]
+
+
+@pytest.fixture(scope="session")
+def scenes(scenes_by_id):
+    return list(scenes_by_id.values())
 
 
 @pytest.fixture(scope="session")

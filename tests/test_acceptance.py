@@ -122,9 +122,8 @@ def brute_force_filter(ontology, scene, attr, clauses):
     return kept
 
 
-def test_criterion_3_oracle_equivalence(corpus, scenes, ontology):
-    by_id = {s.scene_id: s for s in scenes}
-    gold_rows = dict(build_gold(enumerate(corpus.kept, 1), ontology, scenes, "SPD", spd_mode="cumulative"))
+def test_criterion_3_oracle_equivalence(corpus, scenes_by_id, ontology):
+    gold_rows = dict(build_gold(enumerate(corpus.kept, 1), ontology, scenes_by_id, "SPD", spd_mode="cumulative"))
 
     population = []
     for flow in corpus.kept:
@@ -141,7 +140,7 @@ def test_criterion_3_oracle_equivalence(corpus, scenes, ontology):
 
     mismatches = 0
     for flow, rnd, attr in sample:
-        scene = by_id[flow.scene_id]
+        scene = scenes_by_id[flow.scene_id]
         clauses = clauses_through(flow, attr, rnd)
         expected = brute_force_filter(ontology, scene, attr, clauses)
         if spd_oracle(ontology, scene, clauses) != expected:
@@ -152,7 +151,7 @@ def test_criterion_3_oracle_equivalence(corpus, scenes, ontology):
     region_mismatches = 0
     from shopdialog.catalog import items_in_region
 
-    for scene in scenes:
+    for scene in scenes_by_id.values():
         for region in scene.regions:
             rx, ry, rw, rh = region.bbox
             brute = {
@@ -219,10 +218,10 @@ def test_criterion_6_split_exactness():
     assert check(6, "split exactness", ok, f"sizes {sizes}")
 
 
-def test_criterion_7_realization_round_trip(corpus, scenes, ontology, templates):
+def test_criterion_7_realization_round_trip(corpus, scenes_by_id, ontology, templates):
     import re
 
-    realized = list(realize_corpus(enumerate(corpus.kept, 1), templates, ontology, scenes, base_seed=42))
+    realized = list(realize_corpus(enumerate(corpus.kept, 1), templates, ontology, scenes_by_id, base_seed=42))
     concept_turns = 0
     bad_resolution = 0
     recommend_turns = 0

@@ -8,7 +8,6 @@ from shopdialog.catalog import (
     BackgroundItem,
     Item,
     Scene,
-    attribute_of,
     items_in_region,
     load_catalog,
     scene_value_universe,
@@ -42,8 +41,8 @@ def minimal_scene(items=None, regions=None):
 def test_minimal_scene_loads(tmp_path):
     paths = write_minimal(tmp_path, minimal_scene(), {"p0": FASHION_ATTRS})
     loaded, meta = load_catalog(*paths)
-    assert len(loaded) == 1
-    assert len(loaded[0].items) == 3
+    assert list(loaded) == ["s0"]
+    assert len(loaded["s0"].items) == 3
     assert meta["p0"]["color"] == "red"
 
 
@@ -112,7 +111,7 @@ def test_fixture_pack_mean_items(scenes):
 
 
 def make_item(oid, bbox, attrs=None):
-    return Item(oid, f"p{oid}", bbox, dict(attrs or FASHION_ATTRS))
+    return Item(oid, bbox, dict(attrs or FASHION_ATTRS))
 
 
 def test_empty_region():
@@ -190,24 +189,33 @@ def test_region_union_is_subset_of_scene(scenes):
 
 
 def test_attribute_lookup():
-    item = make_item(0, (0.0, 0.0, 10.0, 10.0))
-    assert attribute_of(item, "color") == "red"
+    """A scene reads each item's values from its attribute map."""
+    items = (make_item(0, (0.0, 0.0, 10.0, 10.0)),
+             make_item(1, (20.0, 0.0, 10.0, 10.0), {**FASHION_ATTRS, "color": "blue"}))
+    scene = Scene("s", "fashion", items, ())
+    assert scene.value_items["color"] == {"red": frozenset({0}), "blue": frozenset({1})}
+    assert scene.value_items["sleeve_length"] == {"full": frozenset({0, 1})}
 
 
-def test_attribute_domain_mismatch():
+def test_attribute_domain_mismatch(tmp_path):
+    """A prototype whose attributes are not its scene domain's is rejected at load time, so every
+    item holds a value of each attribute its scene declares."""
     sofa_attrs = {
         "type": "sofa", "color": "blue", "pattern": "plain", "material": "leather",
         "price": "$299", "brand": "Home Store", "size": "large", "customer_review": "4.0",
     }
-    sofa = make_item(0, (0.0, 0.0, 10.0, 10.0), sofa_attrs)
-    with pytest.raises(ValidationError, match="has no attribute 'sleeve_length'"):
-        attribute_of(sofa, "sleeve_length")
+    paths = write_minimal(tmp_path, minimal_scene(), {"p0": sofa_attrs})
+    with pytest.raises(ValidationError, match="prototype 'p0' attributes .* do not match the fashion"):
+        load_catalog(*paths)
 
 
-def test_attributes_agree_with_metadata(scenes, metadata):
+def test_attributes_agree_with_metadata(data_dir, scenes, metadata):
+    prototype_of = {(raw["scene_id"], item["object_id"]): item["prototype_id"]
+                    for raw in json.loads((data_dir / "scenes.json").read_text(encoding="utf-8"))
+                    for item in raw["items"]}
     for scene in scenes:
         for item in scene.items:
-            assert item.attributes == metadata[item.prototype_id]
+            assert item.attributes == metadata[prototype_of[scene.scene_id, item.object_id]]
 
 
 def test_value_universe_single_item():
@@ -230,7 +238,7 @@ def test_value_universe_equals_fold(scenes):
         for attr in scene.items[0].attributes:
             folded = set()
             for item in scene.items:
-                folded.add(attribute_of(item, attr))
+                folded.add(item.attributes[attr])
             assert scene_value_universe(scene, attr) == folded
 
 

@@ -85,7 +85,7 @@ def test_simulate_is_reproducible(tmp_path):
 
 
 def test_simulate_jobs_do_not_change_output(tmp_path):
-    # n=0 and n < jobs exercise the empty and the fewer-items-than-workers fan-out
+    # Every stage runs in one process and ignores --jobs: each n, 0 among them, writes the same bytes.
     for n, jobs in ((40, 4), (0, 4), (2, 4)):
         serial = simulate(tmp_path, f"serial_{n}.jsonl", n=n, jobs=1)
         parallel = simulate(tmp_path, f"parallel_{n}.jsonl", n=n, jobs=jobs)
@@ -933,15 +933,13 @@ def test_realize_rejects_template_with_format_spec_or_conversion(tmp_path, capsy
     assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
 
 
-@pytest.mark.parametrize("stage", ["validate", "simulate", "realize", "gold"])
-def test_metadata_outside_the_ontology_exits_one_before_writing(tmp_path, capsys, stage):
-    """Every stage that takes the catalog flags checks that the ontology covers each metadata
-    value, and stops with one line naming the metadata file before it writes anything."""
+def catalog_stage_fails(tmp_path, capsys, stage, config, path, expected):
+    """Run `stage` with `path` as its --<config> file: it must stop with `expected` as its one
+    line before it writes anything."""
     flows = simulate(tmp_path, "flows.jsonl", n=2)
     capsys.readouterr()
-    bad = edited_config(tmp_path, "metadata", ("p_fash_000", "color"), "chartreuse")
-    flags = ["--scenes", str(DATA / "scenes.json"), "--metadata", str(bad),
-             "--ontology", str(DATA / "ontology.json")]
+    paths = {name: DATA / f"{name}.json" for name in ("scenes", "metadata", "ontology")}
+    paths[config] = path
     out = tmp_path / "out.jsonl"
     extra = {
         "validate": [],
@@ -949,10 +947,29 @@ def test_metadata_outside_the_ontology_exits_one_before_writing(tmp_path, capsys
         "realize": ["--templates", str(DATA / "templates.json"), "--flows", str(flows), "--out", str(out)],
         "gold": ["--task", "spd", "--flows", str(flows), "--out", str(out)],
     }[stage]
+    flags = [arg for name, p in paths.items() for arg in (f"--{name}", str(p))]
     assert main([stage, *flags, *extra]) == 1
-    expected = f"error: {bad}: p_fash_000: color='chartreuse' not covered by the ontology\n"
     assert capsys.readouterr() == ("", expected)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["validate", "simulate", "realize", "gold"])
+def test_metadata_outside_the_ontology_exits_one_before_writing(tmp_path, capsys, stage):
+    """Every stage that takes the catalog flags checks that the ontology covers each metadata
+    value, and stops with one line naming the metadata file before it writes anything."""
+    bad = edited_config(tmp_path, "metadata", ("p_fash_000", "color"), "chartreuse")
+    catalog_stage_fails(tmp_path, capsys, stage, "metadata", bad,
+                        f"error: {bad}: p_fash_000: color='chartreuse' not covered by the ontology\n")
+
+
+@pytest.mark.parametrize("stage", ["validate", "simulate", "realize", "gold"])
+def test_empty_scene_file_exits_one_before_writing(tmp_path, capsys, stage):
+    """A scene file that holds no scene stops every stage that takes the catalog flags with one
+    line naming it; `simulate` would otherwise have no scene to draw from."""
+    empty = tmp_path / "scenes.json"
+    empty.write_text("[]")
+    catalog_stage_fails(tmp_path, capsys, stage, "scenes", empty,
+                        f"error: {empty}: scene file needs at least one scene\n")
 
 
 @pytest.mark.parametrize("case", ["act-pred", "act-gold", "stats-no-dialogs", "response-no-gold-rows",

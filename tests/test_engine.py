@@ -30,7 +30,7 @@ FASHION_ATTRS = {
 
 def make_scene(colors, regions=()):
     items = tuple(
-        Item(i, f"p{i}", (30.0 * i, 0.0, 10.0, 10.0), {**FASHION_ATTRS, "color": c})
+        Item(i, (30.0 * i, 0.0, 10.0, 10.0), {**FASHION_ATTRS, "color": c})
         for i, c in enumerate(colors)
     )
     return Scene("toy", "fashion", items, tuple(regions))
@@ -97,6 +97,15 @@ def test_display_window(policy):
     # color candidates {red, blue, white}: 3 values, inside the 3..5 window
     assert len(state.candidate_values["color"]) == 3
     assert "DISPLAY_CANDIDATE_VALUES" in eligible_acts(state, policy)
+
+
+def test_display_window_is_bounded_by_the_counts(policy):
+    """`display_max` may be huge: the window is compared with the candidate counts, so the call
+    returns at once even when no count falls inside it."""
+    state = new_session(make_scene(["red", "blue"]))._replace(elicited_attrs=frozenset({"color"}))
+    huge = policy._replace(display_min=3, display_max=10**15)
+    assert "DISPLAY_CANDIDATE_VALUES" not in eligible_acts(state, huge)
+    assert "DISPLAY_CANDIDATE_VALUES" in eligible_acts(state, huge._replace(display_min=2))
 
 
 def test_round_one_ask_dominates(ontology, policy):
@@ -505,3 +514,86 @@ def test_concepts_for_value_is_reached_once_per_answer(monkeypatch, scenes, onto
     answers = sum(t["act"] == "ANSWER_PREFERENCE" for f in flows for t in f.turns)
     assert answers > 0
     assert len(calls) == answers
+
+
+# The fallback paths of `run_dialog`, which the fixture pack never reaches: each test builds its
+# own scene, ontology and policy, and every flow it simulates must pass `check_flow`.
+
+def broad_ontology(scene):
+    """One concept per attribute, holding every value the scene's items have, so no customer can
+    name a concept that excludes the target."""
+    from shopdialog.ontology import ontology_from_blocks
+
+    return ontology_from_blocks([
+        {"attribute": attr, "value_space": sorted(values),
+         "concepts": [{"concept_id": f"any_{attr}", "values": sorted(values),
+                       "surface_forms": [f"any {attr}"]}]}
+        for attr, values in scene.value_universe.items()
+    ])
+
+
+def one_act_policy(act, **thresholds):
+    """A policy whose every row gives `act` all the weight."""
+    from shopdialog.engine import policy_from_dict
+
+    return policy_from_dict({"rounds": [{a: float(a == act) for a in SALESPERSON_ACTS}], **thresholds})
+
+
+def check_flows(flows, scene, ont):
+    from shopdialog.engine import check_flow
+
+    for i, flow in enumerate(flows):
+        assert check_flow(f"test:{i}", flow, {scene.scene_id: scene}, ont) is scene
+
+
+def test_run_dialog_retries_an_act_without_a_truthful_answer(monkeypatch):
+    """Every concept covers the target, so an EXCLUDE_PREFERENCE has no truthful answer: the
+    customer raises NoTruthfulConcept and the salesperson draws another act instead."""
+    from shopdialog import engine
+    from shopdialog.errors import NoTruthfulConcept
+
+    scene = make_scene(["red", "blue", "yellow", "green"])
+    ont = broad_ontology(scene)
+    cfg = one_act_policy("EXCLUDE_PREFERENCE", max_rounds=4)
+    retries = []
+    real = engine.customer_step
+
+    def counting(*args):  # (state, goal, s_act, ont, rng)
+        try:
+            return real(*args)
+        except NoTruthfulConcept:
+            retries.append(args[2][0])
+            raise
+
+    monkeypatch.setattr(engine, "customer_step", counting)
+    flows = [run_dialog(scene, ont, cfg, random.Random(seed)) for seed in range(5)]
+    assert retries and set(retries) == {"EXCLUDE_PREFERENCE"}
+    acts = {t["act"] for f in flows for t in f.turns}
+    assert "EXCLUDE_PREFERENCE" not in acts and "NEGATE_PREFERENCE" not in acts
+    check_flows(flows, scene, ont)
+
+
+def test_run_dialog_forces_a_recommendation_when_no_act_is_eligible():
+    """Every attribute has one value, there are more items than `recommend_max` and no region,
+    so no act passes its guard and `eligible_acts` forces RECOMMEND_ITEM."""
+    scene = make_scene(["red"] * 8)
+    ont = broad_ontology(scene)
+    cfg = one_act_policy("ASK_PREFERENCE", recommend_max=5)
+    assert eligible_acts(new_session(scene), cfg) == {"RECOMMEND_ITEM"}
+    flows = [run_dialog(scene, ont, cfg, random.Random(seed)) for seed in range(5)]
+    forced = [t for f in flows for t in f.turns[::2] if len(t["candidate_items"]) > cfg.recommend_max]
+    assert forced and {t["act"] for t in forced} == {"RECOMMEND_ITEM"}
+    check_flows(flows, scene, ont)
+
+
+def test_run_dialog_stops_at_max_rounds():
+    """With `max_rounds` 1 and no weight on RECOMMEND_ITEM in round 1, a dialog ends after one
+    round without a recommendation, with outcome "max_rounds"."""
+    scene = make_scene(["red", "blue", "yellow"])
+    ont = broad_ontology(scene)
+    cfg = one_act_policy("ASK_PREFERENCE", max_rounds=1)
+    assert cfg.row_for_round(1)["RECOMMEND_ITEM"] == 0
+    flows = [run_dialog(scene, ont, cfg, random.Random(seed)) for seed in range(5)]
+    assert {f.outcome for f in flows} == {"max_rounds"}
+    assert {len(f.turns) for f in flows} == {2}
+    check_flows(flows, scene, ont)

@@ -111,7 +111,7 @@ def test_act_price_complaint_round():
         turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$99", "accept": True}, [0]),
     ])
-    rows = dict(build_gold([(1, flow)], None, [scene], "ACT"))
+    rows = dict(build_gold([(1, flow)], None, {scene.scene_id: scene}, "ACT"))
     assert rows[("d0", 2)] == "REVISE_ATTRIBUTE_VALUE"
     report = eval_act({("d0", 2): "REVISE_ATTRIBUTE_VALUE"}, {("d0", 2): rows[("d0", 2)]})
     assert report["micro"]["f1"] == 1.0
@@ -334,7 +334,7 @@ def test_build_gold_spd_single_round(ontology, scenes):
         turn(1, "customer", "ANSWER_PREFERENCE",
              {"attribute": "color", "concept_id": "warm_color"}, [0, 2]),
     ])
-    rows = dict(build_gold([(1, flow)], ontology, [scene], "SPD"))
+    rows = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD"))
     assert rows[("d0", 1)] == ["red", "yellow"]
 
 
@@ -350,27 +350,26 @@ def test_build_gold_spd_modes(ontology):
         turn(2, "customer", "NEGATE_PREFERENCE",
              {"attribute": "color", "concept_id": "powerful_color"}, []),
     ])
-    cumulative = dict(build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="cumulative"))
+    cumulative = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD", spd_mode="cumulative"))
     assert cumulative[("d0", 2)] == ["yellow"]  # warm minus powerful, in scene
-    scene_only = dict(build_gold([(1, flow)], ontology, [scene], "SPD", spd_mode="scene_only"))
+    scene_only = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD", spd_mode="scene_only"))
     assert scene_only[("d0", 2)] == ["blue", "yellow"]  # scene minus powerful
 
 
-def test_build_gold_rru_definitional(ontology, scenes):
-    f01 = next(s for s in scenes if s.scene_id == "f01")
+def test_build_gold_rru_definitional(ontology, scenes_by_id):
     flow = DialogFlow("d0", "f01", 12, "success", [
         turn(1, "salesperson", "REFER_REGION", {"region_label": "far right shelf"}, []),
         turn(1, "customer", "JUDGE_REGION",
              {"region_label": "far right shelf", "accept": True}, []),
     ])
-    rows = dict(build_gold([(1, flow)], ontology, scenes, "RRU"))
+    rows = dict(build_gold([(1, flow)], ontology, scenes_by_id, "RRU"))
     assert rows[("d0", 1)] == [12, 13, 16, 22, 31]
 
 
-def test_build_gold_recommend_is_target(ontology, scenes):
+def test_build_gold_recommend_is_target(ontology, scenes_by_id):
     flow = two_turn_flow()
-    flow = flow._replace(scene_id=scenes[0].scene_id, target_object_id=7)
-    rows = dict(build_gold([(1, flow)], ontology, scenes, "RECOMMEND"))
+    flow = flow._replace(scene_id=next(iter(scenes_by_id)), target_object_id=7)
+    rows = dict(build_gold([(1, flow)], ontology, scenes_by_id, "RECOMMEND"))
     assert rows[("d0", 1)] == [7]
 
 

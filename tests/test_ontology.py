@@ -128,7 +128,7 @@ FASHION_ATTRS = {
 
 def scene_with_colors(colors):
     items = tuple(
-        Item(i, f"p{i}", (20.0 * i, 0.0, 10.0, 10.0), {**FASHION_ATTRS, "color": c})
+        Item(i, (20.0 * i, 0.0, 10.0, 10.0), {**FASHION_ATTRS, "color": c})
         for i, c in enumerate(colors)
     )
     return Scene("s", "fashion", items, ())

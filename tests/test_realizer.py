@@ -111,9 +111,9 @@ def test_template_validation_requires_all_acts():
 
 
 @pytest.fixture(scope="module")
-def realized_fixture(scenes, ontology, policy, templates):
+def realized_fixture(scenes, scenes_by_id, ontology, policy, templates):
     flows = list(generate_corpus(scenes, ontology, policy, 60, base_seed=5))
-    realized = list(realize_corpus(enumerate(flows, 1), templates, ontology, scenes, base_seed=5))
+    realized = list(realize_corpus(enumerate(flows, 1), templates, ontology, scenes_by_id, base_seed=5))
     return flows, realized
 
 

@@ -1,9 +1,10 @@
-"""Structure guard: one module owns each concern, simulated turns carry exactly the slots of the
-act-slot table and the template keys derive from it, each subcommand loads only the modules it
-runs, none loads `dataclasses` and none imports `csv`, every name the benchmark's tracer
-patches is a top-level function of its module, `cli.main` alone writes manifests, the README
-lists the flow keys the engine writes and the exception types `errors.py` defines, and a
-successful process has nothing left to close when `cli.run` skips interpreter teardown."""
+"""Structure guard: one module owns each concern (the scene index among them), uniform draws use
+`rng.choice`, simulated turns carry exactly the slots of the act-slot table and the template
+keys derive from it, each subcommand loads only the modules it runs, none loads `dataclasses`
+and none imports `csv`, every name the benchmark's tracer patches is a top-level function of its
+module, `cli.main` alone writes manifests, the README lists the flow keys the engine writes and
+the exception types `errors.py` defines, and a successful process has nothing left to close when
+`cli.run` skips interpreter teardown."""
 
 import ast
 import importlib
@@ -37,6 +38,28 @@ def test_region_containment_lives_in_catalog():
     assert _modules_containing("contains_center") == {"catalog.py"}
 
 
+def test_scene_index_is_built_in_catalog():
+    """Only `catalog._parse_scenes` keys scenes by `scene_id`: `load_catalog` returns that one
+    index, and every stage looks a flow's scene up in it."""
+    builders = []
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                keys = [t.slice for t in node.targets if isinstance(t, ast.Subscript)] if isinstance(
+                    node, ast.Assign) else [node.key] if isinstance(node, ast.DictComp) else []
+                if any(isinstance(k, ast.Attribute) and k.attr == "scene_id" for k in keys):
+                    builders.append(f"{path.name}:{fn.name}")
+    assert builders == ["catalog.py:_parse_scenes"]
+
+
+def test_uniform_draws_use_choice():
+    """A uniform pick from a sequence is `rng.choice(seq)`, which draws the same number as
+    `seq[rng.randrange(len(seq))]`."""
+    assert _modules_containing("[rng.randrange(len(") == set()
+
+
 def test_missing_slots_are_reported_in_one_module():
     """Only `engine.check_turn` checks that a turn carries its act's slots."""
     assert _modules_containing("missing slot") == {"engine.py"}
@@ -61,20 +84,18 @@ def test_flows_are_checked_and_located_in_one_module():
     assert stamps == []
 
 
-def test_simulated_turns_carry_exactly_their_act_slots(scenes, ontology, policy):
+def test_simulated_turns_carry_exactly_their_act_slots(scenes, scenes_by_id, ontology, policy):
     """The engine writes each act with the slots `ACT_SLOTS` lists, in that order, every turn
     passes `check_turn`, and every act of the table occurs."""
     from shopdialog.acts import ACT_SLOTS
-    from shopdialog.catalog import SceneIndex
     from shopdialog.engine import check_turn, generate_corpus
 
-    by_id = SceneIndex(scenes)
     seen = set()
     for seed in (3, 11):
         for flow in generate_corpus(scenes, ontology, policy, 300, seed):
             for turn in flow.turns:
                 assert tuple(turn["slots"]) == ACT_SLOTS[turn["act"]], turn
-                check_turn(turn, by_id[flow.scene_id], ontology)
+                check_turn(turn, scenes_by_id[flow.scene_id], ontology)
                 seen.add(turn["act"])
     assert seen == set(ACT_SLOTS)
 
@@ -241,7 +262,7 @@ def test_traced_names_are_module_level_functions():
             assert fn.__qualname__ == name, f"{module}.{name} is {fn.__qualname__}"
 
 
-def test_flow_turn_keys_match_readme(tmp_path, scenes, ontology, policy, templates):
+def test_flow_turn_keys_match_readme(tmp_path, scenes, scenes_by_id, ontology, policy, templates):
     from shopdialog.engine import generate_corpus, write_flows
     from shopdialog.realizer import realize_corpus
 
@@ -249,7 +270,7 @@ def test_flow_turn_keys_match_readme(tmp_path, scenes, ontology, policy, templat
     paragraph = readme.split("**Dialog flows**", 1)[1].split("\n\n", 1)[0]
     sentence = paragraph.split("Each turn carries", 1)[1].split(".", 1)[0]
     flows = realize_corpus(enumerate(generate_corpus(scenes, ontology, policy, 3, base_seed=0), 1),
-                           templates, ontology, scenes, base_seed=0)
+                           templates, ontology, scenes_by_id, base_seed=0)
     write_flows(flows, tmp_path / "realized.jsonl")
     lines = (tmp_path / "realized.jsonl").read_text(encoding="utf-8").splitlines()
     keys = {tuple(turn) for line in lines for turn in json.loads(line)["turns"]}
