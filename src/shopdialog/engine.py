@@ -10,7 +10,7 @@ Flows are interchanged as JSON Lines, one dialog per line, here cut short and wr
 
     {"dialog_id":"d00000","scene_id":"f02","target_object_id":9,"outcome":"success","turns":[
      {"round":1,"speaker":"salesperson","act":"ASK_PREFERENCE","slots":{"attribute":"color"},
-     "candidate_items":[0,1,2,...,25]},...]}
+     "candidate_count":26},...]}
 
 The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn is
 that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it
@@ -19,9 +19,10 @@ a time, located as "<path>:<line>"; its turn k (from 1) is round ceil(k/2)'s sal
 is odd, else its customer turn.  An act is a `(name, slots)` pair carrying the slots
 `acts.ACT_SLOTS` lists; `realize` and `gold` check every flow they read with `check_flow`, which
 checks each turn against that table with `check_turn` and puts the flow's location in front of the
-first fault.  A salesperson turn is annotated with the candidate items it acted on; the paired
-customer turn carries the items left after the round's narrowing.  Candidate values are not stored:
-replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds them.
+first fault.  A salesperson turn is annotated with the number of candidate items it acted on; the
+paired customer turn with the number left after the round's narrowing.  Neither the candidate
+values nor the items are stored: replaying the act pairs through `apply_turn` from
+`new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -399,7 +400,7 @@ class DialogFlow(NamedTuple):
     scene_id: str
     target_object_id: int
     outcome: str  # "success" | "max_rounds"
-    turns: list[dict]  # wire form: round, speaker, act, slots, candidate_items[, utterance]
+    turns: list[dict]  # wire form: round, speaker, act, slots, candidate_count[, utterance]
 
 
 def run_dialog(
@@ -408,8 +409,7 @@ def run_dialog(
     """Simulate one dialog to acceptance or the round cap; deterministic given rng's state."""
     goal = generate_goal(scene, rng)
     state = new_session(scene)
-    # A state annotates the customer turn that produced it and the next salesperson turn.
-    items = sorted(state.candidate_items)
+    # A state's item count annotates the customer turn that produced it and the next salesperson turn.
     turns: list[dict] = []
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
@@ -422,12 +422,10 @@ def run_dialog(
                 banned |= {s_name}
         rnd = state.round
         turns.append({"round": rnd, "speaker": "salesperson", "act": s_name, "slots": s_slots,
-                      "candidate_items": items})
+                      "candidate_count": len(state.candidate_items)})
         state = apply_turn(state, s_act, c_act, ont)
-        if len(state.candidate_items) < len(items):  # a round only narrows the items
-            items = sorted(state.candidate_items)
         turns.append({"round": rnd, "speaker": "customer", "act": c_name, "slots": c_slots,
-                      "candidate_items": items})
+                      "candidate_count": len(state.candidate_items)})
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
 
@@ -467,7 +465,7 @@ _FIELD_TYPES = {
     "dialog_id": (str, "a string"), "scene_id": (str, "a string"),
     "target_object_id": (int, "an integer"), "outcome": (str, "a string"),
     "round": (int, "an integer"), "speaker": (str, "a string"), "act": (str, "a string"),
-    "slots": (dict, "an object"), "candidate_items": (list, "a list"),
+    "slots": (dict, "an object"), "candidate_count": (int, "an integer"),
     "utterance": (str, "a string"),
 }
 
@@ -481,19 +479,26 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order; other keys, such as the `candidate_values` of
-    older files, are dropped, and so is a null `utterance`. A field of the wrong type raises
-    TypeError naming it, and a turn out of the order `read_flows` yields (a last salesperson turn
-    needs no reply) or an outcome other than "success" or "max_rounds" ValueError."""
+    older files, are dropped, and so is a null `utterance`. A turn of an older file that lists
+    its `candidate_items` and has no `candidate_count` reads with the list's length. A field of
+    the wrong type raises TypeError naming it, and a turn out of the order `read_flows` yields
+    (a last salesperson turn needs no reply) or an outcome other than "success" or "max_rounds"
+    ValueError."""
     turns = []
     for k, t in enumerate(raw["turns"], 1):
-        turn = {"round": t["round"], "speaker": t["speaker"], "act": t["act"], "slots": t["slots"],
-                "candidate_items": t["candidate_items"]}
+        turn = {"round": t["round"], "speaker": t["speaker"], "act": t["act"], "slots": t["slots"]}
+        if "candidate_count" in t or "candidate_items" not in t:
+            turn["candidate_count"] = t["candidate_count"]
+        elif type(t["candidate_items"]) is list:  # an older file lists the items
+            turn["candidate_count"] = len(t["candidate_items"])
+        else:
+            raise TypeError(f"turn {k}: candidate_items must be a list, got {t['candidate_items']!r}")
         utterance = t.get("utterance")
         if utterance is not None:
             turn["utterance"] = utterance
         if not (type(turn["round"]) is int and type(turn["speaker"]) is str
                 and type(turn["act"]) is str and type(turn["slots"]) is dict
-                and type(turn["candidate_items"]) is list
+                and type(turn["candidate_count"]) is int
                 and (utterance is None or type(utterance) is str)):
             raise _field_type_error(turn, f"turn {k}: ")
         rnd, speaker = (k + 1) // 2, ("customer", "salesperson")[k % 2]

@@ -169,12 +169,12 @@ def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
         round_acts.update((t["round"], t["act"]) for t in flow.turns[::2])
         totals.update(t["round"] for t in flow.turns[::2])
         n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
-        last = len(flow.turns[0]["candidate_items"])
+        last = flow.turns[0]["candidate_count"]
         n_objects += last
         steps[1] += last
         for t in flow.turns[1::2]:  # a customer turn sets the count from its round on
-            steps[t["round"]] += len(t["candidate_items"]) - last
-            last = len(t["candidate_items"])
+            steps[t["round"]] += t["candidate_count"] - last
+            last = t["candidate_count"]
     if not n:
         raise ValidationError("no dialogs")
     carried = itertools.accumulate(steps[rnd] for rnd in range(1, max(totals) + 1))  # summed per round

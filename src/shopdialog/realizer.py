@@ -122,7 +122,7 @@ def realize_turn(
 def realize_dialog(
     flow: DialogFlow, templates: Templates, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
-    """Fill every turn's utterance; acts, slots and candidate items untouched. The flow must
+    """Fill every turn's utterance; acts, slots and candidate counts untouched. The flow must
     have passed `check_flow`."""
     rng = random.Random(seed)
     return flow._replace(turns=[{**t, "utterance": realize_turn(t, templates, ont, scene, rng)}

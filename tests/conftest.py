@@ -3,7 +3,7 @@ import pytest
 from pathlib import Path
 
 from shopdialog.catalog import load_catalog
-from shopdialog.engine import load_policy
+from shopdialog.engine import apply_turn, load_policy, new_session
 from shopdialog.ontology import load_ontology, normalize_phrase
 from shopdialog.realizer import load_templates
 
@@ -22,6 +22,18 @@ def resolve_surface(ont, phrase: str) -> str:
         if any(normalize_phrase(form) == key for form in concept.surface_forms):
             return concept.concept_id
     raise UnknownSurfaceForm(f"unregistered surface form {phrase!r}")
+
+
+def replayed(flow, scene, ont):
+    """Yield (turn, state) for each turn of `flow`, where `state` is rebuilt by passing the act
+    pairs through `apply_turn` from `new_session(scene)`: a salesperson turn's is the state it
+    acted on, a customer turn's the state after its round."""
+    state = new_session(scene)
+    for k, turn in enumerate(flow.turns):
+        if k % 2:
+            sales = flow.turns[k - 1]
+            state = apply_turn(state, (sales["act"], sales["slots"]), (turn["act"], turn["slots"]), ont)
+        yield turn, state
 
 
 @pytest.fixture(scope="session")

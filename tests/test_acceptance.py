@@ -24,7 +24,7 @@ from shopdialog.evalhub import (
 )
 from shopdialog.ontology import spd_oracle
 from shopdialog.realizer import realize_corpus
-from tests.conftest import DATA, resolve_surface
+from tests.conftest import DATA, replayed, resolve_surface
 
 N_DIALOGS = 10_000
 KEEP = 1_000
@@ -44,6 +44,7 @@ class CorpusSummary:
     n_success: int = 0
     n_terminated: int = 0
     retention_violations: int = 0
+    count_violations: int = 0
     monotonic_violations: int = 0
     total_sales_acts: int = 0
     round1_acts: Counter = field(default_factory=Counter)
@@ -51,7 +52,9 @@ class CorpusSummary:
 
 
 @pytest.fixture(scope="session")
-def corpus(scenes, ontology, policy) -> CorpusSummary:
+def corpus(scenes, scenes_by_id, ontology, policy) -> CorpusSummary:
+    """Simulate the corpus and replay each dialog through `new_session`/`apply_turn`: the
+    replayed item set of every turn must keep the target and have the turn's candidate count."""
     summary = CorpusSummary()
     start = time.perf_counter()
     for flow in generate_corpus(scenes, ontology, policy, N_DIALOGS, base_seed=42):
@@ -59,17 +62,19 @@ def corpus(scenes, ontology, policy) -> CorpusSummary:
         summary.n_terminated += flow.outcome in ("success", "max_rounds")
         summary.n_success += flow.outcome == "success"
         prev = None
-        for turn in flow.turns:
-            if flow.target_object_id not in turn["candidate_items"]:
+        for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology):
+            if flow.target_object_id not in state.candidate_items:
                 summary.retention_violations += 1
+            if turn["candidate_count"] != len(state.candidate_items):
+                summary.count_violations += 1
             if turn["speaker"] == "salesperson":
                 summary.total_sales_acts += 1
                 if turn["round"] == 1:
                     summary.round1_acts[turn["act"]] += 1
             else:
-                if prev is not None and len(turn["candidate_items"]) > prev:
+                if prev is not None and turn["candidate_count"] > prev:
                     summary.monotonic_violations += 1
-                prev = len(turn["candidate_items"])
+                prev = turn["candidate_count"]
         if len(summary.kept) < KEEP:
             summary.kept.append(flow)
     summary.elapsed = time.perf_counter() - start
@@ -80,6 +85,7 @@ def test_criterion_1_retention_and_monotonicity(corpus):
     ok = (
         corpus.n == N_DIALOGS
         and corpus.retention_violations == 0
+        and corpus.count_violations == 0
         and corpus.monotonic_violations == 0
         and corpus.elapsed < 60.0
     )
@@ -88,7 +94,8 @@ def test_criterion_1_retention_and_monotonicity(corpus):
         "target retention & monotonicity",
         ok,
         f"{corpus.n} dialogs in {corpus.elapsed:.1f}s, "
-        f"{corpus.retention_violations} retention / {corpus.monotonic_violations} monotonicity violations",
+        f"{corpus.retention_violations} retention / {corpus.count_violations} count / "
+        f"{corpus.monotonic_violations} monotonicity violations",
     )
 
 

@@ -10,7 +10,8 @@ import pytest
 from shopdialog import __version__
 from shopdialog.acts import SALESPERSON_ACTS, SPLIT_NAMES
 from shopdialog.cli import main
-from tests.conftest import DATA, ROOT
+from shopdialog.engine import DialogFlow
+from tests.conftest import DATA, ROOT, replayed
 
 
 def base_flags():
@@ -95,8 +96,8 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
 # sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
 # reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
 PINNED_FLOWS_SHA256 = {
-    3: "b306e4384ba34bfc57ad198a2fbe1a988a313e8e39561049cbde67608ce11722",
-    11: "3274a832304ae9bf0acbf27c73a14dfd133e54d239a75ca40ca29fffe2ee269a",
+    3: "17777348e8932478a337d98c12877a1a304b189dc6931a39deea7ffbee408fa2",
+    11: "cbe905ce1fe36c197b121f929e7c3681595650171e42551bbfeef53218ca5beb",
 }
 
 
@@ -389,16 +390,26 @@ EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_objec
 
 
 ASK_COLOR = {"round": 1, "speaker": "salesperson", "act": "ASK_PREFERENCE",
-             "slots": {"attribute": "color"}, "candidate_items": [1, 2],
+             "slots": {"attribute": "color"}, "candidate_count": 2,
              "utterance": "Any color in mind?"}
+
+
+def turns_line(turns: list[dict], flow_fields: dict | None = None) -> str:
+    """A flow line of `turns`, with the given flow fields replaced."""
+    return json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
+                       "outcome": "max_rounds", "turns": turns, **(flow_fields or {})})
 
 
 def flow_line(flow_fields: dict | None = None, before=(), **turn_fields) -> str:
     """A realized flow line of the turns `before` and then `ASK_COLOR` with the given turn fields
     replaced, and with the given flow fields replaced."""
-    turns = [*before, {**ASK_COLOR, **turn_fields}]
-    return json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
-                       "outcome": "max_rounds", "turns": turns, **(flow_fields or {})})
+    return turns_line([*before, {**ASK_COLOR, **turn_fields}], flow_fields)
+
+
+def without_count(**turn_fields) -> dict:
+    """`ASK_COLOR` as an older file writes it, without `candidate_count`, with the given fields
+    added."""
+    return {**{k: v for k, v in ASK_COLOR.items() if k != "candidate_count"}, **turn_fields}
 
 
 @pytest.mark.parametrize("task, text, line", [
@@ -412,7 +423,7 @@ def flow_line(flow_fields: dict | None = None, before=(), **turn_fields) -> str:
     ("rru", '{"task": "RRU"}\n' + row([3, "a"]) + "\n", 2),
     ("rru", row([3.5]) + "\n", 1),
     ("recommend", row(5) + "\n", 1),
-    (None, flow_line(candidate_items=5) + "\n", 1),
+    (None, turns_line([without_count(candidate_items=5)]) + "\n", 1),
     (None, flow_line() + "\n" + flow_line(round="1") + "\n", 2),
     (None, flow_line(round=1.5) + "\n", 1),
     (None, flow_line(round=True) + "\n", 1),
@@ -455,6 +466,31 @@ def test_wrong_typed_turn_field_is_named_in_every_reader(tmp_path, capsys, stage
     assert main([stage, *extra, "--flows", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}:1: bad dialog record (turn 1: act must be a string, got ['x'])\n")
+
+
+# Per fault: the one turn of a flow line, and the problem every reader reports.
+CANDIDATE_COUNT_FAULTS = {
+    "bool-count": ({**ASK_COLOR, "candidate_count": True},
+                   "turn 1: candidate_count must be an integer, got True"),
+    "listed-count": ({**ASK_COLOR, "candidate_count": [1, 2]},
+                     "turn 1: candidate_count must be an integer, got [1, 2]"),
+    "items-not-a-list": (without_count(candidate_items=2),
+                         "turn 1: candidate_items must be a list, got 2"),
+    "no-count": (without_count(), "'candidate_count'"),
+}
+
+
+@pytest.mark.parametrize("fault", CANDIDATE_COUNT_FAULTS)
+@pytest.mark.parametrize("stage", ["realize", "stats"])
+def test_candidate_count_must_be_an_integer_in_every_reader(tmp_path, capsys, stage, fault):
+    """A turn's `candidate_count` is an integer; a turn of an older file without one reads the
+    length of its `candidate_items`, which must be a list."""
+    turn, problem = CANDIDATE_COUNT_FAULTS[fault]
+    bad = tmp_path / "flows.jsonl"
+    bad.write_text(turns_line([turn]) + "\n")
+    extra = [*base_flags(), "--templates", str(DATA / "templates.json")] if stage == "realize" else []
+    assert main([stage, *extra, "--flows", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: bad dialog record ({problem})\n"
 
 
 MISSING = object()
@@ -846,6 +882,62 @@ def test_v1_flows_with_candidate_values_still_read(tmp_path):
     assert b"candidate_values" not in older[-1]
 
 
+# sha256 of `simulate --n 200 --seed 3` when each turn listed its candidate items, before turns
+# carried a count: `with_item_lists` rebuilds that file byte for byte from the current one.
+LISTED_FLOWS_SHA256 = "b306e4384ba34bfc57ad198a2fbe1a988a313e8e39561049cbde67608ce11722"
+
+
+def with_item_lists(src: Path, dst: Path, scenes_by_id, ontology) -> Path:
+    """A copy of a flow file in the format before counts: each turn lists the candidate items
+    that replay rebuilds, sorted, where it had its `candidate_count`."""
+    records = []
+    for line in src.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        flow = DialogFlow(**record)
+        record["turns"] = [
+            {("candidate_items" if k == "candidate_count" else k):
+             (sorted(state.candidate_items) if k == "candidate_count" else v) for k, v in turn.items()}
+            for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology)]
+        records.append(json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n")
+    dst.write_text("".join(records), encoding="utf-8")
+    return dst
+
+
+def test_flows_that_list_candidate_items_still_read(tmp_path, scenes_by_id, ontology):
+    """A flow file of the format before counts, whose turns list their candidate items and one of
+    whose turns carries a `candidate_values`, gives the same stats, gold, realized and split files
+    as the current file of the same seed: `realize` and `split` rewrite it with counts."""
+    current = simulate(tmp_path, "current.jsonl", n=200, seed=3)
+    realized = tmp_path / "realized.jsonl"
+    assert main(stage_argv("realize", current, realized)) == 0
+    old_flows, old_realized = (with_item_lists(src, tmp_path / f"old_{src.name}", scenes_by_id, ontology)
+                               for src in (current, realized))
+    assert hashlib.sha256(old_flows.read_bytes()).hexdigest() == LISTED_FLOWS_SHA256
+    for path in (old_flows, old_realized):  # one turn also carries an older `candidate_values`
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        record["turns"][1]["candidate_values"] = {"color": ["red", "yellow"]}
+        path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+
+    def outputs(flows: Path, realized: Path, tag: str) -> dict[str, bytes]:
+        out = tmp_path / tag
+        out.mkdir()
+        argvs = [stage_argv("realize", flows, out / "realized.jsonl"),
+                 ["stats", "--flows", str(flows), "--out", str(out / "stats.json")],
+                 ["split", "--flows", str(flows), "--out-dir", str(out / "splits")],
+                 *(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl") for task in TASKS)]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and not p.name.endswith(".manifest.json")}
+
+    new, old = outputs(current, realized, "new"), outputs(old_flows, old_realized, "old")
+    assert new == old
+    assert len(old) == 7 + len(SPLIT_NAMES)
+    for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
+        assert b'"candidate_count":' in old[name] and b"candidate_items" not in old[name], name
+
+
 DROP = object()
 
 
@@ -1165,7 +1257,7 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pin):
     assert (exc.value.code, out, err) == (pin["code"], pin["stdout"], pin["stderr"])
 
 
-TURN_KEYS = ["round", "speaker", "act", "slots", "candidate_items"]
+TURN_KEYS = ["round", "speaker", "act", "slots", "candidate_count"]
 
 
 def scrambled(src: Path, dst: Path) -> Path:

@@ -20,6 +20,7 @@ from shopdialog.engine import (
     salesperson_step,
 )
 from shopdialog.errors import ValidationError
+from tests.conftest import replayed
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -368,15 +369,18 @@ def test_corpus_pairing(small_corpus):
             assert ACT_PAIRS[s["act"]] == c["act"]
 
 
-def test_corpus_target_retention_and_monotonicity(small_corpus):
+def test_corpus_target_retention_and_monotonicity(small_corpus, scenes_by_id, ontology):
+    # Each turn's candidate count is the size of the item set that replay rebuilds, and that set
+    # keeps the target.
     for flow in small_corpus:
         prev = None
-        for turn in flow.turns:
-            assert flow.target_object_id in turn["candidate_items"]
+        for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology):
+            assert flow.target_object_id in state.candidate_items
+            assert turn["candidate_count"] == len(state.candidate_items)
             if turn["speaker"] == "customer":
                 if prev is not None:
-                    assert len(turn["candidate_items"]) <= prev
-                prev = len(turn["candidate_items"])
+                    assert turn["candidate_count"] <= prev
+                prev = turn["candidate_count"]
 
 
 def test_corpus_guard_conformance(small_corpus, policy):
@@ -401,17 +405,17 @@ def test_corpus_guard_conformance(small_corpus, policy):
             if turn["act"] == "DISPLAY_CANDIDATE_VALUES":
                 assert policy.display_min <= len(turn["slots"]["values"]) <= policy.display_max
             if turn["act"] == "RECOMMEND_ITEM":
-                assert len(turn["candidate_items"]) <= policy.recommend_max
+                assert turn["candidate_count"] <= policy.recommend_max
             if turn["act"] == "REVISE_ATTRIBUTE_VALUE":
                 assert prev_reject.get(turn["round"]), "REVISE without fresh rejection"
 
 
 def test_corpus_recommend_guard_is_true_guard(small_corpus, policy):
-    # candidate_items on the salesperson turn is the pre-act state it acted on.
+    # candidate_count on the salesperson turn counts the pre-act items it acted on.
     for flow in small_corpus:
         for turn in flow.turns:
             if turn["speaker"] == "salesperson" and turn["act"] == "RECOMMEND_ITEM":
-                assert len(turn["candidate_items"]) <= policy.recommend_max
+                assert turn["candidate_count"] <= policy.recommend_max
 
 
 def test_corpus_termination(small_corpus):
@@ -471,7 +475,7 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
                 assert value in state.candidate_values[attr], (flow.dialog_id, state.round, attr)
             expected = consistent_items(state.candidate_values, scene) & judged
             assert state.candidate_items == expected
-            assert set(c["candidate_items"]) == state.candidate_items
+            assert c["candidate_count"] == len(state.candidate_items)
 
 
 def test_generate_corpus_deterministic_and_seeded_per_session(scenes, ontology, policy):
@@ -581,7 +585,7 @@ def test_run_dialog_forces_a_recommendation_when_no_act_is_eligible():
     cfg = one_act_policy("ASK_PREFERENCE", recommend_max=5)
     assert eligible_acts(new_session(scene), cfg) == {"RECOMMEND_ITEM"}
     flows = [run_dialog(scene, ont, cfg, random.Random(seed)) for seed in range(5)]
-    forced = [t for f in flows for t in f.turns[::2] if len(t["candidate_items"]) > cfg.recommend_max]
+    forced = [t for f in flows for t in f.turns[::2] if t["candidate_count"] > cfg.recommend_max]
     assert forced and {t["act"] for t in forced} == {"RECOMMEND_ITEM"}
     check_flows(flows, scene, ont)
 

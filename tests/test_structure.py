@@ -1,10 +1,11 @@
 """Structure guard: one module owns each concern (the scene index among them), uniform draws use
-`rng.choice`, simulated turns carry exactly the slots of the act-slot table and the template
-keys derive from it, each subcommand loads only the modules it runs, none loads `dataclasses`
-and none imports `csv`, every name the benchmark's tracer patches is a top-level function of its
-module, `cli.main` alone writes manifests, the README lists the flow keys the engine writes and
-the exception types `errors.py` defines, and a successful process has nothing left to close when
-`cli.run` skips interpreter teardown."""
+`rng.choice`, only the reader of older flow files names a turn's `candidate_items`, simulated
+turns carry exactly the slots of the act-slot table and the template keys derive from it, each
+subcommand loads only the modules it runs, none loads `dataclasses` and none imports `csv`, every
+name the benchmark's tracer patches is a top-level function of its module, `cli.main` alone
+writes manifests, the README lists the flow keys the engine writes and the exception types
+`errors.py` defines, and a successful process has nothing left to close when `cli.run` skips
+interpreter teardown."""
 
 import ast
 import importlib
@@ -58,6 +59,19 @@ def test_uniform_draws_use_choice():
     """A uniform pick from a sequence is `rng.choice(seq)`, which draws the same number as
     `seq[rng.randrange(len(seq))]`."""
     assert _modules_containing("[rng.randrange(len(") == set()
+
+
+def test_candidate_item_lists_are_read_only_from_older_files():
+    """A turn carries its `candidate_count`; only `engine.flow_from_dict`, which reads the item
+    list of a file older than counts, names the key "candidate_items"."""
+    readers = []
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                readers += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Constant) and node.value == "candidate_items"]
+    assert set(readers) == {"engine.py:flow_from_dict"}
+    assert _modules_containing('"candidate_items"') == {"engine.py"}
 
 
 def test_missing_slots_are_reported_in_one_module():
