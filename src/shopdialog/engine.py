@@ -9,20 +9,20 @@ recommended and accepted.
 Flows are interchanged as JSON Lines, one dialog per line, here cut short and wrapped:
 
     {"dialog_id":"d00000","scene_id":"f02","target_object_id":9,"outcome":"success","turns":[
-     {"round":1,"speaker":"salesperson","act":"ASK_PREFERENCE","slots":{"attribute":"color"},
-     "candidate_count":26},...]}
+     {"act":"ASK_PREFERENCE","slots":{"attribute":"color"},"candidate_count":26},...]}
 
 The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn is
 that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it
-reads in this key order, and `flow_to_dict` passes turns through.  `read_flows` yields one flow at
-a time, located as "<path>:<line>"; its turn k (from 1) is round ceil(k/2)'s salesperson turn if k
-is odd, else its customer turn.  An act is a `(name, slots)` pair carrying the slots
-`acts.ACT_SLOTS` lists; `realize` and `gold` check every flow they read with `check_flow`, which
-checks each turn against that table with `check_turn` and puts the flow's location in front of the
-first fault.  A salesperson turn is annotated with the number of candidate items it acted on; the
-paired customer turn with the number left after the round's narrowing.  Neither the candidate
-values nor the items are stored: replaying the act pairs through `apply_turn` from
-`new_session(scene)` rebuilds both.
+reads in this key order, and `flow_to_dict` passes turns through.  A turn's position is its round
+and speaker: turn k (from 1) is round ceil(k/2)'s salesperson turn if k is odd, else its customer
+turn.  Older files also store both as "round" and "speaker", which must then match the position
+and are dropped.  `read_flows` yields one flow at a time, located as "<path>:<line>".  An act is a
+`(name, slots)` pair carrying the slots `acts.ACT_SLOTS` lists; `realize` and `gold` check every
+flow they read with `check_flow`, which checks each turn against that table with `check_turn` and
+puts the flow's location in front of the first fault.  A salesperson turn is annotated with the
+number of candidate items it acted on; the paired customer turn with the number left after the
+round's narrowing.  Neither the candidate values nor the items are stored: replaying the act pairs
+through `apply_turn` from `new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -143,8 +143,6 @@ def new_session(scene: Scene) -> SessionState:
 
 def generate_goal(scene: Scene, rng: random.Random) -> Item:
     """Uniformly pick the hidden target item."""
-    if not scene.items:
-        raise ValidationError(f"scene {scene.scene_id} has no items")
     return rng.choice(scene.items)
 
 
@@ -341,21 +339,22 @@ def apply_turn(
     )
 
 
-# The acts each speaker may take, and the slots read as text.
+# The speakers, whose turns alternate from the salesperson's; the acts each may take; text slots.
+SPEAKERS = ("salesperson", "customer")
 _SPEAKER_ACTS = {"salesperson": frozenset(SALESPERSON_ACTS), "customer": frozenset(ACT_PAIRS.values())}
 _TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
 
 
-def check_turn(turn: dict, scene: Scene, ont: Ontology) -> None:
+def check_turn(turn: dict, speaker: str, scene: Scene, ont: Ontology) -> None:
     """Check a turn read from a flow file against `ACT_SLOTS`; the first fault raises
-    ValidationError. The act must be one of its speaker's, and each slot of the act, in table
+    ValidationError. The act must be one of `speaker`'s, and each slot of the act, in table
     order, present: a text slot a string, `attribute` one of the scene's attributes and
     `concept_id` a concept of it, `values` a non-empty list of strings, `region_label` one of the
     scene's regions, `object_id` one of its items and `accept` a bool. Other slots are not read,
     and no random number is drawn."""
     act, slots = turn["act"], turn["slots"]
-    if act not in _SPEAKER_ACTS.get(turn["speaker"], ()):
-        raise ValidationError(f"not an act of speaker {turn['speaker']!r}")
+    if act not in _SPEAKER_ACTS[speaker]:
+        raise ValidationError(f"not an act of speaker {speaker!r}")
     for key in ACT_SLOTS[act]:
         if key not in slots:
             raise ValidationError(f"missing slot {key!r}")
@@ -384,11 +383,11 @@ def check_flow(where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Onto
     scene = scenes.get(flow.scene_id)
     if scene is None:
         raise ValidationError(f"{at}: unknown scene_id {flow.scene_id!r}: not in the scene file")
-    for turn in flow.turns:
+    for k, turn in enumerate(flow.turns):
         try:
-            check_turn(turn, scene, ont)
+            check_turn(turn, SPEAKERS[k % 2], scene, ont)
         except ValidationError as exc:
-            raise ValidationError(f"{at} round {turn['round']} {turn['act']}: {exc}") from None
+            raise ValidationError(f"{at} round {k // 2 + 1} {turn['act']}: {exc}") from None
     if flow.target_object_id not in scene.items_by_id:
         raise ValidationError(f"{at}: unknown target_object_id {flow.target_object_id}: "
                               f"not in scene {scene.scene_id!r}")
@@ -400,7 +399,7 @@ class DialogFlow(NamedTuple):
     scene_id: str
     target_object_id: int
     outcome: str  # "success" | "max_rounds"
-    turns: list[dict]  # wire form: round, speaker, act, slots, candidate_count[, utterance]
+    turns: list[dict]  # wire form: act, slots, candidate_count[, utterance]; positional round, speaker
 
 
 def run_dialog(
@@ -420,12 +419,9 @@ def run_dialog(
                 break
             except NoTruthfulConcept:
                 banned |= {s_name}
-        rnd = state.round
-        turns.append({"round": rnd, "speaker": "salesperson", "act": s_name, "slots": s_slots,
-                      "candidate_count": len(state.candidate_items)})
+        turns.append({"act": s_name, "slots": s_slots, "candidate_count": len(state.candidate_items)})
         state = apply_turn(state, s_act, c_act, ont)
-        turns.append({"round": rnd, "speaker": "customer", "act": c_name, "slots": c_slots,
-                      "candidate_count": len(state.candidate_items)})
+        turns.append({"act": c_name, "slots": c_slots, "candidate_count": len(state.candidate_items)})
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
 
@@ -479,14 +475,15 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order; other keys, such as the `candidate_values` of
-    older files, are dropped, and so is a null `utterance`. A turn of an older file that lists
-    its `candidate_items` and has no `candidate_count` reads with the list's length. A field of
-    the wrong type raises TypeError naming it, and a turn out of the order `read_flows` yields
-    (a last salesperson turn needs no reply) or an outcome other than "success" or "max_rounds"
-    ValueError."""
+    older files, or a null `utterance`, are dropped. An older file's turn may list `candidate_items`
+    in place of a count, and may store its `round` and `speaker`, which must match its position. A
+    field of the wrong type raises TypeError naming it; a turn out of the order `read_flows` yields
+    (a last salesperson turn needs no reply), a count below 1, a salesperson count other than the
+    one before it, a customer count above its round's, or an unknown outcome raises ValueError."""
     turns = []
     for k, t in enumerate(raw["turns"], 1):
-        turn = {"round": t["round"], "speaker": t["speaker"], "act": t["act"], "slots": t["slots"]}
+        stored = {"round": t["round"], "speaker": t["speaker"]} if "round" in t or "speaker" in t else {}
+        turn = {"act": t["act"], "slots": t["slots"]}
         if "candidate_count" in t or "candidate_items" not in t:
             turn["candidate_count"] = t["candidate_count"]
         elif type(t["candidate_items"]) is list:  # an older file lists the items
@@ -496,15 +493,22 @@ def flow_from_dict(raw: dict) -> DialogFlow:
         utterance = t.get("utterance")
         if utterance is not None:
             turn["utterance"] = utterance
-        if not (type(turn["round"]) is int and type(turn["speaker"]) is str
+        if not ((not stored or type(stored["round"]) is int and type(stored["speaker"]) is str)
                 and type(turn["act"]) is str and type(turn["slots"]) is dict
                 and type(turn["candidate_count"]) is int
                 and (utterance is None or type(utterance) is str)):
-            raise _field_type_error(turn, f"turn {k}: ")
-        rnd, speaker = (k + 1) // 2, ("customer", "salesperson")[k % 2]
-        if turn["round"] != rnd or turn["speaker"] != speaker:
+            raise _field_type_error({**stored, **turn}, f"turn {k}: ")
+        rnd, speaker = (k + 1) // 2, SPEAKERS[1 - k % 2]
+        if stored and (stored["round"] != rnd or stored["speaker"] != speaker):
             raise ValueError(f"turn {k} must be round {rnd}'s {speaker} turn, "
-                             f"got round {turn['round']} {turn['speaker']!r}")
+                             f"got round {stored['round']} {stored['speaker']!r}")
+        count = turn["candidate_count"]
+        if count < 1:
+            raise ValueError(f"turn {k}: candidate_count must be at least 1, got {count}")
+        if k > 1 and (count != last if k % 2 else count > last):
+            raise ValueError(f"turn {k}: candidate_count must be {'equal to' if k % 2 else 'at most'} "
+                             f"turn {k - 1}'s {last}, got {count}")
+        last = count
         turns.append(turn)
     flow = DialogFlow(
         raw["dialog_id"], raw["scene_id"], raw["target_object_id"], raw["outcome"], turns

@@ -159,21 +159,22 @@ _PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE
 
 def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
     """Corpus aggregates, in one pass; the per-round candidate series carries each dialog's
-    last observed count forward, so the corpus curve is non-increasing."""
+    last observed count forward, so the corpus curve is non-increasing. A turn's round is read
+    off its position: turns k = 2r - 1 and 2r (from 1) are round r's."""
     n = n_utt = n_prefs = n_objects = 0
     round_acts: Counter = Counter()  # (round, act) of the salesperson turns
     totals: Counter = Counter()  # salesperson turns per round, acts outside the repertoire too
     steps: Counter = Counter()  # round -> change of the summed carried count at that round
     for n, flow in enumerate(flows, 1):  # a flow's turns alternate from round 1's salesperson turn
         n_utt += len(flow.turns)
-        round_acts.update((t["round"], t["act"]) for t in flow.turns[::2])
-        totals.update(t["round"] for t in flow.turns[::2])
+        round_acts.update(enumerate((t["act"] for t in flow.turns[::2]), 1))
+        totals.update(range(1, (len(flow.turns) + 3) // 2))
         n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
         last = flow.turns[0]["candidate_count"]
         n_objects += last
         steps[1] += last
-        for t in flow.turns[1::2]:  # a customer turn sets the count from its round on
-            steps[t["round"]] += t["candidate_count"] - last
+        for rnd, t in enumerate(flow.turns[1::2], 1):  # a customer turn sets the count from its round on
+            steps[rnd] += t["candidate_count"] - last
             last = t["candidate_count"]
     if not n:
         raise ValidationError("no dialogs")
@@ -227,11 +228,11 @@ _CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
 def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
     """(round, attribute, polarity, concept_id) of the customer's preference turns."""
     clauses = []
-    for turn in flow.turns:
+    for k, turn in enumerate(flow.turns):
         act, slots = turn["act"], turn["slots"]
         if act in _CLAUSE_ACTS:
             like = slots["accept"] if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
-            clauses.append((turn["round"], slots["attribute"], "like" if like else "dislike",
+            clauses.append((k // 2 + 1, slots["attribute"], "like" if like else "dislike",
                             slots["concept_id"]))
     return clauses
 
@@ -273,17 +274,17 @@ def build_gold(
                         if a == attr and (r == rnd or spd_mode == "cumulative" and r < rnd)]
                 yield (dialog_id, rnd), sorted(spd_oracle(ont, scene, keep))
         elif task == "RRU":
-            for turn in flow.turns[::2]:
+            for rnd, turn in enumerate(flow.turns[::2], 1):
                 if turn["act"] == "REFER_REGION":
-                    yield (dialog_id, turn["round"]), sorted(items_in_region(scene, turn["slots"]["region_label"]))
+                    yield (dialog_id, rnd), sorted(items_in_region(scene, turn["slots"]["region_label"]))
         elif task in ("ACT", "RESPONSE"):  # one field of each salesperson turn
             field = "act" if task == "ACT" else "utterance"
-            for turn in flow.turns[::2]:
+            for rnd, turn in enumerate(flow.turns[::2], 1):
                 if field not in turn:
                     raise ValidationError(f"{where}: dialog {dialog_id}: RESPONSE gold needs realized flows")
-                yield (dialog_id, turn["round"]), turn[field]
-        elif task == "RECOMMEND":
-            yield (dialog_id, flow.turns[-1]["round"]), [flow.target_object_id]
+                yield (dialog_id, rnd), turn[field]
+        elif task == "RECOMMEND":  # the last turn's round
+            yield (dialog_id, (len(flow.turns) + 1) // 2), [flow.target_object_id]
 
 
 def write_predictions(path, header: dict, rows: Iterable[tuple[Key, object]]) -> int:

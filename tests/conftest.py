@@ -3,7 +3,7 @@ import pytest
 from pathlib import Path
 
 from shopdialog.catalog import load_catalog
-from shopdialog.engine import apply_turn, load_policy, new_session
+from shopdialog.engine import SPEAKERS, apply_turn, load_policy, new_session
 from shopdialog.ontology import load_ontology, normalize_phrase
 from shopdialog.realizer import load_templates
 
@@ -22,6 +22,13 @@ def resolve_surface(ont, phrase: str) -> str:
         if any(normalize_phrase(form) == key for form in concept.surface_forms):
             return concept.concept_id
     raise UnknownSurfaceForm(f"unregistered surface form {phrase!r}")
+
+
+def positioned(flow):
+    """Yield (round, speaker, turn) for each turn of `flow`, the round and speaker read off the
+    turn's position: turns 2r - 1 and 2r (from 1) are round r's salesperson and customer turns."""
+    for k, turn in enumerate(flow.turns):
+        yield k // 2 + 1, SPEAKERS[k % 2], turn
 
 
 def replayed(flow, scene, ont):

@@ -24,7 +24,7 @@ from shopdialog.evalhub import (
 )
 from shopdialog.ontology import spd_oracle
 from shopdialog.realizer import realize_corpus
-from tests.conftest import DATA, replayed, resolve_surface
+from tests.conftest import DATA, positioned, replayed, resolve_surface
 
 N_DIALOGS = 10_000
 KEEP = 1_000
@@ -62,14 +62,15 @@ def corpus(scenes, scenes_by_id, ontology, policy) -> CorpusSummary:
         summary.n_terminated += flow.outcome in ("success", "max_rounds")
         summary.n_success += flow.outcome == "success"
         prev = None
-        for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology):
+        replay = replayed(flow, scenes_by_id[flow.scene_id], ontology)
+        for (rnd, speaker, _), (turn, state) in zip(positioned(flow), replay):
             if flow.target_object_id not in state.candidate_items:
                 summary.retention_violations += 1
             if turn["candidate_count"] != len(state.candidate_items):
                 summary.count_violations += 1
-            if turn["speaker"] == "salesperson":
+            if speaker == "salesperson":
                 summary.total_sales_acts += 1
-                if turn["round"] == 1:
+                if rnd == 1:
                     summary.round1_acts[turn["act"]] += 1
             else:
                 if prev is not None and turn["candidate_count"] > prev:
@@ -107,8 +108,8 @@ def test_criterion_2_termination(corpus):
 
 def clauses_through(flow: DialogFlow, attr: str, upto_round: int):
     out = []
-    for turn in flow.turns:
-        if turn["speaker"] != "customer" or turn["round"] > upto_round:
+    for rnd, speaker, turn in positioned(flow):
+        if speaker != "customer" or rnd > upto_round:
             continue
         if turn["act"] == "ANSWER_PREFERENCE" and turn["slots"]["attribute"] == attr:
             out.append(("like", turn["slots"]["concept_id"]))
@@ -135,12 +136,12 @@ def test_criterion_3_oracle_equivalence(corpus, scenes_by_id, ontology):
     population = []
     for flow in corpus.kept:
         elicit_by_round = {
-            t["round"]: t["slots"]["attribute"] for t in flow.turns
-            if t["speaker"] == "customer" and t["act"] in
+            rnd: t["slots"]["attribute"] for rnd, speaker, t in positioned(flow)
+            if speaker == "customer" and t["act"] in
             ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
         }
         sales_rounds = {
-            t["round"] for t in flow.turns if t["speaker"] == "salesperson" and t["act"] in ELICIT_ACTS
+            rnd for rnd, speaker, t in positioned(flow) if speaker == "salesperson" and t["act"] in ELICIT_ACTS
         }
         population.extend((flow, rnd, elicit_by_round[rnd]) for rnd in sorted(sales_rounds))
     sample = random.Random(3).sample(population, 1_000)

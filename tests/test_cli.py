@@ -10,7 +10,7 @@ import pytest
 from shopdialog import __version__
 from shopdialog.acts import SALESPERSON_ACTS, SPLIT_NAMES
 from shopdialog.cli import main
-from shopdialog.engine import DialogFlow
+from shopdialog.engine import SPEAKERS, DialogFlow
 from tests.conftest import DATA, ROOT, replayed
 
 
@@ -96,8 +96,8 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
 # sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
 # reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
 PINNED_FLOWS_SHA256 = {
-    3: "17777348e8932478a337d98c12877a1a304b189dc6931a39deea7ffbee408fa2",
-    11: "cbe905ce1fe36c197b121f929e7c3681595650171e42551bbfeef53218ca5beb",
+    3: "a1c56a63f1e3d680662c1bcac52c9deefdebdf61301895b88d3633831ef77c38",
+    11: "e2a029da90f14d46b98fab06c03da23b62fb04ef0dba1afeecb2b3d689b29dda",
 }
 
 
@@ -369,7 +369,7 @@ def test_gold_spd_rejects_concept_of_another_attribute(tmp_path, capsys, spd_mod
     """A preference clause whose concept belongs to another attribute than its `attribute`
     slot is a located error, not a gold row of the other attribute's values."""
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(flow_line(before=[ASK_COLOR], speaker="customer", act="ANSWER_PREFERENCE",
+    flows.write_text(flow_line(before=[ASK_COLOR], act="ANSWER_PREFERENCE",
                                slots={"attribute": "color", "concept_id": "premium_price"}) + "\n")
     capsys.readouterr()
     argv = stage_argv("gold spd", flows, tmp_path / "gold.jsonl")
@@ -389,9 +389,13 @@ EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_objec
                          "outcome": "success", "turns": []})
 
 
-ASK_COLOR = {"round": 1, "speaker": "salesperson", "act": "ASK_PREFERENCE",
-             "slots": {"attribute": "color"}, "candidate_count": 2,
+ASK_COLOR = {"act": "ASK_PREFERENCE", "slots": {"attribute": "color"}, "candidate_count": 2,
              "utterance": "Any color in mind?"}
+
+
+def with_positions(turns: list[dict]) -> list[dict]:
+    """The turns as older files store them, each led by the round and speaker its position fixes."""
+    return [{"round": k // 2 + 1, "speaker": SPEAKERS[k % 2], **t} for k, t in enumerate(turns)]
 
 
 def turns_line(turns: list[dict], flow_fields: dict | None = None) -> str:
@@ -424,12 +428,12 @@ def without_count(**turn_fields) -> dict:
     ("rru", row([3.5]) + "\n", 1),
     ("recommend", row(5) + "\n", 1),
     (None, turns_line([without_count(candidate_items=5)]) + "\n", 1),
-    (None, flow_line() + "\n" + flow_line(round="1") + "\n", 2),
-    (None, flow_line(round=1.5) + "\n", 1),
-    (None, flow_line(round=True) + "\n", 1),
+    (None, flow_line() + "\n" + flow_line(round="1", speaker="salesperson") + "\n", 2),
+    (None, flow_line(round=1.5, speaker="salesperson") + "\n", 1),
+    (None, flow_line(round=True, speaker="salesperson") + "\n", 1),
     (None, flow_line(slots=5) + "\n", 1),
     (None, flow_line(act=["x"]) + "\n", 1),
-    (None, flow_line(speaker=None) + "\n", 1),
+    (None, flow_line(round=1, speaker=None) + "\n", 1),
     (None, flow_line(utterance=5) + "\n", 1),
     (None, flow_line({"scene_id": ["f01"]}) + "\n", 1),
     (None, flow_line({"dialog_id": 0}) + "\n", 1),
@@ -504,13 +508,14 @@ def flows_with_bad_turn(tmp_path, edit, slot=None, speaker=None, act=None, text=
     if text is None:
         text = simulate(tmp_path, "flows.jsonl", n=40).read_text()
     records = [json.loads(line) for line in text.splitlines()]
-    line, record, turn = next((i, r, t) for i, r in enumerate(records, 1) for t in r["turns"]
-                              if slot in (None, *t["slots"]) and speaker in (None, t["speaker"])
-                              and act in (None, t["act"]))
+    line, record, k, turn = next((i, r, k, t) for i, r in enumerate(records, 1)
+                                 for k, t in enumerate(r["turns"])
+                                 if slot in (None, *t["slots"]) and speaker in (None, SPEAKERS[k % 2])
+                                 and act in (None, t["act"]))
     edit(turn)
     flows = tmp_path / "flows.jsonl"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    return flows, f"{line}: dialog {record['dialog_id']} round {turn['round']} {turn['act']}", record, turn
+    return flows, f"{line}: dialog {record['dialog_id']} round {k // 2 + 1} {turn['act']}", record, turn
 
 
 def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
@@ -553,7 +558,12 @@ def test_realize_slot_error_is_located_at_any_jobs(tmp_path, capsys, jobs):
 
 
 def stage_argv(stage, flows, out):
-    """`realize`, or `gold --task <task>` for a stage named "gold <task>", on a flow file."""
+    """`realize`, `split` (into the directory `out`), `stats`, or `gold --task <task>` for a stage
+    named "gold <task>", on a flow file."""
+    if stage == "split":
+        return ["split", "--flows", str(flows), "--out-dir", str(out)]
+    if stage == "stats":
+        return ["stats", "--flows", str(flows), "--out", str(out)]
     if stage == "realize":
         return ["realize", *base_flags(), "--templates", str(DATA / "templates.json"),
                 "--flows", str(flows), "--out", str(out)]
@@ -716,7 +726,7 @@ def hand_edited_flows(tmp_path, fault):
     if act == "SING_A_SONG":
         line = flow_line(act=act, slots=slots)
     else:  # a customer turn, after the round's salesperson turn
-        line = flow_line(before=[ASK_COLOR], speaker="customer", act=act, slots=slots)
+        line = flow_line(before=[ASK_COLOR], act=act, slots=slots)
     flows = tmp_path / "flows.jsonl"
     flows.write_text(line + "\n")
     return flows, f"error: {flows}:1: dialog d00000 round 1 {act}: {problem}\n"
@@ -763,7 +773,7 @@ def test_gold_unknown_name_is_located(tmp_path, capsys, task, act, slot, problem
 def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
     flows = simulate(tmp_path, "flows.jsonl", n=2)
     records = [json.loads(line) for line in flows.read_text().splitlines()]
-    recommend = next(t for t in records[1]["turns"] if t["act"] == "RECOMMEND_ITEM")
+    k, recommend = next((k, t) for k, t in enumerate(records[1]["turns"]) if t["act"] == "RECOMMEND_ITEM")
     recommend["slots"]["object_id"] = 999
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
@@ -772,7 +782,7 @@ def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flows}:2: dialog {records[1]['dialog_id']} "
-                          f"round {recommend['round']} RECOMMEND_ITEM: unknown object_id 999")
+                          f"round {k // 2 + 1} RECOMMEND_ITEM: unknown object_id 999")
     assert err.count("\n") == 1
 
 
@@ -833,20 +843,17 @@ TURN_ORDER_FAULTS = {
 @pytest.mark.parametrize("fault", TURN_ORDER_FAULTS)
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_turns_out_of_order(tmp_path, capsys, realized_text, stage, fault):
-    """Turn k must be round ceil(k/2)'s salesperson turn for odd k and its customer turn for even
-    k; every flow reader rejects a dialog that breaks it with one located line and writes nothing,
-    so `gold` never merges two turns' rows under one key."""
+    """Turn k is round ceil(k/2)'s salesperson turn for odd k and its customer turn for even k.
+    An older file stores each turn's round and speaker; every flow reader rejects a dialog whose
+    stored ones break that with one located line and writes nothing, so `gold` never merges two
+    turns' rows under one key."""
     edit, problem = TURN_ORDER_FAULTS[fault]
     records = [json.loads(line) for line in realized_text.splitlines()]
+    records[1]["turns"] = with_positions(records[1]["turns"])
     edit(records[1]["turns"])
     flows = tmp_path / "flows.jsonl"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    if stage == "split":
-        argv = ["split", "--flows", str(flows), "--out-dir", str(tmp_path / "splits")]
-    elif stage == "stats":
-        argv = ["stats", "--flows", str(flows), "--out", str(tmp_path / "stats.json")]
-    else:
-        argv = stage_argv(stage, flows, tmp_path / "out.jsonl")
+    argv = stage_argv(stage, flows, tmp_path / "out")
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {flows}:2: bad dialog record ({problem})\n"
@@ -882,22 +889,23 @@ def test_v1_flows_with_candidate_values_still_read(tmp_path):
     assert b"candidate_values" not in older[-1]
 
 
-# sha256 of `simulate --n 200 --seed 3` when each turn listed its candidate items, before turns
-# carried a count: `with_item_lists` rebuilds that file byte for byte from the current one.
+# sha256 of `simulate --n 200 --seed 3` when each turn stored its round and speaker and listed its
+# candidate items, before turns carried a count: `with_item_lists` rebuilds that file byte for
+# byte from the current one.
 LISTED_FLOWS_SHA256 = "b306e4384ba34bfc57ad198a2fbe1a988a313e8e39561049cbde67608ce11722"
 
 
 def with_item_lists(src: Path, dst: Path, scenes_by_id, ontology) -> Path:
-    """A copy of a flow file in the format before counts: each turn lists the candidate items
-    that replay rebuilds, sorted, where it had its `candidate_count`."""
+    """A copy of a flow file in the format before counts: each turn stores its round and speaker
+    and lists the candidate items that replay rebuilds, sorted, where it had its `candidate_count`."""
     records = []
     for line in src.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
         flow = DialogFlow(**record)
-        record["turns"] = [
+        record["turns"] = with_positions([
             {("candidate_items" if k == "candidate_count" else k):
              (sorted(state.candidate_items) if k == "candidate_count" else v) for k, v in turn.items()}
-            for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology)]
+            for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology)])
         records.append(json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n")
     dst.write_text("".join(records), encoding="utf-8")
     return dst
@@ -906,7 +914,8 @@ def with_item_lists(src: Path, dst: Path, scenes_by_id, ontology) -> Path:
 def test_flows_that_list_candidate_items_still_read(tmp_path, scenes_by_id, ontology):
     """A flow file of the format before counts, whose turns list their candidate items and one of
     whose turns carries a `candidate_values`, gives the same stats, gold, realized and split files
-    as the current file of the same seed: `realize` and `split` rewrite it with counts."""
+    as the current file of the same seed: `realize` and `split` rewrite it with counts and
+    without positions."""
     current = simulate(tmp_path, "current.jsonl", n=200, seed=3)
     realized = tmp_path / "realized.jsonl"
     assert main(stage_argv("realize", current, realized)) == 0
@@ -936,6 +945,86 @@ def test_flows_that_list_candidate_items_still_read(tmp_path, scenes_by_id, onto
     assert len(old) == 7 + len(SPLIT_NAMES)
     for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
         assert b'"candidate_count":' in old[name] and b"candidate_items" not in old[name], name
+        assert b'"round":' not in old[name] and b'"speaker":' not in old[name], name
+
+
+# sha256 of `simulate --n 200 --seed 3` when each turn stored its round and speaker: `with_positions`
+# rebuilds that file byte for byte from the current one.
+STORED_POSITIONS_SHA256 = "17777348e8932478a337d98c12877a1a304b189dc6931a39deea7ffbee408fa2"
+
+
+def with_stored_positions(src: Path, dst: Path) -> Path:
+    """A copy of a flow file in the format before positional turns, written compact."""
+    records = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
+    dst.write_text("".join(json.dumps({**r, "turns": with_positions(r["turns"])},
+                                      separators=(",", ":"), ensure_ascii=False) + "\n"
+                           for r in records), encoding="utf-8")
+    return dst
+
+
+def test_turns_that_store_their_position_still_read(tmp_path):
+    """A flow file and a realized file whose turns store their round and speaker, as written before
+    turns were positional, and a scrambled copy of each (spaced, keys reversed, an unknown key
+    added), give the same realized, split, stats and gold files as the positional ones."""
+    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
+    realized = tmp_path / "realized.jsonl"
+    assert main(stage_argv("realize", flows, realized)) == 0
+    forms = {"positional": (flows, realized)}
+    forms["stored"] = tuple(with_stored_positions(src, tmp_path / f"stored_{src.name}")
+                            for src in (flows, realized))
+    assert hashlib.sha256(forms["stored"][0].read_bytes()).hexdigest() == STORED_POSITIONS_SHA256
+    forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
+                               for src in forms["stored"])
+    assert b'"round": 1' in forms["scrambled"][0].read_bytes()
+
+    def outputs(tag: str) -> dict[str, bytes]:
+        flows, realized = forms[tag]
+        out = tmp_path / tag
+        out.mkdir()
+        argvs = [stage_argv("realize", flows, out / "realized.jsonl"),
+                 stage_argv("stats", flows, out / "stats.json"),
+                 stage_argv("split", realized, out / "splits"),
+                 [*stage_argv("gold spd", realized, out / "gold_spd_scene_only.jsonl"),
+                  "--spd-mode", "scene_only"],
+                 *(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl") for task in TASKS)]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and not p.name.endswith(".manifest.json")}
+
+    written = {tag: outputs(tag) for tag in forms}
+    assert len(written["positional"]) == 8 + len(SPLIT_NAMES)
+    assert written["stored"] == written["positional"] == written["scrambled"]
+    for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
+        assert b'"round":' not in written["stored"][name] and b'"speaker":' not in written["stored"][name]
+
+
+ANSWER_WARM = {"act": "ANSWER_PREFERENCE", "slots": {"attribute": "color", "concept_id": "warm_color"},
+               "candidate_count": 1, "utterance": "Something warm."}
+# Per fault: the turns of a realized flow line whose candidate counts break one rule, and the
+# problem every reader reports.
+COUNT_RULE_FAULTS = {
+    "count-below-one": ([{**ASK_COLOR, "candidate_count": 0}],
+                        "turn 1: candidate_count must be at least 1, got 0"),
+    "customer-count-grows": ([ASK_COLOR, {**ANSWER_WARM, "candidate_count": 3}],
+                             "turn 2: candidate_count must be at most turn 1's 2, got 3"),
+    "salesperson-count-differs": ([ASK_COLOR, ANSWER_WARM, ASK_COLOR],
+                                  "turn 3: candidate_count must be equal to turn 2's 1, got 2"),
+}
+
+
+@pytest.mark.parametrize("fault", COUNT_RULE_FAULTS)
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_inconsistent_candidate_counts(tmp_path, capsys, stage, fault):
+    """A count is at least 1, a salesperson turn's equals the count before it and a customer turn's
+    is at most its round's: every flow reader rejects a turn that breaks one with one located
+    line and writes nothing."""
+    turns, problem = COUNT_RULE_FAULTS[fault]
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(turns_line(turns) + "\n")
+    assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {flows}:1: bad dialog record ({problem})\n"
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
 DROP = object()
@@ -1257,7 +1346,7 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pin):
     assert (exc.value.code, out, err) == (pin["code"], pin["stdout"], pin["stderr"])
 
 
-TURN_KEYS = ["round", "speaker", "act", "slots", "candidate_count"]
+TURN_KEYS = ["act", "slots", "candidate_count"]
 
 
 def scrambled(src: Path, dst: Path) -> Path:

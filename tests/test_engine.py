@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from shopdialog.catalog import Item, Scene
+from shopdialog.cli import main
 from shopdialog.engine import (
     ACT_PAIRS,
     ELICIT_ACTS,
@@ -20,7 +21,7 @@ from shopdialog.engine import (
     salesperson_step,
 )
 from shopdialog.errors import ValidationError
-from tests.conftest import replayed
+from tests.conftest import positioned, replayed
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -58,10 +59,19 @@ def test_goal_deterministic():
     assert generate_goal(scene, random.Random(9)) == generate_goal(scene, random.Random(9))
 
 
-def test_goal_empty_scene():
-    scene = Scene("empty-ish", "fashion", (), ())
-    with pytest.raises(ValidationError, match="scene empty-ish has no items"):
-        generate_goal(scene, random.Random(0))
+def test_item_less_scene_exits_one(tmp_path, capsys, data_dir):
+    """`simulate` draws each target from a scene of the scene file, whose reader rejects a scene
+    without items in one line before anything is drawn or written."""
+    raw = json.loads((data_dir / "scenes.json").read_text(encoding="utf-8"))
+    raw[1]["items"] = []
+    scenes, out = tmp_path / "scenes.json", tmp_path / "flows.jsonl"
+    scenes.write_text(json.dumps(raw), encoding="utf-8")
+    argv = ["simulate", "--scenes", str(scenes), "--n", "3", "--out", str(out),
+            *(arg for name in ("metadata", "ontology", "policy")
+              for arg in (f"--{name}", str(data_dir / f"{name}.json")))]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {scenes}: scene {raw[1]['scene_id']}: needs at least one item\n")
+    assert not out.exists()
 
 
 def test_round_one_gating(policy):
@@ -340,7 +350,7 @@ def test_apply_inconsistent_state_detected(ontology):
 def test_single_item_scene_succeeds_round_one(ontology, policy):
     flow = run_dialog(make_scene(["red"]), ontology, policy, random.Random(5))
     assert flow.outcome == "success"
-    assert flow.turns[-1]["round"] == 1
+    assert list(positioned(flow))[-1][0] == 1
     assert flow.turns[0]["act"] == "RECOMMEND_ITEM"
 
 
@@ -361,11 +371,11 @@ def flow_scene(scenes, flow):
 
 def test_corpus_pairing(small_corpus):
     for flow in small_corpus:
-        sales = [t for t in flow.turns if t["speaker"] == "salesperson"]
-        custs = [t for t in flow.turns if t["speaker"] == "customer"]
+        sales = [(rnd, t) for rnd, speaker, t in positioned(flow) if speaker == "salesperson"]
+        custs = [(rnd, t) for rnd, speaker, t in positioned(flow) if speaker == "customer"]
         assert len(sales) == len(custs)
-        for s, c in zip(sales, custs):
-            assert s["round"] == c["round"]
+        for (s_round, s), (c_round, c) in zip(sales, custs):
+            assert s_round == c_round
             assert ACT_PAIRS[s["act"]] == c["act"]
 
 
@@ -374,10 +384,11 @@ def test_corpus_target_retention_and_monotonicity(small_corpus, scenes_by_id, on
     # keeps the target.
     for flow in small_corpus:
         prev = None
-        for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology):
+        replay = replayed(flow, scenes_by_id[flow.scene_id], ontology)
+        for (_, speaker, _), (turn, state) in zip(positioned(flow), replay):
             assert flow.target_object_id in state.candidate_items
             assert turn["candidate_count"] == len(state.candidate_items)
-            if turn["speaker"] == "customer":
+            if speaker == "customer":
                 if prev is not None:
                     assert turn["candidate_count"] <= prev
                 prev = turn["candidate_count"]
@@ -387,34 +398,34 @@ def test_corpus_guard_conformance(small_corpus, policy):
     for flow in small_corpus:
         elicited_round: dict[int, bool] = {}
         elicited = False
-        for turn in flow.turns:
-            if turn["speaker"] == "customer":
+        for rnd, speaker, turn in positioned(flow):
+            if speaker == "customer":
                 if turn["act"] in ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT"):
                     elicited = True
-                elicited_round[turn["round"]] = elicited
+                elicited_round[rnd] = elicited
         prev_reject: dict[int, bool] = {}
-        for turn in flow.turns:
-            if turn["speaker"] == "customer" and turn["act"] == "RESPOND_ATTRIBUTE_VALUE":
-                prev_reject[turn["round"] + 1] = not turn["slots"]["accept"]
-        for turn in flow.turns:
-            if turn["speaker"] != "salesperson":
+        for rnd, speaker, turn in positioned(flow):
+            if speaker == "customer" and turn["act"] == "RESPOND_ATTRIBUTE_VALUE":
+                prev_reject[rnd + 1] = not turn["slots"]["accept"]
+        for rnd, speaker, turn in positioned(flow):
+            if speaker != "salesperson":
                 continue
-            before = elicited_round.get(turn["round"] - 1, False)
+            before = elicited_round.get(rnd - 1, False)
             if turn["act"] in ("GUESS_ATTRIBUTE_VALUE", "DISPLAY_CANDIDATE_VALUES"):
-                assert before, f"{flow.dialog_id} r{turn['round']}: {turn['act']} before any preference"
+                assert before, f"{flow.dialog_id} r{rnd}: {turn['act']} before any preference"
             if turn["act"] == "DISPLAY_CANDIDATE_VALUES":
                 assert policy.display_min <= len(turn["slots"]["values"]) <= policy.display_max
             if turn["act"] == "RECOMMEND_ITEM":
                 assert turn["candidate_count"] <= policy.recommend_max
             if turn["act"] == "REVISE_ATTRIBUTE_VALUE":
-                assert prev_reject.get(turn["round"]), "REVISE without fresh rejection"
+                assert prev_reject.get(rnd), "REVISE without fresh rejection"
 
 
 def test_corpus_recommend_guard_is_true_guard(small_corpus, policy):
     # candidate_count on the salesperson turn counts the pre-act items it acted on.
     for flow in small_corpus:
-        for turn in flow.turns:
-            if turn["speaker"] == "salesperson" and turn["act"] == "RECOMMEND_ITEM":
+        for _, speaker, turn in positioned(flow):
+            if speaker == "salesperson" and turn["act"] == "RECOMMEND_ITEM":
                 assert turn["candidate_count"] <= policy.recommend_max
 
 
@@ -460,8 +471,8 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
         target = scene.items_by_id[flow.target_object_id]
         state = new_session(scene)
         judged = {it.object_id for it in scene.items}
-        sales = [t for t in flow.turns if t["speaker"] == "salesperson"]
-        custs = [t for t in flow.turns if t["speaker"] == "customer"]
+        sales = [t for _, speaker, t in positioned(flow) if speaker == "salesperson"]
+        custs = [t for _, speaker, t in positioned(flow) if speaker == "customer"]
         for s, c in zip(sales, custs):
             state = apply_turn(
                 state, (s["act"], s["slots"]), (c["act"], c["slots"]), ontology

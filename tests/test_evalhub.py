@@ -23,10 +23,9 @@ from shopdialog.evalhub import (
 )
 
 
-def turn(rnd, speaker, act, slots, candidate_count):
-    """A turn in its wire form."""
-    return {"round": rnd, "speaker": speaker, "act": act, "slots": slots,
-            "candidate_count": candidate_count}
+def turn(act, slots, candidate_count):
+    """A turn in its wire form; its place in the flow's turns gives its round and speaker."""
+    return {"act": act, "slots": slots, "candidate_count": candidate_count}
 
 
 def test_perfect_set_prediction():
@@ -102,13 +101,13 @@ def test_act_price_complaint_round():
 
     scene = make_scene(["red"])
     flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        turn(1, "salesperson", "GUESS_ATTRIBUTE_VALUE",
+        turn("GUESS_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$299"}, 1),
-        turn(1, "customer", "RESPOND_ATTRIBUTE_VALUE",
+        turn("RESPOND_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$299", "accept": False}, 1),
-        turn(2, "salesperson", "REVISE_ATTRIBUTE_VALUE",
+        turn("REVISE_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$99"}, 1),
-        turn(2, "customer", "RESPOND_ATTRIBUTE_VALUE",
+        turn("RESPOND_ATTRIBUTE_VALUE",
              {"attribute": "price", "value": "$99", "accept": True}, 1),
     ])
     rows = dict(build_gold([(1, flow)], None, {scene.scene_id: scene}, "ACT"))
@@ -253,8 +252,8 @@ def test_extract_item_ids_accepts_lists():
 def two_turn_flow(dialog_id="d0", act="ASK_PREFERENCE"):
     pair = {"ASK_PREFERENCE": "ANSWER_PREFERENCE"}[act]
     return DialogFlow(dialog_id, "s", 0, "success", [
-        turn(1, "salesperson", act, {"attribute": "color"}, 2),
-        turn(1, "customer", pair, {"attribute": "color", "concept_id": "warm_color"}, 1),
+        turn(act, {"attribute": "color"}, 2),
+        turn(pair, {"attribute": "color", "concept_id": "warm_color"}, 1),
     ])
 
 
@@ -330,8 +329,8 @@ def test_build_gold_spd_single_round(ontology, scenes):
 
     scene = make_scene(["red", "blue", "yellow"])
     flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        turn(1, "salesperson", "ASK_PREFERENCE", {"attribute": "color"}, 3),
-        turn(1, "customer", "ANSWER_PREFERENCE",
+        turn("ASK_PREFERENCE", {"attribute": "color"}, 3),
+        turn("ANSWER_PREFERENCE",
              {"attribute": "color", "concept_id": "warm_color"}, 2),
     ])
     rows = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD"))
@@ -343,12 +342,12 @@ def test_build_gold_spd_modes(ontology):
 
     scene = make_scene(["red", "yellow", "blue", "orange"])
     flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        turn(1, "salesperson", "ASK_PREFERENCE", {"attribute": "color"}, 0),
-        turn(1, "customer", "ANSWER_PREFERENCE",
-             {"attribute": "color", "concept_id": "warm_color"}, 0),
-        turn(2, "salesperson", "EXCLUDE_PREFERENCE", {"attribute": "color"}, 0),
-        turn(2, "customer", "NEGATE_PREFERENCE",
-             {"attribute": "color", "concept_id": "powerful_color"}, 0),
+        turn("ASK_PREFERENCE", {"attribute": "color"}, 4),
+        turn("ANSWER_PREFERENCE",
+             {"attribute": "color", "concept_id": "warm_color"}, 2),
+        turn("EXCLUDE_PREFERENCE", {"attribute": "color"}, 2),
+        turn("NEGATE_PREFERENCE",
+             {"attribute": "color", "concept_id": "powerful_color"}, 1),
     ])
     cumulative = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD", spd_mode="cumulative"))
     assert cumulative[("d0", 2)] == ["yellow"]  # warm minus powerful, in scene
@@ -358,9 +357,9 @@ def test_build_gold_spd_modes(ontology):
 
 def test_build_gold_rru_definitional(ontology, scenes_by_id):
     flow = DialogFlow("d0", "f01", 12, "success", [
-        turn(1, "salesperson", "REFER_REGION", {"region_label": "far right shelf"}, 0),
-        turn(1, "customer", "JUDGE_REGION",
-             {"region_label": "far right shelf", "accept": True}, 0),
+        turn("REFER_REGION", {"region_label": "far right shelf"}, 32),
+        turn("JUDGE_REGION",
+             {"region_label": "far right shelf", "accept": True}, 5),
     ])
     rows = dict(build_gold([(1, flow)], ontology, scenes_by_id, "RRU"))
     assert rows[("d0", 1)] == [12, 13, 16, 22, 31]

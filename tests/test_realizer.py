@@ -23,9 +23,8 @@ CONCEPT_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE",
 
 def concept_turn(concept_id="warm_color"):
     return dict(
-        round=1, speaker="customer", act="ANSWER_PREFERENCE",
-        slots={"attribute": "color", "concept_id": concept_id},
-        candidate_items=[0],
+        act="ANSWER_PREFERENCE", slots={"attribute": "color", "concept_id": concept_id},
+        candidate_count=1,
     )
 
 
@@ -38,11 +37,7 @@ def test_answer_contains_surface_form(templates, ontology, scenes):
 def test_recommend_mentions_region_and_token(templates, ontology, scenes):
     f01 = next(s for s in scenes if s.scene_id == "f01")
     shelf_item = sorted({12, 13, 16, 22, 31})[0]
-    turn = dict(
-        round=4, speaker="salesperson", act="RECOMMEND_ITEM",
-        slots={"object_id": shelf_item},
-        candidate_items=[shelf_item],
-    )
+    turn = dict(act="RECOMMEND_ITEM", slots={"object_id": shelf_item}, candidate_count=1)
     utterance = realize_turn(turn, templates, ontology, f01, random.Random(0))
     assert "far right shelf" in utterance
     assert f"<@{shelf_item}>" in utterance
