@@ -8,21 +8,21 @@ recommended and accepted.
 
 Flows are interchanged as JSON Lines, one dialog per line, here cut short and wrapped:
 
-    {"dialog_id":"d00000","scene_id":"f02","target_object_id":9,"outcome":"success","turns":[
-     {"act":"ASK_PREFERENCE","slots":{"attribute":"color"},"candidate_count":26},...]}
+    {"dialog_id":"d00000","scene_id":"f02","target_object_id":9,"outcome":"success",
+     "candidate_counts":[26,12,...],"turns":[{"act":"ASK_PREFERENCE","slots":{"attribute":"color"}},...]}
 
-The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance".  A turn is
-that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it
-reads in this key order, and `flow_to_dict` passes turns through.  A turn's position is its round
-and speaker: turn k (from 1) is round ceil(k/2)'s salesperson turn if k is odd, else its customer
-turn.  Older files also store both as "round" and "speaker", which must then match the position
-and are dropped.  `read_flows` yields one flow at a time, located as "<path>:<line>".  An act is a
-`(name, slots)` pair carrying the slots `acts.ACT_SLOTS` lists; `realize` and `gold` check every
-flow they read with `check_flow`, which checks each turn against that table with `check_turn` and
-puts the flow's location in front of the first fault.  A salesperson turn is annotated with the
-number of candidate items it acted on; the paired customer turn with the number left after the
-round's narrowing.  Neither the candidate values nor the items are stored: replaying the act pairs
-through `apply_turn` from `new_session(scene)` rebuilds both.
+The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance". A turn is
+that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it reads
+in this key order, and `flow_to_dict` passes turns through. A turn's position is its round and
+speaker, one of whose acts it takes: turn k (from 1) is round ceil(k/2)'s salesperson turn if k is
+odd, else its customer turn. Older files also store both as "round" and "speaker", which must then
+match the position and are dropped. `candidate_counts` holds the number of round 1's candidate
+items, then the number left after each round; older files put a count on each turn, which is checked
+and folded into the list. `read_flows` yields one flow at a time, located as "<path>:<line>". An act
+is a `(name, slots)` pair carrying the slots `acts.ACT_SLOTS` lists; `realize` and `gold` check
+every flow they read with `check_flow`, which checks each turn against that table with `check_turn`
+and puts the flow's location in front of the first fault. Neither the candidate values nor the items
+are stored: replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -345,16 +345,14 @@ _SPEAKER_ACTS = {"salesperson": frozenset(SALESPERSON_ACTS), "customer": frozens
 _TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
 
 
-def check_turn(turn: dict, speaker: str, scene: Scene, ont: Ontology) -> None:
-    """Check a turn read from a flow file against `ACT_SLOTS`; the first fault raises
-    ValidationError. The act must be one of `speaker`'s, and each slot of the act, in table
-    order, present: a text slot a string, `attribute` one of the scene's attributes and
+def check_turn(turn: dict, scene: Scene, ont: Ontology) -> None:
+    """Check a turn read from a flow file, whose act `flow_from_dict` matched to its speaker,
+    against `ACT_SLOTS`; the first fault raises ValidationError. Each slot of the act, in table
+    order, is present: a text slot a string, `attribute` one of the scene's attributes and
     `concept_id` a concept of it, `values` a non-empty list of strings, `region_label` one of the
     scene's regions, `object_id` one of its items and `accept` a bool. Other slots are not read,
     and no random number is drawn."""
     act, slots = turn["act"], turn["slots"]
-    if act not in _SPEAKER_ACTS[speaker]:
-        raise ValidationError(f"not an act of speaker {speaker!r}")
     for key in ACT_SLOTS[act]:
         if key not in slots:
             raise ValidationError(f"missing slot {key!r}")
@@ -377,29 +375,35 @@ def check_turn(turn: dict, speaker: str, scene: Scene, ont: Ontology) -> None:
 
 def check_flow(where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Ontology) -> Scene:
     """The scene of a flow read from a file, once the flow fits the catalog: its scene is in
-    `scenes`, every turn passes `check_turn`, and its target is one of the scene's items. The
-    first fault raises ValidationError, which starts with `where` and the dialog's id."""
+    `scenes`, every turn passes `check_turn`, its target is one of the scene's items, and its first
+    candidate count is the scene's item count. The first fault raises ValidationError, which starts
+    with `where` and the dialog's id."""
     at = f"{where}: dialog {flow.dialog_id}"
     scene = scenes.get(flow.scene_id)
     if scene is None:
         raise ValidationError(f"{at}: unknown scene_id {flow.scene_id!r}: not in the scene file")
     for k, turn in enumerate(flow.turns):
         try:
-            check_turn(turn, SPEAKERS[k % 2], scene, ont)
+            check_turn(turn, scene, ont)
         except ValidationError as exc:
             raise ValidationError(f"{at} round {k // 2 + 1} {turn['act']}: {exc}") from None
     if flow.target_object_id not in scene.items_by_id:
         raise ValidationError(f"{at}: unknown target_object_id {flow.target_object_id}: "
                               f"not in scene {scene.scene_id!r}")
+    if flow.candidate_counts[0] != len(scene.items_by_id):
+        raise ValidationError(f"{at}: candidate_counts[0] must be scene {scene.scene_id}'s "
+                              f"{len(scene.items_by_id)} items, got {flow.candidate_counts[0]}")
     return scene
 
 
 class DialogFlow(NamedTuple):
+    """A dialog, its fields in wire order; each turn's round and speaker are its position."""
     dialog_id: str
     scene_id: str
     target_object_id: int
     outcome: str  # "success" | "max_rounds"
-    turns: list[dict]  # wire form: act, slots, candidate_count[, utterance]; positional round, speaker
+    candidate_counts: list[int]  # round 1's candidate items, then those left after each round
+    turns: list[dict]  # wire form: act, slots[, utterance]
 
 
 def run_dialog(
@@ -408,8 +412,7 @@ def run_dialog(
     """Simulate one dialog to acceptance or the round cap; deterministic given rng's state."""
     goal = generate_goal(scene, rng)
     state = new_session(scene)
-    # A state's item count annotates the customer turn that produced it and the next salesperson turn.
-    turns: list[dict] = []
+    counts, turns = [len(state.candidate_items)], []
     while state.round <= cfg.max_rounds and state.outcome is None:
         banned: frozenset[str] = frozenset()
         while True:
@@ -419,11 +422,11 @@ def run_dialog(
                 break
             except NoTruthfulConcept:
                 banned |= {s_name}
-        turns.append({"act": s_name, "slots": s_slots, "candidate_count": len(state.candidate_items)})
         state = apply_turn(state, s_act, c_act, ont)
-        turns.append({"act": c_name, "slots": c_slots, "candidate_count": len(state.candidate_items)})
+        turns += ({"act": s_name, "slots": s_slots}, {"act": c_name, "slots": c_slots})
+        counts.append(len(state.candidate_items))
     outcome = state.outcome if state.outcome is not None else "max_rounds"
-    return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, turns)
+    return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, counts, turns)
 
 
 def session_seed(base_seed: int, stream: str, index: int) -> str:
@@ -447,13 +450,8 @@ def generate_corpus(
 
 
 def flow_to_dict(flow: DialogFlow) -> dict:
-    return {
-        "dialog_id": flow.dialog_id,
-        "scene_id": flow.scene_id,
-        "target_object_id": flow.target_object_id,
-        "outcome": flow.outcome,
-        "turns": flow.turns,
-    }
+    return {"dialog_id": flow.dialog_id, "scene_id": flow.scene_id, "target_object_id": flow.target_object_id,
+            "outcome": flow.outcome, "candidate_counts": flow.candidate_counts, "turns": flow.turns}
 
 
 # The JSON type of each flow and turn field; a bool is no integer, and `utterance` may be absent.
@@ -469,22 +467,26 @@ _FIELD_TYPES = {
 def _field_type_error(fields: dict, where: str) -> TypeError:
     """Name the first ill-typed field of a record that failed its type test."""
     field, value = next((f, v) for f, v in fields.items()
-                        if f != "turns" and type(v) is not _FIELD_TYPES[f][0])
+                        if f in _FIELD_TYPES and type(v) is not _FIELD_TYPES[f][0])
     return TypeError(f"{where}{field} must be {_FIELD_TYPES[field][1]}, got {value!r}")
 
 
 def flow_from_dict(raw: dict) -> DialogFlow:
-    """Each turn is rebuilt in wire key order; other keys, such as the `candidate_values` of
-    older files, or a null `utterance`, are dropped. An older file's turn may list `candidate_items`
-    in place of a count, and may store its `round` and `speaker`, which must match its position. A
-    field of the wrong type raises TypeError naming it; a turn out of the order `read_flows` yields
-    (a last salesperson turn needs no reply), a count below 1, a salesperson count other than the
-    one before it, a customer count above its round's, or an unknown outcome raises ValueError."""
-    turns = []
+    """Each turn is rebuilt in wire key order, its act one of the speaker's its position fixes;
+    other keys, such as the `candidate_values` of older files, or a null `utterance`, are dropped.
+    A wrong-typed field raises TypeError naming it, any other fault ValueError. `candidate_counts`
+    holds a count per customer turn plus one, none below 1 or above the one before. An older turn
+    may store its `round` and `speaker` (fitting its position) and a count, or `candidate_items`:
+    a salesperson turn's equals the one before, and turn 1's and each customer turn's make the list."""
+    listed = "candidate_counts" in raw
+    turns, counts = [], []
     for k, t in enumerate(raw["turns"], 1):
         stored = {"round": t["round"], "speaker": t["speaker"]} if "round" in t or "speaker" in t else {}
         turn = {"act": t["act"], "slots": t["slots"]}
-        if "candidate_count" in t or "candidate_items" not in t:
+        if listed:
+            if "candidate_count" in t or "candidate_items" in t:
+                raise ValueError(f"turn {k}: a turn count cannot stand beside candidate_counts")
+        elif "candidate_count" in t or "candidate_items" not in t:
             turn["candidate_count"] = t["candidate_count"]
         elif type(t["candidate_items"]) is list:  # an older file lists the items
             turn["candidate_count"] = len(t["candidate_items"])
@@ -495,23 +497,37 @@ def flow_from_dict(raw: dict) -> DialogFlow:
             turn["utterance"] = utterance
         if not ((not stored or type(stored["round"]) is int and type(stored["speaker"]) is str)
                 and type(turn["act"]) is str and type(turn["slots"]) is dict
-                and type(turn["candidate_count"]) is int
+                and (listed or type(turn["candidate_count"]) is int)
                 and (utterance is None or type(utterance) is str)):
             raise _field_type_error({**stored, **turn}, f"turn {k}: ")
         rnd, speaker = (k + 1) // 2, SPEAKERS[1 - k % 2]
         if stored and (stored["round"] != rnd or stored["speaker"] != speaker):
             raise ValueError(f"turn {k} must be round {rnd}'s {speaker} turn, "
                              f"got round {stored['round']} {stored['speaker']!r}")
-        count = turn["candidate_count"]
-        if count < 1:
-            raise ValueError(f"turn {k}: candidate_count must be at least 1, got {count}")
-        if k > 1 and (count != last if k % 2 else count > last):
-            raise ValueError(f"turn {k}: candidate_count must be {'equal to' if k % 2 else 'at most'} "
-                             f"turn {k - 1}'s {last}, got {count}")
-        last = count
+        if turn["act"] not in _SPEAKER_ACTS[speaker]:
+            raise ValueError(f"turn {k}: {turn['act']!r} is not an act of speaker {speaker!r}")
+        if not listed:
+            count = turn.pop("candidate_count")
+            if count < 1:
+                raise ValueError(f"turn {k}: candidate_count must be at least 1, got {count}")
+            if k > 1 and (count != counts[-1] if k % 2 else count > counts[-1]):
+                raise ValueError(f"turn {k}: candidate_count must be {'equal to' if k % 2 else 'at most'} "
+                                 f"turn {k - 1}'s {counts[-1]}, got {count}")
+            counts[k // 2:] = [count]  # a salesperson turn's count is the one before it again
         turns.append(turn)
+    if listed:
+        counts = raw["candidate_counts"]
+        if type(counts) is not list or not {int}.issuperset(map(type, counts)):
+            raise TypeError(f"candidate_counts must be a list of integers, got {counts!r}")
+        if len(counts) != len(turns) // 2 + 1:
+            raise ValueError(f"candidate_counts must hold {len(turns) // 2 + 1} counts, got {len(counts)}")
+        if counts[-1] < 1 or counts != sorted(counts, reverse=True):  # then name the first entry at fault
+            i, before, count = next((i, b, c) for i, (b, c) in enumerate(zip(counts[:1] + counts, counts))
+                                    if not 1 <= c <= b)
+            bound = f"at most the {before} before it" if count > before else "at least 1"
+            raise ValueError(f"candidate_counts[{i}] must be {bound}, got {count}")
     flow = DialogFlow(
-        raw["dialog_id"], raw["scene_id"], raw["target_object_id"], raw["outcome"], turns
+        raw["dialog_id"], raw["scene_id"], raw["target_object_id"], raw["outcome"], counts, turns
     )
     if not (type(flow.dialog_id) is str and type(flow.scene_id) is str
             and type(flow.target_object_id) is int and type(flow.outcome) is str):

@@ -170,12 +170,11 @@ def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
         round_acts.update(enumerate((t["act"] for t in flow.turns[::2]), 1))
         totals.update(range(1, (len(flow.turns) + 3) // 2))
         n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
-        last = flow.turns[0]["candidate_count"]
-        n_objects += last
-        steps[1] += last
-        for rnd, t in enumerate(flow.turns[1::2], 1):  # a customer turn sets the count from its round on
-            steps[rnd] += t["candidate_count"] - last
-            last = t["candidate_count"]
+        counts = flow.candidate_counts  # round 1's items, then round r's customer turn sets c_r
+        n_objects += counts[0]
+        steps[1] += counts[0]
+        for rnd, (before, after) in enumerate(itertools.pairwise(counts), 1):
+            steps[rnd] += after - before
     if not n:
         raise ValidationError("no dialogs")
     carried = itertools.accumulate(steps[rnd] for rnd in range(1, max(totals) + 1))  # summed per round

@@ -31,6 +31,13 @@ def positioned(flow):
         yield k // 2 + 1, SPEAKERS[k % 2], turn
 
 
+def turn_counts(flow):
+    """Each turn's candidate count, read off `flow.candidate_counts`: turn k (from 0) has entry
+    (k + 1) // 2, so a salesperson turn has the count before its round and a customer turn the
+    count after it."""
+    return [flow.candidate_counts[(k + 1) // 2] for k in range(len(flow.turns))]
+
+
 def replayed(flow, scene, ont):
     """Yield (turn, state) for each turn of `flow`, where `state` is rebuilt by passing the act
     pairs through `apply_turn` from `new_session(scene)`: a salesperson turn's is the state it

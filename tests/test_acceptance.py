@@ -24,7 +24,7 @@ from shopdialog.evalhub import (
 )
 from shopdialog.ontology import spd_oracle
 from shopdialog.realizer import realize_corpus
-from tests.conftest import DATA, positioned, replayed, resolve_surface
+from tests.conftest import DATA, positioned, replayed, resolve_surface, turn_counts
 
 N_DIALOGS = 10_000
 KEEP = 1_000
@@ -63,19 +63,19 @@ def corpus(scenes, scenes_by_id, ontology, policy) -> CorpusSummary:
         summary.n_success += flow.outcome == "success"
         prev = None
         replay = replayed(flow, scenes_by_id[flow.scene_id], ontology)
-        for (rnd, speaker, _), (turn, state) in zip(positioned(flow), replay):
+        for (rnd, speaker, _), (turn, state), count in zip(positioned(flow), replay, turn_counts(flow)):
             if flow.target_object_id not in state.candidate_items:
                 summary.retention_violations += 1
-            if turn["candidate_count"] != len(state.candidate_items):
+            if count != len(state.candidate_items):
                 summary.count_violations += 1
             if speaker == "salesperson":
                 summary.total_sales_acts += 1
                 if rnd == 1:
                     summary.round1_acts[turn["act"]] += 1
             else:
-                if prev is not None and turn["candidate_count"] > prev:
+                if prev is not None and count > prev:
                     summary.monotonic_violations += 1
-                prev = turn["candidate_count"]
+                prev = count
         if len(summary.kept) < KEEP:
             summary.kept.append(flow)
     summary.elapsed = time.perf_counter() - start

@@ -96,8 +96,8 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
 # sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
 # reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
 PINNED_FLOWS_SHA256 = {
-    3: "a1c56a63f1e3d680662c1bcac52c9deefdebdf61301895b88d3633831ef77c38",
-    11: "e2a029da90f14d46b98fab06c03da23b62fb04ef0dba1afeecb2b3d689b29dda",
+    3: "b30d6c7f953ab040df63e0fabf96acfdc920f9e8430417f304382fc7175a8d5f",
+    11: "6a8ab10e2a1656b5507a779d8a53b19e911306c9c8881e48afd09df24cf930a4",
 }
 
 
@@ -655,14 +655,15 @@ def test_spaced_records_read_as_compact_ones(tmp_path, compact_corpus, stage):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-# Per rule of `engine.check_turn`: the act whose first turn breaks it, the field set ("act" is
-# the act name, any other a slot), its new value (or MISSING), and the problem reported, in
-# which {scene} and {attribute} name the turn's scene and `attribute` slot.
+# Per rule of `engine.check_turn`, and the act-speaker rule of `engine.flow_from_dict`: the act
+# whose first turn breaks it, the field set ("act" is the act name, any other a slot), its new
+# value (or MISSING), and the problem reported, in which {scene} and {attribute} name the turn's
+# scene and `attribute` slot and {k} its place (from 1). A "bad dialog record" is located by line.
 TURN_RULES = {
-    "salesperson-act-unknown": ("RECOMMEND_ITEM", "act", "SING_A_SONG",
-                                "not an act of speaker 'salesperson'"),
-    "customer-act-of-salesperson": ("ANSWER_PREFERENCE", "act", "ASK_PREFERENCE",
-                                    "not an act of speaker 'customer'"),
+    "salesperson-act-unknown": ("RECOMMEND_ITEM", "act", "SING_A_SONG", "bad dialog record "
+                                "(turn {k}: 'SING_A_SONG' is not an act of speaker 'salesperson')"),
+    "customer-act-of-salesperson": ("ANSWER_PREFERENCE", "act", "ASK_PREFERENCE", "bad dialog record "
+                                    "(turn {k}: 'ASK_PREFERENCE' is not an act of speaker 'customer')"),
     "slot-missing": ("ANSWER_PREFERENCE", "attribute", MISSING, "missing slot 'attribute'"),
     "attribute-not-a-string": ("ASK_PREFERENCE", "attribute", ["color"],
                                "slot 'attribute' must be a string, got ['color']"),
@@ -688,7 +689,8 @@ TURN_RULES = {
 @pytest.mark.parametrize("stage", STAGES)
 def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text, stage, rule):
     """`realize` and every `gold` task check each turn by the one act-slot table before they read
-    it, so a turn that breaks a rule gives each of them the same located line and no output."""
+    it, and every reader checks a turn's act against its speaker, so a turn that breaks a rule
+    gives each of them the same located line and no output."""
     act, field, value, problem = TURN_RULES[rule]
 
     def edit(turn):
@@ -700,7 +702,10 @@ def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text
             turn["slots"][field] = value
 
     flows, where, record, turn = flows_with_bad_turn(tmp_path, edit, act=act, text=realized_text)
-    problem = problem.format(scene=record["scene_id"], attribute=turn["slots"].get("attribute"))
+    k = next(k for k, t in enumerate(record["turns"], 1) if t is turn)
+    problem = problem.format(scene=record["scene_id"], attribute=turn["slots"].get("attribute"), k=k)
+    if problem.startswith("bad dialog record"):
+        where = where.split(":")[0]
     capsys.readouterr()
     assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 1
     assert capsys.readouterr().err == f"error: {flows}:{where}: {problem}\n"
@@ -717,18 +722,18 @@ HAND_EDITED_FAULTS = {
                                      "concept 'premium_price' is not a color concept"),
     "accept-no": ("RESPOND_PROMPT", {"attribute": "color", "concept_id": "warm_color", "accept": "no"},
                   "slot 'accept' must be true or false, got 'no'"),
-    "salesperson-sings": ("SING_A_SONG", {}, "not an act of speaker 'salesperson'"),
+    "salesperson-sings": ("SING_A_SONG", {}, "'SING_A_SONG' is not an act of speaker 'salesperson'"),
 }
 
 
 def hand_edited_flows(tmp_path, fault):
     act, slots, problem = HAND_EDITED_FAULTS[fault]
-    if act == "SING_A_SONG":
-        line = flow_line(act=act, slots=slots)
-    else:  # a customer turn, after the round's salesperson turn
-        line = flow_line(before=[ASK_COLOR], act=act, slots=slots)
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(line + "\n")
+    if act == "SING_A_SONG":  # every reader rejects an act of no speaker, before the act-slot table
+        flows.write_text(flow_line(act=act, slots=slots) + "\n")
+        return flows, f"error: {flows}:1: bad dialog record (turn 1: {problem})\n"
+    # a customer turn, after the round's salesperson turn
+    flows.write_text(flow_line(before=[ASK_COLOR], act=act, slots=slots) + "\n")
     return flows, f"error: {flows}:1: dialog d00000 round 1 {act}: {problem}\n"
 
 
@@ -898,23 +903,21 @@ LISTED_FLOWS_SHA256 = "b306e4384ba34bfc57ad198a2fbe1a988a313e8e39561049cbde67608
 def with_item_lists(src: Path, dst: Path, scenes_by_id, ontology) -> Path:
     """A copy of a flow file in the format before counts: each turn stores its round and speaker
     and lists the candidate items that replay rebuilds, sorted, where it had its `candidate_count`."""
-    records = []
-    for line in src.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        flow = DialogFlow(**record)
+    def edit(record):
+        record = with_turn_counts(record)
+        flow = DialogFlow(**record, candidate_counts=None)
         record["turns"] = with_positions([
             {("candidate_items" if k == "candidate_count" else k):
              (sorted(state.candidate_items) if k == "candidate_count" else v) for k, v in turn.items()}
             for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology)])
-        records.append(json.dumps(record, separators=(",", ":"), ensure_ascii=False) + "\n")
-    dst.write_text("".join(records), encoding="utf-8")
-    return dst
+        return record
+    return rewritten(src, dst, edit)
 
 
 def test_flows_that_list_candidate_items_still_read(tmp_path, scenes_by_id, ontology):
     """A flow file of the format before counts, whose turns list their candidate items and one of
     whose turns carries a `candidate_values`, gives the same stats, gold, realized and split files
-    as the current file of the same seed: `realize` and `split` rewrite it with counts and
+    as the current file of the same seed: `realize` and `split` rewrite it with a count list and
     without positions."""
     current = simulate(tmp_path, "current.jsonl", n=200, seed=3)
     realized = tmp_path / "realized.jsonl"
@@ -944,22 +947,62 @@ def test_flows_that_list_candidate_items_still_read(tmp_path, scenes_by_id, onto
     assert new == old
     assert len(old) == 7 + len(SPLIT_NAMES)
     for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
-        assert b'"candidate_count":' in old[name] and b"candidate_items" not in old[name], name
+        assert b'"candidate_counts":' in old[name] and b"candidate_items" not in old[name], name
         assert b'"round":' not in old[name] and b'"speaker":' not in old[name], name
 
 
-# sha256 of `simulate --n 200 --seed 3` when each turn stored its round and speaker: `with_positions`
-# rebuilds that file byte for byte from the current one.
+# sha256 of `simulate --n 200 --seed 3` when each turn stored its round, speaker and count:
+# `with_stored_positions` rebuilds that file byte for byte from the current one.
 STORED_POSITIONS_SHA256 = "17777348e8932478a337d98c12877a1a304b189dc6931a39deea7ffbee408fa2"
+# sha256 of `simulate --n 200 --seed 3` when each turn stored its count, before `candidate_counts`:
+# `with_turn_counts` rebuilds that file byte for byte from the current one.
+TURN_COUNTS_SHA256 = "a1c56a63f1e3d680662c1bcac52c9deefdebdf61301895b88d3633831ef77c38"
+
+
+def with_turn_counts(record: dict) -> dict:
+    """A flow record in the format before `candidate_counts`: each turn carries its count after
+    its slots, a salesperson turn the count before its round and a customer turn the one after."""
+    counts = record["candidate_counts"]
+    turns = [{"act": t["act"], "slots": t["slots"], "candidate_count": counts[(k + 1) // 2], **t}
+             for k, t in enumerate(record["turns"])]
+    return {**{k: v for k, v in record.items() if k != "candidate_counts"}, "turns": turns}
+
+
+def rewritten(src: Path, dst: Path, edit) -> Path:
+    """A compact copy of a flow file with each record replaced by `edit(record)`."""
+    records = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
+    dst.write_text("".join(json.dumps(edit(r), separators=(",", ":"), ensure_ascii=False) + "\n"
+                           for r in records), encoding="utf-8")
+    return dst
 
 
 def with_stored_positions(src: Path, dst: Path) -> Path:
     """A copy of a flow file in the format before positional turns, written compact."""
-    records = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
-    dst.write_text("".join(json.dumps({**r, "turns": with_positions(r["turns"])},
-                                      separators=(",", ":"), ensure_ascii=False) + "\n"
-                           for r in records), encoding="utf-8")
-    return dst
+    def edit(record):
+        record = with_turn_counts(record)
+        return {**record, "turns": with_positions(record["turns"])}
+    return rewritten(src, dst, edit)
+
+
+def outputs_of_forms(tmp_path: Path, forms: dict[str, tuple[Path, Path]]) -> dict[str, dict[str, bytes]]:
+    """Per form, the realized, stats, split and six gold files (SPD in both modes) that its flow
+    and realized files give, by path under the form's output directory."""
+    written = {}
+    for tag, (flows, realized) in forms.items():
+        out = tmp_path / tag
+        out.mkdir()
+        argvs = [stage_argv("realize", flows, out / "realized.jsonl"),
+                 stage_argv("stats", flows, out / "stats.json"),
+                 stage_argv("split", realized, out / "splits"),
+                 [*stage_argv("gold spd", realized, out / "gold_spd_scene_only.jsonl"),
+                  "--spd-mode", "scene_only"],
+                 *(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl") for task in TASKS)]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        written[tag] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                        if p.is_file() and not p.name.endswith(".manifest.json")}
+        assert len(written[tag]) == 8 + len(SPLIT_NAMES)
+    return written
 
 
 def test_turns_that_store_their_position_still_read(tmp_path):
@@ -976,55 +1019,112 @@ def test_turns_that_store_their_position_still_read(tmp_path):
     forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
                                for src in forms["stored"])
     assert b'"round": 1' in forms["scrambled"][0].read_bytes()
-
-    def outputs(tag: str) -> dict[str, bytes]:
-        flows, realized = forms[tag]
-        out = tmp_path / tag
-        out.mkdir()
-        argvs = [stage_argv("realize", flows, out / "realized.jsonl"),
-                 stage_argv("stats", flows, out / "stats.json"),
-                 stage_argv("split", realized, out / "splits"),
-                 [*stage_argv("gold spd", realized, out / "gold_spd_scene_only.jsonl"),
-                  "--spd-mode", "scene_only"],
-                 *(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl") for task in TASKS)]
-        for argv in argvs:
-            assert main(argv) == 0, argv
-        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
-                if p.is_file() and not p.name.endswith(".manifest.json")}
-
-    written = {tag: outputs(tag) for tag in forms}
-    assert len(written["positional"]) == 8 + len(SPLIT_NAMES)
+    written = outputs_of_forms(tmp_path, forms)
     assert written["stored"] == written["positional"] == written["scrambled"]
     for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
         assert b'"round":' not in written["stored"][name] and b'"speaker":' not in written["stored"][name]
 
 
+def test_turns_that_carry_their_count_still_read(tmp_path):
+    """A flow file and a realized file whose turns carry their `candidate_count`, as written before
+    the `candidate_counts` list, and a scrambled copy of each, give the same realized, split,
+    stats and gold files as the listed ones; `realize` and `split` write them with the list."""
+    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
+    realized = tmp_path / "realized.jsonl"
+    assert main(stage_argv("realize", flows, realized)) == 0
+    forms = {"listed": (flows, realized)}
+    forms["counted"] = tuple(rewritten(src, tmp_path / f"counted_{src.name}", with_turn_counts)
+                             for src in (flows, realized))
+    assert hashlib.sha256(forms["counted"][0].read_bytes()).hexdigest() == TURN_COUNTS_SHA256
+    forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
+                               for src in forms["counted"])
+    assert b'"candidate_count": ' in forms["scrambled"][1].read_bytes()
+    written = outputs_of_forms(tmp_path, forms)
+    assert written["counted"] == written["listed"] == written["scrambled"]
+    for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
+        assert b'"candidate_count":' not in written["counted"][name], name
+        assert b'"candidate_counts":' in written["counted"][name], name
+
+
 ANSWER_WARM = {"act": "ANSWER_PREFERENCE", "slots": {"attribute": "color", "concept_id": "warm_color"},
                "candidate_count": 1, "utterance": "Something warm."}
-# Per fault: the turns of a realized flow line whose candidate counts break one rule, and the
-# problem every reader reports.
+# A round of turns in the current form, without per-turn counts.
+LISTED_ROUND = [without_count(), {k: v for k, v in ANSWER_WARM.items() if k != "candidate_count"}]
+# Per fault: the turns of a realized flow line and its flow fields, whose candidate counts break one
+# rule, and the problem every reader reports. The first three are older files' per-turn counts.
 COUNT_RULE_FAULTS = {
-    "count-below-one": ([{**ASK_COLOR, "candidate_count": 0}],
+    "count-below-one": ([{**ASK_COLOR, "candidate_count": 0}], {},
                         "turn 1: candidate_count must be at least 1, got 0"),
-    "customer-count-grows": ([ASK_COLOR, {**ANSWER_WARM, "candidate_count": 3}],
+    "customer-count-grows": ([ASK_COLOR, {**ANSWER_WARM, "candidate_count": 3}], {},
                              "turn 2: candidate_count must be at most turn 1's 2, got 3"),
-    "salesperson-count-differs": ([ASK_COLOR, ANSWER_WARM, ASK_COLOR],
+    "salesperson-count-differs": ([ASK_COLOR, ANSWER_WARM, ASK_COLOR], {},
                                   "turn 3: candidate_count must be equal to turn 2's 1, got 2"),
+    "list-entry-below-one": (LISTED_ROUND, {"candidate_counts": [2, 0]},
+                             "candidate_counts[1] must be at least 1, got 0"),
+    "list-entry-grows": (LISTED_ROUND, {"candidate_counts": [2, 3]},
+                         "candidate_counts[1] must be at most the 2 before it, got 3"),
+    "list-short": (LISTED_ROUND, {"candidate_counts": [2]}, "candidate_counts must hold 2 counts, got 1"),
+    "list-long": (LISTED_ROUND, {"candidate_counts": [2, 1, 1]},
+                  "candidate_counts must hold 2 counts, got 3"),
+    "list-not-a-list": (LISTED_ROUND, {"candidate_counts": 2},
+                        "candidate_counts must be a list of integers, got 2"),
+    "list-bool-entry": (LISTED_ROUND, {"candidate_counts": [2, True]},
+                        "candidate_counts must be a list of integers, got [2, True]"),
+    "list-and-turn-count": ([ASK_COLOR, ANSWER_WARM], {"candidate_counts": [2, 1]},
+                            "turn 1: a turn count cannot stand beside candidate_counts"),
 }
 
 
 @pytest.mark.parametrize("fault", COUNT_RULE_FAULTS)
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_inconsistent_candidate_counts(tmp_path, capsys, stage, fault):
-    """A count is at least 1, a salesperson turn's equals the count before it and a customer turn's
-    is at most its round's: every flow reader rejects a turn that breaks one with one located
-    line and writes nothing."""
-    turns, problem = COUNT_RULE_FAULTS[fault]
+    """`candidate_counts` is a list of integers, one per customer turn plus one, each at least 1
+    and none above the one before it, and no turn carries a count beside it. An older file's turn
+    count is at least 1, a salesperson turn's equals the count before it and a customer turn's is
+    at most its round's. Every flow reader rejects a flow that breaks one with one located line and
+    writes nothing."""
+    turns, flow_fields, problem = COUNT_RULE_FAULTS[fault]
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(turns_line(turns) + "\n")
+    flows.write_text(turns_line(turns, flow_fields) + "\n")
     assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {flows}:1: bad dialog record ({problem})\n"
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
+
+
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_an_act_of_the_other_speaker(tmp_path, capsys, realized_text, stage):
+    """With a dialog's last salesperson turn deleted, its reply sits on a salesperson turn's
+    position: every flow reader, `split` and `stats` included, rejects it with one located line."""
+    records = [json.loads(line) for line in realized_text.splitlines()]
+    turns = records[1]["turns"]
+    del turns[-2]
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:2: bad dialog record (turn {len(turns)}: "
+        f"{turns[-1]['act']!r} is not an act of speaker 'salesperson')\n")
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_first_candidate_count_must_be_the_scene_item_count(tmp_path, capsys, realized_text, stage):
+    """`realize` and every `gold` task reject a flow whose `candidate_counts` does not open with
+    its scene's item count, naming the dialog; `split` and `stats`, which load no catalog, do not."""
+    records = [json.loads(line) for line in realized_text.splitlines()]
+    counts = records[1]["candidate_counts"]
+    counts[0] += 1
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:2: dialog {records[1]['dialog_id']}: candidate_counts[0] must be scene "
+        f"{records[1]['scene_id']}'s {counts[0] - 1} items, got {counts[0]}\n")
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
+    for stage in ("split", "stats"):
+        assert main(stage_argv(stage, flows, tmp_path / stage)) == 0
 
 
 DROP = object()
@@ -1346,7 +1446,7 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pin):
     assert (exc.value.code, out, err) == (pin["code"], pin["stdout"], pin["stderr"])
 
 
-TURN_KEYS = ["act", "slots", "candidate_count"]
+TURN_KEYS = ["act", "slots"]
 
 
 def scrambled(src: Path, dst: Path) -> Path:

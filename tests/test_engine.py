@@ -21,7 +21,7 @@ from shopdialog.engine import (
     salesperson_step,
 )
 from shopdialog.errors import ValidationError
-from tests.conftest import positioned, replayed
+from tests.conftest import positioned, replayed, turn_counts
 
 FASHION_ATTRS = {
     "type": "jacket", "color": "red", "pattern": "plain", "material": "wool",
@@ -385,13 +385,13 @@ def test_corpus_target_retention_and_monotonicity(small_corpus, scenes_by_id, on
     for flow in small_corpus:
         prev = None
         replay = replayed(flow, scenes_by_id[flow.scene_id], ontology)
-        for (_, speaker, _), (turn, state) in zip(positioned(flow), replay):
+        for (_, speaker, _), (turn, state), count in zip(positioned(flow), replay, turn_counts(flow)):
             assert flow.target_object_id in state.candidate_items
-            assert turn["candidate_count"] == len(state.candidate_items)
+            assert count == len(state.candidate_items)
             if speaker == "customer":
                 if prev is not None:
-                    assert turn["candidate_count"] <= prev
-                prev = turn["candidate_count"]
+                    assert count <= prev
+                prev = count
 
 
 def test_corpus_guard_conformance(small_corpus, policy):
@@ -407,7 +407,7 @@ def test_corpus_guard_conformance(small_corpus, policy):
         for rnd, speaker, turn in positioned(flow):
             if speaker == "customer" and turn["act"] == "RESPOND_ATTRIBUTE_VALUE":
                 prev_reject[rnd + 1] = not turn["slots"]["accept"]
-        for rnd, speaker, turn in positioned(flow):
+        for (rnd, speaker, turn), count in zip(positioned(flow), turn_counts(flow)):
             if speaker != "salesperson":
                 continue
             before = elicited_round.get(rnd - 1, False)
@@ -416,17 +416,17 @@ def test_corpus_guard_conformance(small_corpus, policy):
             if turn["act"] == "DISPLAY_CANDIDATE_VALUES":
                 assert policy.display_min <= len(turn["slots"]["values"]) <= policy.display_max
             if turn["act"] == "RECOMMEND_ITEM":
-                assert turn["candidate_count"] <= policy.recommend_max
+                assert count <= policy.recommend_max
             if turn["act"] == "REVISE_ATTRIBUTE_VALUE":
                 assert prev_reject.get(rnd), "REVISE without fresh rejection"
 
 
 def test_corpus_recommend_guard_is_true_guard(small_corpus, policy):
-    # candidate_count on the salesperson turn counts the pre-act items it acted on.
+    # A salesperson turn's candidate count is the pre-act items it acted on.
     for flow in small_corpus:
-        for _, speaker, turn in positioned(flow):
+        for (_, speaker, turn), count in zip(positioned(flow), turn_counts(flow)):
             if speaker == "salesperson" and turn["act"] == "RECOMMEND_ITEM":
-                assert turn["candidate_count"] <= policy.recommend_max
+                assert count <= policy.recommend_max
 
 
 def test_corpus_termination(small_corpus):
@@ -473,7 +473,7 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
         judged = {it.object_id for it in scene.items}
         sales = [t for _, speaker, t in positioned(flow) if speaker == "salesperson"]
         custs = [t for _, speaker, t in positioned(flow) if speaker == "customer"]
-        for s, c in zip(sales, custs):
+        for s, c, count in zip(sales, custs, flow.candidate_counts[1:]):
             state = apply_turn(
                 state, (s["act"], s["slots"]), (c["act"], c["slots"]), ontology
             )
@@ -486,7 +486,7 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
                 assert value in state.candidate_values[attr], (flow.dialog_id, state.round, attr)
             expected = consistent_items(state.candidate_values, scene) & judged
             assert state.candidate_items == expected
-            assert c["candidate_count"] == len(state.candidate_items)
+            assert count == len(state.candidate_items)
 
 
 def test_generate_corpus_deterministic_and_seeded_per_session(scenes, ontology, policy):
@@ -596,7 +596,8 @@ def test_run_dialog_forces_a_recommendation_when_no_act_is_eligible():
     cfg = one_act_policy("ASK_PREFERENCE", recommend_max=5)
     assert eligible_acts(new_session(scene), cfg) == {"RECOMMEND_ITEM"}
     flows = [run_dialog(scene, ont, cfg, random.Random(seed)) for seed in range(5)]
-    forced = [t for f in flows for t in f.turns[::2] if t["candidate_count"] > cfg.recommend_max]
+    forced = [t for f in flows for t, count in zip(f.turns[::2], f.candidate_counts)
+              if count > cfg.recommend_max]
     assert forced and {t["act"] for t in forced} == {"RECOMMEND_ITEM"}
     check_flows(flows, scene, ont)
 

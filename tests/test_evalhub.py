@@ -23,9 +23,9 @@ from shopdialog.evalhub import (
 )
 
 
-def turn(act, slots, candidate_count):
+def turn(act, slots):
     """A turn in its wire form; its place in the flow's turns gives its round and speaker."""
-    return {"act": act, "slots": slots, "candidate_count": candidate_count}
+    return {"act": act, "slots": slots}
 
 
 def test_perfect_set_prediction():
@@ -100,15 +100,15 @@ def test_act_price_complaint_round():
     from tests.test_engine import make_scene
 
     scene = make_scene(["red"])
-    flow = DialogFlow("d0", scene.scene_id, 0, "success", [
+    flow = DialogFlow("d0", scene.scene_id, 0, "success", [1, 1, 1], [
         turn("GUESS_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$299"}, 1),
+             {"attribute": "price", "value": "$299"}),
         turn("RESPOND_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$299", "accept": False}, 1),
+             {"attribute": "price", "value": "$299", "accept": False}),
         turn("REVISE_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$99"}, 1),
+             {"attribute": "price", "value": "$99"}),
         turn("RESPOND_ATTRIBUTE_VALUE",
-             {"attribute": "price", "value": "$99", "accept": True}, 1),
+             {"attribute": "price", "value": "$99", "accept": True}),
     ])
     rows = dict(build_gold([(1, flow)], None, {scene.scene_id: scene}, "ACT"))
     assert rows[("d0", 2)] == "REVISE_ATTRIBUTE_VALUE"
@@ -251,9 +251,9 @@ def test_extract_item_ids_accepts_lists():
 
 def two_turn_flow(dialog_id="d0", act="ASK_PREFERENCE"):
     pair = {"ASK_PREFERENCE": "ANSWER_PREFERENCE"}[act]
-    return DialogFlow(dialog_id, "s", 0, "success", [
-        turn(act, {"attribute": "color"}, 2),
-        turn(pair, {"attribute": "color", "concept_id": "warm_color"}, 1),
+    return DialogFlow(dialog_id, "s", 0, "success", [2, 1], [
+        turn(act, {"attribute": "color"}),
+        turn(pair, {"attribute": "color", "concept_id": "warm_color"}),
     ])
 
 
@@ -328,10 +328,10 @@ def test_build_gold_spd_single_round(ontology, scenes):
     from tests.test_engine import make_scene
 
     scene = make_scene(["red", "blue", "yellow"])
-    flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        turn("ASK_PREFERENCE", {"attribute": "color"}, 3),
+    flow = DialogFlow("d0", scene.scene_id, 0, "success", [3, 2], [
+        turn("ASK_PREFERENCE", {"attribute": "color"}),
         turn("ANSWER_PREFERENCE",
-             {"attribute": "color", "concept_id": "warm_color"}, 2),
+             {"attribute": "color", "concept_id": "warm_color"}),
     ])
     rows = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD"))
     assert rows[("d0", 1)] == ["red", "yellow"]
@@ -341,13 +341,13 @@ def test_build_gold_spd_modes(ontology):
     from tests.test_engine import make_scene
 
     scene = make_scene(["red", "yellow", "blue", "orange"])
-    flow = DialogFlow("d0", scene.scene_id, 0, "success", [
-        turn("ASK_PREFERENCE", {"attribute": "color"}, 4),
+    flow = DialogFlow("d0", scene.scene_id, 0, "success", [4, 2, 1], [
+        turn("ASK_PREFERENCE", {"attribute": "color"}),
         turn("ANSWER_PREFERENCE",
-             {"attribute": "color", "concept_id": "warm_color"}, 2),
-        turn("EXCLUDE_PREFERENCE", {"attribute": "color"}, 2),
+             {"attribute": "color", "concept_id": "warm_color"}),
+        turn("EXCLUDE_PREFERENCE", {"attribute": "color"}),
         turn("NEGATE_PREFERENCE",
-             {"attribute": "color", "concept_id": "powerful_color"}, 1),
+             {"attribute": "color", "concept_id": "powerful_color"}),
     ])
     cumulative = dict(build_gold([(1, flow)], ontology, {scene.scene_id: scene}, "SPD", spd_mode="cumulative"))
     assert cumulative[("d0", 2)] == ["yellow"]  # warm minus powerful, in scene
@@ -356,10 +356,10 @@ def test_build_gold_spd_modes(ontology):
 
 
 def test_build_gold_rru_definitional(ontology, scenes_by_id):
-    flow = DialogFlow("d0", "f01", 12, "success", [
-        turn("REFER_REGION", {"region_label": "far right shelf"}, 32),
+    flow = DialogFlow("d0", "f01", 12, "success", [32, 5], [
+        turn("REFER_REGION", {"region_label": "far right shelf"}),
         turn("JUDGE_REGION",
-             {"region_label": "far right shelf", "accept": True}, 5),
+             {"region_label": "far right shelf", "accept": True}),
     ])
     rows = dict(build_gold([(1, flow)], ontology, scenes_by_id, "RRU"))
     assert rows[("d0", 1)] == [12, 13, 16, 22, 31]
@@ -367,7 +367,9 @@ def test_build_gold_rru_definitional(ontology, scenes_by_id):
 
 def test_build_gold_recommend_is_target(ontology, scenes_by_id):
     flow = two_turn_flow()
-    flow = flow._replace(scene_id=next(iter(scenes_by_id)), target_object_id=7)
+    scene = next(iter(scenes_by_id.values()))
+    flow = flow._replace(scene_id=scene.scene_id, target_object_id=7,
+                         candidate_counts=[len(scene.items_by_id), 1])
     rows = dict(build_gold([(1, flow)], ontology, scenes_by_id, "RECOMMEND"))
     assert rows[("d0", 1)] == [7]
 

@@ -22,10 +22,7 @@ CONCEPT_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE",
 
 
 def concept_turn(concept_id="warm_color"):
-    return dict(
-        act="ANSWER_PREFERENCE", slots={"attribute": "color", "concept_id": concept_id},
-        candidate_count=1,
-    )
+    return dict(act="ANSWER_PREFERENCE", slots={"attribute": "color", "concept_id": concept_id})
 
 
 def test_answer_contains_surface_form(templates, ontology, scenes):
@@ -37,7 +34,7 @@ def test_answer_contains_surface_form(templates, ontology, scenes):
 def test_recommend_mentions_region_and_token(templates, ontology, scenes):
     f01 = next(s for s in scenes if s.scene_id == "f01")
     shelf_item = sorted({12, 13, 16, 22, 31})[0]
-    turn = dict(act="RECOMMEND_ITEM", slots={"object_id": shelf_item}, candidate_count=1)
+    turn = dict(act="RECOMMEND_ITEM", slots={"object_id": shelf_item})
     utterance = realize_turn(turn, templates, ontology, f01, random.Random(0))
     assert "far right shelf" in utterance
     assert f"<@{shelf_item}>" in utterance
@@ -61,7 +58,7 @@ def test_fixed_seed_is_deterministic(templates, ontology, scenes):
 
 
 def test_empty_flow_unchanged(templates, ontology, scenes):
-    flow = DialogFlow("d0", scenes[0].scene_id, 0, "success", [])
+    flow = DialogFlow("d0", scenes[0].scene_id, 0, "success", [len(scenes[0].items)], [])
     realized = realize_dialog(flow, templates, ontology, scenes[0], seed=1)
     assert flow_to_dict(realized) == flow_to_dict(flow)
 

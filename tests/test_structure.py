@@ -62,7 +62,7 @@ def test_uniform_draws_use_choice():
 
 
 def test_candidate_item_lists_are_read_only_from_older_files():
-    """A turn carries its `candidate_count`; only `engine.flow_from_dict`, which reads the item
+    """A flow carries its `candidate_counts`; only `engine.flow_from_dict`, which reads the item
     list of a file older than counts, names the key "candidate_items"."""
     readers = []
     for path in SRC.glob("*.py"):
@@ -102,14 +102,14 @@ def test_simulated_turns_carry_exactly_their_act_slots(scenes, scenes_by_id, ont
     """The engine writes each act with the slots `ACT_SLOTS` lists, in that order, every turn
     passes `check_turn`, and every act of the table occurs."""
     from shopdialog.acts import ACT_SLOTS
-    from shopdialog.engine import SPEAKERS, check_turn, generate_corpus
+    from shopdialog.engine import check_turn, generate_corpus
 
     seen = set()
     for seed in (3, 11):
         for flow in generate_corpus(scenes, ontology, policy, 300, seed):
-            for k, turn in enumerate(flow.turns):
+            for turn in flow.turns:
                 assert tuple(turn["slots"]) == ACT_SLOTS[turn["act"]], turn
-                check_turn(turn, SPEAKERS[k % 2], scenes_by_id[flow.scene_id], ontology)
+                check_turn(turn, scenes_by_id[flow.scene_id], ontology)
                 seen.add(turn["act"])
     assert seen == set(ACT_SLOTS)
 
