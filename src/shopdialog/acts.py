@@ -1,5 +1,5 @@
-"""The dialog act vocabulary, the slots each act carries, and the benchmark's task and split
-names, importable without the engine or the scoring code."""
+"""The dialog act vocabulary, the slots each act carries and those a customer act echoes, and the
+benchmark's task and split names, importable without the engine or the scoring code."""
 
 TASKS = ("SPD", "RRU", "ACT", "RESPONSE", "RECOMMEND")
 SPLIT_NAMES = ("train", "dev", "dev_test", "test_std")
@@ -27,8 +27,8 @@ ACT_PAIRS = {
 }
 ELICIT_ACTS = ("ASK_PREFERENCE", "EXCLUDE_PREFERENCE", "PROMPT_PREFERENCE")
 
-# The slots each act carries, in the order the engine writes them: `engine.check_turn` checks
-# the turns `realize` and `gold` read against it, and the realizer derives its template keys.
+# The slots each act carries, in table order: `engine.check_turn` checks the turns `realize` and
+# `gold` read against it, and the realizer derives its template keys.
 ACT_SLOTS = {
     "ASK_PREFERENCE": ("attribute",), "EXCLUDE_PREFERENCE": ("attribute",),
     "PROMPT_PREFERENCE": ("attribute", "concept_id"),
@@ -41,3 +41,7 @@ ACT_SLOTS = {
     "CHOOSE_ATTRIBUTE_VALUE": ("attribute", "value"),
     "JUDGE_REGION": ("region_label", "accept"), "RESPOND_RECOMMENDATION": ("accept",),
 }
+# The slots of ACT_SLOTS a customer turn does not store but reads from the salesperson turn it answers.
+ECHOED_SLOTS = {"ANSWER_PREFERENCE": ("attribute",), "RESPOND_PROMPT": ("attribute", "concept_id"),
+                "RESPOND_ATTRIBUTE_VALUE": ("attribute", "value"), "CHOOSE_ATTRIBUTE_VALUE": ("attribute",),
+                "JUDGE_REGION": ("region_label",)}

@@ -13,16 +13,15 @@ Flows are interchanged as JSON Lines, one dialog per line, here cut short and wr
 
 The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance". A turn is
 that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it reads
-in this key order, and `flow_to_dict` passes turns through. A turn's position is its round and
-speaker, one of whose acts it takes: turn k (from 1) is round ceil(k/2)'s salesperson turn if k is
-odd, else its customer turn. Older files also store both as "round" and "speaker", which must then
-match the position and are dropped. `candidate_counts` holds the number of round 1's candidate
-items, then the number left after each round; older files put a count on each turn, which is checked
-and folded into the list. `read_flows` yields one flow at a time, located as "<path>:<line>". An act
-is a `(name, slots)` pair carrying the slots `acts.ACT_SLOTS` lists; `realize` and `gold` check
-every flow they read with `check_flow`, which checks each turn against that table with `check_turn`
-and puts the flow's location in front of the first fault. Neither the candidate values nor the items
-are stored: replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds both.
+in this key order, and `flow_to_dict` passes turns through. Turn k (from 1) is round ceil(k/2)'s
+salesperson turn if k is odd, else its customer turn, and takes one of that speaker's acts. An act
+carries the slots `acts.ACT_SLOTS` lists, but a turn stores only what its speaker adds: a customer
+turn reads those `acts.ECHOED_SLOTS` lists from the turn it answers (`answer_slots`). The counts
+are round 1's candidate items, then those left after each round. Older files also store a turn's
+"round" and "speaker", a count on each turn (folded into the list) or a customer turn's echoed
+slots, each checked against what it repeats. `realize` and `gold` check every flow against
+`ACT_SLOTS` with `check_flow`. Neither candidate values nor items are stored: replaying the act
+pairs through `apply_turn` from `new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import random
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .acts import ACT_PAIRS, ACT_SLOTS, ELICIT_ACTS, SALESPERSON_ACTS
+from .acts import ACT_PAIRS, ACT_SLOTS, ECHOED_SLOTS, ELICIT_ACTS, SALESPERSON_ACTS
 from .errors import MalformedFile, NoTruthfulConcept, ValidationError
 from .jsonio import read_json_with, read_jsonl, string_list, write_jsonl
 
@@ -254,12 +253,12 @@ def customer_step(
     ont: Ontology,
     rng: random.Random,
 ) -> tuple[str, dict]:
-    """Truthful response: never contradicts the hidden target's attributes."""
+    """Truthful response, never contradicting the hidden target; it carries only the slots it adds."""
     name, slots = s_act
     if name == "ASK_PREFERENCE":
         attr = slots["attribute"]
         options = sorted(_ontology().concepts_for_value(ont, attr, goal.attributes[attr]))
-        return "ANSWER_PREFERENCE", {"attribute": attr, "concept_id": rng.choice(options)}
+        return "ANSWER_PREFERENCE", {"concept_id": rng.choice(options)}
     if name == "EXCLUDE_PREFERENCE":
         # Answer about the asked attribute if a truthful dislike exists there,
         # otherwise fall back to any other attribute of the domain.
@@ -274,23 +273,26 @@ def customer_step(
                 return "NEGATE_PREFERENCE", {"attribute": attr, "concept_id": rng.choice(pool).concept_id}
         raise NoTruthfulConcept("every concept of every attribute covers the target")
     if name == "PROMPT_PREFERENCE":
-        attr, cid = slots["attribute"], slots["concept_id"]
-        accept = goal.attributes[attr] in ont.concept(cid).values
-        return "RESPOND_PROMPT", {"attribute": attr, "concept_id": cid, "accept": accept}
+        accept = goal.attributes[slots["attribute"]] in ont.concept(slots["concept_id"]).values
+        return "RESPOND_PROMPT", {"accept": accept}
     if name in ("GUESS_ATTRIBUTE_VALUE", "REVISE_ATTRIBUTE_VALUE"):
-        attr, value = slots["attribute"], slots["value"]
-        accept = goal.attributes[attr] == value
-        return "RESPOND_ATTRIBUTE_VALUE", {"attribute": attr, "value": value, "accept": accept}
+        return "RESPOND_ATTRIBUTE_VALUE", {"accept": goal.attributes[slots["attribute"]] == slots["value"]}
     if name == "DISPLAY_CANDIDATE_VALUES":
-        attr = slots["attribute"]
-        return "CHOOSE_ATTRIBUTE_VALUE", {"attribute": attr, "value": goal.attributes[attr]}
+        return "CHOOSE_ATTRIBUTE_VALUE", {"value": goal.attributes[slots["attribute"]]}
     if name == "REFER_REGION":
-        label = slots["region_label"]
-        accept = goal.object_id in state.scene.region_items[label]
-        return "JUDGE_REGION", {"region_label": label, "accept": accept}
+        return "JUDGE_REGION", {"accept": goal.object_id in state.scene.region_items[slots["region_label"]]}
     if name == "RECOMMEND_ITEM":
         return "RESPOND_RECOMMENDATION", {"accept": slots["object_id"] == goal.object_id}
     raise ValueError(f"not a salesperson act: {name}")
+
+
+def answer_slots(act: str, slots: dict, said: dict) -> dict:
+    """A turn's full slots: `slots`, after those of `said` (the turn it answers) that `act` echoes."""
+    full = {}
+    for key in ECHOED_SLOTS.get(act, ()):  # a loop: a comprehension costs more here, on every read
+        if key in said:
+            full[key] = said[key]
+    return {**full, **slots} if full else slots
 
 
 def apply_turn(
@@ -304,6 +306,7 @@ def apply_turn(
     dialog.
     """
     (s_name, s_slots), (name, slots) = s_act, c_act
+    slots = answer_slots(name, slots, s_slots)
     if ACT_PAIRS.get(s_name) != name:
         raise ValueError(f"invalid act pair {s_name} -> {name}")
     accept = slots.get("accept", name != "NEGATE_PREFERENCE")
@@ -345,14 +348,13 @@ _SPEAKER_ACTS = {"salesperson": frozenset(SALESPERSON_ACTS), "customer": frozens
 _TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
 
 
-def check_turn(turn: dict, scene: Scene, ont: Ontology) -> None:
-    """Check a turn read from a flow file, whose act `flow_from_dict` matched to its speaker,
-    against `ACT_SLOTS`; the first fault raises ValidationError. Each slot of the act, in table
-    order, is present: a text slot a string, `attribute` one of the scene's attributes and
-    `concept_id` a concept of it, `values` a non-empty list of strings, `region_label` one of the
-    scene's regions, `object_id` one of its items and `accept` a bool. Other slots are not read,
-    and no random number is drawn."""
-    act, slots = turn["act"], turn["slots"]
+def check_turn(act: str, slots: dict, scene: Scene, ont: Ontology) -> None:
+    """Check the act and full slots (`answer_slots`) of a turn read from a flow file, whose act
+    `flow_from_dict` matched to its speaker, against `ACT_SLOTS`; the first fault raises
+    ValidationError. Each slot of the act, in table order, is present: a text slot a string,
+    `attribute` one of the scene's attributes and `concept_id` a concept of it, `values` a
+    non-empty list of strings, `region_label` one of the scene's regions, `object_id` one of its
+    items and `accept` a bool. Other slots are not read, and no random number is drawn."""
     for key in ACT_SLOTS[act]:
         if key not in slots:
             raise ValidationError(f"missing slot {key!r}")
@@ -382,11 +384,12 @@ def check_flow(where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Onto
     scene = scenes.get(flow.scene_id)
     if scene is None:
         raise ValidationError(f"{at}: unknown scene_id {flow.scene_id!r}: not in the scene file")
-    for k, turn in enumerate(flow.turns):
+    for k, t in enumerate(flow.turns):  # a customer turn k answers turn k - 1
+        slots = answer_slots(t["act"], t["slots"], flow.turns[k - 1]["slots"]) if k % 2 else t["slots"]
         try:
-            check_turn(turn, scene, ont)
+            check_turn(t["act"], slots, scene, ont)
         except ValidationError as exc:
-            raise ValidationError(f"{at} round {k // 2 + 1} {turn['act']}: {exc}") from None
+            raise ValidationError(f"{at} round {k // 2 + 1} {t['act']}: {exc}") from None
     if flow.target_object_id not in scene.items_by_id:
         raise ValidationError(f"{at}: unknown target_object_id {flow.target_object_id}: "
                               f"not in scene {scene.scene_id!r}")
@@ -473,11 +476,12 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order, its act one of the speaker's its position fixes;
-    other keys, such as the `candidate_values` of older files, or a null `utterance`, are dropped.
-    A wrong-typed field raises TypeError naming it, any other fault ValueError. `candidate_counts`
-    holds a count per customer turn plus one, none below 1 or above the one before. An older turn
-    may store its `round` and `speaker` (fitting its position) and a count, or `candidate_items`:
-    a salesperson turn's equals the one before, and turn 1's and each customer turn's make the list."""
+    other keys, such as older files' `candidate_values` and a customer turn's echoed slots (each
+    equal to its salesperson turn's), or a null `utterance`, are dropped. A wrong-typed field
+    raises TypeError naming it, any other fault ValueError. `candidate_counts` holds a count per
+    customer turn plus one, none below 1 or above the one before. An older turn may store its
+    `round` and `speaker` (fitting its position) and a count, or `candidate_items`: a salesperson
+    turn's equals the one before, and turn 1's and each customer turn's make the list."""
     listed = "candidate_counts" in raw
     turns, counts = [], []
     for k, t in enumerate(raw["turns"], 1):
@@ -506,6 +510,12 @@ def flow_from_dict(raw: dict) -> DialogFlow:
                              f"got round {stored['round']} {stored['speaker']!r}")
         if turn["act"] not in _SPEAKER_ACTS[speaker]:
             raise ValueError(f"turn {k}: {turn['act']!r} is not an act of speaker {speaker!r}")
+        if not turn["slots"].keys().isdisjoint(echoed := ECHOED_SLOTS.get(turn["act"], ())):
+            for key in echoed:
+                if key in turn["slots"] and turn["slots"][key] != (said := turns[-1]["slots"].get(key)):
+                    raise ValueError(f"turn {k}: slot {key!r} must be turn {k - 1}'s {said!r}, "
+                                     f"got {turn['slots'][key]!r}")
+            turn["slots"] = {name: value for name, value in turn["slots"].items() if name not in echoed}
         if not listed:
             count = turn.pop("candidate_count")
             if count < 1:

@@ -226,10 +226,12 @@ _CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
 
 def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
     """(round, attribute, polarity, concept_id) of the customer's preference turns."""
+    from .engine import answer_slots
+
     clauses = []
     for k, turn in enumerate(flow.turns):
-        act, slots = turn["act"], turn["slots"]
-        if act in _CLAUSE_ACTS:
+        if turn["act"] in _CLAUSE_ACTS:  # customer acts: turn k answers turn k - 1
+            act, slots = turn["act"], answer_slots(turn["act"], turn["slots"], flow.turns[k - 1]["slots"])
             like = slots["accept"] if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
             clauses.append((k // 2 + 1, slots["attribute"], "like" if like else "dislike",
                             slots["concept_id"]))
@@ -282,8 +284,10 @@ def build_gold(
                 if field not in turn:
                     raise ValidationError(f"{where}: dialog {dialog_id}: RESPONSE gold needs realized flows")
                 yield (dialog_id, rnd), turn[field]
-        elif task == "RECOMMEND":  # the last turn's round
-            yield (dialog_id, (len(flow.turns) + 1) // 2), [flow.target_object_id]
+        elif task == "RECOMMEND":  # the last RECOMMEND_ITEM turn's round, if the dialog has one
+            rounds = [rnd for rnd, turn in enumerate(flow.turns[::2], 1) if turn["act"] == "RECOMMEND_ITEM"]
+            if rounds:
+                yield (dialog_id, rounds[-1]), [flow.target_object_id]
 
 
 def write_predictions(path, header: dict, rows: Iterable[tuple[Key, object]]) -> int:

@@ -3,7 +3,7 @@ import pytest
 from pathlib import Path
 
 from shopdialog.catalog import load_catalog
-from shopdialog.engine import SPEAKERS, apply_turn, load_policy, new_session
+from shopdialog.engine import SPEAKERS, answer_slots, apply_turn, load_policy, new_session
 from shopdialog.ontology import load_ontology, normalize_phrase
 from shopdialog.realizer import load_templates
 
@@ -29,6 +29,13 @@ def positioned(flow):
     turn's position: turns 2r - 1 and 2r (from 1) are round r's salesperson and customer turns."""
     for k, turn in enumerate(flow.turns):
         yield k // 2 + 1, SPEAKERS[k % 2], turn
+
+
+def full_slots(flow):
+    """`flow` with each customer turn's slots joined by those it echoes from the salesperson turn
+    it answers (`engine.answer_slots`), as every flow reader sees them."""
+    return flow._replace(turns=[{**t, "slots": answer_slots(t["act"], t["slots"], flow.turns[k - 1]["slots"])}
+                                for k, t in enumerate(flow.turns)])
 
 
 def turn_counts(flow):

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from shopdialog import __version__
-from shopdialog.acts import SALESPERSON_ACTS, SPLIT_NAMES
+from shopdialog.acts import ACT_SLOTS, SALESPERSON_ACTS, SPLIT_NAMES
 from shopdialog.cli import main
-from shopdialog.engine import SPEAKERS, DialogFlow
+from shopdialog.engine import SPEAKERS, DialogFlow, answer_slots
 from tests.conftest import DATA, ROOT, replayed
 
 
@@ -96,8 +96,8 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
 # sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
 # reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
 PINNED_FLOWS_SHA256 = {
-    3: "b30d6c7f953ab040df63e0fabf96acfdc920f9e8430417f304382fc7175a8d5f",
-    11: "6a8ab10e2a1656b5507a779d8a53b19e911306c9c8881e48afd09df24cf930a4",
+    3: "e2063012de1cbc40dd97bcaa9422cb45cb230f25fa37aef3c70b4a7f27f8e36f",
+    11: "ff2198bed6aa45741704c678537cb97c5be63cca8aae77153b0eb271e262ebcf",
 }
 
 
@@ -658,13 +658,14 @@ def test_spaced_records_read_as_compact_ones(tmp_path, compact_corpus, stage):
 # Per rule of `engine.check_turn`, and the act-speaker rule of `engine.flow_from_dict`: the act
 # whose first turn breaks it, the field set ("act" is the act name, any other a slot), its new
 # value (or MISSING), and the problem reported, in which {scene} and {attribute} name the turn's
-# scene and `attribute` slot and {k} its place (from 1). A "bad dialog record" is located by line.
+# scene and `attribute` slot (a customer turn's read from the turn it answers) and {k} its place
+# (from 1). A "bad dialog record" is located by line.
 TURN_RULES = {
     "salesperson-act-unknown": ("RECOMMEND_ITEM", "act", "SING_A_SONG", "bad dialog record "
                                 "(turn {k}: 'SING_A_SONG' is not an act of speaker 'salesperson')"),
     "customer-act-of-salesperson": ("ANSWER_PREFERENCE", "act", "ASK_PREFERENCE", "bad dialog record "
                                     "(turn {k}: 'ASK_PREFERENCE' is not an act of speaker 'customer')"),
-    "slot-missing": ("ANSWER_PREFERENCE", "attribute", MISSING, "missing slot 'attribute'"),
+    "slot-missing": ("ANSWER_PREFERENCE", "concept_id", MISSING, "missing slot 'concept_id'"),
     "attribute-not-a-string": ("ASK_PREFERENCE", "attribute", ["color"],
                                "slot 'attribute' must be a string, got ['color']"),
     "attribute-not-in-scene": ("ASK_PREFERENCE", "attribute", "nope", "scene {scene}: no attribute 'nope'"),
@@ -678,7 +679,7 @@ TURN_RULES = {
     "values-empty": ("DISPLAY_CANDIDATE_VALUES", "values", [], "slot 'values' must not be empty"),
     "region-not-a-string": ("REFER_REGION", "region_label", ["nope"],
                             "slot 'region_label' must be a string, got ['nope']"),
-    "region-unknown": ("JUDGE_REGION", "region_label", "nope", "scene {scene}: no region labeled 'nope'"),
+    "region-unknown": ("REFER_REGION", "region_label", "nope", "scene {scene}: no region labeled 'nope'"),
     "object-unknown": ("RECOMMEND_ITEM", "object_id", 999, "unknown object_id 999: not in scene '{scene}'"),
     "object-not-an-integer": ("RECOMMEND_ITEM", "object_id", "12", "unknown object_id '12': not in scene '{scene}'"),
     "accept-not-a-bool": ("RESPOND_RECOMMENDATION", "accept", "no", "slot 'accept' must be true or false, got 'no'"),
@@ -703,7 +704,8 @@ def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text
 
     flows, where, record, turn = flows_with_bad_turn(tmp_path, edit, act=act, text=realized_text)
     k = next(k for k, t in enumerate(record["turns"], 1) if t is turn)
-    problem = problem.format(scene=record["scene_id"], attribute=turn["slots"].get("attribute"), k=k)
+    slots = answer_slots(turn["act"], turn["slots"], record["turns"][k - 2]["slots"])
+    problem = problem.format(scene=record["scene_id"], attribute=slots.get("attribute"), k=k)
     if problem.startswith("bad dialog record"):
         where = where.split(":")[0]
     capsys.readouterr()
@@ -713,27 +715,29 @@ def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text
 
 
 # Turns that realize with exit 0 at some --seed (or fold into SPD gold, or write an ACT gold row)
-# unless every turn is checked against the act-slot table: the turn's act and slots, and the problem.
+# unless every turn is checked against the act-slot table: the acts and slots of round 1, the act
+# of the turn at fault, and the problem. An answer reads its `attribute` from the turn it answers,
+# and the concept-of-another-attribute answer still echoes it, as older files do.
 HAND_EDITED_FAULTS = {
-    "answer-without-attribute": ("ANSWER_PREFERENCE", {"concept_id": "warm_color"},
-                                 "missing slot 'attribute'"),
-    "concept-of-another-attribute": ("ANSWER_PREFERENCE",
-                                     {"attribute": "color", "concept_id": "premium_price"},
-                                     "concept 'premium_price' is not a color concept"),
-    "accept-no": ("RESPOND_PROMPT", {"attribute": "color", "concept_id": "warm_color", "accept": "no"},
-                  "slot 'accept' must be true or false, got 'no'"),
-    "salesperson-sings": ("SING_A_SONG", {}, "'SING_A_SONG' is not an act of speaker 'salesperson'"),
+    "answer-without-attribute": ([("ASK_PREFERENCE", {}), ("ANSWER_PREFERENCE", {"concept_id": "warm_color"})],
+                                 "ASK_PREFERENCE", "missing slot 'attribute'"),
+    "concept-of-another-attribute": ([("ASK_PREFERENCE", {"attribute": "color"}), ("ANSWER_PREFERENCE",
+                                      {"attribute": "color", "concept_id": "premium_price"})],
+                                     "ANSWER_PREFERENCE", "concept 'premium_price' is not a color concept"),
+    "accept-no": ([("PROMPT_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"}),
+                   ("RESPOND_PROMPT", {"accept": "no"})],
+                  "RESPOND_PROMPT", "slot 'accept' must be true or false, got 'no'"),
+    "salesperson-sings": ([("SING_A_SONG", {})], "SING_A_SONG",
+                          "'SING_A_SONG' is not an act of speaker 'salesperson'"),
 }
 
 
 def hand_edited_flows(tmp_path, fault):
-    act, slots, problem = HAND_EDITED_FAULTS[fault]
+    acts, act, problem = HAND_EDITED_FAULTS[fault]
     flows = tmp_path / "flows.jsonl"
+    flows.write_text(turns_line([{**ASK_COLOR, "act": a, "slots": slots} for a, slots in acts]) + "\n")
     if act == "SING_A_SONG":  # every reader rejects an act of no speaker, before the act-slot table
-        flows.write_text(flow_line(act=act, slots=slots) + "\n")
         return flows, f"error: {flows}:1: bad dialog record (turn 1: {problem})\n"
-    # a customer turn, after the round's salesperson turn
-    flows.write_text(flow_line(before=[ASK_COLOR], act=act, slots=slots) + "\n")
     return flows, f"error: {flows}:1: dialog d00000 round 1 {act}: {problem}\n"
 
 
@@ -957,11 +961,28 @@ STORED_POSITIONS_SHA256 = "17777348e8932478a337d98c12877a1a304b189dc6931a39deea7
 # sha256 of `simulate --n 200 --seed 3` when each turn stored its count, before `candidate_counts`:
 # `with_turn_counts` rebuilds that file byte for byte from the current one.
 TURN_COUNTS_SHA256 = "a1c56a63f1e3d680662c1bcac52c9deefdebdf61301895b88d3633831ef77c38"
+# sha256 of `simulate --n 200 --seed 3` when each customer turn also stored the slots it echoes:
+# `with_echoes` rebuilds that file byte for byte from the current one.
+ECHOED_FLOWS_SHA256 = "b30d6c7f953ab040df63e0fabf96acfdc920f9e8430417f304382fc7175a8d5f"
+
+
+def with_echoes(record: dict) -> dict:
+    """A flow record in the format before customer turns stopped echoing: each turn holds every
+    slot `ACT_SLOTS` lists for its act, in table order, a customer turn's echoed ones copied from
+    the salesperson turn it answers."""
+    turns = record["turns"]
+    echoed = []
+    for k, t in enumerate(turns):
+        full = answer_slots(t["act"], t["slots"], turns[k - 1]["slots"])
+        echoed.append({**t, "slots": {key: full[key] for key in ACT_SLOTS[t["act"]]}})
+    return {**record, "turns": echoed}
 
 
 def with_turn_counts(record: dict) -> dict:
-    """A flow record in the format before `candidate_counts`: each turn carries its count after
-    its slots, a salesperson turn the count before its round and a customer turn the one after."""
+    """A flow record in the format before `candidate_counts`, which also echoed (`with_echoes`):
+    each turn carries its count after its slots, a salesperson turn the count before its round and
+    a customer turn the one after."""
+    record = with_echoes(record)
     counts = record["candidate_counts"]
     turns = [{"act": t["act"], "slots": t["slots"], "candidate_count": counts[(k + 1) // 2], **t}
              for k, t in enumerate(record["turns"])]
@@ -1003,6 +1024,63 @@ def outputs_of_forms(tmp_path: Path, forms: dict[str, tuple[Path, Path]]) -> dic
                         if p.is_file() and not p.name.endswith(".manifest.json")}
         assert len(written[tag]) == 8 + len(SPLIT_NAMES)
     return written
+
+
+def test_turns_that_echo_their_salesperson_slots_still_read(tmp_path):
+    """A flow file and a realized file whose customer turns also store the slots they echo, as
+    written before `acts.ECHOED_SLOTS`, and a scrambled copy of each, give the same realized,
+    split, stats and gold files as the current ones, so `realize` and `split` drop the echoes."""
+    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
+    realized = tmp_path / "realized.jsonl"
+    assert main(stage_argv("realize", flows, realized)) == 0
+    forms = {"stored": (flows, realized)}
+    forms["echoed"] = tuple(rewritten(src, tmp_path / f"echoed_{src.name}", with_echoes)
+                            for src in (flows, realized))
+    assert hashlib.sha256(forms["echoed"][0].read_bytes()).hexdigest() == ECHOED_FLOWS_SHA256
+    forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
+                               for src in forms["echoed"])
+    written = outputs_of_forms(tmp_path, forms)
+    assert written["echoed"] == written["stored"] == written["scrambled"]
+    assert written["echoed"]["realized.jsonl"] == realized.read_bytes()
+    assert len(forms["echoed"][1].read_bytes()) > len(realized.read_bytes())
+
+
+# Per customer act that echoes: the echoed slot an older file changes, to another name that fits
+# the scene and the ontology.
+ECHO_FAULTS = {"JUDGE_REGION": "region_label", "RESPOND_PROMPT": "concept_id",
+               "RESPOND_ATTRIBUTE_VALUE": "value", "ANSWER_PREFERENCE": "attribute",
+               "CHOOSE_ATTRIBUTE_VALUE": "attribute"}
+
+
+@pytest.mark.parametrize("act", ECHO_FAULTS)
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_a_mismatched_echo(tmp_path, capsys, realized_text, scenes_by_id, ontology,
+                                                stage, act):
+    """An older customer turn that echoes a slot of the salesperson turn it answers must echo it
+    unchanged. Every flow reader, `split` and `stats` included, rejects an echo that names another
+    region, concept, value or attribute with one located line and writes nothing, so no answer
+    can name what was not asked."""
+    slot = ECHO_FAULTS[act]
+    records = [with_echoes(json.loads(line)) for line in realized_text.splitlines()]
+    i, k = next((i, k) for i, r in enumerate(records) for k, t in enumerate(r["turns"]) if t["act"] == act)
+    slots, said = records[i]["turns"][k]["slots"], records[i]["turns"][k - 1]["slots"][slot]
+    scene = scenes_by_id[records[i]["scene_id"]]
+    if slot == "region_label":
+        names = list(scene.region_items)
+    elif slot == "attribute":
+        names = list(scene.value_universe)
+    elif slot == "value":
+        names = sorted(scene.value_universe[slots["attribute"]])
+    else:
+        names = [c.concept_id for c in ontology.concepts_of(slots["attribute"])]
+    slots[slot] = other = next(name for name in names if name != said)
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (f"error: {flows}:{i + 1}: bad dialog record (turn {k + 1}: "
+                                       f"slot {slot!r} must be turn {k}'s {said!r}, got {other!r})\n")
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
 def test_turns_that_store_their_position_still_read(tmp_path):
@@ -1595,3 +1673,34 @@ def test_every_exit_code_zero_skips_teardown(tmp_path, argv, code):
     assert ("atexit ran" in result.stderr) == (code != 0)
     if argv == ["--version"]:
         assert result.stdout == f"{__version__}\n"
+
+
+def test_a_corpus_that_mostly_ends_at_max_rounds_runs_every_stage(tmp_path):
+    """A policy that stops after round 3 and recommends only a last candidate (`max_rounds` 3,
+    `recommend_max` 1) ends most dialogs in `max_rounds`, which the fixture policy does not.
+    `simulate`, `realize`, all five `gold` tasks, `split`, `stats` and `eval` exit 0 on it, and
+    RECOMMEND gold holds one row per dialog that has a RECOMMEND_ITEM turn, keyed at the last
+    such round, and none for a dialog without one."""
+    policy = {**json.loads((DATA / "policy.json").read_text()), "max_rounds": 3, "recommend_max": 1}
+    (tmp_path / "policy.json").write_text(json.dumps(policy))
+    flows, realized = tmp_path / "flows.jsonl", tmp_path / "realized.jsonl"
+    assert main(["simulate", *base_flags(), "--policy", str(tmp_path / "policy.json"), "--n", "200",
+                 "--seed", "1", "--out", str(flows)]) == 0
+    assert main(stage_argv("realize", flows, realized)) == 0
+    for task in TASKS:
+        gold = tmp_path / f"gold_{task}.jsonl"
+        assert main(stage_argv(f"gold {task}", realized, gold)) == 0
+        assert main(["eval", "--task", task, "--pred", str(gold), "--gold", str(gold),
+                     "--out", str(tmp_path / f"report_{task}.json")]) == 0
+    assert main(stage_argv("split", realized, tmp_path / "splits")) == 0
+    assert main(stage_argv("stats", realized, tmp_path / "stats.json")) == 0
+    records = [json.loads(line) for line in realized.read_text().splitlines()]
+    outcomes = [r["outcome"] for r in records]
+    assert outcomes.count("max_rounds") >= 0.9 * len(records) and "success" in outcomes
+    recommended = {r["dialog_id"]: [k // 2 + 1 for k, t in enumerate(r["turns"]) if t["act"] == "RECOMMEND_ITEM"]
+                   for r in records}
+    expected = [{"dialog_id": r["dialog_id"], "round": recommended[r["dialog_id"]][-1],
+                 "payload": [r["target_object_id"]]} for r in records if recommended[r["dialog_id"]]]
+    rows = [json.loads(line) for line in (tmp_path / "gold_recommend.jsonl").read_text().splitlines()[1:]]
+    assert rows == expected
+    assert sum(r["outcome"] == "success" for r in records) <= len(rows) < len(records)

@@ -478,7 +478,7 @@ def test_corpus_state_formula(small_corpus, scenes, ontology, policy):
                 state, (s["act"], s["slots"]), (c["act"], c["slots"]), ontology
             )
             if c["act"] == "JUDGE_REGION":
-                region = scene.region_items[c["slots"]["region_label"]]
+                region = scene.region_items[s["slots"]["region_label"]]
                 judged = judged & region if c["slots"]["accept"] else judged - region
             elif c["act"] == "RESPOND_RECOMMENDATION" and not c["slots"]["accept"]:
                 judged.discard(s["slots"]["object_id"])
@@ -534,15 +534,16 @@ def test_concepts_for_value_is_reached_once_per_answer(monkeypatch, scenes, onto
 # The fallback paths of `run_dialog`, which the fixture pack never reaches: each test builds its
 # own scene, ontology and policy, and every flow it simulates must pass `check_flow`.
 
-def broad_ontology(scene):
+def broad_ontology(scene, narrow=()):
     """One concept per attribute, holding every value the scene's items have, so no customer can
-    name a concept that excludes the target."""
+    name a concept that excludes the target; an attribute in `narrow` has one concept per value."""
     from shopdialog.ontology import ontology_from_blocks
 
     return ontology_from_blocks([
         {"attribute": attr, "value_space": sorted(values),
-         "concepts": [{"concept_id": f"any_{attr}", "values": sorted(values),
-                       "surface_forms": [f"any {attr}"]}]}
+         "concepts": [{"concept_id": f"{attr}_{v}", "values": [v], "surface_forms": [f"{attr} {v}"]}
+                      for v in sorted(values)] if attr in narrow else
+                     [{"concept_id": f"any_{attr}", "values": sorted(values), "surface_forms": [f"any {attr}"]}]}
         for attr, values in scene.value_universe.items()
     ])
 
@@ -613,3 +614,30 @@ def test_run_dialog_stops_at_max_rounds():
     assert {f.outcome for f in flows} == {"max_rounds"}
     assert {len(f.turns) for f in flows} == {2}
     check_flows(flows, scene, ont)
+
+
+def test_a_negation_about_another_attribute_keeps_its_own_attribute(tmp_path):
+    """Every color concept covers the target, so an EXCLUDE_PREFERENCE about color, the most
+    ambiguous attribute, has no truthful dislike there and the customer negates a size instead.
+    The written NEGATE_PREFERENCE keeps its own `attribute`, which it does not echo, and read back,
+    checked and replayed through `apply_turn` it narrows the sizes, not the asked colors."""
+    from shopdialog.engine import check_flow, read_flows, write_flows
+
+    items = tuple(Item(i, (30.0 * i, 0.0, 10.0, 10.0), {**FASHION_ATTRS, "color": c, "size": s})
+                  for i, (c, s) in enumerate(zip(["red", "blue", "yellow", "green"], "MMSM")))
+    scene = Scene("toy", "fashion", items, ())
+    ont = broad_ontology(scene, narrow={"size"})
+    cfg = one_act_policy("EXCLUDE_PREFERENCE", max_rounds=1)
+    flows = [run_dialog(scene, ont, cfg, random.Random(seed), f"d{seed:05d}") for seed in range(6)]
+    assert {flow.target_object_id for flow in flows} >= {2, 3}  # an S target and an M one
+    write_flows(flows, tmp_path / "flows.jsonl")
+    for where, flow in read_flows(tmp_path / "flows.jsonl"):
+        ask, negate = flow.turns
+        assert ask == {"act": "EXCLUDE_PREFERENCE", "slots": {"attribute": "color"}}
+        assert negate["act"] == "NEGATE_PREFERENCE"
+        assert list(negate["slots"]) == ["attribute", "concept_id"] and negate["slots"]["attribute"] == "size"
+        check_flow(where, flow, {scene.scene_id: scene}, ont)
+        state = [state for _, state in replayed(flow, scene, ont)][-1]
+        assert state.candidate_values["color"] == scene.value_universe["color"]
+        assert len(state.candidate_values["size"]) == 1 < len(scene.value_universe["size"])
+        assert state.elicited_attrs == {"size"}

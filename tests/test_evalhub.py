@@ -253,7 +253,7 @@ def two_turn_flow(dialog_id="d0", act="ASK_PREFERENCE"):
     pair = {"ASK_PREFERENCE": "ANSWER_PREFERENCE"}[act]
     return DialogFlow(dialog_id, "s", 0, "success", [2, 1], [
         turn(act, {"attribute": "color"}),
-        turn(pair, {"attribute": "color", "concept_id": "warm_color"}),
+        turn(pair, {"concept_id": "warm_color"}),
     ])
 
 
@@ -366,12 +366,19 @@ def test_build_gold_rru_definitional(ontology, scenes_by_id):
 
 
 def test_build_gold_recommend_is_target(ontology, scenes_by_id):
-    flow = two_turn_flow()
+    """RECOMMEND gold is the target, keyed at the last RECOMMEND_ITEM round of a dialog that has
+    one, whether or not the dialog ends on it; a dialog without one has no row."""
     scene = next(iter(scenes_by_id.values()))
-    flow = flow._replace(scene_id=scene.scene_id, target_object_id=7,
-                         candidate_counts=[len(scene.items_by_id), 1])
-    rows = dict(build_gold([(1, flow)], ontology, scenes_by_id, "RECOMMEND"))
-    assert rows[("d0", 1)] == [7]
+    n, other = len(scene.items_by_id), next(i for i in scene.items_by_id if i != 7)
+    rejected = [turn("RECOMMEND_ITEM", {"object_id": other}), turn("RESPOND_RECOMMENDATION", {"accept": False})]
+    accepted = [turn("RECOMMEND_ITEM", {"object_id": 7}), turn("RESPOND_RECOMMENDATION", {"accept": True})]
+    ask = two_turn_flow().turns
+    flows = [DialogFlow("d0", scene.scene_id, 7, "success", [n, 1], accepted),
+             DialogFlow("d1", scene.scene_id, 7, "success", [n, n - 1, n - 1, n - 1], [*rejected, *ask, *accepted]),
+             DialogFlow("d2", scene.scene_id, 7, "max_rounds", [n, n - 1, n - 1], [*rejected, *ask]),
+             DialogFlow("d3", scene.scene_id, 7, "max_rounds", [n, n], ask)]
+    rows = list(build_gold(enumerate(flows, 1), ontology, scenes_by_id, "RECOMMEND"))
+    assert rows == [(("d0", 1), [7]), (("d1", 3), [7]), (("d2", 1), [7])]
 
 
 def test_prediction_file_round_trip(tmp_path):

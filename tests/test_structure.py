@@ -99,19 +99,36 @@ def test_flows_are_checked_and_located_in_one_module():
 
 
 def test_simulated_turns_carry_exactly_their_act_slots(scenes, scenes_by_id, ontology, policy):
-    """The engine writes each act with the slots `ACT_SLOTS` lists, in that order, every turn
-    passes `check_turn`, and every act of the table occurs."""
-    from shopdialog.acts import ACT_SLOTS
-    from shopdialog.engine import check_turn, generate_corpus
+    """The engine writes each act with the slots `ACT_SLOTS` lists but those `ECHOED_SLOTS` lists,
+    in table order; the full slots `answer_slots` gives cover `ACT_SLOTS` and pass `check_turn`,
+    and every act of the table occurs."""
+    from shopdialog.acts import ACT_SLOTS, ECHOED_SLOTS
+    from shopdialog.engine import answer_slots, check_turn, generate_corpus
 
     seen = set()
     for seed in (3, 11):
         for flow in generate_corpus(scenes, ontology, policy, 300, seed):
-            for turn in flow.turns:
-                assert tuple(turn["slots"]) == ACT_SLOTS[turn["act"]], turn
-                check_turn(turn, scenes_by_id[flow.scene_id], ontology)
-                seen.add(turn["act"])
+            for k, turn in enumerate(flow.turns):
+                act = turn["act"]
+                stored = tuple(key for key in ACT_SLOTS[act] if key not in ECHOED_SLOTS.get(act, ()))
+                assert tuple(turn["slots"]) == stored, turn
+                full = answer_slots(act, turn["slots"], flow.turns[k - 1]["slots"])
+                assert set(ACT_SLOTS[act]) <= set(full), (turn, full)
+                check_turn(act, full, scenes_by_id[flow.scene_id], ontology)
+                seen.add(act)
     assert seen == set(ACT_SLOTS)
+
+
+def test_echoed_slots_are_slots_of_both_acts_of_a_pair():
+    """Every slot a customer act echoes is one it carries, and one every salesperson act it
+    answers carries too; only customer acts echo."""
+    from shopdialog.acts import ACT_PAIRS, ACT_SLOTS, ECHOED_SLOTS
+
+    assert set(ECHOED_SLOTS) <= set(ACT_PAIRS.values())
+    for act, echoed in ECHOED_SLOTS.items():
+        assert echoed and set(echoed) <= set(ACT_SLOTS[act]), act
+        asked = [s for s, c in ACT_PAIRS.items() if c == act]
+        assert asked and all(set(echoed) <= set(ACT_SLOTS[s]) for s in asked), act
 
 
 def test_template_keys_derive_from_act_slots():
