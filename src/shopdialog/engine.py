@@ -14,14 +14,13 @@ Flows are interchanged as JSON Lines, one dialog per line, here cut short and wr
 The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance". A turn is
 that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it reads
 in this key order, and `flow_to_dict` passes turns through. Turn k (from 1) is round ceil(k/2)'s
-salesperson turn if k is odd, else its customer turn, and takes one of that speaker's acts. An act
-carries the slots `acts.ACT_SLOTS` lists, but a turn stores only what its speaker adds: a customer
-turn reads those `acts.ECHOED_SLOTS` lists from the turn it answers (`answer_slots`). The counts
-are round 1's candidate items, then those left after each round. Older files also store a turn's
-"round" and "speaker", a count on each turn (folded into the list) or a customer turn's echoed
-slots, each checked against what it repeats. `realize` and `gold` check every flow against
-`ACT_SLOTS` with `check_flow`. Neither candidate values nor items are stored: replaying the act
-pairs through `apply_turn` from `new_session(scene)` rebuilds both.
+salesperson turn if k is odd, else its customer turn, whose act answers it (`acts.ACT_PAIRS`). An
+act carries the slots `acts.ACT_SLOTS` lists, but a turn stores only what its speaker adds: a
+customer turn reads those `acts.ECHOED_SLOTS` lists from the turn it answers (`answer_slots`). The
+counts are round 1's candidate items, then those left after each round. This is the one format
+readers take. `realize` and `gold` check every flow against `ACT_SLOTS` with `check_flow`. Neither
+candidate values nor items are stored: replaying the act pairs through `apply_turn` from
+`new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -461,9 +460,7 @@ def flow_to_dict(flow: DialogFlow) -> dict:
 _FIELD_TYPES = {
     "dialog_id": (str, "a string"), "scene_id": (str, "a string"),
     "target_object_id": (int, "an integer"), "outcome": (str, "a string"),
-    "round": (int, "an integer"), "speaker": (str, "a string"), "act": (str, "a string"),
-    "slots": (dict, "an object"), "candidate_count": (int, "an integer"),
-    "utterance": (str, "a string"),
+    "act": (str, "a string"), "slots": (dict, "an object"), "utterance": (str, "a string"),
 }
 
 
@@ -475,67 +472,43 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 
 
 def flow_from_dict(raw: dict) -> DialogFlow:
-    """Each turn is rebuilt in wire key order, its act one of the speaker's its position fixes;
-    other keys, such as older files' `candidate_values` and a customer turn's echoed slots (each
-    equal to its salesperson turn's), or a null `utterance`, are dropped. A wrong-typed field
-    raises TypeError naming it, any other fault ValueError. `candidate_counts` holds a count per
-    customer turn plus one, none below 1 or above the one before. An older turn may store its
-    `round` and `speaker` (fitting its position) and a count, or `candidate_items`: a salesperson
-    turn's equals the one before, and turn 1's and each customer turn's make the list."""
-    listed = "candidate_counts" in raw
-    turns, counts = [], []
+    """Each turn is rebuilt in wire key order, its act one of the speaker's its position fixes and
+    a customer turn's the answer (`ACT_PAIRS`) to the turn before it; other turn keys, or a null
+    `utterance`, are dropped, but a customer turn may not store a slot it reads from that turn
+    (`ECHOED_SLOTS`). A wrong-typed field raises TypeError naming it, any other fault ValueError,
+    and a missing one KeyError. `candidate_counts` holds a count per customer turn plus one, none
+    below 1 or above the one before."""
+    counts = raw["candidate_counts"]
+    turns = []
     for k, t in enumerate(raw["turns"], 1):
-        stored = {"round": t["round"], "speaker": t["speaker"]} if "round" in t or "speaker" in t else {}
         turn = {"act": t["act"], "slots": t["slots"]}
-        if listed:
-            if "candidate_count" in t or "candidate_items" in t:
-                raise ValueError(f"turn {k}: a turn count cannot stand beside candidate_counts")
-        elif "candidate_count" in t or "candidate_items" not in t:
-            turn["candidate_count"] = t["candidate_count"]
-        elif type(t["candidate_items"]) is list:  # an older file lists the items
-            turn["candidate_count"] = len(t["candidate_items"])
-        else:
-            raise TypeError(f"turn {k}: candidate_items must be a list, got {t['candidate_items']!r}")
         utterance = t.get("utterance")
         if utterance is not None:
             turn["utterance"] = utterance
-        if not ((not stored or type(stored["round"]) is int and type(stored["speaker"]) is str)
-                and type(turn["act"]) is str and type(turn["slots"]) is dict
-                and (listed or type(turn["candidate_count"]) is int)
+        if not (type(turn["act"]) is str and type(turn["slots"]) is dict
                 and (utterance is None or type(utterance) is str)):
-            raise _field_type_error({**stored, **turn}, f"turn {k}: ")
-        rnd, speaker = (k + 1) // 2, SPEAKERS[1 - k % 2]
-        if stored and (stored["round"] != rnd or stored["speaker"] != speaker):
-            raise ValueError(f"turn {k} must be round {rnd}'s {speaker} turn, "
-                             f"got round {stored['round']} {stored['speaker']!r}")
-        if turn["act"] not in _SPEAKER_ACTS[speaker]:
-            raise ValueError(f"turn {k}: {turn['act']!r} is not an act of speaker {speaker!r}")
-        if not turn["slots"].keys().isdisjoint(echoed := ECHOED_SLOTS.get(turn["act"], ())):
-            for key in echoed:
-                if key in turn["slots"] and turn["slots"][key] != (said := turns[-1]["slots"].get(key)):
-                    raise ValueError(f"turn {k}: slot {key!r} must be turn {k - 1}'s {said!r}, "
-                                     f"got {turn['slots'][key]!r}")
-            turn["slots"] = {name: value for name, value in turn["slots"].items() if name not in echoed}
-        if not listed:
-            count = turn.pop("candidate_count")
-            if count < 1:
-                raise ValueError(f"turn {k}: candidate_count must be at least 1, got {count}")
-            if k > 1 and (count != counts[-1] if k % 2 else count > counts[-1]):
-                raise ValueError(f"turn {k}: candidate_count must be {'equal to' if k % 2 else 'at most'} "
-                                 f"turn {k - 1}'s {counts[-1]}, got {count}")
-            counts[k // 2:] = [count]  # a salesperson turn's count is the one before it again
+            raise _field_type_error(turn, f"turn {k}: ")
+        act, speaker = turn["act"], SPEAKERS[1 - k % 2]
+        if act not in _SPEAKER_ACTS[speaker]:
+            raise ValueError(f"turn {k}: {act!r} is not an act of speaker {speaker!r}")
+        if not k % 2:
+            said = turns[-1]["act"]
+            if act != ACT_PAIRS[said]:
+                raise ValueError(f"turn {k}: {act!r} does not answer turn {k - 1}'s {said!r}")
+            for key in ECHOED_SLOTS.get(act, ()):
+                if key in turn["slots"]:
+                    raise ValueError(f"turn {k}: {act!r} stores slot {key!r}, which it reads from "
+                                     f"turn {k - 1}")
         turns.append(turn)
-    if listed:
-        counts = raw["candidate_counts"]
-        if type(counts) is not list or not {int}.issuperset(map(type, counts)):
-            raise TypeError(f"candidate_counts must be a list of integers, got {counts!r}")
-        if len(counts) != len(turns) // 2 + 1:
-            raise ValueError(f"candidate_counts must hold {len(turns) // 2 + 1} counts, got {len(counts)}")
-        if counts[-1] < 1 or counts != sorted(counts, reverse=True):  # then name the first entry at fault
-            i, before, count = next((i, b, c) for i, (b, c) in enumerate(zip(counts[:1] + counts, counts))
-                                    if not 1 <= c <= b)
-            bound = f"at most the {before} before it" if count > before else "at least 1"
-            raise ValueError(f"candidate_counts[{i}] must be {bound}, got {count}")
+    if type(counts) is not list or not {int}.issuperset(map(type, counts)):
+        raise TypeError(f"candidate_counts must be a list of integers, got {counts!r}")
+    if len(counts) != len(turns) // 2 + 1:
+        raise ValueError(f"candidate_counts must hold {len(turns) // 2 + 1} counts, got {len(counts)}")
+    if counts[-1] < 1 or counts != sorted(counts, reverse=True):  # then name the first entry at fault
+        i, before, count = next((i, b, c) for i, (b, c) in enumerate(zip(counts[:1] + counts, counts))
+                                if not 1 <= c <= b)
+        bound = f"at most the {before} before it" if count > before else "at least 1"
+        raise ValueError(f"candidate_counts[{i}] must be {bound}, got {count}")
     flow = DialogFlow(
         raw["dialog_id"], raw["scene_id"], raw["target_object_id"], raw["outcome"], counts, turns
     )

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from shopdialog import __version__
-from shopdialog.acts import ACT_SLOTS, SALESPERSON_ACTS, SPLIT_NAMES
+from shopdialog.acts import SALESPERSON_ACTS, SPLIT_NAMES
 from shopdialog.cli import main
-from shopdialog.engine import SPEAKERS, DialogFlow, answer_slots
-from tests.conftest import DATA, ROOT, replayed
+from shopdialog.engine import SPEAKERS, answer_slots
+from tests.conftest import DATA, ROOT
 
 
 def base_flags():
@@ -370,7 +370,7 @@ def test_gold_spd_rejects_concept_of_another_attribute(tmp_path, capsys, spd_mod
     slot is a located error, not a gold row of the other attribute's values."""
     flows = tmp_path / "flows.jsonl"
     flows.write_text(flow_line(before=[ASK_COLOR], act="ANSWER_PREFERENCE",
-                               slots={"attribute": "color", "concept_id": "premium_price"}) + "\n")
+                               slots={"concept_id": "premium_price"}) + "\n")
     capsys.readouterr()
     argv = stage_argv("gold spd", flows, tmp_path / "gold.jsonl")
     assert main([*argv, "--spd-mode", spd_mode]) == 1
@@ -386,34 +386,26 @@ def row(payload) -> str:
 
 GOLD_ACT_ROW = row("ASK_PREFERENCE")
 EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
-                         "outcome": "success", "turns": []})
+                         "outcome": "success", "candidate_counts": [2], "turns": []})
 
 
-ASK_COLOR = {"act": "ASK_PREFERENCE", "slots": {"attribute": "color"}, "candidate_count": 2,
-             "utterance": "Any color in mind?"}
-
-
-def with_positions(turns: list[dict]) -> list[dict]:
-    """The turns as older files store them, each led by the round and speaker its position fixes."""
-    return [{"round": k // 2 + 1, "speaker": SPEAKERS[k % 2], **t} for k, t in enumerate(turns)]
+ASK_COLOR = {"act": "ASK_PREFERENCE", "slots": {"attribute": "color"}, "utterance": "Any color in mind?"}
+ANSWER_WARM = {"act": "ANSWER_PREFERENCE", "slots": {"concept_id": "warm_color"},
+               "utterance": "Something warm."}
 
 
 def turns_line(turns: list[dict], flow_fields: dict | None = None) -> str:
-    """A flow line of `turns`, with the given flow fields replaced."""
+    """A flow line of `turns`, each round leaving 2 candidate items, with the given flow fields
+    replaced."""
     return json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
-                       "outcome": "max_rounds", "turns": turns, **(flow_fields or {})})
+                       "outcome": "max_rounds", "candidate_counts": [2] * (len(turns) // 2 + 1),
+                       "turns": turns, **(flow_fields or {})})
 
 
 def flow_line(flow_fields: dict | None = None, before=(), **turn_fields) -> str:
     """A realized flow line of the turns `before` and then `ASK_COLOR` with the given turn fields
     replaced, and with the given flow fields replaced."""
     return turns_line([*before, {**ASK_COLOR, **turn_fields}], flow_fields)
-
-
-def without_count(**turn_fields) -> dict:
-    """`ASK_COLOR` as an older file writes it, without `candidate_count`, with the given fields
-    added."""
-    return {**{k: v for k, v in ASK_COLOR.items() if k != "candidate_count"}, **turn_fields}
 
 
 @pytest.mark.parametrize("task, text, line", [
@@ -427,13 +419,8 @@ def without_count(**turn_fields) -> dict:
     ("rru", '{"task": "RRU"}\n' + row([3, "a"]) + "\n", 2),
     ("rru", row([3.5]) + "\n", 1),
     ("recommend", row(5) + "\n", 1),
-    (None, turns_line([without_count(candidate_items=5)]) + "\n", 1),
-    (None, flow_line() + "\n" + flow_line(round="1", speaker="salesperson") + "\n", 2),
-    (None, flow_line(round=1.5, speaker="salesperson") + "\n", 1),
-    (None, flow_line(round=True, speaker="salesperson") + "\n", 1),
     (None, flow_line(slots=5) + "\n", 1),
     (None, flow_line(act=["x"]) + "\n", 1),
-    (None, flow_line(round=1, speaker=None) + "\n", 1),
     (None, flow_line(utterance=5) + "\n", 1),
     (None, flow_line({"scene_id": ["f01"]}) + "\n", 1),
     (None, flow_line({"dialog_id": 0}) + "\n", 1),
@@ -442,10 +429,8 @@ def without_count(**turn_fields) -> dict:
 ], ids=["row-without-round", "non-integer-round", "row-without-payload",
         "array-header", "array-flow", "flow-without-turns", "spd-payload-not-a-list",
         "rru-string-id", "rru-float-id", "recommend-payload-not-a-list",
-        "turn-candidate-items-not-a-list", "turn-string-round", "turn-fractional-round",
-        "turn-bool-round", "turn-slots-not-an-object", "turn-list-act", "turn-null-speaker",
-        "turn-non-string-utterance", "list-scene-id", "integer-dialog-id",
-        "string-target-object-id", "unknown-outcome"])
+        "turn-slots-not-an-object", "turn-list-act", "turn-non-string-utterance", "list-scene-id",
+        "integer-dialog-id", "string-target-object-id", "unknown-outcome"])
 def test_malformed_jsonl_exits_one(tmp_path, capsys, task, text, line):
     """A malformed line, or a well-formed one with bad contents, exits 1 naming its line."""
     bad = tmp_path / "bad.jsonl"
@@ -470,31 +455,6 @@ def test_wrong_typed_turn_field_is_named_in_every_reader(tmp_path, capsys, stage
     assert main([stage, *extra, "--flows", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}:1: bad dialog record (turn 1: act must be a string, got ['x'])\n")
-
-
-# Per fault: the one turn of a flow line, and the problem every reader reports.
-CANDIDATE_COUNT_FAULTS = {
-    "bool-count": ({**ASK_COLOR, "candidate_count": True},
-                   "turn 1: candidate_count must be an integer, got True"),
-    "listed-count": ({**ASK_COLOR, "candidate_count": [1, 2]},
-                     "turn 1: candidate_count must be an integer, got [1, 2]"),
-    "items-not-a-list": (without_count(candidate_items=2),
-                         "turn 1: candidate_items must be a list, got 2"),
-    "no-count": (without_count(), "'candidate_count'"),
-}
-
-
-@pytest.mark.parametrize("fault", CANDIDATE_COUNT_FAULTS)
-@pytest.mark.parametrize("stage", ["realize", "stats"])
-def test_candidate_count_must_be_an_integer_in_every_reader(tmp_path, capsys, stage, fault):
-    """A turn's `candidate_count` is an integer; a turn of an older file without one reads the
-    length of its `candidate_items`, which must be a list."""
-    turn, problem = CANDIDATE_COUNT_FAULTS[fault]
-    bad = tmp_path / "flows.jsonl"
-    bad.write_text(turns_line([turn]) + "\n")
-    extra = [*base_flags(), "--templates", str(DATA / "templates.json")] if stage == "realize" else []
-    assert main([stage, *extra, "--flows", str(bad), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {bad}:1: bad dialog record ({problem})\n"
 
 
 MISSING = object()
@@ -716,13 +676,12 @@ def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text
 
 # Turns that realize with exit 0 at some --seed (or fold into SPD gold, or write an ACT gold row)
 # unless every turn is checked against the act-slot table: the acts and slots of round 1, the act
-# of the turn at fault, and the problem. An answer reads its `attribute` from the turn it answers,
-# and the concept-of-another-attribute answer still echoes it, as older files do.
+# of the turn at fault, and the problem. An answer reads its `attribute` from the turn it answers.
 HAND_EDITED_FAULTS = {
     "answer-without-attribute": ([("ASK_PREFERENCE", {}), ("ANSWER_PREFERENCE", {"concept_id": "warm_color"})],
                                  "ASK_PREFERENCE", "missing slot 'attribute'"),
-    "concept-of-another-attribute": ([("ASK_PREFERENCE", {"attribute": "color"}), ("ANSWER_PREFERENCE",
-                                      {"attribute": "color", "concept_id": "premium_price"})],
+    "concept-of-another-attribute": ([("ASK_PREFERENCE", {"attribute": "color"}),
+                                      ("ANSWER_PREFERENCE", {"concept_id": "premium_price"})],
                                      "ANSWER_PREFERENCE", "concept 'premium_price' is not a color concept"),
     "accept-no": ([("PROMPT_PREFERENCE", {"attribute": "color", "concept_id": "warm_color"}),
                    ("RESPOND_PROMPT", {"accept": "no"})],
@@ -813,52 +772,46 @@ def test_realize_reports_the_first_fault_in_file_order(tmp_path, capsys, jobs):
 
 
 def test_stats_without_salesperson_turn(tmp_path, capsys):
-    """A flow opens with round 1's salesperson turn: a lone customer turn of round 2 is a
-    located error, not a dialog without salesperson acts."""
+    """A flow opens with round 1's salesperson turn: a lone customer turn is a located error, not
+    a dialog without salesperson acts."""
     flows = tmp_path / "flows.jsonl"
-    turn = {"round": 2, "speaker": "customer", "act": "ANSWER_PREFERENCE",
-            "slots": {"attribute": "color", "concept_id": "warm_color"},
-            "candidate_items": [1, 2], "candidate_values": {"color": ["red"]}}
-    flows.write_text(json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_object_id": 1,
-                                 "outcome": "max_rounds", "turns": [turn]}) + "\n")
+    flows.write_text(turns_line([ANSWER_WARM]) + "\n")
     out = tmp_path / "stats.json"
     assert main(["stats", "--flows", str(flows), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {flows}:1: bad dialog record "
-        "(turn 1 must be round 1's salesperson turn, got round 2 'customer')\n")
+        "(turn 1: 'ANSWER_PREFERENCE' is not an act of speaker 'salesperson')\n")
     assert not out.exists()
 
 
-def _renumber_rounds(turns):
-    for turn in turns:
-        turn["round"] = 1
+def _swap(i, j):
+    def edit(turns):
+        turns[i], turns[j] = turns[j], turns[i]
+    return edit
 
 
-def _swap_speakers(turns):
-    turns[2]["speaker"], turns[3]["speaker"] = turns[3]["speaker"], turns[2]["speaker"]
-
-
-# Per fault: how it edits the turns of a dialog, and the problem `read_flows` reports.
+# Per fault: how it edits the turns of the second dialog at seed 7, whose rounds open with
+# ASK_PREFERENCE, RECOMMEND_ITEM, ASK_PREFERENCE and RECOMMEND_ITEM, and the problem `read_flows`
+# reports.
 TURN_ORDER_FAULTS = {
-    "rounds-renumbered": (_renumber_rounds,
-                          "turn 3 must be round 2's salesperson turn, got round 1 'salesperson'"),
     "customer-first": (lambda turns: turns.pop(0),
-                       "turn 1 must be round 1's salesperson turn, got round 1 'customer'"),
-    "speakers-swapped": (_swap_speakers,
-                         "turn 3 must be round 2's salesperson turn, got round 2 'customer'"),
+                       "turn 1: 'ANSWER_PREFERENCE' is not an act of speaker 'salesperson'"),
+    "speakers-swapped": (_swap(2, 3),
+                         "turn 3: 'RESPOND_RECOMMENDATION' is not an act of speaker 'salesperson'"),
+    "answers-swapped": (_swap(1, 3),
+                        "turn 2: 'RESPOND_RECOMMENDATION' does not answer turn 1's 'ASK_PREFERENCE'"),
 }
 
 
 @pytest.mark.parametrize("fault", TURN_ORDER_FAULTS)
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_turns_out_of_order(tmp_path, capsys, realized_text, stage, fault):
-    """Turn k is round ceil(k/2)'s salesperson turn for odd k and its customer turn for even k.
-    An older file stores each turn's round and speaker; every flow reader rejects a dialog whose
-    stored ones break that with one located line and writes nothing, so `gold` never merges two
-    turns' rows under one key."""
+    """Turn k is round ceil(k/2)'s salesperson turn for odd k and its customer turn for even k,
+    whose act answers the salesperson turn's (`ACT_PAIRS`). Every flow reader rejects a dialog
+    whose turns break that with one located line and writes nothing, so `gold` never merges two
+    turns' rows under one key and no answer replies to another act."""
     edit, problem = TURN_ORDER_FAULTS[fault]
     records = [json.loads(line) for line in realized_text.splitlines()]
-    records[1]["turns"] = with_positions(records[1]["turns"])
     edit(records[1]["turns"])
     flows = tmp_path / "flows.jsonl"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -869,184 +822,49 @@ def test_every_reader_rejects_turns_out_of_order(tmp_path, capsys, realized_text
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
-def test_v1_flows_with_candidate_values_still_read(tmp_path):
-    """Older flow files also carry a per-turn `candidate_values` object; readers ignore it."""
-    realize = ["realize", *base_flags(), "--templates", str(DATA / "templates.json")]
-    flows = tmp_path / "realized.jsonl"  # RESPONSE gold needs utterances
-    assert main([*realize, "--flows", str(simulate(tmp_path, "raw.jsonl")), "--out", str(flows)]) == 0
-    records = [json.loads(line) for line in flows.read_text().splitlines()]
-    for record in records:
-        for turn in record["turns"]:
-            turn["candidate_values"] = {"color": ["red", "yellow"], "size": ["M"]}
-    v1 = tmp_path / "flows_v1.jsonl"
-    v1.write_text("".join(json.dumps(r) + "\n" for r in records))
-
-    def outputs(src, tag):
-        runs = [["gold", *base_flags(), "--task", task] for task in
-                ("spd", "rru", "act", "recommend", "response")]
-        runs += [["gold", *base_flags(), "--task", "spd", "--spd-mode", "scene_only"],
-                 ["stats"], realize]
-        written = []
-        for i, argv in enumerate(runs):
-            out = tmp_path / f"{tag}_{i}.out"
-            assert main([*argv, "--flows", str(src), "--out", str(out)]) == 0, argv
-            written.append(out.read_bytes())
-        return written
-
-    current, older = outputs(flows, "current"), outputs(v1, "v1")
-    assert current == older
-    assert b"candidate_values" not in older[-1]
+# The same round as older formats wrote it: its answer echoes the asked `attribute`.
+ECHOED_ROUND = [ASK_COLOR, {**ANSWER_WARM, "slots": {"attribute": "color", **ANSWER_WARM["slots"]}}]
+ECHO_PROBLEM = "turn 2: 'ANSWER_PREFERENCE' stores slot 'attribute', which it reads from turn 1"
+COUNTED_ROUND = [{**ECHOED_ROUND[0], "candidate_count": 2}, {**ECHOED_ROUND[1], "candidate_count": 1}]
+POSITIONS = [{"round": 1, "speaker": "salesperson"}, {"round": 1, "speaker": "customer"}]
 
 
-# sha256 of `simulate --n 200 --seed 3` when each turn stored its round and speaker and listed its
-# candidate items, before turns carried a count: `with_item_lists` rebuilds that file byte for
-# byte from the current one.
-LISTED_FLOWS_SHA256 = "b306e4384ba34bfc57ad198a2fbe1a988a313e8e39561049cbde67608ce11722"
+def older_line(turns: list[dict]) -> str:
+    """A flow line of `turns` without `candidate_counts`, as written before the list."""
+    record = json.loads(turns_line(turns))
+    del record["candidate_counts"]
+    return json.dumps(record)
 
 
-def with_item_lists(src: Path, dst: Path, scenes_by_id, ontology) -> Path:
-    """A copy of a flow file in the format before counts: each turn stores its round and speaker
-    and lists the candidate items that replay rebuilds, sorted, where it had its `candidate_count`."""
-    def edit(record):
-        record = with_turn_counts(record)
-        flow = DialogFlow(**record, candidate_counts=None)
-        record["turns"] = with_positions([
-            {("candidate_items" if k == "candidate_count" else k):
-             (sorted(state.candidate_items) if k == "candidate_count" else v) for k, v in turn.items()}
-            for turn, state in replayed(flow, scenes_by_id[flow.scene_id], ontology)])
-        return record
-    return rewritten(src, dst, edit)
+# Per older flow format, newest first: a line of that format, and the problem every reader reports.
+OLDER_FORMATS = {
+    "echoed-slots": (turns_line(ECHOED_ROUND), ECHO_PROBLEM),
+    "turn-counts": (older_line(COUNTED_ROUND), "'candidate_counts'"),
+    "stored-positions": (older_line([{**p, **t} for p, t in zip(POSITIONS, COUNTED_ROUND)]),
+                         "'candidate_counts'"),
+    "item-lists": (older_line([{**p, **t, "candidate_items": items}
+                               for p, t, items in zip(POSITIONS, ECHOED_ROUND, ([1, 2], [1]))]),
+                   "'candidate_counts'"),
+}
 
 
-def test_flows_that_list_candidate_items_still_read(tmp_path, scenes_by_id, ontology):
-    """A flow file of the format before counts, whose turns list their candidate items and one of
-    whose turns carries a `candidate_values`, gives the same stats, gold, realized and split files
-    as the current file of the same seed: `realize` and `split` rewrite it with a count list and
-    without positions."""
-    current = simulate(tmp_path, "current.jsonl", n=200, seed=3)
-    realized = tmp_path / "realized.jsonl"
-    assert main(stage_argv("realize", current, realized)) == 0
-    old_flows, old_realized = (with_item_lists(src, tmp_path / f"old_{src.name}", scenes_by_id, ontology)
-                               for src in (current, realized))
-    assert hashlib.sha256(old_flows.read_bytes()).hexdigest() == LISTED_FLOWS_SHA256
-    for path in (old_flows, old_realized):  # one turn also carries an older `candidate_values`
-        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        record = json.loads(first)
-        record["turns"][1]["candidate_values"] = {"color": ["red", "yellow"]}
-        path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
-
-    def outputs(flows: Path, realized: Path, tag: str) -> dict[str, bytes]:
-        out = tmp_path / tag
-        out.mkdir()
-        argvs = [stage_argv("realize", flows, out / "realized.jsonl"),
-                 ["stats", "--flows", str(flows), "--out", str(out / "stats.json")],
-                 ["split", "--flows", str(flows), "--out-dir", str(out / "splits")],
-                 *(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl") for task in TASKS)]
-        for argv in argvs:
-            assert main(argv) == 0, argv
-        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
-                if p.is_file() and not p.name.endswith(".manifest.json")}
-
-    new, old = outputs(current, realized, "new"), outputs(old_flows, old_realized, "old")
-    assert new == old
-    assert len(old) == 7 + len(SPLIT_NAMES)
-    for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
-        assert b'"candidate_counts":' in old[name] and b"candidate_items" not in old[name], name
-        assert b'"round":' not in old[name] and b'"speaker":' not in old[name], name
+@pytest.mark.parametrize("form", OLDER_FORMATS)
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_an_older_flow_format(tmp_path, capsys, stage, form):
+    """Readers take one flow format. A line whose customer turn echoes a slot of the turn it
+    answers, or one without `candidate_counts`, whose turns carry their count (and, older still,
+    their round and speaker, or their candidate items), is one located line in every reader,
+    which writes nothing."""
+    line, problem = OLDER_FORMATS[form]
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(line + "\n")
+    assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {flows}:1: bad dialog record ({problem})\n"
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
-# sha256 of `simulate --n 200 --seed 3` when each turn stored its round, speaker and count:
-# `with_stored_positions` rebuilds that file byte for byte from the current one.
-STORED_POSITIONS_SHA256 = "17777348e8932478a337d98c12877a1a304b189dc6931a39deea7ffbee408fa2"
-# sha256 of `simulate --n 200 --seed 3` when each turn stored its count, before `candidate_counts`:
-# `with_turn_counts` rebuilds that file byte for byte from the current one.
-TURN_COUNTS_SHA256 = "a1c56a63f1e3d680662c1bcac52c9deefdebdf61301895b88d3633831ef77c38"
-# sha256 of `simulate --n 200 --seed 3` when each customer turn also stored the slots it echoes:
-# `with_echoes` rebuilds that file byte for byte from the current one.
-ECHOED_FLOWS_SHA256 = "b30d6c7f953ab040df63e0fabf96acfdc920f9e8430417f304382fc7175a8d5f"
-
-
-def with_echoes(record: dict) -> dict:
-    """A flow record in the format before customer turns stopped echoing: each turn holds every
-    slot `ACT_SLOTS` lists for its act, in table order, a customer turn's echoed ones copied from
-    the salesperson turn it answers."""
-    turns = record["turns"]
-    echoed = []
-    for k, t in enumerate(turns):
-        full = answer_slots(t["act"], t["slots"], turns[k - 1]["slots"])
-        echoed.append({**t, "slots": {key: full[key] for key in ACT_SLOTS[t["act"]]}})
-    return {**record, "turns": echoed}
-
-
-def with_turn_counts(record: dict) -> dict:
-    """A flow record in the format before `candidate_counts`, which also echoed (`with_echoes`):
-    each turn carries its count after its slots, a salesperson turn the count before its round and
-    a customer turn the one after."""
-    record = with_echoes(record)
-    counts = record["candidate_counts"]
-    turns = [{"act": t["act"], "slots": t["slots"], "candidate_count": counts[(k + 1) // 2], **t}
-             for k, t in enumerate(record["turns"])]
-    return {**{k: v for k, v in record.items() if k != "candidate_counts"}, "turns": turns}
-
-
-def rewritten(src: Path, dst: Path, edit) -> Path:
-    """A compact copy of a flow file with each record replaced by `edit(record)`."""
-    records = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
-    dst.write_text("".join(json.dumps(edit(r), separators=(",", ":"), ensure_ascii=False) + "\n"
-                           for r in records), encoding="utf-8")
-    return dst
-
-
-def with_stored_positions(src: Path, dst: Path) -> Path:
-    """A copy of a flow file in the format before positional turns, written compact."""
-    def edit(record):
-        record = with_turn_counts(record)
-        return {**record, "turns": with_positions(record["turns"])}
-    return rewritten(src, dst, edit)
-
-
-def outputs_of_forms(tmp_path: Path, forms: dict[str, tuple[Path, Path]]) -> dict[str, dict[str, bytes]]:
-    """Per form, the realized, stats, split and six gold files (SPD in both modes) that its flow
-    and realized files give, by path under the form's output directory."""
-    written = {}
-    for tag, (flows, realized) in forms.items():
-        out = tmp_path / tag
-        out.mkdir()
-        argvs = [stage_argv("realize", flows, out / "realized.jsonl"),
-                 stage_argv("stats", flows, out / "stats.json"),
-                 stage_argv("split", realized, out / "splits"),
-                 [*stage_argv("gold spd", realized, out / "gold_spd_scene_only.jsonl"),
-                  "--spd-mode", "scene_only"],
-                 *(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl") for task in TASKS)]
-        for argv in argvs:
-            assert main(argv) == 0, argv
-        written[tag] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
-                        if p.is_file() and not p.name.endswith(".manifest.json")}
-        assert len(written[tag]) == 8 + len(SPLIT_NAMES)
-    return written
-
-
-def test_turns_that_echo_their_salesperson_slots_still_read(tmp_path):
-    """A flow file and a realized file whose customer turns also store the slots they echo, as
-    written before `acts.ECHOED_SLOTS`, and a scrambled copy of each, give the same realized,
-    split, stats and gold files as the current ones, so `realize` and `split` drop the echoes."""
-    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
-    realized = tmp_path / "realized.jsonl"
-    assert main(stage_argv("realize", flows, realized)) == 0
-    forms = {"stored": (flows, realized)}
-    forms["echoed"] = tuple(rewritten(src, tmp_path / f"echoed_{src.name}", with_echoes)
-                            for src in (flows, realized))
-    assert hashlib.sha256(forms["echoed"][0].read_bytes()).hexdigest() == ECHOED_FLOWS_SHA256
-    forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
-                               for src in forms["echoed"])
-    written = outputs_of_forms(tmp_path, forms)
-    assert written["echoed"] == written["stored"] == written["scrambled"]
-    assert written["echoed"]["realized.jsonl"] == realized.read_bytes()
-    assert len(forms["echoed"][1].read_bytes()) > len(realized.read_bytes())
-
-
-# Per customer act that echoes: the echoed slot an older file changes, to another name that fits
-# the scene and the ontology.
+# Per customer act that echoes: the echoed slot a hand-edited turn stores, under another name that
+# fits the scene and the ontology.
 ECHO_FAULTS = {"JUDGE_REGION": "region_label", "RESPOND_PROMPT": "concept_id",
                "RESPOND_ATTRIBUTE_VALUE": "value", "ANSWER_PREFERENCE": "attribute",
                "CHOOSE_ATTRIBUTE_VALUE": "attribute"}
@@ -1056,100 +874,44 @@ ECHO_FAULTS = {"JUDGE_REGION": "region_label", "RESPOND_PROMPT": "concept_id",
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_a_mismatched_echo(tmp_path, capsys, realized_text, scenes_by_id, ontology,
                                                 stage, act):
-    """An older customer turn that echoes a slot of the salesperson turn it answers must echo it
-    unchanged. Every flow reader, `split` and `stats` included, rejects an echo that names another
-    region, concept, value or attribute with one located line and writes nothing, so no answer
-    can name what was not asked."""
+    """A customer turn reads the slots `ECHOED_SLOTS` lists from the salesperson turn it answers and
+    may not store them. Every flow reader, `split` and `stats` included, rejects a turn that stores
+    one naming another region, concept, value or attribute with one located line and writes
+    nothing, so no answer can name what was not asked."""
     slot = ECHO_FAULTS[act]
-    records = [with_echoes(json.loads(line)) for line in realized_text.splitlines()]
+    records = [json.loads(line) for line in realized_text.splitlines()]
     i, k = next((i, k) for i, r in enumerate(records) for k, t in enumerate(r["turns"]) if t["act"] == act)
-    slots, said = records[i]["turns"][k]["slots"], records[i]["turns"][k - 1]["slots"][slot]
+    said = answer_slots(act, {}, records[i]["turns"][k - 1]["slots"])
     scene = scenes_by_id[records[i]["scene_id"]]
     if slot == "region_label":
         names = list(scene.region_items)
     elif slot == "attribute":
         names = list(scene.value_universe)
     elif slot == "value":
-        names = sorted(scene.value_universe[slots["attribute"]])
+        names = sorted(scene.value_universe[said["attribute"]])
     else:
-        names = [c.concept_id for c in ontology.concepts_of(slots["attribute"])]
-    slots[slot] = other = next(name for name in names if name != said)
+        names = [c.concept_id for c in ontology.concepts_of(said["attribute"])]
+    records[i]["turns"][k]["slots"][slot] = next(name for name in names if name != said[slot])
     flows = tmp_path / "flows.jsonl"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
     assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
     assert capsys.readouterr().err == (f"error: {flows}:{i + 1}: bad dialog record (turn {k + 1}: "
-                                       f"slot {slot!r} must be turn {k}'s {said!r}, got {other!r})\n")
+                                       f"{act!r} stores slot {slot!r}, which it reads from turn {k})\n")
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
-def test_turns_that_store_their_position_still_read(tmp_path):
-    """A flow file and a realized file whose turns store their round and speaker, as written before
-    turns were positional, and a scrambled copy of each (spaced, keys reversed, an unknown key
-    added), give the same realized, split, stats and gold files as the positional ones."""
-    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
-    realized = tmp_path / "realized.jsonl"
-    assert main(stage_argv("realize", flows, realized)) == 0
-    forms = {"positional": (flows, realized)}
-    forms["stored"] = tuple(with_stored_positions(src, tmp_path / f"stored_{src.name}")
-                            for src in (flows, realized))
-    assert hashlib.sha256(forms["stored"][0].read_bytes()).hexdigest() == STORED_POSITIONS_SHA256
-    forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
-                               for src in forms["stored"])
-    assert b'"round": 1' in forms["scrambled"][0].read_bytes()
-    written = outputs_of_forms(tmp_path, forms)
-    assert written["stored"] == written["positional"] == written["scrambled"]
-    for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
-        assert b'"round":' not in written["stored"][name] and b'"speaker":' not in written["stored"][name]
-
-
-def test_turns_that_carry_their_count_still_read(tmp_path):
-    """A flow file and a realized file whose turns carry their `candidate_count`, as written before
-    the `candidate_counts` list, and a scrambled copy of each, give the same realized, split,
-    stats and gold files as the listed ones; `realize` and `split` write them with the list."""
-    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
-    realized = tmp_path / "realized.jsonl"
-    assert main(stage_argv("realize", flows, realized)) == 0
-    forms = {"listed": (flows, realized)}
-    forms["counted"] = tuple(rewritten(src, tmp_path / f"counted_{src.name}", with_turn_counts)
-                             for src in (flows, realized))
-    assert hashlib.sha256(forms["counted"][0].read_bytes()).hexdigest() == TURN_COUNTS_SHA256
-    forms["scrambled"] = tuple(scrambled(src, tmp_path / f"scrambled_{src.name}")
-                               for src in forms["counted"])
-    assert b'"candidate_count": ' in forms["scrambled"][1].read_bytes()
-    written = outputs_of_forms(tmp_path, forms)
-    assert written["counted"] == written["listed"] == written["scrambled"]
-    for name in ("realized.jsonl", *(f"splits/{split}.jsonl" for split in SPLIT_NAMES)):
-        assert b'"candidate_count":' not in written["counted"][name], name
-        assert b'"candidate_counts":' in written["counted"][name], name
-
-
-ANSWER_WARM = {"act": "ANSWER_PREFERENCE", "slots": {"attribute": "color", "concept_id": "warm_color"},
-               "candidate_count": 1, "utterance": "Something warm."}
-# A round of turns in the current form, without per-turn counts.
-LISTED_ROUND = [without_count(), {k: v for k, v in ANSWER_WARM.items() if k != "candidate_count"}]
-# Per fault: the turns of a realized flow line and its flow fields, whose candidate counts break one
-# rule, and the problem every reader reports. The first three are older files' per-turn counts.
+ROUND = [ASK_COLOR, ANSWER_WARM]
+# Per fault: the `candidate_counts` of a realized flow line of `ROUND`, which breaks one rule, and
+# the problem every reader reports.
 COUNT_RULE_FAULTS = {
-    "count-below-one": ([{**ASK_COLOR, "candidate_count": 0}], {},
-                        "turn 1: candidate_count must be at least 1, got 0"),
-    "customer-count-grows": ([ASK_COLOR, {**ANSWER_WARM, "candidate_count": 3}], {},
-                             "turn 2: candidate_count must be at most turn 1's 2, got 3"),
-    "salesperson-count-differs": ([ASK_COLOR, ANSWER_WARM, ASK_COLOR], {},
-                                  "turn 3: candidate_count must be equal to turn 2's 1, got 2"),
-    "list-entry-below-one": (LISTED_ROUND, {"candidate_counts": [2, 0]},
-                             "candidate_counts[1] must be at least 1, got 0"),
-    "list-entry-grows": (LISTED_ROUND, {"candidate_counts": [2, 3]},
-                         "candidate_counts[1] must be at most the 2 before it, got 3"),
-    "list-short": (LISTED_ROUND, {"candidate_counts": [2]}, "candidate_counts must hold 2 counts, got 1"),
-    "list-long": (LISTED_ROUND, {"candidate_counts": [2, 1, 1]},
-                  "candidate_counts must hold 2 counts, got 3"),
-    "list-not-a-list": (LISTED_ROUND, {"candidate_counts": 2},
-                        "candidate_counts must be a list of integers, got 2"),
-    "list-bool-entry": (LISTED_ROUND, {"candidate_counts": [2, True]},
-                        "candidate_counts must be a list of integers, got [2, True]"),
-    "list-and-turn-count": ([ASK_COLOR, ANSWER_WARM], {"candidate_counts": [2, 1]},
-                            "turn 1: a turn count cannot stand beside candidate_counts"),
+    "count-below-one": ([0, 0], "candidate_counts[0] must be at least 1, got 0"),
+    "list-entry-below-one": ([2, 0], "candidate_counts[1] must be at least 1, got 0"),
+    "list-entry-grows": ([2, 3], "candidate_counts[1] must be at most the 2 before it, got 3"),
+    "list-short": ([2], "candidate_counts must hold 2 counts, got 1"),
+    "list-long": ([2, 1, 1], "candidate_counts must hold 2 counts, got 3"),
+    "list-not-a-list": (2, "candidate_counts must be a list of integers, got 2"),
+    "list-bool-entry": ([2, True], "candidate_counts must be a list of integers, got [2, True]"),
 }
 
 
@@ -1157,13 +919,11 @@ COUNT_RULE_FAULTS = {
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_inconsistent_candidate_counts(tmp_path, capsys, stage, fault):
     """`candidate_counts` is a list of integers, one per customer turn plus one, each at least 1
-    and none above the one before it, and no turn carries a count beside it. An older file's turn
-    count is at least 1, a salesperson turn's equals the count before it and a customer turn's is
-    at most its round's. Every flow reader rejects a flow that breaks one with one located line and
-    writes nothing."""
-    turns, flow_fields, problem = COUNT_RULE_FAULTS[fault]
+    and none above the one before it. Every flow reader rejects a flow that breaks that with one
+    located line and writes nothing."""
+    counts, problem = COUNT_RULE_FAULTS[fault]
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(turns_line(turns, flow_fields) + "\n")
+    flows.write_text(turns_line(ROUND, {"candidate_counts": counts}) + "\n")
     assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {flows}:1: bad dialog record ({problem})\n"
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]

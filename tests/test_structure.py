@@ -1,5 +1,5 @@
 """Structure guard: one module owns each concern (the scene index among them), uniform draws use
-`rng.choice`, only the reader of older flow files names a turn's `candidate_items`, simulated
+`rng.choice`, no module names a per-turn count or item list, simulated
 turns carry exactly the slots of the act-slot table and the template keys derive from it, each
 subcommand loads only the modules it runs, none loads `dataclasses` and none imports `csv`, every
 name the benchmark's tracer patches is a top-level function of its module, `cli.main` alone
@@ -61,17 +61,11 @@ def test_uniform_draws_use_choice():
     assert _modules_containing("[rng.randrange(len(") == set()
 
 
-def test_candidate_item_lists_are_read_only_from_older_files():
-    """A flow carries its `candidate_counts`; only `engine.flow_from_dict`, which reads the item
-    list of a file older than counts, names the key "candidate_items"."""
-    readers = []
-    for path in SRC.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, ast.FunctionDef):
-                readers += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
-                            if isinstance(node, ast.Constant) and node.value == "candidate_items"]
-    assert set(readers) == {"engine.py:flow_from_dict"}
-    assert _modules_containing('"candidate_items"') == {"engine.py"}
+def test_no_module_names_a_per_turn_count():
+    """A flow carries one `candidate_counts` list, and readers take no older per-turn count or
+    item list, so no module names the keys "candidate_count" or "candidate_items"."""
+    for needle in ('"candidate_count"', '"candidate_items"'):
+        assert _modules_containing(needle) == set(), needle
 
 
 def test_missing_slots_are_reported_in_one_module():
