@@ -9,18 +9,18 @@ recommended and accepted.
 Flows are interchanged as JSON Lines, one dialog per line, here cut short and wrapped:
 
     {"dialog_id":"d00000","scene_id":"f02","target_object_id":9,"outcome":"success",
-     "candidate_counts":[26,12,...],"turns":[{"act":"ASK_PREFERENCE","slots":{"attribute":"color"}},...]}
+     "candidate_counts":[26,12,...],"turns":[{"act":"ASK_PREFERENCE","slots":{"attribute":"color"}},
+     {"slots":{"concept_id":"warm_color"}},...]}
 
 The outcome is "success" or "max_rounds", and a realized turn ends with its "utterance". A turn is
 that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuilds each turn it reads
 in this key order, and `flow_to_dict` passes turns through. Turn k (from 1) is round ceil(k/2)'s
-salesperson turn if k is odd, else its customer turn, whose act answers it (`acts.ACT_PAIRS`). An
-act carries the slots `acts.ACT_SLOTS` lists, but a turn stores only what its speaker adds: a
-customer turn reads those `acts.ECHOED_SLOTS` lists from the turn it answers (`answer_slots`). The
-counts are round 1's candidate items, then those left after each round. This is the one format
-readers take. `realize` and `gold` check every flow against `ACT_SLOTS` with `check_flow`. Neither
-candidate values nor items are stored: replaying the act pairs through `apply_turn` from
-`new_session(scene)` rebuilds both.
+salesperson turn if k is odd, else its customer turn. A turn stores only what its speaker adds: a
+customer turn reads its act (`acts.ACT_PAIRS`) and the slots `acts.ECHOED_SLOTS` lists from the turn
+it answers, and `full_turns` joins them. The counts are round 1's candidate items, then those left
+after each round. This is the one format readers take. `realize` and `gold` check every flow
+against `acts.ACT_SLOTS` with `check_flow`. Neither candidate values nor items are stored:
+replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -294,6 +294,18 @@ def answer_slots(act: str, slots: dict, said: dict) -> dict:
     return {**full, **slots} if full else slots
 
 
+def full_turns(turns: list[dict]) -> Iterator[tuple[str, dict]]:
+    """(act, full slots) of each turn: a customer turn's act is the answer (`ACT_PAIRS`) to the turn
+    before it, whose slots it joins (`answer_slots`)."""
+    for k, turn in enumerate(turns):
+        if k % 2:
+            act = ACT_PAIRS[said["act"]]
+            yield act, answer_slots(act, turn["slots"], said["slots"])
+        else:
+            said = turn
+            yield turn["act"], turn["slots"]
+
+
 def apply_turn(
     state: SessionState, s_act: tuple[str, dict], c_act: tuple[str, dict], ont: Ontology
 ) -> SessionState:
@@ -341,19 +353,16 @@ def apply_turn(
     )
 
 
-# The speakers, whose turns alternate from the salesperson's; the acts each may take; text slots.
-SPEAKERS = ("salesperson", "customer")
-_SPEAKER_ACTS = {"salesperson": frozenset(SALESPERSON_ACTS), "customer": frozenset(ACT_PAIRS.values())}
 _TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
 
 
 def check_turn(act: str, slots: dict, scene: Scene, ont: Ontology) -> None:
-    """Check the act and full slots (`answer_slots`) of a turn read from a flow file, whose act
-    `flow_from_dict` matched to its speaker, against `ACT_SLOTS`; the first fault raises
-    ValidationError. Each slot of the act, in table order, is present: a text slot a string,
-    `attribute` one of the scene's attributes and `concept_id` a concept of it, `values` a
-    non-empty list of strings, `region_label` one of the scene's regions, `object_id` one of its
-    items and `accept` a bool. Other slots are not read, and no random number is drawn."""
+    """Check the act and full slots (`full_turns`) of a turn of a flow that `flow_from_dict` read
+    against `ACT_SLOTS`; the first fault raises ValidationError. Each slot of the act, in table
+    order, is present: a text slot a string, `attribute` one of the scene's attributes and
+    `concept_id` a concept of it, `values` a non-empty list of strings, `region_label` one of the
+    scene's regions, `object_id` one of its items and `accept` a bool. Other slots are not read,
+    and no random number is drawn."""
     for key in ACT_SLOTS[act]:
         if key not in slots:
             raise ValidationError(f"missing slot {key!r}")
@@ -383,12 +392,11 @@ def check_flow(where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Onto
     scene = scenes.get(flow.scene_id)
     if scene is None:
         raise ValidationError(f"{at}: unknown scene_id {flow.scene_id!r}: not in the scene file")
-    for k, t in enumerate(flow.turns):  # a customer turn k answers turn k - 1
-        slots = answer_slots(t["act"], t["slots"], flow.turns[k - 1]["slots"]) if k % 2 else t["slots"]
+    for k, (act, slots) in enumerate(full_turns(flow.turns)):
         try:
-            check_turn(t["act"], slots, scene, ont)
+            check_turn(act, slots, scene, ont)
         except ValidationError as exc:
-            raise ValidationError(f"{at} round {k // 2 + 1} {t['act']}: {exc}") from None
+            raise ValidationError(f"{at} round {k // 2 + 1} {act}: {exc}") from None
     if flow.target_object_id not in scene.items_by_id:
         raise ValidationError(f"{at}: unknown target_object_id {flow.target_object_id}: "
                               f"not in scene {scene.scene_id!r}")
@@ -405,7 +413,7 @@ class DialogFlow(NamedTuple):
     target_object_id: int
     outcome: str  # "success" | "max_rounds"
     candidate_counts: list[int]  # round 1's candidate items, then those left after each round
-    turns: list[dict]  # wire form: act, slots[, utterance]
+    turns: list[dict]  # wire form: a salesperson turn's act, then slots[, utterance]
 
 
 def run_dialog(
@@ -420,12 +428,12 @@ def run_dialog(
         while True:
             s_name, s_slots = s_act = salesperson_step(state, cfg, rng, ont, banned)
             try:
-                c_name, c_slots = c_act = customer_step(state, goal, s_act, ont, rng)
+                c_act = customer_step(state, goal, s_act, ont, rng)
                 break
             except NoTruthfulConcept:
                 banned |= {s_name}
         state = apply_turn(state, s_act, c_act, ont)
-        turns += ({"act": s_name, "slots": s_slots}, {"act": c_name, "slots": c_slots})
+        turns += ({"act": s_name, "slots": s_slots}, {"slots": c_act[1]})
         counts.append(len(state.candidate_items))
     outcome = state.outcome if state.outcome is not None else "max_rounds"
     return DialogFlow(dialog_id, scene.scene_id, goal.object_id, outcome, counts, turns)
@@ -472,32 +480,32 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 
 
 def flow_from_dict(raw: dict) -> DialogFlow:
-    """Each turn is rebuilt in wire key order, its act one of the speaker's its position fixes and
-    a customer turn's the answer (`ACT_PAIRS`) to the turn before it; other turn keys, or a null
-    `utterance`, are dropped, but a customer turn may not store a slot it reads from that turn
-    (`ECHOED_SLOTS`). A wrong-typed field raises TypeError naming it, any other fault ValueError,
-    and a missing one KeyError. `candidate_counts` holds a count per customer turn plus one, none
-    below 1 or above the one before."""
+    """Each turn is rebuilt in wire key order: a salesperson turn's act is one of the salesperson's, and
+    a customer turn stores no act, nor a slot it reads from the turn it answers (`ECHOED_SLOTS` of the
+    answer `ACT_PAIRS` gives); other turn keys, or a null `utterance`, are dropped. A wrong-typed field
+    raises TypeError naming it, any other fault ValueError, and a missing one KeyError.
+    `candidate_counts` holds a count per customer turn plus one, none below 1 or above the one before."""
     counts = raw["candidate_counts"]
     turns = []
-    for k, t in enumerate(raw["turns"], 1):
-        turn = {"act": t["act"], "slots": t["slots"]}
+    for k, t in enumerate(raw["turns"], 1):  # turn k is the customer's if k is even
+        if ("act" in t) != k % 2:  # only a salesperson turn stores its act
+            raise ValueError(f"turn {k}: a customer turn stores no act, got {t['act']!r}" if "act" in t
+                             else f"turn {k}: a salesperson turn stores its act")
+        turn = {"act": t["act"], "slots": t["slots"]} if k % 2 else {"slots": t["slots"]}
         utterance = t.get("utterance")
         if utterance is not None:
             turn["utterance"] = utterance
-        if not (type(turn["act"]) is str and type(turn["slots"]) is dict
+        if not (type(turn.get("act", "")) is str and type(turn["slots"]) is dict
                 and (utterance is None or type(utterance) is str)):
             raise _field_type_error(turn, f"turn {k}: ")
-        act, speaker = turn["act"], SPEAKERS[1 - k % 2]
-        if act not in _SPEAKER_ACTS[speaker]:
-            raise ValueError(f"turn {k}: {act!r} is not an act of speaker {speaker!r}")
-        if not k % 2:
-            said = turns[-1]["act"]
-            if act != ACT_PAIRS[said]:
-                raise ValueError(f"turn {k}: {act!r} does not answer turn {k - 1}'s {said!r}")
-            for key in ECHOED_SLOTS.get(act, ()):
+        if k % 2:
+            answer = ACT_PAIRS.get(turn["act"])  # the act of the customer turn after this one
+            if answer is None:
+                raise ValueError(f"turn {k}: {turn['act']!r} is not an act of speaker 'salesperson'")
+        else:
+            for key in ECHOED_SLOTS.get(answer, ()):
                 if key in turn["slots"]:
-                    raise ValueError(f"turn {k}: {act!r} stores slot {key!r}, which it reads from "
+                    raise ValueError(f"turn {k}: {answer!r} stores slot {key!r}, which it reads from "
                                      f"turn {k - 1}")
         turns.append(turn)
     if type(counts) is not list or not {int}.issuperset(map(type, counts)):

@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .acts import SALESPERSON_ACTS, SPLIT_NAMES, TASKS
+from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS, SPLIT_NAMES, TASKS
 from .errors import MalformedFile, ValidationError
 from .jsonio import read_jsonl, write_jsonl
 
@@ -152,11 +152,6 @@ def eval_recommend(preds: dict[Key, object], gold_targets: dict[Key, set[int]]) 
     return eval_set_task(preds, gold_targets, extract_item_ids)
 
 
-# The acts `avg_subjective_preferences_per_dialog` counts. RESPOND_PROMPT carries a concept too,
-# but only the one its PROMPT_PREFERENCE offered, so it is not counted again.
-_PREFERENCE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE")
-
-
 def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
     """Corpus aggregates, in one pass; the per-round candidate series carries each dialog's
     last observed count forward, so the corpus curve is non-increasing. A turn's round is read
@@ -167,9 +162,12 @@ def corpus_stats(flows: Iterable[DialogFlow]) -> dict:
     steps: Counter = Counter()  # round -> change of the summed carried count at that round
     for n, flow in enumerate(flows, 1):  # a flow's turns alternate from round 1's salesperson turn
         n_utt += len(flow.turns)
-        round_acts.update(enumerate((t["act"] for t in flow.turns[::2]), 1))
-        totals.update(range(1, (len(flow.turns) + 3) // 2))
-        n_prefs += sum(1 for t in flow.turns if t["act"] in _PREFERENCE_ACTS)
+        acts = [t["act"] for t in flow.turns[::2]]
+        round_acts.update(enumerate(acts, 1))
+        totals.update(range(1, len(acts) + 1))
+        answered = acts[:len(flow.turns) // 2]  # a preference: the concept an answer names, or a prompt offers
+        n_prefs += (answered.count("ASK_PREFERENCE") + answered.count("EXCLUDE_PREFERENCE")
+                    + acts.count("PROMPT_PREFERENCE"))
         counts = flow.candidate_counts  # round 1's items, then round r's customer turn sets c_r
         n_objects += counts[0]
         steps[1] += counts[0]
@@ -221,20 +219,16 @@ def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -
     return split_of
 
 
-_CLAUSE_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
-
-
 def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
     """(round, attribute, polarity, concept_id) of the customer's preference turns."""
     from .engine import answer_slots
 
     clauses = []
-    for k, turn in enumerate(flow.turns):
-        if turn["act"] in _CLAUSE_ACTS:  # customer acts: turn k answers turn k - 1
-            act, slots = turn["act"], answer_slots(turn["act"], turn["slots"], flow.turns[k - 1]["slots"])
-            like = slots["accept"] if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
-            clauses.append((k // 2 + 1, slots["attribute"], "like" if like else "dislike",
-                            slots["concept_id"]))
+    for rnd, (said, turn) in enumerate(zip(flow.turns[::2], flow.turns[1::2]), 1):
+        if said["act"] in ELICIT_ACTS:  # answered by ANSWER_ or NEGATE_PREFERENCE, or RESPOND_PROMPT
+            slots = answer_slots(ACT_PAIRS[said["act"]], turn["slots"], said["slots"])
+            like = slots["accept"] if said["act"] == "PROMPT_PREFERENCE" else said["act"] == "ASK_PREFERENCE"
+            clauses.append((rnd, slots["attribute"], "like" if like else "dislike", slots["concept_id"]))
     return clauses
 
 

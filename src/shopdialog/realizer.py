@@ -11,7 +11,7 @@ Template files are UTF-8 JSON mapping an act key to a list of template
 strings.  Keys and placeholders derive from `acts.ACT_SLOTS`: an act that
 carries an accept slot has the keys "RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject",
 and likewise for RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
-A customer turn renders the slots it echoes from the turn it answers (`acts.ECHOED_SLOTS`) too.
+A customer turn renders the act and slots it reads from the turn it answers (`engine.full_turns`).
 `realize_corpus` checks each flow with `engine.check_flow` before it renders any of its turns.
 """
 
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .acts import ACT_SLOTS
 from .catalog import Scene
-from .engine import DialogFlow, answer_slots, check_flow, session_seed
+from .engine import DialogFlow, check_flow, full_turns, session_seed
 from .errors import ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
@@ -91,11 +91,10 @@ def item_description(scene: Scene, object_id: int) -> str:
 
 
 def realize_turn(
-    turn: dict, templates: Templates, ont: Ontology, scene: Scene, rng: random.Random, said: dict
+    act: str, slots: dict, templates: Templates, ont: Ontology, scene: Scene, rng: random.Random
 ) -> str:
-    """Render one turn that `check_flow` passed, from the slots its act carries, the echoed ones of a
-    customer turn read from `said`, its salesperson turn's; concept slots keep a surface form."""
-    act, slots = turn["act"], answer_slots(turn["act"], turn["slots"], said)
+    """Render one turn that `check_flow` passed from its act and full slots (`full_turns`), those its
+    act carries; concept slots keep a surface form."""
     carried = ACT_SLOTS[act]
     key = f"{act}.{'accept' if slots['accept'] else 'reject'}" if "accept" in carried else act
     pool = templates.get(key)
@@ -126,9 +125,8 @@ def realize_dialog(
     """Fill every turn's utterance; acts, slots and candidate counts untouched. The flow must
     have passed `check_flow`."""
     rng = random.Random(seed)
-    said = [{}, *(t["slots"] for t in flow.turns)]  # a customer turn answers the turn before it
-    return flow._replace(turns=[{**t, "utterance": realize_turn(t, templates, ont, scene, rng, s)}
-                                for t, s in zip(flow.turns, said)])
+    return flow._replace(turns=[{**t, "utterance": realize_turn(act, slots, templates, ont, scene, rng)}
+                                for t, (act, slots) in zip(flow.turns, full_turns(flow.turns))])
 
 
 def realize_corpus(

@@ -3,12 +3,14 @@ import pytest
 from pathlib import Path
 
 from shopdialog.catalog import load_catalog
-from shopdialog.engine import SPEAKERS, answer_slots, apply_turn, load_policy, new_session
+from shopdialog.acts import ACT_PAIRS
+from shopdialog.engine import apply_turn, full_turns, load_policy, new_session
 from shopdialog.ontology import load_ontology, normalize_phrase
 from shopdialog.realizer import load_templates
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
+SPEAKERS = ("salesperson", "customer")  # a flow's turns alternate from the salesperson's
 
 
 class UnknownSurfaceForm(LookupError):
@@ -31,11 +33,18 @@ def positioned(flow):
         yield k // 2 + 1, SPEAKERS[k % 2], turn
 
 
-def full_slots(flow):
-    """`flow` with each customer turn's slots joined by those it echoes from the salesperson turn
-    it answers (`engine.answer_slots`), as every flow reader sees them."""
-    return flow._replace(turns=[{**t, "slots": answer_slots(t["act"], t["slots"], flow.turns[k - 1]["slots"])}
-                                for k, t in enumerate(flow.turns)])
+def act_of(turns, k):
+    """The act of turn k (from 0) of a flow's wire turns: a salesperson turn stores it, and a
+    customer turn's is the answer (`ACT_PAIRS`) to the turn before it."""
+    return ACT_PAIRS[turns[k - 1]["act"]] if k % 2 else turns[k]["act"]
+
+
+def full_flow(flow):
+    """`flow` as every flow reader sees it: each turn with its act and full slots
+    (`engine.full_turns`), so a customer turn gains the act and the slots it reads from the
+    salesperson turn it answers."""
+    return flow._replace(turns=[{**t, "act": act, "slots": slots}
+                                for t, (act, slots) in zip(flow.turns, full_turns(flow.turns))])
 
 
 def turn_counts(flow):
@@ -53,7 +62,8 @@ def replayed(flow, scene, ont):
     for k, turn in enumerate(flow.turns):
         if k % 2:
             sales = flow.turns[k - 1]
-            state = apply_turn(state, (sales["act"], sales["slots"]), (turn["act"], turn["slots"]), ont)
+            answer = (ACT_PAIRS[sales["act"]], turn["slots"])
+            state = apply_turn(state, (sales["act"], sales["slots"]), answer, ont)
         yield turn, state
 
 

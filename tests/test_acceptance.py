@@ -24,7 +24,7 @@ from shopdialog.evalhub import (
 )
 from shopdialog.ontology import spd_oracle
 from shopdialog.realizer import realize_corpus
-from tests.conftest import DATA, full_slots, positioned, replayed, resolve_surface, turn_counts
+from tests.conftest import DATA, full_flow, positioned, replayed, resolve_surface, turn_counts
 
 N_DIALOGS = 10_000
 KEEP = 1_000
@@ -108,7 +108,7 @@ def test_criterion_2_termination(corpus):
 
 def clauses_through(flow: DialogFlow, attr: str, upto_round: int):
     out = []
-    for rnd, speaker, turn in positioned(full_slots(flow)):
+    for rnd, speaker, turn in positioned(full_flow(flow)):
         if speaker != "customer" or rnd > upto_round:
             continue
         if turn["act"] == "ANSWER_PREFERENCE" and turn["slots"]["attribute"] == attr:
@@ -136,7 +136,7 @@ def test_criterion_3_oracle_equivalence(corpus, scenes_by_id, ontology):
     population = []
     for flow in corpus.kept:
         elicit_by_round = {
-            rnd: t["slots"]["attribute"] for rnd, speaker, t in positioned(full_slots(flow))
+            rnd: t["slots"]["attribute"] for rnd, speaker, t in positioned(full_flow(flow))
             if speaker == "customer" and t["act"] in
             ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "RESPOND_PROMPT")
         }
@@ -235,7 +235,7 @@ def test_criterion_7_realization_round_trip(corpus, scenes_by_id, ontology, temp
     recommend_turns = 0
     bad_tokens = 0
     for flow in realized:
-        for turn in full_slots(flow).turns:
+        for turn in full_flow(flow).turns:
             if turn["act"] in ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE",
                             "PROMPT_PREFERENCE", "RESPOND_PROMPT"):
                 concept_turns += 1

@@ -10,8 +10,8 @@ import pytest
 from shopdialog import __version__
 from shopdialog.acts import SALESPERSON_ACTS, SPLIT_NAMES
 from shopdialog.cli import main
-from shopdialog.engine import SPEAKERS, answer_slots
-from tests.conftest import DATA, ROOT
+from shopdialog.engine import answer_slots
+from tests.conftest import DATA, ROOT, SPEAKERS, act_of
 
 
 def base_flags():
@@ -96,8 +96,8 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
 # sha256 of the flow file `simulate --n 200` writes on the fixture pack: a change that
 # reorders one RNG draw, or alters one byte of the JSON encoding, moves these.
 PINNED_FLOWS_SHA256 = {
-    3: "e2063012de1cbc40dd97bcaa9422cb45cb230f25fa37aef3c70b4a7f27f8e36f",
-    11: "ff2198bed6aa45741704c678537cb97c5be63cca8aae77153b0eb271e262ebcf",
+    3: "5dcf461c1c4944c1aca6ec636ffbff86ab8b6c8300393a07ce727d3687aebeb5",
+    11: "67ffca12ce5c54ec1581a71ecda04ada6a2128ae51810273392b49e451975a8a",
 }
 
 
@@ -106,6 +106,34 @@ PINNED_FLOWS_SHA256 = {
 def test_simulate_bytes_are_pinned(tmp_path, seed, jobs):
     out = simulate(tmp_path, "flows.jsonl", n=200, seed=seed, jobs=jobs)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FLOWS_SHA256[seed]
+
+
+# sha256 of each file derived from `simulate --n 200 --seed 3` realized at `--seed 3`: the five
+# gold files, SPD gold in `scene_only` mode and the stats report. A change to the flow format
+# that keeps the dialogs keeps these.
+PINNED_DERIVED_SHA256 = {
+    "gold_spd.jsonl": "b5ec9a63a7a559fbec604dfc567a1698626bf9c05bf40606f52e6303838b37af",
+    "gold_rru.jsonl": "25e9fc16ccb602eb351e5018fbb860bd7d2bd71595790d7fd3f017092878362c",
+    "gold_act.jsonl": "5bec1b4ec8e7998c353b7d55c2a0237b564a55de148bc79e46d30220c69a88d2",
+    "gold_recommend.jsonl": "d8dfdf58043a5a8cacc2f80532d4e237b228ba6ee5656e3aeebf7d833188a9b8",
+    "gold_response.jsonl": "0afac516222b6223a3f33df96f0a0ec2073ea021489b8f2144eb3e2c84728d0c",
+    "gold_spd_scene_only.jsonl": "8d5fc28278093b675042f76506ca98aa63c86ce33ad2854658041d055564c11e",
+    "stats.json": "5937b42c07816a2183464310b6977f7977746eff3804ac753e3b4db3db3c4b52",
+}
+
+
+def test_derived_bytes_are_pinned(tmp_path):
+    realized, out = tmp_path / "realized.jsonl", tmp_path / "out"
+    out.mkdir()
+    flows = simulate(tmp_path, "flows.jsonl", n=200, seed=3)
+    assert main([*stage_argv("realize", flows, realized), "--seed", "3"]) == 0
+    for task in TASKS:
+        assert main(stage_argv(f"gold {task}", realized, out / f"gold_{task}.jsonl")) == 0
+    assert main([*stage_argv("gold spd", realized, out / "gold_spd_scene_only.jsonl"),
+                 "--spd-mode", "scene_only"]) == 0
+    assert main(stage_argv("stats", realized, out / "stats.json")) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_DERIVED_SHA256}
+    assert digests == PINNED_DERIVED_SHA256
 
 
 def test_simulate_writes_manifest(tmp_path):
@@ -208,6 +236,20 @@ def test_stats_json_report(tmp_path):
     assert report["n_dialogs"] == 30
     assert len(report["act_distribution_by_round"]) == 8
     assert all(list(row) == list(SALESPERSON_ACTS) for row in report["act_distribution_by_round"])
+
+
+def test_stats_counts_the_preferences_of_flows_that_end_without_a_reply(tmp_path):
+    """A flow may end on a salesperson turn without a reply. An ASK_PREFERENCE counts as a
+    preference only once it is answered, since the answer names the concept, and a
+    PROMPT_PREFERENCE counts either way, since it names its concept itself: the first dialog
+    holds one preference, the second two."""
+    prompt = {"act": "PROMPT_PREFERENCE", "slots": {"attribute": "color", "concept_id": "warm_color"}}
+    lines = [turns_line([ASK_COLOR, ANSWER_WARM, {**ASK_COLOR, "slots": {"attribute": "size"}}]),
+             turns_line([prompt, {"slots": {"accept": True}}, prompt], {"dialog_id": "d00001"})]
+    flows, out = tmp_path / "flows.jsonl", tmp_path / "stats.json"
+    flows.write_text("".join(line + "\n" for line in lines))
+    assert main(["stats", "--flows", str(flows), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["avg_subjective_preferences_per_dialog"] == 1.5
 
 
 # A small gold file per task, with a header, meant to be scored against itself.
@@ -369,8 +411,8 @@ def test_gold_spd_rejects_concept_of_another_attribute(tmp_path, capsys, spd_mod
     """A preference clause whose concept belongs to another attribute than its `attribute`
     slot is a located error, not a gold row of the other attribute's values."""
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(flow_line(before=[ASK_COLOR], act="ANSWER_PREFERENCE",
-                               slots={"concept_id": "premium_price"}) + "\n")
+    answer = {**ANSWER_WARM, "slots": {"concept_id": "premium_price"}}
+    flows.write_text(turns_line([ASK_COLOR, answer]) + "\n")
     capsys.readouterr()
     argv = stage_argv("gold spd", flows, tmp_path / "gold.jsonl")
     assert main([*argv, "--spd-mode", spd_mode]) == 1
@@ -390,8 +432,7 @@ EMPTY_FLOW = json.dumps({"dialog_id": "d00000", "scene_id": "f01", "target_objec
 
 
 ASK_COLOR = {"act": "ASK_PREFERENCE", "slots": {"attribute": "color"}, "utterance": "Any color in mind?"}
-ANSWER_WARM = {"act": "ANSWER_PREFERENCE", "slots": {"concept_id": "warm_color"},
-               "utterance": "Something warm."}
+ANSWER_WARM = {"slots": {"concept_id": "warm_color"}, "utterance": "Something warm."}  # ANSWER_PREFERENCE
 
 
 def turns_line(turns: list[dict], flow_fields: dict | None = None) -> str:
@@ -471,11 +512,12 @@ def flows_with_bad_turn(tmp_path, edit, slot=None, speaker=None, act=None, text=
     line, record, k, turn = next((i, r, k, t) for i, r in enumerate(records, 1)
                                  for k, t in enumerate(r["turns"])
                                  if slot in (None, *t["slots"]) and speaker in (None, SPEAKERS[k % 2])
-                                 and act in (None, t["act"]))
+                                 and act in (None, act_of(r["turns"], k)))
     edit(turn)
     flows = tmp_path / "flows.jsonl"
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
-    return flows, f"{line}: dialog {record['dialog_id']} round {k // 2 + 1} {turn['act']}", record, turn
+    where = f"{line}: dialog {record['dialog_id']} round {k // 2 + 1} {act_of(record['turns'], k)}"
+    return flows, where, record, turn
 
 
 def flows_with_bad_slot(tmp_path, slot, bad=None, speaker=None, act=None):
@@ -615,16 +657,17 @@ def test_spaced_records_read_as_compact_ones(tmp_path, compact_corpus, stage):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-# Per rule of `engine.check_turn`, and the act-speaker rule of `engine.flow_from_dict`: the act
-# whose first turn breaks it, the field set ("act" is the act name, any other a slot), its new
-# value (or MISSING), and the problem reported, in which {scene} and {attribute} name the turn's
-# scene and `attribute` slot (a customer turn's read from the turn it answers) and {k} its place
-# (from 1). A "bad dialog record" is located by line.
+# Per rule of `engine.check_turn`, and the act rules of `engine.flow_from_dict` (a salesperson turn
+# stores a salesperson act, a customer turn none): the act of the first turn that the edit breaks,
+# the field set ("act" is the stored act, any other a slot), its new value (or MISSING), and the
+# problem reported, in which {scene} and {attribute} name the turn's scene and `attribute` slot (a
+# customer turn's read from the turn it answers) and {k} its place (from 1). A "bad dialog record"
+# is located by line.
 TURN_RULES = {
     "salesperson-act-unknown": ("RECOMMEND_ITEM", "act", "SING_A_SONG", "bad dialog record "
                                 "(turn {k}: 'SING_A_SONG' is not an act of speaker 'salesperson')"),
     "customer-act-of-salesperson": ("ANSWER_PREFERENCE", "act", "ASK_PREFERENCE", "bad dialog record "
-                                    "(turn {k}: 'ASK_PREFERENCE' is not an act of speaker 'customer')"),
+                                    "(turn {k}: a customer turn stores no act, got 'ASK_PREFERENCE')"),
     "slot-missing": ("ANSWER_PREFERENCE", "concept_id", MISSING, "missing slot 'concept_id'"),
     "attribute-not-a-string": ("ASK_PREFERENCE", "attribute", ["color"],
                                "slot 'attribute' must be a string, got ['color']"),
@@ -650,7 +693,7 @@ TURN_RULES = {
 @pytest.mark.parametrize("stage", STAGES)
 def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text, stage, rule):
     """`realize` and every `gold` task check each turn by the one act-slot table before they read
-    it, and every reader checks a turn's act against its speaker, so a turn that breaks a rule
+    it, and every reader checks the act a turn stores against its speaker, so a turn that breaks a rule
     gives each of them the same located line and no output."""
     act, field, value, problem = TURN_RULES[rule]
 
@@ -664,7 +707,7 @@ def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text
 
     flows, where, record, turn = flows_with_bad_turn(tmp_path, edit, act=act, text=realized_text)
     k = next(k for k, t in enumerate(record["turns"], 1) if t is turn)
-    slots = answer_slots(turn["act"], turn["slots"], record["turns"][k - 2]["slots"])
+    slots = answer_slots(act_of(record["turns"], k - 1), turn["slots"], record["turns"][k - 2]["slots"])
     problem = problem.format(scene=record["scene_id"], attribute=slots.get("attribute"), k=k)
     if problem.startswith("bad dialog record"):
         where = where.split(":")[0]
@@ -676,7 +719,8 @@ def test_every_stage_reports_a_broken_turn_alike(tmp_path, capsys, realized_text
 
 # Turns that realize with exit 0 at some --seed (or fold into SPD gold, or write an ACT gold row)
 # unless every turn is checked against the act-slot table: the acts and slots of round 1, the act
-# of the turn at fault, and the problem. An answer reads its `attribute` from the turn it answers.
+# of the turn at fault, and the problem. An answer stores only its slots: it reads its act and
+# `attribute` from the turn it answers.
 HAND_EDITED_FAULTS = {
     "answer-without-attribute": ([("ASK_PREFERENCE", {}), ("ANSWER_PREFERENCE", {"concept_id": "warm_color"})],
                                  "ASK_PREFERENCE", "missing slot 'attribute'"),
@@ -694,7 +738,9 @@ HAND_EDITED_FAULTS = {
 def hand_edited_flows(tmp_path, fault):
     acts, act, problem = HAND_EDITED_FAULTS[fault]
     flows = tmp_path / "flows.jsonl"
-    flows.write_text(turns_line([{**ASK_COLOR, "act": a, "slots": slots} for a, slots in acts]) + "\n")
+    turns = [{**ASK_COLOR, "act": a, "slots": slots} if k % 2 == 0 else {**ANSWER_WARM, "slots": slots}
+             for k, (a, slots) in enumerate(acts)]
+    flows.write_text(turns_line(turns) + "\n")
     if act == "SING_A_SONG":  # every reader rejects an act of no speaker, before the act-slot table
         return flows, f"error: {flows}:1: bad dialog record (turn 1: {problem})\n"
     return flows, f"error: {flows}:1: dialog d00000 round 1 {act}: {problem}\n"
@@ -741,7 +787,7 @@ def test_gold_unknown_name_is_located(tmp_path, capsys, task, act, slot, problem
 def test_unknown_object_id_exits_one(tmp_path, capsys, jobs):
     flows = simulate(tmp_path, "flows.jsonl", n=2)
     records = [json.loads(line) for line in flows.read_text().splitlines()]
-    k, recommend = next((k, t) for k, t in enumerate(records[1]["turns"]) if t["act"] == "RECOMMEND_ITEM")
+    k, recommend = next((k, t) for k, t in enumerate(records[1]["turns"]) if t.get("act") == "RECOMMEND_ITEM")
     recommend["slots"]["object_id"] = 999
     flows.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
@@ -772,15 +818,14 @@ def test_realize_reports_the_first_fault_in_file_order(tmp_path, capsys, jobs):
 
 
 def test_stats_without_salesperson_turn(tmp_path, capsys):
-    """A flow opens with round 1's salesperson turn: a lone customer turn is a located error, not
-    a dialog without salesperson acts."""
+    """A flow opens with round 1's salesperson turn: a lone customer turn, which stores no act, is a
+    located error, not a dialog without salesperson acts."""
     flows = tmp_path / "flows.jsonl"
     flows.write_text(turns_line([ANSWER_WARM]) + "\n")
     out = tmp_path / "stats.json"
     assert main(["stats", "--flows", str(flows), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {flows}:1: bad dialog record "
-        "(turn 1: 'ANSWER_PREFERENCE' is not an act of speaker 'salesperson')\n")
+        f"error: {flows}:1: bad dialog record (turn 1: a salesperson turn stores its act)\n")
     assert not out.exists()
 
 
@@ -791,25 +836,29 @@ def _swap(i, j):
 
 
 # Per fault: how it edits the turns of the second dialog at seed 7, whose rounds open with
-# ASK_PREFERENCE, RECOMMEND_ITEM, ASK_PREFERENCE and RECOMMEND_ITEM, and the problem `read_flows`
-# reports.
+# ASK_PREFERENCE, RECOMMEND_ITEM, ASK_PREFERENCE and RECOMMEND_ITEM, and what the error line
+# reports after the file's path: a customer turn on a salesperson turn's place stores no act, and
+# an answer on another answer's place lacks a slot of the act it now takes. Only `realize` and
+# `gold` check slots (`engine.check_flow`), so `split` and `stats` take swapped answers.
 TURN_ORDER_FAULTS = {
     "customer-first": (lambda turns: turns.pop(0),
-                       "turn 1: 'ANSWER_PREFERENCE' is not an act of speaker 'salesperson'"),
+                       "2: bad dialog record (turn 1: a salesperson turn stores its act)"),
     "speakers-swapped": (_swap(2, 3),
-                         "turn 3: 'RESPOND_RECOMMENDATION' is not an act of speaker 'salesperson'"),
+                         "2: bad dialog record (turn 3: a salesperson turn stores its act)"),
     "answers-swapped": (_swap(1, 3),
-                        "turn 2: 'RESPOND_RECOMMENDATION' does not answer turn 1's 'ASK_PREFERENCE'"),
+                        "2: dialog d00001 round 1 ANSWER_PREFERENCE: missing slot 'concept_id'"),
 }
 
 
-@pytest.mark.parametrize("fault", TURN_ORDER_FAULTS)
-@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+@pytest.mark.parametrize("stage, fault", [(stage, fault) for fault in TURN_ORDER_FAULTS
+                                          for stage in (*STAGES, "split", "stats")
+                                          if fault != "answers-swapped" or stage in STAGES])
 def test_every_reader_rejects_turns_out_of_order(tmp_path, capsys, realized_text, stage, fault):
     """Turn k is round ceil(k/2)'s salesperson turn for odd k and its customer turn for even k,
-    whose act answers the salesperson turn's (`ACT_PAIRS`). Every flow reader rejects a dialog
-    whose turns break that with one located line and writes nothing, so `gold` never merges two
-    turns' rows under one key and no answer replies to another act."""
+    whose act is the answer to the salesperson turn's (`ACT_PAIRS`). Every flow reader rejects a
+    dialog whose speakers break that with one located line and writes nothing, so `gold` never
+    merges two turns' rows under one key; answers swapped between rounds lack the slots of the act
+    they now take, which `realize` and `gold` report the same way."""
     edit, problem = TURN_ORDER_FAULTS[fault]
     records = [json.loads(line) for line in realized_text.splitlines()]
     edit(records[1]["turns"])
@@ -818,13 +867,15 @@ def test_every_reader_rejects_turns_out_of_order(tmp_path, capsys, realized_text
     argv = stage_argv(stage, flows, tmp_path / "out")
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {flows}:2: bad dialog record ({problem})\n"
+    assert capsys.readouterr().err == f"error: {flows}:{problem}\n"
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
-# The same round as older formats wrote it: its answer echoes the asked `attribute`.
-ECHOED_ROUND = [ASK_COLOR, {**ANSWER_WARM, "slots": {"attribute": "color", **ANSWER_WARM["slots"]}}]
-ECHO_PROBLEM = "turn 2: 'ANSWER_PREFERENCE' stores slot 'attribute', which it reads from turn 1"
+# The same round as older formats wrote it: its answer stores its act, and older still, echoes
+# the asked `attribute` too.
+ACTED_ROUND = [ASK_COLOR, {"act": "ANSWER_PREFERENCE", **ANSWER_WARM}]
+ECHOED_ROUND = [ASK_COLOR, {**ACTED_ROUND[1], "slots": {"attribute": "color", **ANSWER_WARM["slots"]}}]
+STORED_ACT_PROBLEM = "turn 2: a customer turn stores no act, got 'ANSWER_PREFERENCE'"
 COUNTED_ROUND = [{**ECHOED_ROUND[0], "candidate_count": 2}, {**ECHOED_ROUND[1], "candidate_count": 1}]
 POSITIONS = [{"round": 1, "speaker": "salesperson"}, {"round": 1, "speaker": "customer"}]
 
@@ -838,7 +889,8 @@ def older_line(turns: list[dict]) -> str:
 
 # Per older flow format, newest first: a line of that format, and the problem every reader reports.
 OLDER_FORMATS = {
-    "echoed-slots": (turns_line(ECHOED_ROUND), ECHO_PROBLEM),
+    "acted-answers": (turns_line(ACTED_ROUND), STORED_ACT_PROBLEM),
+    "echoed-slots": (turns_line(ECHOED_ROUND), STORED_ACT_PROBLEM),
     "turn-counts": (older_line(COUNTED_ROUND), "'candidate_counts'"),
     "stored-positions": (older_line([{**p, **t} for p, t in zip(POSITIONS, COUNTED_ROUND)]),
                          "'candidate_counts'"),
@@ -851,10 +903,10 @@ OLDER_FORMATS = {
 @pytest.mark.parametrize("form", OLDER_FORMATS)
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_an_older_flow_format(tmp_path, capsys, stage, form):
-    """Readers take one flow format. A line whose customer turn echoes a slot of the turn it
-    answers, or one without `candidate_counts`, whose turns carry their count (and, older still,
-    their round and speaker, or their candidate items), is one located line in every reader,
-    which writes nothing."""
+    """Readers take one flow format. A line whose customer turn stores its act (and, older still,
+    echoes a slot of the turn it answers), or one without `candidate_counts`, whose turns carry
+    their count (and, older still, their round and speaker, or their candidate items), is one
+    located line in every reader, which writes nothing."""
     line, problem = OLDER_FORMATS[form]
     flows = tmp_path / "flows.jsonl"
     flows.write_text(line + "\n")
@@ -880,7 +932,8 @@ def test_every_reader_rejects_a_mismatched_echo(tmp_path, capsys, realized_text,
     nothing, so no answer can name what was not asked."""
     slot = ECHO_FAULTS[act]
     records = [json.loads(line) for line in realized_text.splitlines()]
-    i, k = next((i, k) for i, r in enumerate(records) for k, t in enumerate(r["turns"]) if t["act"] == act)
+    i, k = next((i, k) for i, r in enumerate(records) for k in range(len(r["turns"]))
+                if act_of(r["turns"], k) == act)
     said = answer_slots(act, {}, records[i]["turns"][k - 1]["slots"])
     scene = scenes_by_id[records[i]["scene_id"]]
     if slot == "region_label":
@@ -931,8 +984,9 @@ def test_every_reader_rejects_inconsistent_candidate_counts(tmp_path, capsys, st
 
 @pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
 def test_every_reader_rejects_an_act_of_the_other_speaker(tmp_path, capsys, realized_text, stage):
-    """With a dialog's last salesperson turn deleted, its reply sits on a salesperson turn's
-    position: every flow reader, `split` and `stats` included, rejects it with one located line."""
+    """With a dialog's last salesperson turn deleted, its reply, which stores no act, sits on a
+    salesperson turn's position: every flow reader, `split` and `stats` included, rejects it with
+    one located line."""
     records = [json.loads(line) for line in realized_text.splitlines()]
     turns = records[1]["turns"]
     del turns[-2]
@@ -941,8 +995,7 @@ def test_every_reader_rejects_an_act_of_the_other_speaker(tmp_path, capsys, real
     capsys.readouterr()
     assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
     assert capsys.readouterr().err == (
-        f"error: {flows}:2: bad dialog record (turn {len(turns)}: "
-        f"{turns[-1]['act']!r} is not an act of speaker 'salesperson')\n")
+        f"error: {flows}:2: bad dialog record (turn {len(turns)}: a salesperson turn stores its act)\n")
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
@@ -1129,12 +1182,14 @@ def flows_with_bad_last_line(tmp_path, tail):
     ANSWER_PREFERENCE turn lacks the `concept_id` that `realize` and `gold --task spd` need
     (`missing-slot`)."""
     records = [json.loads(line) for line in simulate(tmp_path, "clean.jsonl").read_text().splitlines()]
-    last = next(r for r in reversed(records) if any(t["act"] == "ANSWER_PREFERENCE" for t in r["turns"]))
+    answers = {r["dialog_id"]: [t for k, t in enumerate(r["turns"])
+                                if act_of(r["turns"], k) == "ANSWER_PREFERENCE"] for r in records}
+    last = next(r for r in reversed(records) if answers[r["dialog_id"]])
     records.remove(last)
     if tail == "slots-not-an-object":
         last["turns"][0]["slots"] = ["attribute"]
     elif tail == "missing-slot":
-        del next(t for t in last["turns"] if t["act"] == "ANSWER_PREFERENCE")["slots"]["concept_id"]
+        del answers[last["dialog_id"]][0]["slots"]["concept_id"]
     lines = [json.dumps(r) for r in [*records, last]]
     if tail == "malformed-line":
         lines[-1] = lines[-1][:-1]
@@ -1284,7 +1339,7 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pin):
     assert (exc.value.code, out, err) == (pin["code"], pin["stdout"], pin["stderr"])
 
 
-TURN_KEYS = ["act", "slots"]
+TURN_KEYS = (["act", "slots"], ["slots"])  # a salesperson turn's, then a customer turn's
 
 
 def scrambled(src: Path, dst: Path) -> Path:
@@ -1312,9 +1367,10 @@ def test_writers_put_turn_keys_in_canonical_order(tmp_path):
             f"{p.parent.name}/{p.name}": p.read_bytes() for p in (tmp_path / tag).glob("*/*.jsonl")}}
     assert written["plain"] == written["scrambled"]
     for name, blob in written["plain"].items():
-        keys = TURN_KEYS + (["utterance"] if name.startswith("realized") else [])
+        keys = ["utterance"] if name.startswith("realized") else []
         for line in blob.decode().splitlines():
-            assert all(list(t) == keys for t in json.loads(line)["turns"]), name
+            turns = json.loads(line)["turns"]
+            assert all(list(t) == TURN_KEYS[k % 2] + keys for k, t in enumerate(turns)), name
 
 
 def test_manifests_are_byte_identical_across_reruns(tmp_path):
@@ -1435,13 +1491,13 @@ def test_every_exit_code_zero_skips_teardown(tmp_path, argv, code):
         assert result.stdout == f"{__version__}\n"
 
 
-def test_a_corpus_that_mostly_ends_at_max_rounds_runs_every_stage(tmp_path):
-    """A policy that stops after round 3 and recommends only a last candidate (`max_rounds` 3,
-    `recommend_max` 1) ends most dialogs in `max_rounds`, which the fixture policy does not.
-    `simulate`, `realize`, all five `gold` tasks, `split`, `stats` and `eval` exit 0 on it, and
-    RECOMMEND gold holds one row per dialog that has a RECOMMEND_ITEM turn, keyed at the last
-    such round, and none for a dialog without one."""
-    policy = {**json.loads((DATA / "policy.json").read_text()), "max_rounds": 3, "recommend_max": 1}
+def corpus_through_every_stage(tmp_path, **policy_fields):
+    """Simulate 200 dialogs at seed 1 under the fixture policy with `policy_fields` replaced, and
+    run `realize`, all five `gold` tasks, `eval` of each gold file against itself, `split` and
+    `stats` on them, each of which must exit 0. Returns the realized records, after checking that
+    RECOMMEND gold holds one row per dialog that has a RECOMMEND_ITEM turn, keyed at the last such
+    round, and none for a dialog without one, as README's rule says."""
+    policy = {**json.loads((DATA / "policy.json").read_text()), **policy_fields}
     (tmp_path / "policy.json").write_text(json.dumps(policy))
     flows, realized = tmp_path / "flows.jsonl", tmp_path / "realized.jsonl"
     assert main(["simulate", *base_flags(), "--policy", str(tmp_path / "policy.json"), "--n", "200",
@@ -1455,12 +1511,36 @@ def test_a_corpus_that_mostly_ends_at_max_rounds_runs_every_stage(tmp_path):
     assert main(stage_argv("split", realized, tmp_path / "splits")) == 0
     assert main(stage_argv("stats", realized, tmp_path / "stats.json")) == 0
     records = [json.loads(line) for line in realized.read_text().splitlines()]
-    outcomes = [r["outcome"] for r in records]
-    assert outcomes.count("max_rounds") >= 0.9 * len(records) and "success" in outcomes
-    recommended = {r["dialog_id"]: [k // 2 + 1 for k, t in enumerate(r["turns"]) if t["act"] == "RECOMMEND_ITEM"]
-                   for r in records}
+    recommended = {r["dialog_id"]: [rnd for rnd, t in enumerate(r["turns"][::2], 1)
+                                    if t["act"] == "RECOMMEND_ITEM"] for r in records}
     expected = [{"dialog_id": r["dialog_id"], "round": recommended[r["dialog_id"]][-1],
                  "payload": [r["target_object_id"]]} for r in records if recommended[r["dialog_id"]]]
     rows = [json.loads(line) for line in (tmp_path / "gold_recommend.jsonl").read_text().splitlines()[1:]]
     assert rows == expected
-    assert sum(r["outcome"] == "success" for r in records) <= len(rows) < len(records)
+    assert sum(r["outcome"] == "success" for r in records) <= len(rows)
+    return records
+
+
+def test_a_corpus_that_mostly_ends_at_max_rounds_runs_every_stage(tmp_path):
+    """A policy that stops after round 3 and recommends only a last candidate (`max_rounds` 3,
+    `recommend_max` 1) ends most dialogs in `max_rounds`, which the fixture policy does not.
+    Every stage exits 0 on it, RECOMMEND gold follows README's rule, and some dialogs have no
+    RECOMMEND gold row."""
+    records = corpus_through_every_stage(tmp_path, max_rounds=3, recommend_max=1)
+    outcomes = [r["outcome"] for r in records]
+    assert outcomes.count("max_rounds") >= 0.9 * len(records) and "success" in outcomes
+    rows = (tmp_path / "gold_recommend.jsonl").read_text().splitlines()[1:]
+    assert len(rows) < len(records)
+
+
+def test_a_corpus_of_forced_recommendations_runs_every_stage(tmp_path):
+    """With `recommend_max` 1 and no REFER_REGION (`refer_region_min_elicited` 99), a salesperson
+    whose candidate values are all narrowed to one, with several items left, has no eligible act,
+    and `engine.eligible_acts` forces a RECOMMEND_ITEM whose round opens on more than one
+    candidate; a RECOMMEND_ITEM drawn by its guard opens on one. Every stage exits 0 on the corpus,
+    both outcomes occur, and RECOMMEND gold follows README's rule."""
+    records = corpus_through_every_stage(tmp_path, recommend_max=1, refer_region_min_elicited=99)
+    forced = [(r["dialog_id"], rnd) for r in records for rnd, t in enumerate(r["turns"][::2], 1)
+              if t["act"] == "RECOMMEND_ITEM" and r["candidate_counts"][rnd - 1] > 1]
+    outcomes = [r["outcome"] for r in records]
+    assert forced and "success" in outcomes and "max_rounds" in outcomes

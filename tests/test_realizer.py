@@ -15,22 +15,20 @@ from shopdialog.realizer import (
     realize_turn,
     templates_from_dict,
 )
-from tests.conftest import full_slots, resolve_surface
+from tests.conftest import full_flow, resolve_surface
 
 CONCEPT_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE",
                 "RESPOND_PROMPT")
 
 
-# The slots of the ASK_PREFERENCE turn that `concept_turn` answers, and which it echoes.
-ASKED = {"attribute": "color"}
-
-
 def concept_turn(concept_id="warm_color"):
-    return dict(act="ANSWER_PREFERENCE", slots={"concept_id": concept_id})
+    """The act and full slots of an answer to an ASK_PREFERENCE about color: `engine.full_turns`
+    reads the act and `attribute` from the turn it answers."""
+    return "ANSWER_PREFERENCE", {"attribute": "color", "concept_id": concept_id}
 
 
 def test_answer_contains_surface_form(templates, ontology, scenes):
-    utterance = realize_turn(concept_turn(), templates, ontology, scenes[0], random.Random(1), ASKED)
+    utterance = realize_turn(*concept_turn(), templates, ontology, scenes[0], random.Random(1))
     forms = ontology.concept("warm_color").surface_forms
     assert any(form in utterance for form in forms)
 
@@ -38,8 +36,8 @@ def test_answer_contains_surface_form(templates, ontology, scenes):
 def test_recommend_mentions_region_and_token(templates, ontology, scenes):
     f01 = next(s for s in scenes if s.scene_id == "f01")
     shelf_item = sorted({12, 13, 16, 22, 31})[0]
-    turn = dict(act="RECOMMEND_ITEM", slots={"object_id": shelf_item})
-    utterance = realize_turn(turn, templates, ontology, f01, random.Random(0), {})
+    utterance = realize_turn("RECOMMEND_ITEM", {"object_id": shelf_item}, templates, ontology, f01,
+                             random.Random(0))
     assert "far right shelf" in utterance
     assert f"<@{shelf_item}>" in utterance
 
@@ -56,8 +54,8 @@ def test_item_description_without_region(templates, ontology, scenes):
 
 def test_fixed_seed_is_deterministic(templates, ontology, scenes):
     turn = concept_turn()
-    a = realize_turn(turn, templates, ontology, scenes[0], random.Random(42), ASKED)
-    b = realize_turn(turn, templates, ontology, scenes[0], random.Random(42), ASKED)
+    a = realize_turn(*turn, templates, ontology, scenes[0], random.Random(42))
+    b = realize_turn(*turn, templates, ontology, scenes[0], random.Random(42))
     assert a == b
 
 
@@ -71,7 +69,7 @@ def test_missing_template_raises(templates, ontology, scenes):
     broken = dict(templates)
     del broken["ANSWER_PREFERENCE"]
     with pytest.raises(ValidationError, match="no templates for act key 'ANSWER_PREFERENCE'"):
-        realize_turn(concept_turn(), broken, ontology, scenes[0], random.Random(0), ASKED)
+        realize_turn(*concept_turn(), broken, ontology, scenes[0], random.Random(0))
 
 
 def test_template_validation_rejects_unknown_placeholder():
@@ -128,7 +126,7 @@ def test_annotations_untouched(realized_fixture):
 def test_slot_values_recoverable_by_substring(realized_fixture):
     _, realized = realized_fixture
     for flow in realized:
-        for turn in full_slots(flow).turns:
+        for turn in full_flow(flow).turns:
             slots = turn["slots"]
             if "value" in slots:
                 assert slots["value"] in turn["utterance"]
@@ -143,7 +141,7 @@ def test_surface_forms_resolve_back(realized_fixture, ontology):
     _, realized = realized_fixture
     checked = 0
     for flow in realized:
-        for turn in full_slots(flow).turns:
+        for turn in full_flow(flow).turns:
             if turn["act"] not in CONCEPT_ACTS:
                 continue
             concept = ontology.concept(turn["slots"]["concept_id"])
@@ -159,7 +157,7 @@ def test_recommend_turns_have_exactly_one_token(realized_fixture):
 
     _, realized = realized_fixture
     for flow in realized:
-        for turn in flow.turns:
+        for turn in flow.turns[::2]:  # the salesperson turns
             if turn["act"] == "RECOMMEND_ITEM":
                 tokens = re.findall(r"<@(\d+)>", turn["utterance"])
                 assert len(tokens) == 1

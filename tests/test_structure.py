@@ -94,19 +94,18 @@ def test_flows_are_checked_and_located_in_one_module():
 
 def test_simulated_turns_carry_exactly_their_act_slots(scenes, scenes_by_id, ontology, policy):
     """The engine writes each act with the slots `ACT_SLOTS` lists but those `ECHOED_SLOTS` lists,
-    in table order; the full slots `answer_slots` gives cover `ACT_SLOTS` and pass `check_turn`,
-    and every act of the table occurs."""
+    in table order, and stores a salesperson turn's act only; the acts and full slots `full_turns`
+    gives cover `ACT_SLOTS` and pass `check_turn`, and every act of the table occurs."""
     from shopdialog.acts import ACT_SLOTS, ECHOED_SLOTS
-    from shopdialog.engine import answer_slots, check_turn, generate_corpus
+    from shopdialog.engine import check_turn, full_turns, generate_corpus
 
     seen = set()
     for seed in (3, 11):
         for flow in generate_corpus(scenes, ontology, policy, 300, seed):
-            for k, turn in enumerate(flow.turns):
-                act = turn["act"]
+            for k, (turn, (act, full)) in enumerate(zip(flow.turns, full_turns(flow.turns))):
+                assert ("act" in turn) == (k % 2 == 0) and turn.get("act", act) == act, turn
                 stored = tuple(key for key in ACT_SLOTS[act] if key not in ECHOED_SLOTS.get(act, ()))
                 assert tuple(turn["slots"]) == stored, turn
-                full = answer_slots(act, turn["slots"], flow.turns[k - 1]["slots"])
                 assert set(ACT_SLOTS[act]) <= set(full), (turn, full)
                 check_turn(act, full, scenes_by_id[flow.scene_id], ontology)
                 seen.add(act)
@@ -293,13 +292,16 @@ def test_flow_turn_keys_match_readme(tmp_path, scenes, scenes_by_id, ontology, p
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraph = readme.split("**Dialog flows**", 1)[1].split("\n\n", 1)[0]
-    sentence = paragraph.split("Each turn carries", 1)[1].split(".", 1)[0]
+    sentences = [paragraph.split(f"A {speaker} turn carries", 1)[1].split(".", 1)[0]
+                 for speaker in ("salesperson", "customer")]
+    readme_keys = [tuple(re.findall(r"`([^`]+)`", sentence)) for sentence in sentences]
     flows = realize_corpus(enumerate(generate_corpus(scenes, ontology, policy, 3, base_seed=0), 1),
                            templates, ontology, scenes_by_id, base_seed=0)
     write_flows(flows, tmp_path / "realized.jsonl")
     lines = (tmp_path / "realized.jsonl").read_text(encoding="utf-8").splitlines()
-    keys = {tuple(turn) for line in lines for turn in json.loads(line)["turns"]}
-    assert keys == {tuple(re.findall(r"`([^`]+)`", sentence))}
+    for k in (0, 1):  # the salesperson turns, then the customer turns
+        keys = {tuple(turn) for line in lines for turn in json.loads(line)["turns"][k::2]}
+        assert keys == {readme_keys[k]}
 
 
 def test_every_open_is_a_with_item():
