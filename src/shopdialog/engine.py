@@ -17,10 +17,10 @@ that wire dict from the moment `run_dialog` appends it: `flow_from_dict` rebuild
 in this key order, and `flow_to_dict` passes turns through. Turn k (from 1) is round ceil(k/2)'s
 salesperson turn if k is odd, else its customer turn. A turn stores only what its speaker adds: a
 customer turn reads its act (`acts.ACT_PAIRS`) and the slots `acts.ECHOED_SLOTS` lists from the turn
-it answers, and `full_turns` joins them. The counts are round 1's candidate items, then those left
-after each round. This is the one format readers take. `realize` and `gold` check every flow
-against `acts.ACT_SLOTS` with `check_flow`. Neither candidate values nor items are stored:
-replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds both.
+it answers. The counts are round 1's candidate items, then those left after each round. This is the
+one format readers take. `realize` and `gold` read a flow's turns as the (act, full slots) list that
+`check_flow` joins while it checks them against `acts.ACT_SLOTS`. Neither candidate values nor items
+are stored: replaying the act pairs through `apply_turn` from `new_session(scene)` rebuilds both.
 """
 
 from __future__ import annotations
@@ -294,18 +294,6 @@ def answer_slots(act: str, slots: dict, said: dict) -> dict:
     return {**full, **slots} if full else slots
 
 
-def full_turns(turns: list[dict]) -> Iterator[tuple[str, dict]]:
-    """(act, full slots) of each turn: a customer turn's act is the answer (`ACT_PAIRS`) to the turn
-    before it, whose slots it joins (`answer_slots`)."""
-    for k, turn in enumerate(turns):
-        if k % 2:
-            act = ACT_PAIRS[said["act"]]
-            yield act, answer_slots(act, turn["slots"], said["slots"])
-        else:
-            said = turn
-            yield turn["act"], turn["slots"]
-
-
 def apply_turn(
     state: SessionState, s_act: tuple[str, dict], c_act: tuple[str, dict], ont: Ontology
 ) -> SessionState:
@@ -354,11 +342,13 @@ def apply_turn(
 
 
 _TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
+# Each turn's act and full slots, as `check_flow` joins them: the one join of a read flow's turns.
+JoinedTurns = list[tuple[str, dict]]
 
 
 def check_turn(act: str, slots: dict, scene: Scene, ont: Ontology) -> None:
-    """Check the act and full slots (`full_turns`) of a turn of a flow that `flow_from_dict` read
-    against `ACT_SLOTS`; the first fault raises ValidationError. Each slot of the act, in table
+    """Check the act and full slots (`check_flow` joins them) of a turn of a flow that `flow_from_dict`
+    read against `ACT_SLOTS`; the first fault raises ValidationError. Each slot of the act, in table
     order, is present: a text slot a string, `attribute` one of the scene's attributes and
     `concept_id` a concept of it, `values` a non-empty list of strings, `region_label` one of the
     scene's regions, `object_id` one of its items and `accept` a bool. Other slots are not read,
@@ -383,27 +373,36 @@ def check_turn(act: str, slots: dict, scene: Scene, ont: Ontology) -> None:
             raise ValidationError(f"slot 'accept' must be true or false, got {value!r}")
 
 
-def check_flow(where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Ontology) -> Scene:
-    """The scene of a flow read from a file, once the flow fits the catalog: its scene is in
-    `scenes`, every turn passes `check_turn`, its target is one of the scene's items, and its first
-    candidate count is the scene's item count. The first fault raises ValidationError, which starts
-    with `where` and the dialog's id."""
+def check_flow(
+    where: str, flow: DialogFlow, scenes: dict[str, Scene], ont: Ontology
+) -> tuple[Scene, JoinedTurns]:
+    """The scene of a flow read from a file and its `JoinedTurns`, once the flow fits the catalog: its
+    scene is in `scenes`, every turn passes `check_turn`, its target is one of the scene's items, and
+    its first candidate count is the scene's item count. The first fault raises ValidationError, which
+    starts with `where` and the dialog's id."""
     at = f"{where}: dialog {flow.dialog_id}"
     scene = scenes.get(flow.scene_id)
     if scene is None:
         raise ValidationError(f"{at}: unknown scene_id {flow.scene_id!r}: not in the scene file")
-    for k, (act, slots) in enumerate(full_turns(flow.turns)):
+    turns: JoinedTurns = []
+    for k, turn in enumerate(flow.turns):
+        if k % 2:  # the answer to the turn before it
+            act = ACT_PAIRS[turns[-1][0]]
+            slots = answer_slots(act, turn["slots"], turns[-1][1])
+        else:
+            act, slots = turn["act"], turn["slots"]
         try:
             check_turn(act, slots, scene, ont)
         except ValidationError as exc:
             raise ValidationError(f"{at} round {k // 2 + 1} {act}: {exc}") from None
+        turns.append((act, slots))
     if flow.target_object_id not in scene.items_by_id:
         raise ValidationError(f"{at}: unknown target_object_id {flow.target_object_id}: "
                               f"not in scene {scene.scene_id!r}")
     if flow.candidate_counts[0] != len(scene.items_by_id):
         raise ValidationError(f"{at}: candidate_counts[0] must be scene {scene.scene_id}'s "
                               f"{len(scene.items_by_id)} items, got {flow.candidate_counts[0]}")
-    return scene
+    return scene, turns
 
 
 class DialogFlow(NamedTuple):
@@ -482,12 +481,15 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order: a salesperson turn's act is one of the salesperson's, and
     a customer turn stores no act, nor a slot it reads from the turn it answers (`ECHOED_SLOTS` of the
-    answer `ACT_PAIRS` gives); other turn keys, or a null `utterance`, are dropped. A wrong-typed field
-    raises TypeError naming it, any other fault ValueError, and a missing one KeyError.
-    `candidate_counts` holds a count per customer turn plus one, none below 1 or above the one before."""
+    answer `ACT_PAIRS` gives); other turn keys, or a null `utterance`, are dropped. A turn that is no
+    object, or a wrong-typed field, raises TypeError naming it, any other fault ValueError, and a
+    missing one KeyError. `candidate_counts` holds a count per customer turn plus one, none below 1
+    or above the one before."""
     counts = raw["candidate_counts"]
     turns = []
     for k, t in enumerate(raw["turns"], 1):  # turn k is the customer's if k is even
+        if type(t) is not dict:
+            raise TypeError(f"turn {k} must be an object, got {t!r}")
         if ("act" in t) != k % 2:  # only a salesperson turn stores its act
             raise ValueError(f"turn {k}: a customer turn stores no act, got {t['act']!r}" if "act" in t
                              else f"turn {k}: a salesperson turn stores its act")

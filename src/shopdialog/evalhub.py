@@ -27,13 +27,13 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .acts import ACT_PAIRS, ELICIT_ACTS, SALESPERSON_ACTS, SPLIT_NAMES, TASKS
+from .acts import ELICIT_ACTS, SALESPERSON_ACTS, SPLIT_NAMES, TASKS
 from .errors import MalformedFile, ValidationError
 from .jsonio import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
     from .catalog import Scene
-    from .engine import DialogFlow
+    from .engine import DialogFlow, JoinedTurns
     from .ontology import Ontology
 
 SPD_MODES = ("cumulative", "scene_only")
@@ -219,15 +219,12 @@ def split_corpus(n: int, ratios: tuple[float, float, float, float], seed: int) -
     return split_of
 
 
-def _preference_clauses(flow: DialogFlow) -> list[tuple[int, str, str, str]]:
+def _preference_clauses(turns: JoinedTurns) -> list[tuple[int, str, str, str]]:
     """(round, attribute, polarity, concept_id) of the customer's preference turns."""
-    from .engine import answer_slots
-
     clauses = []
-    for rnd, (said, turn) in enumerate(zip(flow.turns[::2], flow.turns[1::2]), 1):
-        if said["act"] in ELICIT_ACTS:  # answered by ANSWER_ or NEGATE_PREFERENCE, or RESPOND_PROMPT
-            slots = answer_slots(ACT_PAIRS[said["act"]], turn["slots"], said["slots"])
-            like = slots["accept"] if said["act"] == "PROMPT_PREFERENCE" else said["act"] == "ASK_PREFERENCE"
+    for rnd, ((said, _), (act, slots)) in enumerate(zip(turns[::2], turns[1::2]), 1):
+        if said in ELICIT_ACTS:  # answered by ANSWER_ or NEGATE_PREFERENCE, or RESPOND_PROMPT
+            like = slots["accept"] if act == "RESPOND_PROMPT" else act == "ANSWER_PREFERENCE"
             clauses.append((rnd, slots["attribute"], "like" if like else "dislike", slots["concept_id"]))
     return clauses
 
@@ -257,13 +254,13 @@ def build_gold(
 
     seen: set[str] = set()
     for where, flow in flows:
-        scene = check_flow(where, flow, scenes, ont)
+        scene, turns = check_flow(where, flow, scenes, ont)
         dialog_id = flow.dialog_id
         if dialog_id in seen:
             raise ValidationError(f"{where}: dialog {dialog_id}: duplicate dialog_id")
         seen.add(dialog_id)
         if task == "SPD":
-            clauses = _preference_clauses(flow)
+            clauses = _preference_clauses(turns)
             for rnd, attr, _, _ in clauses:
                 keep = [(pol, cid) for r, a, pol, cid in clauses
                         if a == attr and (r == rnd or spd_mode == "cumulative" and r < rnd)]

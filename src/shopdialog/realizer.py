@@ -11,8 +11,8 @@ Template files are UTF-8 JSON mapping an act key to a list of template
 strings.  Keys and placeholders derive from `acts.ACT_SLOTS`: an act that
 carries an accept slot has the keys "RESPOND_PROMPT.accept" / "RESPOND_PROMPT.reject",
 and likewise for RESPOND_ATTRIBUTE_VALUE, JUDGE_REGION and RESPOND_RECOMMENDATION.
-A customer turn renders the act and slots it reads from the turn it answers (`engine.full_turns`).
-`realize_corpus` checks each flow with `engine.check_flow` before it renders any of its turns.
+`realize_corpus` checks each flow with `engine.check_flow` and renders each turn from the act and full
+slots it joined, so a customer turn renders the slots it reads from the turn it answers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .acts import ACT_SLOTS
 from .catalog import Scene
-from .engine import DialogFlow, check_flow, full_turns, session_seed
+from .engine import DialogFlow, JoinedTurns, check_flow, session_seed
 from .errors import ValidationError
 from .jsonio import read_json_with, string_list
 from .ontology import Ontology
@@ -93,8 +93,8 @@ def item_description(scene: Scene, object_id: int) -> str:
 def realize_turn(
     act: str, slots: dict, templates: Templates, ont: Ontology, scene: Scene, rng: random.Random
 ) -> str:
-    """Render one turn that `check_flow` passed from its act and full slots (`full_turns`), those its
-    act carries; concept slots keep a surface form."""
+    """Render one turn that `check_flow` passed from the act and full slots it joined, those its act
+    carries; concept slots keep a surface form."""
     carried = ACT_SLOTS[act]
     key = f"{act}.{'accept' if slots['accept'] else 'reject'}" if "accept" in carried else act
     pool = templates.get(key)
@@ -120,13 +120,13 @@ def realize_turn(
 
 
 def realize_dialog(
-    flow: DialogFlow, templates: Templates, ont: Ontology, scene: Scene, seed: int | str
+    flow: DialogFlow, turns: JoinedTurns, templates: Templates, ont: Ontology, scene: Scene, seed: int | str
 ) -> DialogFlow:
-    """Fill every turn's utterance; acts, slots and candidate counts untouched. The flow must
-    have passed `check_flow`."""
+    """Fill every turn's utterance from the `turns` that `check_flow` joined for the flow; acts, slots
+    and candidate counts untouched."""
     rng = random.Random(seed)
     return flow._replace(turns=[{**t, "utterance": realize_turn(act, slots, templates, ont, scene, rng)}
-                                for t, (act, slots) in zip(flow.turns, full_turns(flow.turns))])
+                                for t, (act, slots) in zip(flow.turns, turns)])
 
 
 def realize_corpus(
@@ -139,5 +139,5 @@ def realize_corpus(
     """Realize the (where, flow) pairs `read_flows` yields, in order, each once `check_flow`
     passed it against `scenes`, by scene_id; dialog i is seeded from (base_seed, i)."""
     for i, (where, flow) in enumerate(flows):
-        scene = check_flow(where, flow, scenes, ont)
-        yield realize_dialog(flow, templates, ont, scene, session_seed(base_seed, "realize", i))
+        scene, turns = check_flow(where, flow, scenes, ont)
+        yield realize_dialog(flow, turns, templates, ont, scene, session_seed(base_seed, "realize", i))

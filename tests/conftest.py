@@ -4,7 +4,7 @@ from pathlib import Path
 
 from shopdialog.catalog import load_catalog
 from shopdialog.acts import ACT_PAIRS
-from shopdialog.engine import apply_turn, full_turns, load_policy, new_session
+from shopdialog.engine import answer_slots, apply_turn, load_policy, new_session
 from shopdialog.ontology import load_ontology, normalize_phrase
 from shopdialog.realizer import load_templates
 
@@ -40,11 +40,15 @@ def act_of(turns, k):
 
 
 def full_flow(flow):
-    """`flow` as every flow reader sees it: each turn with its act and full slots
-    (`engine.full_turns`), so a customer turn gains the act and the slots it reads from the
-    salesperson turn it answers."""
-    return flow._replace(turns=[{**t, "act": act, "slots": slots}
-                                for t, (act, slots) in zip(flow.turns, full_turns(flow.turns))])
+    """`flow` as `realize` and `gold` read it: each turn with its act and full slots, so a customer
+    turn gains its act (`act_of`) and the slots it reads from the salesperson turn it answers
+    (`engine.answer_slots`)."""
+    turns = []
+    for k, t in enumerate(flow.turns):
+        act = act_of(flow.turns, k)
+        slots = answer_slots(act, t["slots"], flow.turns[k - 1]["slots"]) if k % 2 else t["slots"]
+        turns.append({**t, "act": act, "slots": slots})
+    return flow._replace(turns=turns)
 
 
 def turn_counts(flow):

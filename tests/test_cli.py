@@ -915,6 +915,44 @@ def test_every_reader_rejects_an_older_flow_format(tmp_path, capsys, stage, form
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
+# Per turn that is not a JSON object, as the whole `turns` list: the repr every reader names.
+NON_OBJECT_TURNS = {"list": (["act"], "['act']"), "number": (5, "5"), "null": (None, "None")}
+
+
+@pytest.mark.parametrize("turn", NON_OBJECT_TURNS)
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_a_turn_that_is_not_an_object(tmp_path, capsys, stage, turn):
+    """A turn is a JSON object: every flow reader rejects a list, a number or a null in its place
+    with one located line naming the turn, and writes nothing."""
+    value, shown = NON_OBJECT_TURNS[turn]
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(turns_line([value]) + "\n")
+    assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:1: bad dialog record (turn 1 must be an object, got {shown})\n")
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
+
+
+@pytest.mark.parametrize("stage", ["realize", "gold spd"])
+def test_realize_and_spd_gold_join_each_customer_turn_once(tmp_path, monkeypatch, realized_text, stage):
+    """`engine.check_flow` joins each customer turn with the turn it answers while it checks it, and
+    `realize` and SPD gold read the list it returns, so `answer_slots` runs once per customer turn."""
+    from shopdialog import engine
+
+    calls = []
+    real = engine.answer_slots
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "answer_slots", counting)
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(realized_text)
+    assert main(stage_argv(stage, flows, tmp_path / "out.jsonl")) == 0
+    assert len(calls) == sum(len(json.loads(line)["turns"]) // 2 for line in realized_text.splitlines())
+
+
 # Per customer act that echoes: the echoed slot a hand-edited turn stores, under another name that
 # fits the scene and the ontology.
 ECHO_FAULTS = {"JUDGE_REGION": "region_label", "RESPOND_PROMPT": "concept_id",

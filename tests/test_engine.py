@@ -561,7 +561,7 @@ def check_flows(flows, scene, ont):
     from shopdialog.engine import check_flow
 
     for i, flow in enumerate(flows):
-        assert check_flow(f"test:{i}", flow, {scene.scene_id: scene}, ont) is scene
+        assert check_flow(f"test:{i}", flow, {scene.scene_id: scene}, ont)[0] is scene
 
 
 def test_run_dialog_retries_an_act_without_a_truthful_answer(monkeypatch):

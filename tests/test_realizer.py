@@ -22,8 +22,8 @@ CONCEPT_ACTS = ("ANSWER_PREFERENCE", "NEGATE_PREFERENCE", "PROMPT_PREFERENCE",
 
 
 def concept_turn(concept_id="warm_color"):
-    """The act and full slots of an answer to an ASK_PREFERENCE about color: `engine.full_turns`
-    reads the act and `attribute` from the turn it answers."""
+    """The act and full slots of an answer to an ASK_PREFERENCE about color: `engine.check_flow`
+    joins the act and `attribute` from the turn it answers."""
     return "ANSWER_PREFERENCE", {"attribute": "color", "concept_id": concept_id}
 
 
@@ -61,7 +61,7 @@ def test_fixed_seed_is_deterministic(templates, ontology, scenes):
 
 def test_empty_flow_unchanged(templates, ontology, scenes):
     flow = DialogFlow("d0", scenes[0].scene_id, 0, "success", [len(scenes[0].items)], [])
-    realized = realize_dialog(flow, templates, ontology, scenes[0], seed=1)
+    realized = realize_dialog(flow, [], templates, ontology, scenes[0], seed=1)
     assert flow_to_dict(realized) == flow_to_dict(flow)
 
 

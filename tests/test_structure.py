@@ -1,14 +1,16 @@
 """Structure guard: one module owns each concern (the scene index among them), uniform draws use
-`rng.choice`, no module names a per-turn count or item list, simulated
+`rng.choice`, no module names a per-turn count or item list, `check_flow` alone joins a read
+flow's turns, simulated
 turns carry exactly the slots of the act-slot table and the template keys derive from it, each
 subcommand loads only the modules it runs, none loads `dataclasses` and none imports `csv`, every
-name the benchmark's tracer patches is a top-level function of its module, `cli.main` alone
+name the benchmark's tracer patches is a top-level function of its module, the tracer reads the
+gold task where `build_gold` takes it, `cli.main` alone
 writes manifests, the README lists the flow keys the engine writes and the exception types
 `errors.py` defines, and a successful process has nothing left to close when `cli.run` skips
 interpreter teardown."""
 
 import ast
-import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -92,22 +94,37 @@ def test_flows_are_checked_and_located_in_one_module():
     assert stamps == []
 
 
+def test_read_turns_are_joined_in_one_place():
+    """A customer turn's full slots are joined by `answer_slots`, which only `engine.check_flow`, the
+    one join of a flow read from a file, and `engine.apply_turn`, which narrows a simulated or
+    replayed round, call; no module defines or names the former second join, `full_turns`."""
+    callers = []
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == "answer_slots"]
+    assert sorted(callers) == ["engine.py:apply_turn", "engine.py:check_flow"]
+    assert _modules_containing("full_turns") == set()
+
+
 def test_simulated_turns_carry_exactly_their_act_slots(scenes, scenes_by_id, ontology, policy):
     """The engine writes each act with the slots `ACT_SLOTS` lists but those `ECHOED_SLOTS` lists,
-    in table order, and stores a salesperson turn's act only; the acts and full slots `full_turns`
-    gives cover `ACT_SLOTS` and pass `check_turn`, and every act of the table occurs."""
+    in table order, and stores a salesperson turn's act only; every flow passes `check_flow`, the
+    acts and full slots it joins cover `ACT_SLOTS`, and every act of the table occurs."""
     from shopdialog.acts import ACT_SLOTS, ECHOED_SLOTS
-    from shopdialog.engine import check_turn, full_turns, generate_corpus
+    from shopdialog.engine import check_flow, generate_corpus
 
     seen = set()
     for seed in (3, 11):
         for flow in generate_corpus(scenes, ontology, policy, 300, seed):
-            for k, (turn, (act, full)) in enumerate(zip(flow.turns, full_turns(flow.turns))):
+            _, joined = check_flow(f"seed {seed}", flow, scenes_by_id, ontology)
+            assert len(joined) == len(flow.turns)
+            for k, (turn, (act, full)) in enumerate(zip(flow.turns, joined)):
                 assert ("act" in turn) == (k % 2 == 0) and turn.get("act", act) == act, turn
                 stored = tuple(key for key in ACT_SLOTS[act] if key not in ECHOED_SLOTS.get(act, ()))
                 assert tuple(turn["slots"]) == stored, turn
                 assert set(ACT_SLOTS[act]) <= set(full), (turn, full)
-                check_turn(act, full, scenes_by_id[flow.scene_id], ontology)
                 seen.add(act)
     assert seen == set(ACT_SLOTS)
 
@@ -255,11 +272,8 @@ def test_traced_names_exist(scenes, ontology, policy):
         mod = importlib.import_module(f"shopdialog.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
-    # The tracer reads these arguments by position.
     from shopdialog import engine
-    from shopdialog.evalhub import build_gold
 
-    assert list(inspect.signature(build_gold).parameters)[3] == "task"
     # generate_corpus takes no sixth argument, which the tracer would read as a jobs count.
     assert len(inspect.signature(engine.generate_corpus).parameters) == 5
     # It counts accepted dialogs from the `outcome` of what generate_corpus yields, and times
@@ -269,6 +283,33 @@ def test_traced_names_exist(scenes, ontology, policy):
     for name in ("flow_to_dict", "flow_from_dict", "read_flows", "write_flows"):
         fn = getattr(engine, name)
         assert inspect.isfunction(fn) and fn.__qualname__ == name, name
+
+
+def test_tracer_reads_the_gold_task_by_position(tmp_path, scenes, ontology, policy):
+    """The tracer names each `build_gold` span after its fourth positional argument, the task, which
+    `cmd_gold` passes by position: a traced `gold` run records a span per task under the task's name.
+    A reordered signature would otherwise fail only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from shopdialog import engine
+    from shopdialog.cli import main
+    from shopdialog.evalhub import build_gold
+
+    assert list(inspect.signature(build_gold).parameters)[3] == "task"
+    flows = tmp_path / "flows.jsonl"
+    engine.write_flows(engine.generate_corpus(scenes, ontology, policy, 3, 0), flows)
+    catalog = [f"--{name}={ROOT / 'data' / name}.json" for name in ("scenes", "metadata", "ontology")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for task in ("spd", "act"):
+            argv = ["gold", *catalog, "--task", task, "--flows", str(flows), "--out", str(tmp_path / task)]
+            assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert [s[0] for s in tracer.spans if s[0].startswith("evalhub.build_gold")] == [
+        "evalhub.build_gold.spd", "evalhub.build_gold.act"]
 
 
 def test_traced_names_are_module_level_functions():
