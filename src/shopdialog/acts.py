@@ -1,7 +1,8 @@
 """The dialog act vocabulary, the slots each act carries and those a customer act echoes, and the
-benchmark's task and split names, importable without the engine or the scoring code."""
+benchmark's task, SPD gold mode and split names, importable without the engine or the scoring code."""
 
 TASKS = ("SPD", "RRU", "ACT", "RESPONSE", "RECOMMEND")
+SPD_MODES = ("cumulative", "scene_only")  # the first is the default
 SPLIT_NAMES = ("train", "dev", "dev_test", "test_std")
 
 SALESPERSON_ACTS = (

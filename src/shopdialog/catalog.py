@@ -10,8 +10,8 @@ Metadata files map prototype ids to complete attribute maps:
 
     {"proto_0": {"type": "jacket", "color": "red", ...}, ...}
 
-Field names are normative; validators reject unknown fields.  A scene item
-references a prototype and inherits its attributes at load time.  `load_catalog` returns
+Field names are normative; validators reject a field the schema does not name.  A scene
+item references a prototype and inherits its attributes at load time.  `load_catalog` returns
 the scenes as a dict from scene_id to Scene, in file order; every stage looks a flow's
 scene up in it.
 """
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
 from .errors import ValidationError
-from .jsonio import read_json_with
+from .jsonio import check_fields, read_json_with
 
 Bbox = tuple[float, float, float, float]
 
@@ -86,17 +86,6 @@ class Scene:
 Metadata = dict[str, dict[str, str]]
 
 
-def _require_fields(obj: dict, fields: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be an object")
-    extra = set(obj) - fields
-    if extra:
-        raise ValidationError(f"{where}: unknown fields {sorted(extra)}")
-    missing = fields - set(obj)
-    if missing:
-        raise ValidationError(f"{where}: missing fields {sorted(missing)}")
-
-
 def _parse_bbox(raw, where: str) -> Bbox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValidationError(f"{where}: bbox must be [x, y, w, h]")
@@ -110,7 +99,7 @@ def _parse_bbox(raw, where: str) -> Bbox:
 
 
 def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
-    _require_fields(raw, {"scene_id", "domain", "items", "regions"}, "scene")
+    check_fields(raw, "scene", ("scene_id", "domain", "items", "regions"))
     scene_id = raw["scene_id"]
     if not isinstance(scene_id, str):
         raise ValidationError(f"scene {scene_id!r}: scene_id must be a string")
@@ -127,7 +116,7 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     items = []
     seen_ids: set[int] = set()
     for entry in raw["items"]:
-        _require_fields(entry, {"object_id", "prototype_id", "bbox"}, f"scene {scene_id} item")
+        check_fields(entry, f"scene {scene_id} item", ("object_id", "prototype_id", "bbox"))
         oid = entry["object_id"]
         if type(oid) is not int or oid < 0:
             raise ValidationError(f"scene {scene_id}: object_id must be a non-negative integer")
@@ -151,7 +140,7 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     regions = []
     seen_labels: set[str] = set()
     for entry in raw["regions"]:
-        _require_fields(entry, {"label", "bbox"}, f"scene {scene_id} region")
+        check_fields(entry, f"scene {scene_id} region", ("label", "bbox"))
         label = entry["label"]
         if not isinstance(label, str):
             raise ValidationError(f"scene {scene_id} region: label must be a string, got {label!r}")

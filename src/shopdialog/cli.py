@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .acts import SPLIT_NAMES, TASKS
+from .acts import SPD_MODES, SPLIT_NAMES, TASKS
 from .errors import ShopDialogError, ValidationError
 from .jsonio import count_records, encode_line, replacing, write_json
 
@@ -167,7 +167,7 @@ def cmd_eval(args):
     if task in ("SPD", "RRU"):
         gold = {k: set(v) for k, v in gold_rows.items()}
         if task == "SPD":
-            report["spd_mode"] = gold_header.get("spd_mode", "cumulative")
+            report["spd_mode"] = gold_header.get("spd_mode", SPD_MODES[0])
             pred_mode = pred_header.get("spd_mode", report["spd_mode"])
             if pred_mode != report["spd_mode"]:
                 print(f"warning: {args.pred}: spd_mode {pred_mode!r} differs from gold "
@@ -233,7 +233,7 @@ SUBCOMMANDS = {
         _FLOWS, _SEED, _JOBS, _OUT)),
     "gold": ("derive gold annotations from flows", cmd_gold, (
         *_CATALOG_FLAGS, _FLOWS, _TASK,
-        ("--spd-mode", {"choices": ["cumulative", "scene_only"], "default": "cumulative"}),
+        ("--spd-mode", {"choices": SPD_MODES, "default": SPD_MODES[0]}),
         _OUT)),
     "split": ("partition a corpus into the four benchmark splits", cmd_split, (
         _FLOWS,

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .acts import ACT_PAIRS, ACT_SLOTS, ECHOED_SLOTS, ELICIT_ACTS, SALESPERSON_ACTS
 from .errors import MalformedFile, NoTruthfulConcept, ValidationError
-from .jsonio import read_json_with, read_jsonl, string_list, write_jsonl
+from .jsonio import check_fields, read_json_with, read_jsonl, string_list, write_jsonl
 
 if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
     from .catalog import Item, Scene
@@ -74,10 +74,7 @@ _THRESHOLDS = {
 
 
 def _validate_row(row: dict[str, float], where: str) -> dict[str, float]:
-    if not isinstance(row, dict):
-        raise ValidationError(f"{where}: row must be an object")
-    if set(row) != set(SALESPERSON_ACTS):
-        raise ValidationError(f"{where}: row must cover exactly the salesperson acts")
+    check_fields(row, where, SALESPERSON_ACTS)
     for act in SALESPERSON_ACTS:
         p = row[act]
         if isinstance(p, bool) or not isinstance(p, (int, float)):
@@ -98,9 +95,9 @@ def _threshold(raw: dict, name: str) -> int:
 
 
 def policy_from_dict(raw: dict) -> PolicyConfig:
-    extra = set(raw) - {"rounds", "stationary", *_THRESHOLDS}
-    if extra:
-        raise ValidationError(f"policy: unknown fields {sorted(extra)}")
+    check_fields(raw, "policy", ("rounds", "stationary", *_THRESHOLDS), ("rounds",))
+    if not isinstance(raw["rounds"], list):
+        raise ValidationError("policy: rounds must be a list")
     rows = tuple(_validate_row(r, f"policy round {i + 1}") for i, r in enumerate(raw["rounds"]))
     if not rows:
         raise ValidationError("policy: needs at least one round row")
@@ -481,13 +478,15 @@ def _field_type_error(fields: dict, where: str) -> TypeError:
 def flow_from_dict(raw: dict) -> DialogFlow:
     """Each turn is rebuilt in wire key order: a salesperson turn's act is one of the salesperson's, and
     a customer turn stores no act, nor a slot it reads from the turn it answers (`ECHOED_SLOTS` of the
-    answer `ACT_PAIRS` gives); other turn keys, or a null `utterance`, are dropped. A turn that is no
-    object, or a wrong-typed field, raises TypeError naming it, any other fault ValueError, and a
-    missing one KeyError. `candidate_counts` holds a count per customer turn plus one, none below 1
-    or above the one before."""
-    counts = raw["candidate_counts"]
+    answer `ACT_PAIRS` gives); other turn keys, or a null `utterance`, are dropped. A `turns` that is no
+    list, a turn that is no object, or a wrong-typed field raises TypeError naming it, any other fault
+    ValueError, and a missing one KeyError. `candidate_counts` holds a count per customer turn plus
+    one, none below 1 or above the one before."""
+    counts, raw_turns = raw["candidate_counts"], raw["turns"]
+    if type(raw_turns) is not list:
+        raise TypeError(f"turns must be a list, got {raw_turns!r}")
     turns = []
-    for k, t in enumerate(raw["turns"], 1):  # turn k is the customer's if k is even
+    for k, t in enumerate(raw_turns, 1):  # turn k is the customer's if k is even
         if type(t) is not dict:
             raise TypeError(f"turn {k} must be an object, got {t!r}")
         if ("act" in t) != k % 2:  # only a salesperson turn stores its act

@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .acts import ELICIT_ACTS, SALESPERSON_ACTS, SPLIT_NAMES, TASKS
+from .acts import ELICIT_ACTS, SALESPERSON_ACTS, SPD_MODES, SPLIT_NAMES, TASKS
 from .errors import MalformedFile, ValidationError
 from .jsonio import read_jsonl, write_jsonl
 
@@ -35,8 +35,6 @@ if TYPE_CHECKING:  # scoring never loads these; build_gold imports what it calls
     from .catalog import Scene
     from .engine import DialogFlow, JoinedTurns
     from .ontology import Ontology
-
-SPD_MODES = ("cumulative", "scene_only")
 
 Key = tuple[str, int]
 ID_TOKEN = re.compile(r"<@(\d+)>")
@@ -234,7 +232,7 @@ def build_gold(
     ont: Ontology,
     scenes: dict[str, Scene],
     task: str,
-    spd_mode: str = "cumulative",
+    spd_mode: str = SPD_MODES[0],
 ) -> Iterator[tuple[Key, object]]:
     """Yield the `((dialog_id, round), payload)` gold rows of the (where, flow) pairs `read_flows`
     yields, for the task's eligible rounds, in flow order. Every task checks each flow with

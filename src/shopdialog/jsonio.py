@@ -4,8 +4,9 @@ Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
 JSON Lines are read one line at a time, each decoded on its own with JSON whitespace
 allowed around it.  A config file whose contents do not fit its schema raises
-ValidationError naming the path.  A write replaces its target only once it is done, and
-one that cannot create or replace it raises ShopDialogError naming the path.
+ValidationError naming the path; `check_fields` is the one check of a config object's fields.
+A write replaces its target only once it is done, and one that cannot create or replace it
+raises ShopDialogError naming the path.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ def read_json_with(path, build: Callable[[object], T]) -> T:
         raise ValidationError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def check_fields(obj, where: str, allowed: tuple[str, ...], required: tuple[str, ...] | None = None) -> None:
+    """Raise ValidationError unless `obj` is an object whose fields are among `allowed` and include
+    every one of `required` (by default all of `allowed`)."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
+    extra = obj.keys() - allowed
+    if extra:
+        raise ValidationError(f"{where}: unknown fields {sorted(extra)}")
+    missing = set(allowed if required is None else required) - obj.keys()
+    if missing:
+        raise ValidationError(f"{where}: missing fields {sorted(missing)}")
 
 
 def string_list(value, where: str) -> list[str]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .attributes import get_attribute, numeric_payload
 from .catalog import Scene, scene_value_universe
 from .errors import ValidationError
-from .jsonio import read_json_with, string_list
+from .jsonio import check_fields, read_json_with, string_list
 
 Polarity = str  # "like" | "dislike"
 
@@ -67,6 +67,10 @@ def _materialize_range(lo: float, hi: float, space: frozenset[str]) -> frozenset
     return frozenset(v for v in space if lo <= numeric_payload(v) <= hi)
 
 
+# "provenance" documents where a concept came from; it is accepted and not kept.
+_CONCEPT_FIELDS = ("concept_id", "values", "min", "max", "surface_forms", "provenance")
+
+
 def ontology_from_blocks(blocks: list[dict]) -> Ontology:
     """Build and fully validate an ontology from parsed attribute blocks."""
     if not isinstance(blocks, list):
@@ -74,9 +78,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
     concepts: list[Concept] = []
     value_spaces: dict[str, frozenset[str]] = {}
     for block in blocks:
-        extra = set(block) - {"attribute", "value_space", "concepts"}
-        if extra:
-            raise ValidationError(f"ontology block: unknown fields {sorted(extra)}")
+        check_fields(block, "ontology block", ("attribute", "value_space", "concepts"))
         attr_name = block["attribute"]
         attr = get_attribute(attr_name)
         if attr_name in value_spaces:
@@ -94,13 +96,10 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
                         f"{attr_name}: value {v!r} has no numeric payload"
                     ) from None
         value_spaces[attr_name] = space
-
+        if not isinstance(block["concepts"], list):
+            raise ValidationError(f"{attr_name}: concepts must be a list")
         for raw in block["concepts"]:
-            # "provenance" documents where a concept came from; it is accepted and not kept.
-            allowed = {"concept_id", "values", "min", "max", "surface_forms", "provenance"}
-            extra = set(raw) - allowed
-            if extra:
-                raise ValidationError(f"{attr_name} concept: unknown fields {sorted(extra)}")
+            check_fields(raw, f"{attr_name} concept", _CONCEPT_FIELDS, ("concept_id", "surface_forms"))
             cid = raw["concept_id"]
             if type(cid) is not str:
                 raise ValidationError(f"concept {cid!r}: concept_id must be a string")

@@ -25,7 +25,7 @@ from .acts import ACT_SLOTS
 from .catalog import Scene
 from .engine import DialogFlow, JoinedTurns, check_flow, session_seed
 from .errors import ValidationError
-from .jsonio import read_json_with, string_list
+from .jsonio import check_fields, read_json_with, string_list
 from .ontology import Ontology
 
 # The placeholders each slot fills.
@@ -44,14 +44,7 @@ Templates = dict[str, tuple[str, ...]]  # act key -> its templates
 
 
 def templates_from_dict(raw: dict) -> Templates:
-    if not isinstance(raw, dict):
-        raise ValidationError("templates: must map act keys to lists of templates")
-    extra = set(raw) - set(REQUIRED_KEYS)
-    if extra:
-        raise ValidationError(f"templates: unknown act keys {sorted(extra)}")
-    missing = set(REQUIRED_KEYS) - set(raw)
-    if missing:
-        raise ValidationError(f"templates: missing act keys {sorted(missing)}")
+    check_fields(raw, "templates", REQUIRED_KEYS)
     by_key: Templates = {}
     for key, templates in raw.items():
         string_list(templates, f"templates: {key!r}")

@@ -933,6 +933,19 @@ def test_every_reader_rejects_a_turn_that_is_not_an_object(tmp_path, capsys, sta
     assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
 
 
+@pytest.mark.parametrize("turns", [5, "ab", {"a": 1}, None], ids=["number", "string", "object", "null"])
+@pytest.mark.parametrize("stage", [*STAGES, "split", "stats"])
+def test_every_reader_rejects_turns_that_are_not_a_list(tmp_path, capsys, stage, turns):
+    """`turns` is a JSON list: every flow reader rejects anything else with one located line naming
+    it, never a turn the file does not have, and writes nothing."""
+    flows = tmp_path / "flows.jsonl"
+    flows.write_text(turns_line([], {"turns": turns}) + "\n")
+    assert main(stage_argv(stage, flows, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flows}:1: bad dialog record (turns must be a list, got {turns!r})\n")
+    assert sorted(os.listdir(tmp_path)) == ["flows.jsonl"]
+
+
 @pytest.mark.parametrize("stage", ["realize", "gold spd"])
 def test_realize_and_spd_gold_join_each_customer_turn_once(tmp_path, monkeypatch, realized_text, stage):
     """`engine.check_flow` joins each customer turn with the turn it answers while it checks it, and
@@ -1060,12 +1073,15 @@ DROP = object()
 
 
 def edited_config(tmp_path, config, keys, value):
-    """A copy of a fixture config file with the value at `keys` replaced (or dropped)."""
+    """A copy of a fixture config file with the value at `keys` replaced (or dropped); with no
+    keys, `value` is the whole file."""
     raw = json.loads((DATA / f"{config}.json").read_text())
     parent = raw
     for key in keys[:-1]:
         parent = parent[key]
-    if value is DROP:
+    if not keys:
+        raw = value
+    elif value is DROP:
         del parent[keys[-1]]
     else:
         parent[keys[-1]] = value
@@ -1126,6 +1142,91 @@ def test_malformed_config_exits_one(tmp_path, capsys, config, keys, value):
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
     assert "unhashable" not in err
+
+
+# Per rule of a config file: the file, the keys and value `edited_config` edits it with, and the
+# line after "error: <path>: " that `validate` reports for it.
+CONFIG_RULES = {
+    "ontology-not-a-list": ("ontology", (), {}, "ontology file must hold a list of attribute blocks"),
+    "block-a-string": ("ontology", (0,), "abc", "ontology block must be an object"),
+    "block-a-list": ("ontology", (0,), [5], "ontology block must be an object"),
+    "block-unknown-field": ("ontology", (0, "weight"), 1, "ontology block: unknown fields ['weight']"),
+    "block-without-attribute": ("ontology", (0, "attribute"), DROP,
+                                "ontology block: missing fields ['attribute']"),
+    "duplicate-block": ("ontology", (1, "attribute"), "type",
+                        "duplicate ontology block for attribute 'type'"),
+    "duplicate-value": ("ontology", (0, "value_space", 1), "jacket", "type: value_space has duplicates"),
+    "value-without-number": ("ontology", (4, "value_space", 0), "cheap",
+                             "price: value 'cheap' has no numeric payload"),
+    "concepts-a-string": ("ontology", (0, "concepts"), "ab", "type: concepts must be a list"),
+    "concepts-a-number": ("ontology", (0, "concepts"), 5, "type: concepts must be a list"),
+    "concept-a-string": ("ontology", (0, "concepts", 0), "abc", "type concept must be an object"),
+    "concept-a-list": ("ontology", (0, "concepts", 0), [5], "type concept must be an object"),
+    "concept-unknown-field": ("ontology", (0, "concepts", 0, "weight"), 1,
+                              "type concept: unknown fields ['weight']"),
+    "concept-without-id": ("ontology", (0, "concepts", 0, "concept_id"), DROP,
+                           "type concept: missing fields ['concept_id']"),
+    "concept-without-surface-forms": ("ontology", (0, "concepts", 0, "surface_forms"), DROP,
+                                      "type concept: missing fields ['surface_forms']"),
+    "concept-numeric-id": ("ontology", (0, "concepts", 0, "concept_id"), 5,
+                           "concept 5: concept_id must be a string"),
+    "concept-values-and-range": ("ontology", (0, "concepts", 0, "min"), 0,
+                                 "concept 'formal_type': give either values or min/max"),
+    "categorical-range": ("ontology", (0, "concepts", 0, "values"), DROP,
+                          "concept 'formal_type': range bounds need a numeric attribute"),
+    "concept-no-values": ("ontology", (0, "concepts", 0, "values"), [],
+                          "concept 'formal_type': empty value set"),
+    "concept-values-outside": ("ontology", (0, "concepts", 0, "values"), ["dress", "banana"],
+                               "concept 'formal_type': values ['banana'] outside the type value space"),
+    "concept-no-surface-forms": ("ontology", (0, "concepts", 0, "surface_forms"), [],
+                                 "concept 'formal_type': needs at least one surface form"),
+    "duplicate-concept-id": ("ontology", (0, "concepts", 1, "concept_id"), "formal_type",
+                             "duplicate concept ids ['formal_type']"),
+    "policy-a-list": ("policy", (), [1, 2], "policy must be an object"),
+    "policy-unknown-field": ("policy", ("weight",), 1, "policy: unknown fields ['weight']"),
+    "policy-without-rounds": ("policy", ("rounds",), DROP, "policy: missing fields ['rounds']"),
+    "rounds-a-number": ("policy", ("rounds",), 5, "policy: rounds must be a list"),
+    "rounds-a-string": ("policy", ("rounds",), "ab", "policy: rounds must be a list"),
+    "rounds-empty": ("policy", ("rounds",), [], "policy: needs at least one round row"),
+    "row-a-string": ("policy", ("rounds", 0), "abc", "policy round 1 must be an object"),
+    "stationary-a-list": ("policy", ("stationary",), [5], "policy stationary must be an object"),
+    "row-unknown-act": ("policy", ("rounds", 0, "WAVE"), 0, "policy round 1: unknown fields ['WAVE']"),
+    "row-without-act": ("policy", ("rounds", 1, "REFER_REGION"), DROP,
+                        "policy round 2: missing fields ['REFER_REGION']"),
+    "display-min-above-max": ("policy", ("display_min",), 6,
+                              "policy: display_min must be <= display_max"),
+    "templates-a-list": ("templates", (), ["hi"], "templates must be an object"),
+    "templates-unknown-key": ("templates", ("WAVE",), ["hi"], "templates: unknown fields ['WAVE']"),
+    "templates-without-key": ("templates", ("ASK_PREFERENCE",), DROP,
+                              "templates: missing fields ['ASK_PREFERENCE']"),
+    "templates-empty-list": ("templates", ("ASK_PREFERENCE",), [],
+                             "templates: 'ASK_PREFERENCE' needs at least one template"),
+    "template-unknown-placeholder": ("templates", ("ASK_PREFERENCE", 0), "{banana}",
+                                     "templates: 'ASK_PREFERENCE' has unfillable placeholders ['banana']"),
+    "scene-file-a-number": ("scenes", (), 5, "scene file must hold a scene object or a list of them"),
+    "scene-a-string": ("scenes", (0,), "abc", "scene must be an object"),
+    "scene-item-unknown-field": ("scenes", (0, "items", 0, "color"), "red",
+                                 "scene f01 item: unknown fields ['color']"),
+    "scene-region-without-bbox": ("scenes", (0, "regions", 0, "bbox"), DROP,
+                                  "scene f01 region: missing fields ['bbox']"),
+    "scene-short-bbox": ("scenes", (0, "items", 0, "bbox"), [1, 2],
+                         "scene f01 item 0: bbox must be [x, y, w, h]"),
+    "metadata-a-list": ("metadata", (), [], "metadata file must map prototype ids to attribute maps"),
+}
+
+
+@pytest.mark.parametrize("rule", CONFIG_RULES)
+def test_every_config_rule_names_its_fault(tmp_path, capsys, rule):
+    """Each rule of a scene, metadata, ontology, policy or template file exits `validate` with its
+    own line, and a block, concept, row or file of the wrong type is reported as such, never read
+    as its characters or items."""
+    config, keys, value, message = CONFIG_RULES[rule]
+    bad = edited_config(tmp_path, config, keys, value)
+    paths = {name: str(DATA / f"{name}.json") for name in ("scenes", "metadata", "ontology", "policy",
+                                                              "templates")}
+    paths[config] = str(bad)
+    assert main(["validate", *(arg for name, path in paths.items() for arg in (f"--{name}", path))]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 @pytest.mark.parametrize("field", ["{attr:d}", "{attr!r}"])

@@ -1,10 +1,9 @@
-"""Structure guard: one module owns each concern (the scene index among them), uniform draws use
-`rng.choice`, no module names a per-turn count or item list, `check_flow` alone joins a read
-flow's turns, simulated
-turns carry exactly the slots of the act-slot table and the template keys derive from it, each
-subcommand loads only the modules it runs, none loads `dataclasses` and none imports `csv`, every
-name the benchmark's tracer patches is a top-level function of its module, the tracer reads the
-gold task where `build_gold` takes it, `cli.main` alone
+"""Structure guard: one module owns each concern (the scene index and the config field check among
+them), uniform draws use `rng.choice`, no module names a per-turn count or item list, `check_flow`
+alone joins a read flow's turns, simulated turns carry exactly the slots of the act-slot table and
+the template keys derive from it, each subcommand loads only the modules it runs, none loads
+`dataclasses` and none imports `csv`, every name the benchmark's tracer patches is a top-level
+function of its module, the tracer reads the gold task where `build_gold` takes it, `cli.main` alone
 writes manifests, the README lists the flow keys the engine writes and the exception types
 `errors.py` defines, and a successful process has nothing left to close when `cli.run` skips
 interpreter teardown."""
@@ -35,6 +34,13 @@ def test_no_module_starts_a_worker_process():
 
 def test_json_parsing_lives_in_jsonio():
     assert _modules_containing("json.load(") | _modules_containing("json.loads(") == {"jsonio.py"}
+
+
+def test_config_fields_are_checked_in_jsonio():
+    """`jsonio.check_fields` is the one check of a config object's fields: no other module words
+    an unknown or missing field, and the catalog's own copy is gone."""
+    assert _modules_containing("unknown fields") | _modules_containing("missing fields") == {"jsonio.py"}
+    assert _modules_containing("_require_fields") == set()
 
 
 def test_region_containment_lives_in_catalog():
