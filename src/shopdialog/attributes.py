@@ -6,9 +6,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 
-FASHION = "fashion"
-FURNITURE = "furniture"
-DOMAINS = (FASHION, FURNITURE)
+DOMAINS = ("fashion", "furniture")  # every scene's domain is one of these
 
 
 class AttributeType(NamedTuple):
@@ -27,7 +25,7 @@ ATTRIBUTES: tuple[AttributeType, ...] = (
     AttributeType("brand", "both", "categorical"),
     AttributeType("size", "both", "categorical"),
     AttributeType("customer_review", "both", "numeric"),
-    AttributeType("sleeve_length", FASHION, "categorical"),
+    AttributeType("sleeve_length", "fashion", "categorical"),
 )
 
 _BY_NAME = {a.name: a for a in ATTRIBUTES}
@@ -40,15 +38,9 @@ def get_attribute(name: str) -> AttributeType:
         raise ValidationError(f"unknown attribute {name!r}") from None
 
 
-def attributes_for_domain(domain: str) -> tuple[AttributeType, ...]:
-    """Attributes declared for a scene domain, in registry order."""
-    if domain not in DOMAINS:
-        raise ValidationError(f"unknown domain {domain!r}")
-    return tuple(a for a in ATTRIBUTES if a.domain in ("both", domain))
-
-
 def attribute_names_for_domain(domain: str) -> tuple[str, ...]:
-    return tuple(a.name for a in attributes_for_domain(domain))
+    """Names of the attributes declared for a scene domain, in registry order."""
+    return tuple(a.name for a in ATTRIBUTES if a.domain in ("both", domain))
 
 
 def numeric_payload(value: str) -> float:

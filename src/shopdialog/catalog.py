@@ -10,18 +10,20 @@ Metadata files map prototype ids to complete attribute maps:
 
     {"proto_0": {"type": "jacket", "color": "red", ...}, ...}
 
-Field names are normative; validators reject a field the schema does not name.  A scene
-item references a prototype and inherits its attributes at load time.  `load_catalog` returns
-the scenes as a dict from scene_id to Scene, in file order; every stage looks a flow's
-scene up in it.
+Field names and JSON types are normative: `jsonio.check_fields` rejects a field the schema does not
+name or of another type, and a metadata attribute the registry does not name.  A bbox holds four
+finite numbers.  A scene item references a prototype and inherits its attributes at load time.
+`load_catalog` returns the scenes as a dict from scene_id to Scene, in file order; every stage
+looks a flow's scene up in it.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
-from .attributes import attribute_names_for_domain, get_attribute, numeric_payload
+from .attributes import ATTRIBUTES, DOMAINS, attribute_names_for_domain, get_attribute, numeric_payload
 from .errors import ValidationError
 from .jsonio import check_fields, read_json_with
 
@@ -86,46 +88,37 @@ class Scene:
 Metadata = dict[str, dict[str, str]]
 
 
-def _parse_bbox(raw, where: str) -> Bbox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+def _parse_bbox(raw: list, where: str) -> Bbox:
+    if len(raw) != 4:
         raise ValidationError(f"{where}: bbox must be [x, y, w, h]")
-    try:
-        x, y, w, h = (float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: bbox values must be numbers") from None
+    # A finite number: no bool, NaN or infinity, nor an integer too large for a float.
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in raw):
+        raise ValidationError(f"{where}: bbox values must be finite numbers")
+    x, y, w, h = map(float, raw)
     if w <= 0 or h <= 0:
         raise ValidationError(f"{where}: bbox must have positive width/height")
     return (x, y, w, h)
 
 
 def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
-    check_fields(raw, "scene", ("scene_id", "domain", "items", "regions"))
-    scene_id = raw["scene_id"]
-    if not isinstance(scene_id, str):
-        raise ValidationError(f"scene {scene_id!r}: scene_id must be a string")
-    domain = raw["domain"]
-    if domain not in ("fashion", "furniture"):
+    check_fields(raw, "scene", {"scene_id": str, "domain": str, "items": list, "regions": list})
+    scene_id, domain = raw["scene_id"], raw["domain"]
+    if domain not in DOMAINS:
         raise ValidationError(f"scene {scene_id}: unknown domain {domain!r}")
     declared = attribute_names_for_domain(domain)
-    for key in ("items", "regions"):
-        if not isinstance(raw[key], list):
-            raise ValidationError(f"scene {scene_id}: {key} must be a list")
-
     if not raw["items"]:
         raise ValidationError(f"scene {scene_id}: needs at least one item")
     items = []
     seen_ids: set[int] = set()
     for entry in raw["items"]:
-        check_fields(entry, f"scene {scene_id} item", ("object_id", "prototype_id", "bbox"))
+        check_fields(entry, f"scene {scene_id} item", {"object_id": int, "prototype_id": str, "bbox": list})
         oid = entry["object_id"]
-        if type(oid) is not int or oid < 0:
+        if oid < 0:
             raise ValidationError(f"scene {scene_id}: object_id must be a non-negative integer")
         if oid in seen_ids:
             raise ValidationError(f"scene {scene_id}: duplicate object_id {oid}")
         seen_ids.add(oid)
         proto = entry["prototype_id"]
-        if not isinstance(proto, str):
-            raise ValidationError(f"scene {scene_id} item {oid}: prototype_id must be a string")
         if proto not in metadata:
             raise ValidationError(f"scene {scene_id}: prototype {proto!r} not in metadata")
         attrs = metadata[proto]
@@ -140,10 +133,8 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     regions = []
     seen_labels: set[str] = set()
     for entry in raw["regions"]:
-        check_fields(entry, f"scene {scene_id} region", ("label", "bbox"))
+        check_fields(entry, f"scene {scene_id} region", {"label": str, "bbox": list})
         label = entry["label"]
-        if not isinstance(label, str):
-            raise ValidationError(f"scene {scene_id} region: label must be a string, got {label!r}")
         if label in seen_labels:
             raise ValidationError(f"scene {scene_id}: duplicate region label {label!r}")
         seen_labels.add(label)
@@ -153,20 +144,17 @@ def _parse_scene(raw: dict, metadata: Metadata) -> Scene:
     return Scene(scene_id, domain, tuple(items), tuple(regions))
 
 
+# Each registry attribute a prototype may give, with the JSON type of its value.
+_METADATA_FIELDS = {a.name: str for a in ATTRIBUTES}
+
+
 def _validate_metadata(raw: object) -> Metadata:
     if not isinstance(raw, dict):
         raise ValidationError("metadata file must map prototype ids to attribute maps")
     for proto, attrs in raw.items():
-        if not isinstance(attrs, dict):
-            raise ValidationError(f"metadata {proto!r}: attribute map expected")
+        check_fields(attrs, f"metadata {proto!r}", _METADATA_FIELDS, ())
         for name, value in attrs.items():
-            try:
-                attr = get_attribute(name)
-            except ValidationError as exc:
-                raise ValidationError(f"metadata {proto!r}: {exc}") from None
-            if not isinstance(value, str):
-                raise ValidationError(f"metadata {proto!r}: value of {name!r} must be a string")
-            if attr.kind == "numeric":
+            if get_attribute(name).kind == "numeric":
                 try:
                     numeric_payload(value)
                 except ValueError:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .acts import ACT_PAIRS, ACT_SLOTS, ECHOED_SLOTS, ELICIT_ACTS, SALESPERSON_ACTS
 from .errors import MalformedFile, NoTruthfulConcept, ValidationError
-from .jsonio import check_fields, read_json_with, read_jsonl, string_list, write_jsonl
+from .jsonio import JSON_TYPES, check_fields, read_json_with, read_jsonl, string_list, write_jsonl
 
 if TYPE_CHECKING:  # reading flows (split, stats) loads no catalog or ontology
     from .catalog import Item, Scene
@@ -71,14 +71,15 @@ _THRESHOLDS = {
     "refer_region_min_elicited": (1, 0),
     "max_rounds": (30, 1),
 }
+# The JSON type of each field of a policy file, and of each act of its probability rows.
+_POLICY_FIELDS = {"rounds": list, "stationary": dict, **dict.fromkeys(_THRESHOLDS, int)}
+_ROW_FIELDS = dict.fromkeys(SALESPERSON_ACTS, float)
 
 
 def _validate_row(row: dict[str, float], where: str) -> dict[str, float]:
-    check_fields(row, where, SALESPERSON_ACTS)
+    check_fields(row, where, _ROW_FIELDS)
     for act in SALESPERSON_ACTS:
         p = row[act]
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ValidationError(f"{where}: {act} must be a number")
         if not 0 <= p <= 1:  # also rejects NaN
             raise ValidationError(f"{where}: {act} must be a probability in [0, 1], got {p}")
     if abs(sum(row.values()) - 1.0) > 1e-9:
@@ -89,15 +90,13 @@ def _validate_row(row: dict[str, float], where: str) -> dict[str, float]:
 def _threshold(raw: dict, name: str) -> int:
     default, least = _THRESHOLDS[name]
     value = raw.get(name, default)
-    if type(value) is not int or value < least:  # a bool is no threshold
+    if value < least:
         raise ValidationError(f"policy: {name} must be an integer >= {least}, got {value!r}")
     return value
 
 
 def policy_from_dict(raw: dict) -> PolicyConfig:
-    check_fields(raw, "policy", ("rounds", "stationary", *_THRESHOLDS), ("rounds",))
-    if not isinstance(raw["rounds"], list):
-        raise ValidationError("policy: rounds must be a list")
+    check_fields(raw, "policy", _POLICY_FIELDS, ("rounds",))
     rows = tuple(_validate_row(r, f"policy round {i + 1}") for i, r in enumerate(raw["rounds"]))
     if not rows:
         raise ValidationError("policy: needs at least one round row")
@@ -127,7 +126,7 @@ class SessionState(NamedTuple):
     candidate_values: dict[str, frozenset[str]]
     candidate_items: frozenset[int]
     elicited_attrs: frozenset[str]
-    last_guess: tuple[str, str] | None
+    last_guess: str | None  # the attribute of a guess the customer just rejected
     outcome: str | None
 
 
@@ -223,7 +222,7 @@ def _choose_slots(
         return {"attribute": attr, "value": rng.choice(values)}
     if name == "REVISE_ATTRIBUTE_VALUE":
         assert state.last_guess is not None
-        attr = state.last_guess[0]
+        attr = state.last_guess
         values = sorted(state.candidate_values[attr])
         return {"attribute": attr, "value": rng.choice(values)}
     if name == "DISPLAY_CANDIDATE_VALUES":
@@ -333,12 +332,13 @@ def apply_turn(
     rejected_guess = name == "RESPOND_ATTRIBUTE_VALUE" and not accept
     return SessionState(
         state.scene, state.round + 1, values, items, elicited,
-        (attr, slots["value"]) if rejected_guess else None,
+        attr if rejected_guess else None,
         "success" if name == "RESPOND_RECOMMENDATION" and accept else state.outcome,
     )
 
 
-_TEXT_SLOTS = frozenset({"attribute", "concept_id", "value", "region_label"})
+# The JSON type of each slot whose type `check_turn` tests alone; `values` and `object_id` have their own.
+_SLOT_TYPES = {"attribute": str, "concept_id": str, "value": str, "region_label": str, "accept": bool}
 # Each turn's act and full slots, as `check_flow` joins them: the one join of a read flow's turns.
 JoinedTurns = list[tuple[str, dict]]
 
@@ -354,8 +354,9 @@ def check_turn(act: str, slots: dict, scene: Scene, ont: Ontology) -> None:
         if key not in slots:
             raise ValidationError(f"missing slot {key!r}")
         value = slots[key]
-        if key in _TEXT_SLOTS and type(value) is not str:
-            raise ValidationError(f"slot {key!r} must be a string, got {value!r}")
+        kind = _SLOT_TYPES.get(key)
+        if kind is not None and type(value) is not kind:
+            raise ValidationError(f"slot {key!r} must be {JSON_TYPES[kind]}, got {value!r}")
         if key == "attribute" and value not in scene.value_universe:
             raise ValidationError(f"scene {scene.scene_id}: no attribute {value!r}")
         elif key == "concept_id" and ont.concept(value).attr != slots["attribute"]:
@@ -366,8 +367,6 @@ def check_turn(act: str, slots: dict, scene: Scene, ont: Ontology) -> None:
             raise ValidationError(f"scene {scene.scene_id}: no region labeled {value!r}")
         elif key == "object_id" and (type(value) is not int or value not in scene.items_by_id):
             raise ValidationError(f"unknown object_id {value!r}: not in scene {scene.scene_id!r}")
-        elif key == "accept" and type(value) is not bool:
-            raise ValidationError(f"slot 'accept' must be true or false, got {value!r}")
 
 
 def check_flow(
@@ -461,18 +460,15 @@ def flow_to_dict(flow: DialogFlow) -> dict:
 
 
 # The JSON type of each flow and turn field; a bool is no integer, and `utterance` may be absent.
-_FIELD_TYPES = {
-    "dialog_id": (str, "a string"), "scene_id": (str, "a string"),
-    "target_object_id": (int, "an integer"), "outcome": (str, "a string"),
-    "act": (str, "a string"), "slots": (dict, "an object"), "utterance": (str, "a string"),
-}
+_FIELD_TYPES = {"dialog_id": str, "scene_id": str, "target_object_id": int, "outcome": str,
+                "act": str, "slots": dict, "utterance": str}
 
 
 def _field_type_error(fields: dict, where: str) -> TypeError:
     """Name the first ill-typed field of a record that failed its type test."""
     field, value = next((f, v) for f, v in fields.items()
-                        if f in _FIELD_TYPES and type(v) is not _FIELD_TYPES[f][0])
-    return TypeError(f"{where}{field} must be {_FIELD_TYPES[field][1]}, got {value!r}")
+                        if f in _FIELD_TYPES and type(v) is not _FIELD_TYPES[f])
+    return TypeError(f"{where}{field} must be {JSON_TYPES[_FIELD_TYPES[field]]}, got {value!r}")
 
 
 def flow_from_dict(raw: dict) -> DialogFlow:

@@ -4,7 +4,8 @@ Files are UTF-8.  A read that cannot open, decode or parse its input raises
 MalformedFile naming the path, and for JSON Lines the 1-based line number.
 JSON Lines are read one line at a time, each decoded on its own with JSON whitespace
 allowed around it.  A config file whose contents do not fit its schema raises
-ValidationError naming the path; `check_fields` is the one check of a config object's fields.
+ValidationError naming the path; `check_fields` is the one check of a config object's field names
+and types, which it words through `JSON_TYPES`.
 A write replaces its target only once it is done, and one that cannot create or replace it
 raises ShopDialogError naming the path.
 """
@@ -36,8 +37,8 @@ def read_json(path) -> object:
 
 
 def read_json_with(path, build: Callable[[object], T]) -> T:
-    """Build a config from a JSON file; a field that is missing or of the wrong type
-    (KeyError, TypeError, ValueError) or a schema violation names the path."""
+    """Build a config from a JSON file; a schema violation names the path.  The KeyError, TypeError
+    and ValueError catch is a safety net for a fault no check words, such as a template's stray "{"."""
     raw = read_json(path)
     try:
         return build(raw)
@@ -47,17 +48,27 @@ def read_json_with(path, build: Callable[[object], T]) -> T:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def check_fields(obj, where: str, allowed: tuple[str, ...], required: tuple[str, ...] | None = None) -> None:
-    """Raise ValidationError unless `obj` is an object whose fields are among `allowed` and include
-    every one of `required` (by default all of `allowed`)."""
+# The name of each JSON type, keyed by the Python type a JSON value of it decodes to.
+JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+              list: "a list", dict: "an object"}
+
+
+def check_fields(obj, where: str, fields: dict[str, type], required: tuple[str, ...] | None = None) -> None:
+    """Raise ValidationError unless `obj` is an object whose fields are among `fields`, include every
+    one of `required` (by default all of `fields`), and each hold the JSON type `fields` maps it to:
+    a bool is neither an integer nor a number, and a number may be an integer."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be an object")
-    extra = obj.keys() - allowed
+        raise ValidationError(f"{where} must be {JSON_TYPES[dict]}")
+    extra = obj.keys() - fields
     if extra:
         raise ValidationError(f"{where}: unknown fields {sorted(extra)}")
-    missing = set(allowed if required is None else required) - obj.keys()
+    missing = (fields.keys() if required is None else set(required)) - obj.keys()
     if missing:
         raise ValidationError(f"{where}: missing fields {sorted(missing)}")
+    for field, value in obj.items():
+        kind = fields[field]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValidationError(f"{where}: {field} must be {JSON_TYPES[kind]}, got {value!r}")
 
 
 def string_list(value, where: str) -> list[str]:

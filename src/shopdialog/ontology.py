@@ -7,12 +7,12 @@ The ontology file is a UTF-8 JSON list with one block per attribute:
      "concepts": [{"concept_id": "warm_color", "values": [...],
                    "surface_forms": [...], "provenance": "expert"}, ...]}
 
-Numeric attributes may declare range concepts with {"min": .., "max": ..}
-instead of "values"; their value sets are materialized against the declared
-value space, so the same set algebra applies everywhere.  `value_space` is
-the attribute's global value space and is what the totality invariant is
-checked against: every value must be covered by at least one concept, or a
-simulated customer could be left without a truthful answer.
+A concept of a categorical attribute gives "values"; one of a numeric attribute gives "values" or
+both of {"min": .., "max": ..}, two numbers: a range whose value set is materialized against the
+declared value space, so the same set algebra applies everywhere.  `jsonio.check_fields` checks
+each field's name and JSON type.  `value_space` is the attribute's global value space and is what
+the totality invariant is checked against: every value must be covered by at least one concept,
+or a simulated customer could be left without a truthful answer.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def _materialize_range(lo: float, hi: float, space: frozenset[str]) -> frozenset
 
 
 # "provenance" documents where a concept came from; it is accepted and not kept.
-_CONCEPT_FIELDS = ("concept_id", "values", "min", "max", "surface_forms", "provenance")
+_CONCEPT_FIELDS = {"concept_id": str, "values": list, "min": float, "max": float, "surface_forms": list,
+                   "provenance": str}
 
 
 def ontology_from_blocks(blocks: list[dict]) -> Ontology:
@@ -78,7 +79,7 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
     concepts: list[Concept] = []
     value_spaces: dict[str, frozenset[str]] = {}
     for block in blocks:
-        check_fields(block, "ontology block", ("attribute", "value_space", "concepts"))
+        check_fields(block, "ontology block", {"attribute": str, "value_space": list, "concepts": list})
         attr_name = block["attribute"]
         attr = get_attribute(attr_name)
         if attr_name in value_spaces:
@@ -88,29 +89,24 @@ def ontology_from_blocks(blocks: list[dict]) -> Ontology:
             raise ValidationError(f"{attr_name}: value_space has duplicates")
         space = frozenset(raw_space)
         if attr.kind == "numeric":
-            for v in space:
+            for v in raw_space:
                 try:
                     numeric_payload(v)
                 except ValueError:
-                    raise ValidationError(
-                        f"{attr_name}: value {v!r} has no numeric payload"
-                    ) from None
+                    raise ValidationError(f"{attr_name}: value {v!r} has no numeric payload") from None
         value_spaces[attr_name] = space
-        if not isinstance(block["concepts"], list):
-            raise ValidationError(f"{attr_name}: concepts must be a list")
         for raw in block["concepts"]:
-            check_fields(raw, f"{attr_name} concept", _CONCEPT_FIELDS, ("concept_id", "surface_forms"))
+            # A categorical concept gives its values; a numeric one its values or both bounds.
+            ranged = attr.kind == "numeric" and isinstance(raw, dict) and "values" not in raw
+            check_fields(raw, f"{attr_name} concept", _CONCEPT_FIELDS,
+                         ("concept_id", "surface_forms", *(("min", "max") if ranged else ("values",))))
             cid = raw["concept_id"]
-            if type(cid) is not str:
-                raise ValidationError(f"concept {cid!r}: concept_id must be a string")
-            if "values" in raw:
-                if "min" in raw or "max" in raw:
-                    raise ValidationError(f"concept {cid!r}: give either values or min/max")
-                values = frozenset(string_list(raw["values"], f"concept {cid!r}: values"))
+            if ranged:
+                values = _materialize_range(raw["min"], raw["max"], space)
+            elif "min" in raw or "max" in raw:
+                raise ValidationError(f"concept {cid!r}: give either values or min/max")
             else:
-                if attr.kind != "numeric":
-                    raise ValidationError(f"concept {cid!r}: range bounds need a numeric attribute")
-                values = _materialize_range(float(raw["min"]), float(raw["max"]), space)
+                values = frozenset(string_list(raw["values"], f"concept {cid!r}: values"))
             if not values:
                 raise ValidationError(f"concept {cid!r}: empty value set")
             if not values <= space:

@@ -44,7 +44,7 @@ Templates = dict[str, tuple[str, ...]]  # act key -> its templates
 
 
 def templates_from_dict(raw: dict) -> Templates:
-    check_fields(raw, "templates", REQUIRED_KEYS)
+    check_fields(raw, "templates", dict.fromkeys(REQUIRED_KEYS, list))
     by_key: Templates = {}
     for key, templates in raw.items():
         string_list(templates, f"templates: {key!r}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +72,9 @@ def test_non_integer_object_id_rejected(tmp_path, oid):
     """A bool is no object id: `realize` and `gold` would reject the flows `simulate` writes."""
     items = [{"object_id": oid, "prototype_id": "p0", "bbox": [0, 0, 10, 10]}]
     paths = write_minimal(tmp_path, minimal_scene(items=items), {"p0": FASHION_ATTRS})
-    with pytest.raises(ValidationError, match=": scene s0: object_id must be a non-negative integer$"):
+    message = ("scene s0: object_id must be a non-negative integer" if oid == -1
+               else f"scene s0 item: object_id must be an integer, got {oid!r}")
+    with pytest.raises(ValidationError, match=f": {re.escape(message)}$"):
         load_catalog(*paths)
 
 

@@ -1158,8 +1158,9 @@ CONFIG_RULES = {
     "duplicate-value": ("ontology", (0, "value_space", 1), "jacket", "type: value_space has duplicates"),
     "value-without-number": ("ontology", (4, "value_space", 0), "cheap",
                              "price: value 'cheap' has no numeric payload"),
-    "concepts-a-string": ("ontology", (0, "concepts"), "ab", "type: concepts must be a list"),
-    "concepts-a-number": ("ontology", (0, "concepts"), 5, "type: concepts must be a list"),
+    "concepts-a-string": ("ontology", (0, "concepts"), "ab",
+                          "ontology block: concepts must be a list, got 'ab'"),
+    "concepts-a-number": ("ontology", (0, "concepts"), 5, "ontology block: concepts must be a list, got 5"),
     "concept-a-string": ("ontology", (0, "concepts", 0), "abc", "type concept must be an object"),
     "concept-a-list": ("ontology", (0, "concepts", 0), [5], "type concept must be an object"),
     "concept-unknown-field": ("ontology", (0, "concepts", 0, "weight"), 1,
@@ -1169,11 +1170,11 @@ CONFIG_RULES = {
     "concept-without-surface-forms": ("ontology", (0, "concepts", 0, "surface_forms"), DROP,
                                       "type concept: missing fields ['surface_forms']"),
     "concept-numeric-id": ("ontology", (0, "concepts", 0, "concept_id"), 5,
-                           "concept 5: concept_id must be a string"),
+                           "type concept: concept_id must be a string, got 5"),
     "concept-values-and-range": ("ontology", (0, "concepts", 0, "min"), 0,
                                  "concept 'formal_type': give either values or min/max"),
     "categorical-range": ("ontology", (0, "concepts", 0, "values"), DROP,
-                          "concept 'formal_type': range bounds need a numeric attribute"),
+                          "type concept: missing fields ['values']"),
     "concept-no-values": ("ontology", (0, "concepts", 0, "values"), [],
                           "concept 'formal_type': empty value set"),
     "concept-values-outside": ("ontology", (0, "concepts", 0, "values"), ["dress", "banana"],
@@ -1185,11 +1186,12 @@ CONFIG_RULES = {
     "policy-a-list": ("policy", (), [1, 2], "policy must be an object"),
     "policy-unknown-field": ("policy", ("weight",), 1, "policy: unknown fields ['weight']"),
     "policy-without-rounds": ("policy", ("rounds",), DROP, "policy: missing fields ['rounds']"),
-    "rounds-a-number": ("policy", ("rounds",), 5, "policy: rounds must be a list"),
-    "rounds-a-string": ("policy", ("rounds",), "ab", "policy: rounds must be a list"),
+    "rounds-a-number": ("policy", ("rounds",), 5, "policy: rounds must be a list, got 5"),
+    "rounds-a-string": ("policy", ("rounds",), "ab", "policy: rounds must be a list, got 'ab'"),
     "rounds-empty": ("policy", ("rounds",), [], "policy: needs at least one round row"),
     "row-a-string": ("policy", ("rounds", 0), "abc", "policy round 1 must be an object"),
-    "stationary-a-list": ("policy", ("stationary",), [5], "policy stationary must be an object"),
+    "stationary-a-list": ("policy", ("stationary",), [5],
+                          "policy: stationary must be an object, got [5]"),
     "row-unknown-act": ("policy", ("rounds", 0, "WAVE"), 0, "policy round 1: unknown fields ['WAVE']"),
     "row-without-act": ("policy", ("rounds", 1, "REFER_REGION"), DROP,
                         "policy round 2: missing fields ['REFER_REGION']"),
@@ -1212,6 +1214,38 @@ CONFIG_RULES = {
     "scene-short-bbox": ("scenes", (0, "items", 0, "bbox"), [1, 2],
                          "scene f01 item 0: bbox must be [x, y, w, h]"),
     "metadata-a-list": ("metadata", (), [], "metadata file must map prototype ids to attribute maps"),
+    "block-list-attribute": ("ontology", (0, "attribute"), ["type"],
+                             "ontology block: attribute must be a string, got ['type']"),
+    "range-string-min": ("ontology", (4, "concepts", 0, "min"), "abc",
+                         "price concept: min must be a number, got 'abc'"),
+    "range-null-max": ("ontology", (4, "concepts", 0, "max"), None,
+                       "price concept: max must be a number, got None"),
+    "range-bool-min": ("ontology", (4, "concepts", 0, "min"), True,
+                       "price concept: min must be a number, got True"),
+    "range-without-max": ("ontology", (4, "concepts", 0, "max"), DROP,
+                          "price concept: missing fields ['max']"),
+    "concept-numeric-provenance": ("ontology", (0, "concepts", 0, "provenance"), 5,
+                                   "type concept: provenance must be a string, got 5"),
+    "scene-bool-object-id": ("scenes", (0, "items", 1, "object_id"), True,
+                             "scene f01 item: object_id must be an integer, got True"),
+    "scene-string-object-id": ("scenes", (0, "items", 1, "object_id"), "1",
+                               "scene f01 item: object_id must be an integer, got '1'"),
+    "metadata-numeric-value": ("metadata", ("p_fash_000", "color"), 5,
+                               "metadata 'p_fash_000': color must be a string, got 5"),
+    "metadata-unknown-attribute": ("metadata", ("p_fash_000", "flavor"), "sweet",
+                                   "metadata 'p_fash_000': unknown fields ['flavor']"),
+    "policy-bool-threshold": ("policy", ("display_min",), True,
+                              "policy: display_min must be an integer, got True"),
+    "bbox-strings": ("scenes", (0, "items", 0, "bbox"), ["0", "0", "10", "10"],
+                     "scene f01 item 0: bbox values must be finite numbers"),
+    "bbox-bool": ("scenes", (0, "items", 0, "bbox"), [True, 0, 10, 10],
+                  "scene f01 item 0: bbox values must be finite numbers"),
+    "bbox-nan": ("scenes", (0, "items", 0, "bbox"), [0, 0, float("nan"), 10],
+                 "scene f01 item 0: bbox values must be finite numbers"),
+    "region-infinite-width": ("scenes", (0, "regions", 0, "bbox", 2), float("inf"),
+                              "scene f01 region 'back left rack': bbox values must be finite numbers"),
+    "bbox-integer-beyond-float": ("scenes", (0, "items", 0, "bbox", 0), 10 ** 400,
+                                  "scene f01 item 0: bbox values must be finite numbers"),
 }
 
 
@@ -1448,12 +1482,13 @@ def test_split_of_a_flow_file_without_dialogs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("keys, value, message", [
-    (("rounds", 0, "ASK_PREFERENCE"), "high", "policy round 1: ASK_PREFERENCE must be a number"),
-    (("rounds", 1, "REFER_REGION"), True, "policy round 2: REFER_REGION must be a number"),
+    (("rounds", 0, "ASK_PREFERENCE"), "high",
+     "policy round 1: ASK_PREFERENCE must be a number, got 'high'"),
+    (("rounds", 1, "REFER_REGION"), True, "policy round 2: REFER_REGION must be a number, got True"),
     (("stationary", "RECOMMEND_ITEM"), -0.5,
      "policy stationary: RECOMMEND_ITEM must be a probability in [0, 1], got -0.5"),
-    (("max_rounds",), 2.5, "policy: max_rounds must be an integer >= 1, got 2.5"),
-    (("display_min",), True, "policy: display_min must be an integer >= 0, got True"),
+    (("max_rounds",), 2.5, "policy: max_rounds must be an integer, got 2.5"),
+    (("display_min",), True, "policy: display_min must be an integer, got True"),
     (("recommend_max",), -3, "policy: recommend_max must be an integer >= 1, got -3"),
 ], ids=["string-probability", "bool-probability", "negative-probability", "fractional-max-rounds",
         "bool-display-min", "negative-recommend-max"])

@@ -150,7 +150,7 @@ def all_acts_eligible_state(ontology, policy):
     region = BackgroundItem("back left rack", (0.0, 0.0, 70.0, 50.0))  # covers items 0..2
     scene = Scene(scene.scene_id, scene.domain, scene.items, (region,))
     state = new_session(scene)._replace(elicited_attrs=frozenset({"color"}),
-                                        last_guess=("color", "violet"))
+                                        last_guess="color")
     assert eligible_acts(state, policy) == set(SALESPERSON_ACTS)
     return state
 
@@ -254,7 +254,7 @@ APPLY_CASES = {
                      {"value": "red", "accept": True}, {"red"}, {0}, False, None, None),
     "revise-reject": ("REVISE_ATTRIBUTE_VALUE", "RESPOND_ATTRIBUTE_VALUE",
                       {"value": "red", "accept": False},
-                      {"blue", "yellow", "black"}, {1, 2, 3}, False, ("color", "red"), None),
+                      {"blue", "yellow", "black"}, {1, 2, 3}, False, "color", None),
     "choose": ("DISPLAY_CANDIDATE_VALUES", "CHOOSE_ATTRIBUTE_VALUE", {"value": "yellow"},
                {"yellow"}, {2}, False, None, None),
     "region-accept": ("REFER_REGION", "JUDGE_REGION", {"accept": True},
@@ -276,7 +276,7 @@ def test_apply_turn_narrows_per_act(ontology, case):
     region = BackgroundItem("front rack", (0.0, 0.0, 40.0, 50.0))
     scene = make_scene(["red", "blue", "yellow", "black"], regions=[region])
     state = new_session(scene)._replace(elicited_attrs=frozenset({"size"}),
-                                        last_guess=("size", "M"))
+                                        last_guess="size")
     if s_name == "REFER_REGION":
         s_slots = c_slots = {"region_label": "front rack", **c_slots}
     elif s_name == "RECOMMEND_ITEM":

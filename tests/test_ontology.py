@@ -40,7 +40,7 @@ def test_non_string_concept_id_rejected(ids):
     block["concepts"][1]["values"] = ["blue", "olive"]
     for concept, cid in zip(block["concepts"], ids):
         concept["concept_id"] = cid
-    with pytest.raises(ValidationError, match="^concept 7: concept_id must be a string$"):
+    with pytest.raises(ValidationError, match="^color concept: concept_id must be a string, got 7$"):
         ontology_from_blocks([block])
 
 

@@ -1,12 +1,12 @@
-"""Structure guard: one module owns each concern (the scene index and the config field check among
-them), uniform draws use `rng.choice`, no module names a per-turn count or item list, `check_flow`
-alone joins a read flow's turns, simulated turns carry exactly the slots of the act-slot table and
-the template keys derive from it, each subcommand loads only the modules it runs, none loads
-`dataclasses` and none imports `csv`, every name the benchmark's tracer patches is a top-level
-function of its module, the tracer reads the gold task where `build_gold` takes it, `cli.main` alone
-writes manifests, the README lists the flow keys the engine writes and the exception types
-`errors.py` defines, and a successful process has nothing left to close when `cli.run` skips
-interpreter teardown."""
+"""Structure guard: one module owns each concern (the scene index, the config field check and the
+JSON type names among them), uniform draws use `rng.choice`, no module names a per-turn count or
+item list, `check_flow` alone joins a read flow's turns, simulated turns carry exactly the slots of
+the act-slot table and the template keys derive from it, each subcommand loads only the modules it
+runs, none loads `dataclasses` and none imports `csv`, every name the benchmark's tracer patches is
+a top-level function of its module, the tracer reads the gold task where `build_gold` takes it,
+`cli.main` alone writes manifests, the README lists the flow keys the engine writes and the
+exception types `errors.py` defines, and a successful process has nothing left to close when
+`cli.run` skips interpreter teardown."""
 
 import ast
 import importlib.util
@@ -41,6 +41,16 @@ def test_config_fields_are_checked_in_jsonio():
     an unknown or missing field, and the catalog's own copy is gone."""
     assert _modules_containing("unknown fields") | _modules_containing("missing fields") == {"jsonio.py"}
     assert _modules_containing("_require_fields") == set()
+
+
+def test_json_type_names_live_in_jsonio():
+    """`jsonio.JSON_TYPES` is the one table of JSON type names: no other module holds one of them as
+    a string of its own."""
+    names = {"a string", "an integer", "a number", "true or false", "an object", "a list"}
+    holders = {path.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and node.value in names}
+    assert holders == {"jsonio.py"}
 
 
 def test_region_containment_lives_in_catalog():
